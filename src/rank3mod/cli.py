@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .analyze import DEFAULT_MAX_P, canon_size, run_analysis
@@ -263,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CertificationError, BudgetExceededError) as exc:
         print(f"internal certification failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a fault of the program, not a structural mismatch (exit code 1)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

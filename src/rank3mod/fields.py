@@ -97,6 +97,18 @@ class PrimeField:
         return int(self.inv_table[x])
 
 
+def storage_dtype(ell: int) -> type:
+    """Integer dtype of stored F_ell matrices: int8 for ell <= 127, int16 up to 2^15.
+
+    Larger ell is refused: its residues would wrap in int16.
+    """
+    if ell <= 127:
+        return np.int8
+    if ell <= 2**15:
+        return np.int16
+    raise ValueError(f"ell = {ell} is too large for stored F_ell matrices (at most 2^15)")
+
+
 def make_prime_field(ell: int) -> PrimeField:
     """Context for F_ell; rejects ell = 2 and composites."""
     return PrimeField(ell)

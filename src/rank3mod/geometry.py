@@ -124,7 +124,7 @@ def _f4_split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V & 1).astype(np.int64), (V >> 1).astype(np.int64)
 
 
-def _f4_pair_form(space: Space, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def f4_pair_form(space: Space, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise hermitian values (u_i, v_j); returns (constant, t) parts mod 2."""
     G = space.gram.astype(np.int64)
     u0, u1 = _f4_split(U)
@@ -155,10 +155,8 @@ class PointSets:
     space: Space
     P: np.ndarray          # (|P|, m) canonical representatives
     P0: np.ndarray         # (|P0|, m)
-    P_codes: np.ndarray    # packed integer per point, ordering key
+    P_codes: np.ndarray    # packed integer per point, increasing: the lookup index
     P0_codes: np.ndarray
-    index_P: dict
-    index_P0: dict
     adj: np.ndarray        # bool (|P|, |P|)
     cross: np.ndarray      # bool (|P|, |P0|)
 
@@ -217,16 +215,14 @@ def enumerate_points(space: Space) -> PointSets:
         adj = ~orth_PP
         np.fill_diagonal(adj, False)
     else:
-        c, t = _f4_pair_form(space, P, P)
+        c, t = f4_pair_form(space, P, P)
         orth_PP = (c == 0) & (t == 0)
-        cx, tx = _f4_pair_form(space, P, P0)
+        cx, tx = f4_pair_form(space, P, P0)
         cross = (cx == 0) & (tx == 0)
         adj = orth_PP.copy()
         np.fill_diagonal(adj, False)
 
-    index_P = {int(code): i for i, code in enumerate(P_codes)}
-    index_P0 = {int(code): i for i, code in enumerate(P0_codes)}
-    return PointSets(space, P, P0, P_codes, P0_codes, index_P, index_P0, adj, cross)
+    return PointSets(space, P, P0, P_codes, P0_codes, adj, cross)
 
 
 # ---------------------------------------------------------------------------

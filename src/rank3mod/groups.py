@@ -15,6 +15,17 @@ lower bound for the generated group; after the Schreier-generator verification
 pass it is the exact order, independently of the closed order formulas, which
 serve as a cross-check that the pool generates the full group.
 
+Each level of the chain stores a Schreier vector (the parent and the
+generator of every orbit point in a spanning tree) and the inverse of each
+of its generators.  Stripping walks the tree from the image of the base back
+to the base and applies the inverse generator of every edge, so no coset
+representative is built or inverted.  The verification checks, at every
+level, the Schreier generators of all strong generators fixing the earlier
+base points, skipping tree edges (whose Schreier generators are the identity
+by construction).  It follows only the images of the base points and of a
+frame of vectors spanning the space: a linear map fixing a spanning set is
+the identity, so this decides whether a residue is trivial.
+
 Rank and suborbits are certified on P by orbital closure (min-label
 propagation on P x P), which needs no stabiliser generators.
 """
@@ -32,9 +43,8 @@ from .geometry import (
     OMINUS,
     PointSets,
     Space,
-    bilinear,
+    f4_pair_form,
     pack_codes,
-    quadratic,
 )
 
 
@@ -43,13 +53,15 @@ from .geometry import (
 
 
 def mat_mul(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # The products run in float32 (BLAS) and are exact: entries are 0/1 and a
+    # sum has at most 2 * dim terms, so its low bit is its value mod 2.
     if space.q == 2:
-        return (A.astype(np.int64) @ B.astype(np.int64) % 2).astype(np.uint8)
-    a0, a1 = (A & 1).astype(np.int64), (A >> 1).astype(np.int64)
-    b0, b1 = (B & 1).astype(np.int64), (B >> 1).astype(np.int64)
-    c0 = (a0 @ b0 + a1 @ b1) % 2
-    c1 = (a0 @ b1 + a1 @ b0 + a1 @ b1) % 2
-    return (c0 | (c1 << 1)).astype(np.uint8)
+        return (A.astype(np.float32) @ B.astype(np.float32)).astype(np.uint8) & 1
+    a0, a1 = (A & 1).astype(np.float32), (A >> 1).astype(np.float32)
+    b0, b1 = (B & 1).astype(np.float32), (B >> 1).astype(np.float32)
+    c0 = (a0 @ b0 + a1 @ b1).astype(np.uint8) & 1
+    c1 = (a0 @ b1 + a1 @ b0 + a1 @ b1).astype(np.uint8) & 1
+    return c0 | (c1 << 1)
 
 
 def vec_mat(space: Space, V: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -58,18 +70,17 @@ def vec_mat(space: Space, V: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def is_isometry(space: Space, M: np.ndarray) -> bool:
-    m = space.dim
+    """M preserves the form on every pair of basis vectors (and Q on each, over F2)."""
     if space.q == 2:
         G = space.gram.astype(np.int64)
         Mi = M.astype(np.int64)
         if ((Mi @ G @ Mi.T) % 2 != G).any():
             return False
-        return all(quadratic(space, M[i]) == int(space.qvals[i]) for i in range(m))
-    for i in range(m):
-        for j in range(m):
-            if bilinear(space, M[i], M[j]) != int(space.gram[i, j]):
-                return False
-    return True
+        upper = np.triu(G, 1)
+        q_rows = (Mi @ space.qvals.astype(np.int64) + ((Mi @ upper) * Mi).sum(axis=1)) % 2
+        return bool((q_rows == space.qvals).all())
+    c, t = f4_pair_form(space, M, M)
+    return bool(((c | (t << 1)) == space.gram).all())
 
 
 def transvection(space: Space, v: np.ndarray) -> np.ndarray:
@@ -135,15 +146,19 @@ class PermPair:
     on_P0: np.ndarray
 
 
+def code_positions(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Index of each code in the sorted array sorted_codes; every code must occur."""
+    pos = np.searchsorted(sorted_codes, codes)
+    if not ((pos < len(sorted_codes)).all() and np.array_equal(sorted_codes[pos], codes)):
+        raise CertificationError("image point missing from index: not an isometry")
+    return pos
+
+
 def induced_perm(space: Space, points: PointSets, M: np.ndarray) -> PermPair:
     out = []
-    for reps, index in ((points.P, points.index_P), (points.P0, points.index_P0)):
+    for reps, codes in ((points.P, points.P_codes), (points.P0, points.P0_codes)):
         img = normalise_rows(space, vec_mat(space, reps, M))
-        codes = pack_codes(img, space.q)
-        try:
-            perm = np.array([index[int(c)] for c in codes], dtype=np.int64)
-        except KeyError as exc:
-            raise CertificationError("image point missing from index: not an isometry") from exc
+        perm = code_positions(codes, pack_codes(img, space.q))
         if len(np.unique(perm)) != len(perm):
             raise CertificationError("induced map on points is not a bijection")
         out.append(perm)
@@ -151,7 +166,7 @@ def induced_perm(space: Space, points: PointSets, M: np.ndarray) -> PermPair:
 
 
 def vector_action_domain(space: Space, points: PointSets) -> np.ndarray:
-    """All nonsingular vectors (the scalar multiples of the P representatives)."""
+    """All nonsingular vectors (the scalar multiples of the P representatives), in code order."""
     if space.q == 2:
         return points.P
     reps = points.P
@@ -159,23 +174,57 @@ def vector_action_domain(space: Space, points: PointSets) -> np.ndarray:
     return allv[np.argsort(pack_codes(allv, 4))]
 
 
+def spanning_frame(space: Space, codes: np.ndarray) -> np.ndarray:
+    """Indices of domain vectors that span V, picked greedily in domain order.
+
+    A code's binary digits are the vector's coordinates over F2 (two bits per
+    F4 coordinate), so an F2-spanning set is found by XOR elimination on the
+    codes; it spans V over F_q as well.  An F_q-linear map fixing every
+    vector of the frame is the identity.
+    """
+    bits = space.dim * (space.q - 1).bit_length()
+    reduced: dict[int, int] = {}  # leading bit -> reduced code
+    picked = []
+    for i, c in enumerate(codes.tolist()):
+        while c and c.bit_length() - 1 in reduced:
+            c ^= reduced[c.bit_length() - 1]
+        if c:
+            reduced[c.bit_length() - 1] = c
+            picked.append(i)
+            if len(picked) == bits:
+                return np.array(picked, dtype=np.int64)
+    raise CertificationError("the nonsingular vectors do not span the space")
+
+
 # ---------------------------------------------------------------------------
 # stabiliser chain
 
 
 class _Level:
-    __slots__ = ("base", "gens", "parent", "gen_of", "orbit")
+    """One level of the chain: its base point, strong generators with their
+    inverses, and the Schreier vector (parent, gen_of) of the base's orbit."""
+
+    __slots__ = ("base", "gens", "inv_gens", "parent", "gen_of", "orbit")
 
     def __init__(self, base: int, degree: int):
         self.base = base
         self.gens: list[np.ndarray] = []
-        self.parent = np.full(degree, -1, dtype=np.int64)
-        self.gen_of = np.full(degree, -1, dtype=np.int64)
+        self.inv_gens: list[np.ndarray] = []
+        self.parent = [-1] * degree
+        self.gen_of = [-1] * degree
         self.orbit: list[int] = [base]
 
+    def add_gen(self, g: np.ndarray):
+        g = np.asarray(g, dtype=np.int64)
+        inv = np.empty_like(g)
+        inv[g] = np.arange(len(g))
+        self.gens.append(g)
+        self.inv_gens.append(inv)
+        self.rebuild_orbit()
+
     def rebuild_orbit(self):
-        self.parent[:] = -1
-        self.gen_of[:] = -1
+        self.parent = [-1] * len(self.parent)
+        self.gen_of = [-1] * len(self.gen_of)
         self.parent[self.base] = self.base
         self.orbit = [self.base]
         head = 0
@@ -189,48 +238,68 @@ class _Level:
                     self.gen_of[y] = gi
                     self.orbit.append(y)
 
-    def transversal(self, beta: int, degree: int) -> np.ndarray | None:
-        """Permutation u with u[base] = beta, or None when beta is not in the orbit."""
-        if self.parent[beta] == -1:
-            return None
-        chain = []
-        x = beta
-        while x != self.base:
-            chain.append(int(self.gen_of[x]))
-            x = int(self.parent[x])
-        u = np.arange(degree, dtype=np.int64)
-        for gi in reversed(chain):
-            u = self.gens[gi][u]
-        return u
+    def transversal(self, beta: int, points: np.ndarray) -> np.ndarray:
+        """Images of points under u_beta, the tree's word with u_beta[base] = beta."""
+        path = []
+        while beta != self.base:
+            path.append(self.gen_of[beta])
+            beta = self.parent[beta]
+        for gi in reversed(path):
+            points = self.gens[gi][points]
+        return points
 
 
 class StabilizerChain:
-    """Randomised Schreier-Sims; verify() makes the order exact via Sims' criterion."""
+    """Randomised Schreier-Sims; verify() makes the order exact via Sims' criterion.
 
-    def __init__(self, degree: int, seed: int = 0):
+    Each level keeps a Schreier vector for its fundamental orbit and the
+    inverse of every strong generator, so stripping walks the tree and never
+    builds or inverts a coset representative.
+
+    frame: points that no permutation of the groups held here, other than the
+    identity, fixes all of (for permutations induced by linear maps on a set
+    of vectors, vectors spanning the space).  verify() follows only the
+    frame and the base points; by default the frame is every point.
+    """
+
+    def __init__(self, degree: int, seed: int = 0, frame: np.ndarray | None = None):
         self.degree = degree
         self.levels: list[_Level] = []
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, degree, 0x5C]))
         self.verified = False
-
-    @staticmethod
-    def _inv(p: np.ndarray) -> np.ndarray:
-        return np.argsort(p)
+        self._identity = np.arange(degree, dtype=np.int64)
+        self.frame = self._identity if frame is None else np.asarray(frame, dtype=np.int64)
 
     def _is_identity(self, p: np.ndarray) -> bool:
-        return bool((p == np.arange(self.degree)).all())
+        return bool((p == self._identity).all())
+
+    def _strip(self, img: np.ndarray, slots) -> tuple[np.ndarray, int]:
+        """Strip images of points through the chain; slots[li] is where img
+        holds the image of level li's base.
+
+        At a level whose orbit holds beta, the image of its base, the element
+        becomes u_beta^-1 times itself: the Schreier tree is walked from beta
+        back to the base and the stored inverse generator of each edge is
+        applied.  Returns (stripped images, level index where it stuck).
+        """
+        for li, lev in enumerate(self.levels):
+            x = int(img[slots[li]])
+            parent, gen_of, inv_gens = lev.parent, lev.gen_of, lev.inv_gens
+            if parent[x] == -1:
+                return img, li
+            while x != lev.base:
+                img = inv_gens[gen_of[x]][img]
+                x = parent[x]
+        return img, len(self.levels)
 
     def sift(self, p: np.ndarray) -> tuple[np.ndarray, int]:
-        """Strip p through the chain; (residue, level index where it stuck)."""
-        for li, lev in enumerate(self.levels):
-            beta = int(p[lev.base])
-            if beta == lev.base:
-                continue
-            u = lev.transversal(beta, self.degree)
-            if u is None:
-                return p, li
-            p = self._inv(u)[p]
-        return p, len(self.levels)
+        """Strip p through the chain; (residue, level index where it stuck).
+
+        Each level strips by its Schreier vector (`_strip`): the inverse
+        generators along the tree path of p's base image are applied to p,
+        with no coset representative built.
+        """
+        return self._strip(p, [lev.base for lev in self.levels])
 
     def contains(self, p: np.ndarray) -> bool:
         res, _ = self.sift(p)
@@ -239,10 +308,9 @@ class StabilizerChain:
     def _add_residue(self, res: np.ndarray, level: int):
         self.verified = False
         if level == len(self.levels):
-            moved = np.nonzero(res != np.arange(self.degree))[0]
+            moved = np.nonzero(res != self._identity)[0]
             self.levels.append(_Level(int(moved[0]), self.degree))
-        self.levels[level].gens.append(res)
-        self.levels[level].rebuild_orbit()
+        self.levels[level].add_gen(res)
 
     def add_generator(self, p: np.ndarray, rounds: int = 8) -> bool:
         res, level = self.sift(p)
@@ -253,13 +321,13 @@ class StabilizerChain:
         return True
 
     def _random_element(self) -> np.ndarray:
-        word = np.arange(self.degree, dtype=np.int64)
-        pool = [g for lev in self.levels for g in lev.gens]
+        word = self._identity
+        pool = [pair for lev in self.levels for pair in zip(lev.gens, lev.inv_gens)]
         if not pool:
-            return word
+            return word.copy()
         for _ in range(int(self.rng.integers(2, 7))):
-            g = pool[int(self.rng.integers(0, len(pool)))]
-            word = g[word] if self.rng.integers(2) else self._inv(g)[word]
+            g, g_inv = pool[int(self.rng.integers(0, len(pool)))]
+            word = g[word] if self.rng.integers(2) else g_inv[word]
         return word
 
     def _random_rounds(self, quiet_target: int):
@@ -293,16 +361,38 @@ class StabilizerChain:
         raise CertificationError("Schreier-Sims verification did not stabilise")
 
     def _find_witness(self):
-        for lev in self.levels:
-            tr = {beta: lev.transversal(beta, self.degree) for beta in lev.orbit}
-            tr_inv = {beta: self._inv(u) for beta, u in tr.items()}
+        """First Schreier generator that does not strip to the identity, sifted.
+
+        Level i is checked against every strong generator that fixes the
+        earlier base points: its own and those of all deeper levels, which
+        generate the stabiliser the level stands for (Sims' criterion needs
+        them all; a level's own generators alone can miss that its orbit or
+        the next stabiliser is too small).  For beta in the orbit and such a
+        generator g, g u_beta is stripped directly: stripping it at level i
+        removes u_{g beta}, so its residue is that of the Schreier generator
+        u_{g beta}^-1 g u_beta.  Tree edges (g the level's own generator on
+        the edge from beta to g beta) are skipped, since there
+        u_{g beta} = g u_beta and the Schreier generator is the identity.
+
+        Only the images of the base points and the frame are followed, which
+        decides the identity; a witness is then sifted as a whole permutation.
+        """
+        bases = np.array([lev.base for lev in self.levels], dtype=np.int64)
+        points = np.concatenate([bases, self.frame])
+        fixed = points.tobytes()
+        slots = range(len(self.levels))
+        for li, lev in enumerate(self.levels):
+            gens = lev.gens + [g for low in self.levels[li + 1:] for g in low.gens]
             for beta in lev.orbit:
-                u = tr[beta]
-                for g in lev.gens:
-                    schreier = tr_inv[int(g[beta])][g[u]]
-                    res, level = self.sift(schreier)
-                    if not self._is_identity(res):
-                        return res, level
+                u = lev.transversal(beta, points)
+                for gi, g in enumerate(gens):
+                    if gi < len(lev.gens):
+                        img = int(g[beta])
+                        if lev.parent[img] == beta and lev.gen_of[img] == gi:
+                            continue
+                    res, level = self._strip(g[u], slots)
+                    if level < len(self.levels) or res.tobytes() != fixed:
+                        return self.sift(g[lev.transversal(beta, self._identity)])
         return None
 
     def order(self) -> int:
@@ -356,13 +446,12 @@ def build_group(
     """
     target = formula_order(space)
     domain = vector_action_domain(space, points)
-    index = {int(c): i for i, c in enumerate(pack_codes(domain, space.q))}
-    chain = StabilizerChain(len(domain), seed=seed)
+    domain_codes = pack_codes(domain, space.q)  # sorted: the domain is in code order
+    chain = StabilizerChain(len(domain), seed=seed, frame=spanning_frame(space, domain_codes))
     mats: list[np.ndarray] = []
 
     def vec_perm(M):
-        codes = pack_codes(vec_mat(space, domain, M), space.q)
-        return np.array([index[int(c)] for c in codes], dtype=np.int64)
+        return code_positions(domain_codes, pack_codes(vec_mat(space, domain, M), space.q))
 
     for M in candidate_generators(space, points):
         p = vec_perm(M)

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, CertificationError
+from .fields import storage_dtype
 from .modules import DenseRep, ModCtx, QuotCtx, Submodule, spin, submodule_from_rows
 from .polys import factor_poly, poly_divmod, poly_eval_int, trim
 
@@ -83,7 +84,7 @@ class Word:
                         M = linalg.matmul(M, action.gen_matrix(gi), ell)
                     out = out + coeff * M
             out %= ell
-        out = out.astype(np.int8)  # entries < ell; keeps the cache small
+        out = out.astype(storage_dtype(ell))  # entries < ell; keeps the cache small
         cache[self.index] = out
         return out
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificationError
+from .fields import storage_dtype
 from .geometry import PointSets
 
 
@@ -51,7 +52,7 @@ class DenseRep:
 
     def __init__(self, ell: int, mats: list[np.ndarray]):
         self.ell = ell
-        self.mats = [np.asarray(m, dtype=np.int8) for m in mats]
+        self.mats = [np.asarray(m, dtype=storage_dtype(ell)) for m in mats]
         self.dim = self.mats[0].shape[0] if self.mats else 0
 
     @property
@@ -78,7 +79,7 @@ class Submodule:
         return self.basis.shape[0]
 
     def key(self) -> bytes:
-        return self.basis.astype(np.int8).tobytes()
+        return self.basis.astype(storage_dtype(self.action.ell)).tobytes()
 
     def contains_vec(self, v: np.ndarray) -> bool:
         return linalg.in_rowspace(v, self.basis, self.pivots, self.action.ell)

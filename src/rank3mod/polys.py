@@ -124,7 +124,8 @@ def _squarefree_parts(f, ell, F):
         c = poly_divmod(c, y, ell, F)[0]
         i += 1
     if deg(c) > 0:
-        out.extend((g, k * ell) for g, k in _squarefree_parts(c, ell, F))
+        # what is left is h(x)^ell; recurse on its ell-th root h
+        out.extend((g, k * ell) for g, k in _squarefree_parts(trim(c[::ell].copy()), ell, F))
     return out
 
 

@@ -149,3 +149,24 @@ def test_cli_analyze_skip_order(capsys):
 def test_cli_out_of_scale_exit(capsys):
     rc = main(["analyze", "--family", "u", "--dim", "9", "--ell", "3"])
     assert rc == 2
+
+
+def test_cli_unexpected_error_exit(capsys, monkeypatch):
+    import rank3mod.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_points", broken)
+    rc = main(["points", "--family", "o+", "--n", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "internal error: RuntimeError: boom" in err
+
+
+def test_cli_verify_ell_above_int8(capsys):
+    # F_131 residues do not fit int8; the stored matrices widen to int16
+    rc = main(["verify", "--family", "o+", "--n", "3", "--ell", "131", "--seed", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["verdict"]["match"] is True

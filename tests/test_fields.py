@@ -15,6 +15,7 @@ from rank3mod.fields import (
     gf4_mul,
     is_odd_prime,
     make_prime_field,
+    storage_dtype,
 )
 
 ELEMS = [GF4_ZERO, GF4_ONE, GF4_T, GF4_T2]
@@ -97,3 +98,12 @@ def test_reduce_int_examples():
 
 def test_is_odd_prime():
     assert [p for p in range(20) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19]
+
+
+def test_storage_dtype_holds_every_residue():
+    assert storage_dtype(3) == storage_dtype(127) == np.int8
+    assert storage_dtype(131) == storage_dtype(32749) == np.int16
+    for ell in (3, 127, 131, 32749):
+        assert np.iinfo(storage_dtype(ell)).max >= ell - 1
+    with pytest.raises(ValueError):
+        storage_dtype(65537)

@@ -212,12 +212,12 @@ def test_point_normalisation_unique():
     for rep in ps.P[:10]:
         first = rep[np.nonzero(rep)[0][0]]
         assert first == 1
-        # the two other scalar multiples are not in the index
+        # the two other scalar multiples are not point codes
         from rank3mod.geometry import pack_codes
 
         for c in (GF4_T, GF4_T2):
             scaled = GF4_MUL[c, rep]
-            assert int(pack_codes(scaled[None, :], 4)[0]) not in ps.index_P
+            assert int(pack_codes(scaled[None, :], 4)[0]) not in ps.P_codes
 
 
 def test_cross_incidence_counts():

@@ -11,15 +11,26 @@ from rank3mod.geometry import (
     closed_params,
     quadratic,
 )
+import inspect
+
+from rank3mod import groups
+from rank3mod.errors import CertificationError
+from rank3mod.fields import GF4_MUL
+from rank3mod.geometry import bilinear, pack_codes
 from rank3mod.groups import (
     StabilizerChain,
+    build_group,
+    code_positions,
     formula_order,
     induced_perm,
     is_isometry,
     mat_mul,
     pseudo_reflection,
     rank_and_orbitals,
+    spanning_frame,
     transvection,
+    vec_mat,
+    vector_action_domain,
 )
 
 from conftest import cached_setup
@@ -69,7 +80,7 @@ def test_induced_perm_identity_and_fixed_point():
     pt = induced_perm(space, points, t)
     e2f2 = np.zeros(6, dtype=np.uint8)
     e2f2[1] = e2f2[4] = 1
-    idx = points.index_P[int(sum(int(c) * 2**k for k, c in enumerate(e2f2)))]
+    idx = code_positions(points.P_codes, pack_codes(e2f2[None, :], 2))[0]
     assert pt.on_P[idx] == idx
     assert len(np.unique(pt.on_P)) == points.nP
 
@@ -153,3 +164,214 @@ def test_formula_order_values():
     assert formula_order(build_space(SpaceSpec(OMINUS, 6))) == 51840
     assert formula_order(build_space(SpaceSpec(UNITARY, 4))) == 77760
     assert formula_order(build_space(SpaceSpec(UNITARY, 5))) == 41057280
+
+
+# ---------------------------------------------------------------------------
+# Schreier-vector stripping and the verification sweep
+
+
+def _vector_perms(space, points, mats):
+    domain = vector_action_domain(space, points)
+    codes = pack_codes(domain, space.q)
+    perms = [code_positions(codes, pack_codes(vec_mat(space, domain, M), space.q)) for M in mats]
+    return perms, spanning_frame(space, codes)
+
+
+def _reference_sift(chain, p):
+    """Strip by explicit transversal permutations, inverted by argsort."""
+    for li, lev in enumerate(chain.levels):
+        beta = int(p[lev.base])
+        if lev.parent[beta] == -1:
+            return p, li
+        u = lev.transversal(beta, np.arange(chain.degree))
+        assert u[lev.base] == beta
+        p = np.argsort(u)[p]
+    return p, len(chain.levels)
+
+
+@pytest.mark.parametrize(
+    "gens,order",
+    [
+        ([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], 720),
+        ([[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]], 720),
+        # a level's own Schreier generators are all trivial here: the 4-cycle
+        # alone fills the first orbit, and only the transposition one level
+        # down shows that the stabiliser of the first base point is S_3
+        ([[1, 2, 3, 0], [0, 2, 1, 3]], 24),
+    ],
+)
+def test_verify_finds_witnesses_without_random_rounds(gens, order):
+    chain = StabilizerChain(len(gens[0]), seed=0)
+    for g in gens:
+        chain.add_generator(np.array(g), rounds=0)
+    assert chain.order_lower_bound() < order
+    chain.verify()
+    assert chain.order_lower_bound() == chain.order() == order
+
+
+@pytest.mark.parametrize("with_frame", [False, True])
+def test_verify_completes_vector_action_chain(with_frame):
+    space, points, gd = cached_setup(OMINUS, 6)
+    perms, frame = _vector_perms(space, points, gd.mats)
+    chain = StabilizerChain(len(perms[0]), seed=0, frame=frame if with_frame else None)
+    for p in perms:
+        chain.add_generator(p, rounds=0)
+    assert chain.order_lower_bound() < formula_order(space)
+    chain.verify()
+    assert chain.order_lower_bound() == formula_order(space)
+
+
+def test_sift_of_random_products_is_identity():
+    space, points, gd = cached_setup(UNITARY, 4)
+    perms, frame = _vector_perms(space, points, gd.mats)
+    chain = StabilizerChain(len(perms[0]), seed=3, frame=frame)
+    for p in perms:
+        chain.add_generator(p)
+    assert chain.order() == gd.formula_order
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        word = np.arange(chain.degree)
+        for k in rng.integers(0, len(perms), size=12):
+            word = perms[k][word]
+        res, level = chain.sift(word)
+        assert level == len(chain.levels)
+        assert (res == np.arange(chain.degree)).all()
+
+
+def test_sift_matches_transversal_reference():
+    chain = StabilizerChain(7, seed=2)
+    chain.add_generator(np.array([1, 2, 0, 3, 4, 5, 6]), rounds=0)
+    chain.add_generator(np.array([0, 1, 2, 4, 3, 6, 5]), rounds=0)
+    chain.add_generator(np.array([3, 1, 2, 0, 4, 5, 6]), rounds=0)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        p = rng.permutation(7)
+        res, level = chain.sift(p)
+        ref, ref_level = _reference_sift(chain, p)
+        assert level == ref_level
+        assert (res == ref).all()
+
+
+def test_spanning_frame_spans():
+    for family, dim in [(OPLUS, 6), (OMINUS, 8), (UNITARY, 5)]:
+        space, points, _ = cached_setup(family, dim)
+        domain = vector_action_domain(space, points)
+        frame = spanning_frame(space, pack_codes(domain, space.q))
+        bits = dim * (space.q - 1).bit_length()
+        # the codes' binary digits are F2 coordinates: full F2 rank
+        rows = (pack_codes(domain[frame], space.q)[:, None] >> np.arange(bits)) & 1
+        assert len(frame) == bits
+        assert _f2_rank(rows) == bits
+
+
+def _f2_rank(rows: np.ndarray) -> int:
+    rows = rows.copy() % 2
+    rank = 0
+    for col in range(rows.shape[1]):
+        hit = np.nonzero(rows[rank:, col])[0]
+        if len(hit) == 0:
+            continue
+        r = rank + hit[0]
+        rows[[rank, r]] = rows[[r, rank]]
+        mask = rows[:, col].astype(bool)
+        mask[rank] = False
+        rows[mask] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# vectorised matrix helpers against their definitions
+
+
+def _loop_is_isometry(space, M):
+    m = space.dim
+    for i in range(m):
+        for j in range(m):
+            if bilinear(space, M[i], M[j]) != int(space.gram[i, j]):
+                return False
+    if space.q == 2:
+        return all(quadratic(space, M[i]) == int(space.qvals[i]) for i in range(m))
+    return True
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (OMINUS, 6), (UNITARY, 4), (UNITARY, 5)])
+def test_is_isometry_matches_loop_definition(family, dim):
+    space, points, gd = cached_setup(family, dim)
+    rng = np.random.default_rng(11)
+    mats = list(gd.mats)
+    mats += [rng.integers(0, space.q, size=(dim, dim)).astype(np.uint8) for _ in range(20)]
+    mats += [np.eye(dim, dtype=np.uint8)]
+    seen = set()
+    for M in mats:
+        want = _loop_is_isometry(space, M)
+        assert is_isometry(space, M) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (UNITARY, 5)])
+def test_mat_mul_matches_integer_reference(family, dim):
+    space = build_space(SpaceSpec(family, dim))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        A = rng.integers(0, space.q, size=(30, dim)).astype(np.uint8)
+        B = rng.integers(0, space.q, size=(dim, dim)).astype(np.uint8)
+        if space.q == 2:
+            want = (A.astype(np.int64) @ B.astype(np.int64) % 2).astype(np.uint8)
+        else:
+            want = np.zeros((30, dim), dtype=np.uint8)
+            for k in range(dim):
+                want ^= GF4_MUL[A[:, k][:, None], B[k][None, :]]
+        assert (mat_mul(space, A, B) == want).all()
+
+
+# ---------------------------------------------------------------------------
+# non-isometries are refused by both code lookups
+
+
+def _non_isometry(space):
+    M = np.eye(space.dim, dtype=np.uint8)
+    M[0, 1] = 1  # x -> x + x_0 e_1: invertible, not an isometry
+    assert not is_isometry(space, M)
+    return M
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (UNITARY, 4)])
+def test_induced_perm_rejects_non_isometry(family, dim):
+    space, points, _ = cached_setup(family, dim)
+    with pytest.raises(CertificationError, match="missing"):
+        induced_perm(space, points, _non_isometry(space))
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (UNITARY, 4)])
+def test_vector_perm_rejects_non_isometry(family, dim, monkeypatch):
+    space, points, _ = cached_setup(family, dim)
+    bad = _non_isometry(space)
+    monkeypatch.setattr(groups, "candidate_generators", lambda space, points: iter([bad]))
+    with pytest.raises(CertificationError, match="missing"):
+        build_group(space, points)
+
+
+def test_code_positions_rejects_missing_codes():
+    codes = np.array([2, 5, 9], dtype=np.int64)
+    assert (code_positions(codes, np.array([9, 2, 5])) == [2, 0, 1]).all()
+    for missing in ([3], [10], [0]):
+        with pytest.raises(CertificationError):
+            code_positions(codes, np.array(missing))
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark's tracer wraps
+
+
+def test_traced_names_and_signatures():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(StabilizerChain.sift) == ["self", "p"]
+    assert params(StabilizerChain.verify) == ["self", "max_passes"]
+    assert params(groups.build_group)[:2] == ["space", "points"]
+    assert params(groups.induced_perm) == ["space", "points", "M"]
+    assert params(groups.candidate_generators) == ["space", "points"]
+    assert inspect.isgeneratorfunction(groups.candidate_generators)

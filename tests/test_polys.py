@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank3mod.fields import PrimeField
@@ -65,12 +65,28 @@ def test_factor_frobenius_power():
     assert mult == 3 and (g == poly([2, 1])).all()
 
 
+def test_factor_power_of_ell_multiplicity():
+    # x^3 (x + 1) over F_3: x has multiplicity exactly 3, x + 1 exactly 1
+    factors = factor_poly(poly([0, 0, 0, 1, 1]), 3, seed=0)
+    assert sorted((tuple(g), mult) for g, mult in factors) == [((0, 1), 3), ((1, 1), 1)]
+    # x^9 (x + 2)^3 (x + 1)^2 over F_3 needs two ell-th-root steps for x
+    f = poly([1])
+    for lin, mult in (([0, 1], 9), ([2, 1], 3), ([1, 1], 2)):
+        for _ in range(mult):
+            f = poly_mul(f, poly(lin), 3)
+    factors = factor_poly(f, 3, seed=0)
+    assert sorted((tuple(g), mult) for g, mult in factors) == [
+        ((0, 1), 9), ((1, 1), 2), ((2, 1), 3)
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([3, 5, 7, 13]),
     st.lists(st.integers(0, 16), min_size=2, max_size=14),
     st.integers(0, 3),
 )
+@example(ell=3, coeffs=[0, 0, 0, 1, 1], seed=0)
 def test_factorisation_reassembles(ell, coeffs, seed):
     f = trim(np.array(coeffs, dtype=np.int64) % ell)
     if deg(f) < 1:
