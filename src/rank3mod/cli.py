@@ -212,8 +212,12 @@ def cmd_suite(args) -> int:
         )
     results.sort(key=lambda r: (r["family"], r["size"], r["ell"]))
     ok = all(r["status"] in ("PASS", "OUT_OF_SCALE") for r in results)
+    payload = {"suite": results, "allPass": ok}
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
     if args.format == "json":
-        print(json.dumps({"suite": results, "allPass": ok}, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for r in results:
             extra = " ".join(r.get("flags", []))
@@ -247,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-p-size", type=int, default=DEFAULT_MAX_P)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--skip-order", action="store_true")
+    p.add_argument("--out", metavar="PATH", help="also write the JSON transcript to PATH")
     p.set_defaults(func=cmd_suite)
     return ap
 

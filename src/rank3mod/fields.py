@@ -14,6 +14,7 @@ downstream needs odd characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -107,6 +108,25 @@ def storage_dtype(ell: int) -> type:
     if ell <= 2**15:
         return np.int16
     raise ValueError(f"ell = {ell} is too large for stored F_ell matrices (at most 2^15)")
+
+
+@cache
+def product_dtype(ell: int, inner: int) -> type:
+    """Float dtype whose BLAS products of F_ell matrices are exact.
+
+    A product of matrices with entries of size at most ell - 1 over an inner
+    dimension `inner` sums to at most inner * (ell - 1)^2; float32 holds every
+    integer below 2^24 exactly and float64 every integer below 2^53.  Beyond
+    that no float product is exact, and the request is refused.
+    """
+    bound = max(inner, 1) * (ell - 1) ** 2
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise ValueError(
+        f"F_{ell} products over an inner dimension of {inner} are not exact in float64"
+    )
 
 
 def make_prime_field(ell: int) -> PrimeField:

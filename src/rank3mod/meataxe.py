@@ -33,9 +33,9 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, CertificationError
-from .fields import storage_dtype
+from .fields import product_dtype, storage_dtype
 from .modules import DenseRep, ModCtx, QuotCtx, Submodule, spin, submodule_from_rows
-from .polys import factor_poly, poly_divmod, poly_eval_int, trim
+from .polys import factor_poly, poly_divmod, poly_eval_int
 
 HOM_MULTIPLICITY_CAP = 3
 
@@ -46,7 +46,11 @@ HOM_MULTIPLICITY_CAP = 3
 
 @dataclass(frozen=True)
 class Word:
-    """Sum of scalar multiples of generator products; index keys caches."""
+    """Sum of scalar multiples of generator products.
+
+    Matrices are cached on the action under the word itself: streams of
+    different seeds reuse the same indices.
+    """
 
     index: int
     terms: tuple[tuple[int, tuple[int, ...]], ...]
@@ -56,7 +60,7 @@ class Word:
         if cache is None:
             cache = {}
             action._word_cache = cache
-        hit = cache.get(self.index)
+        hit = cache.get(self)
         if hit is not None:
             return hit
         if len(cache) >= 4 and action.dim > 512:
@@ -85,7 +89,7 @@ class Word:
                     out = out + coeff * M
             out %= ell
         out = out.astype(storage_dtype(ell))  # entries < ell; keeps the cache small
-        cache[self.index] = out
+        cache[self] = out
         return out
 
 
@@ -125,47 +129,32 @@ def transpose_action(action):
 def krylov_annihilator(theta: np.ndarray, v: np.ndarray, ell: int):
     """Least monic p with v p(theta) = 0, plus the Krylov vectors computed.
 
-    Maintains a fully reduced echelon of the Krylov vectors with coefficient
-    tracking; the first linear dependence yields p.
+    The Krylov rows v theta^i are made in growing blocks (PANEL, 2 PANEL, ...)
+    and each block's transpose is put in reduced row echelon form.  Its first
+    non-pivot column d is the first linear dependence, so deg p = d and
+    column d holds the coefficients of v theta^d over the earlier rows.
     """
     n = theta.shape[0]
-    thetaf = theta.astype(np.float64)
-    rows = np.zeros((n + 1, n), dtype=np.int64)
-    combos = np.zeros((n + 1, n + 2), dtype=np.int64)
+    dt = product_dtype(ell, n)
+    thetaf = theta.astype(dt)
     kry = np.zeros((n + 1, n), dtype=np.int64)
-    pivs: list[int] = []
-    inv = linalg.inv_table(ell)
     kry[0] = v % ell
-    k = 0
+    filled = 1
+    size = linalg.PANEL
     while True:
-        w = kry[k]
-        caug = np.zeros(n + 2, dtype=np.int64)
-        caug[k] = 1
-        red = w.copy()
-        if k:
-            coeff = red[pivs]
-            red = (red - coeff @ rows[:k]) % ell
-            caug = (caug - coeff @ combos[:k]) % ell
-        if not red.any():
-            p = trim(caug[: k + 1])
-            return p, kry[:k]
-        piv = int(np.nonzero(red)[0][0])
-        scale = inv[red[piv]]
-        red = (red * scale) % ell
-        caug = (caug * scale) % ell
-        if k:
-            col = rows[:k, piv].copy()
-            hit = np.nonzero(col)[0]
-            if len(hit):
-                rows[hit] = (rows[hit] - np.outer(col[hit], red)) % ell
-                combos[hit] = (combos[hit] - np.outer(col[hit], caug)) % ell
-        rows[k] = red
-        combos[k] = caug
-        pivs.append(piv)
-        k += 1
-        if k > n:
-            raise CertificationError("annihilator search exceeded the dimension")
-        kry[k] = np.rint(kry[k - 1].astype(np.float64) @ thetaf).astype(np.int64) % ell
+        size = min(size, n + 1)
+        for i in range(filled, size):
+            kry[i] = kry[i - 1].astype(dt) @ thetaf
+            kry[i] %= ell
+        filled = size
+        R, piv = linalg.rref(kry[:filled].T, ell)
+        d = len(piv)
+        if d < filled:
+            p = np.zeros(d + 1, dtype=np.int64)
+            p[:d] = (-R[:, d]) % ell
+            p[d] = 1
+            return p, kry[:d]
+        size *= 2
 
 
 def _poly_on_matrix(p: np.ndarray, theta: np.ndarray, ell: int) -> np.ndarray:
@@ -364,7 +353,7 @@ class Meataxe:
         if phi_rows is None:
             return False
         # explicit intertwiner: raw_cls[i] -> phi_rows[i]
-        X_s = np.array(sched.raw, dtype=np.int64)
+        X_s = sched.raw
         X_t = phi_rows
         Xs_inv = _mat_inverse(X_s, self.ell)
         phi = linalg.matmul(Xs_inv, X_t, self.ell)
@@ -711,70 +700,75 @@ def _mat_inverse(A: np.ndarray, ell: int) -> np.ndarray:
 
 @dataclass
 class _Schedule:
-    records: list  # ('acc', parent, gen) | ('rel', parent, gen, coeffs-over-raw)
-    raw: list      # accepted raw vectors on the source side
+    """How the source spin found its basis, for replay against a candidate image.
+
+    Each block (start, stop, gen, accepted, rejected, coeffs) took the images
+    of raw[start:stop] under generator gen.  The images at positions
+    `accepted` became the next raw vectors, in order; the image at
+    rejected[t] equals coeffs[t] times the first coeffs.shape[1] raw vectors.
+    """
+
+    blocks: list
+    raw: np.ndarray  # accepted raw vectors on the source side, as rows
 
 
 def _standard_schedule(rep: DenseRep, seed: np.ndarray) -> _Schedule:
-    """Spin `seed` through rep recording acceptances and linear relations.
+    """Spin `seed` through rep one BFS round and one generator at a time.
 
-    Relations are recorded with coefficients over the accepted raw vectors, so
-    they can be replayed verbatim against a candidate image vector.
+    An image is accepted when it is independent of the raw vectors and the
+    images accepted before it.  Each block of images is reduced against the
+    echelon of the raw vectors, which carries its coefficients over them, and
+    then put in reduced row echelon form with one payload column per image,
+    later images first.  A row whose vector part vanishes is then a relation
+    whose leading payload entry is the image it rejects, written over the raw
+    vectors and the earlier images only.
     """
-    ell = rep.ell
-    d = rep.dim
-    inv = linalg.inv_table(ell)
-    raw: list[np.ndarray] = [seed % ell]
-    records: list = []
-    R = np.zeros((d, d), dtype=np.int64)
-    T = np.zeros((d, d + 1), dtype=np.int64)  # R[:k] = T[:k, :len(raw)] @ raw
-    pivs: list[int] = []
-    k = 0
+    ell, d = rep.ell, rep.dim
+    raw = np.zeros((d, d), dtype=np.int64)
+    acc = np.zeros((d, 2 * d), dtype=np.int64)  # rows [E | T] with E = T raw, mutually reduced
+    pivs = np.zeros(0, dtype=np.int64)
+    count = 0
 
-    def insert(w: np.ndarray, cr: np.ndarray):
-        nonlocal k
-        red = w % ell
-        cr = cr.copy()
+    def add(W: np.ndarray):
+        nonlocal pivs, count
+        B, k = len(W), len(pivs)
+        aug = np.zeros((B, d + B + d), dtype=np.int64)
+        aug[:, :d] = W
+        aug[np.arange(B), d + B - 1 - np.arange(B)] = 1
         if k:
-            coeff = red[pivs]
-            red = (red - coeff @ R[:k]) % ell
-            cr[: T.shape[1]] = (cr[: T.shape[1]] - coeff @ T[:k]) % ell
-        if not red.any():
-            return None, cr
-        p = int(np.nonzero(red)[0][0])
-        s = inv[red[p]]
-        red, cr = (red * s) % ell, (cr * s) % ell
-        if k:
-            col = R[:k, p].copy()
-            hit = np.nonzero(col)[0]
-            if len(hit):
-                R[hit] = (R[hit] - np.outer(col[hit], red)) % ell
-                T[hit] = (T[hit] - np.outer(col[hit], cr[: T.shape[1]])) % ell
-        R[k] = red
-        T[k] = cr[: T.shape[1]]
-        pivs.append(p)
-        k += 1
-        return red, cr
+            prod = linalg.matmul(aug[:, pivs], acc[:k], ell)
+            aug[:, :d] -= prod[:, :d]
+            aug[:, d + B :] -= prod[:, d:]
+            aug %= ell
+        R, piv = linalg.rref(aug, ell)
+        vec = piv < d
+        rejected = np.sort(d + B - 1 - piv[~vec])
+        accepted = np.setdiff1d(np.arange(B), rejected)
+        # payload over the raw vectors, the accepted images taking the next indices
+        new_count = count + len(accepted)
+        Z = np.zeros((len(R), d), dtype=np.int64)
+        Z[:, :count] = R[:, d + B : d + B + count]
+        Z[:, count:new_count] = R[:, d + B - 1 - accepted]
+        raw[count:new_count] = W[accepted]
+        rel = (-Z[~vec][::-1, :new_count]) % ell
+        if vec.any():
+            rows = np.hstack([R[vec, :d], Z[vec]])
+            acc[:k] = linalg.reduce_rows(acc[:k], rows, piv[vec], ell)
+            acc[k : k + len(rows)] = rows
+            pivs = np.concatenate([pivs, piv[vec]])
+        count = new_count
+        return accepted, rejected, rel
 
-    e0 = np.zeros(d + 1, dtype=np.int64)
-    e0[0] = 1
-    insert(raw[0], e0)
+    add(np.asarray(seed, dtype=np.int64)[None, :] % ell)
+    blocks = []
     head = 0
-    while head < len(raw):
-        src = head
-        head += 1
+    while head < count:
+        start, stop = head, count
+        head = stop
         for gi in range(rep.ngens):
-            w = rep.act_rows(raw[src][None, :], gi)[0]
-            combo = np.zeros(d + 1, dtype=np.int64)
-            combo[len(raw)] = 1
-            red, cr = insert(w, combo)
-            if red is None:
-                # w = raw_src * g reduced to a combination of existing raws
-                records.append(("rel", src, gi, (-cr[: len(raw)]) % ell))
-            else:
-                raw.append(w % ell)
-                records.append(("acc", src, gi))
-    return _Schedule(records, raw)
+            accepted, rejected, rel = add(rep.act_rows(raw[start:stop], gi))
+            blocks.append((start, stop, gi, accepted, rejected, rel))
+    return _Schedule(blocks, raw[:count])
 
 
 def _replay(sched: _Schedule, rep, seed: np.ndarray) -> np.ndarray | None:
@@ -787,15 +781,12 @@ def _replay(sched: _Schedule, rep, seed: np.ndarray) -> np.ndarray | None:
     imgs = np.zeros((len(sched.raw), rep.dim), dtype=np.int64)
     imgs[0] = seed % ell
     filled = 1
-    for rec in sched.records:
-        if rec[0] == "acc":
-            _, src, gi = rec
-            imgs[filled] = rep.act_rows(imgs[src][None, :], gi)[0]
-            filled += 1
-        else:
-            _, src, gi, coeffs = rec
-            w = rep.act_rows(imgs[src][None, :], gi)[0]
-            resid = (w - coeffs @ imgs[: len(coeffs)]) % ell
-            if resid.any():
+    for start, stop, gi, accepted, rejected, coeffs in sched.blocks:
+        W = rep.act_rows(imgs[start:stop], gi)
+        imgs[filled : filled + len(accepted)] = W[accepted]
+        filled += len(accepted)
+        if len(rejected):
+            want = linalg.matmul(coeffs, imgs[: coeffs.shape[1]], ell)
+            if not np.array_equal(W[rejected], want):
                 return None
     return imgs

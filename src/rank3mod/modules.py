@@ -60,7 +60,7 @@ class DenseRep:
         return len(self.mats)
 
     def act_rows(self, V: np.ndarray, i: int) -> np.ndarray:
-        return linalg.matmul(V, self.mats[i].astype(np.int64), self.ell)
+        return linalg.matmul(V, self.mats[i], self.ell)
 
     def gen_matrix(self, i: int) -> np.ndarray:
         return self.mats[i].astype(np.int64)
@@ -108,83 +108,52 @@ class Submodule:
 
 
 class _EchelonAccumulator:
-    """Mutually-reduced row store used by spin(); canonicalised at the end."""
+    """Mutually reduced row store used by spin(); canonicalised at the end.
 
-    def __init__(self, dim: int, ell: int, capacity: int = 64):
+    Every stored row is zero in the pivot columns of the others, so a block
+    of vectors is reduced against the store with one product.
+    """
+
+    def __init__(self, dim: int, ell: int):
         self.ell = ell
-        self.dim = dim
-        self.rows = np.zeros((capacity, dim), dtype=np.int64)
-        self.pivs: list[int] = []
-        self.k = 0
-        self._inv = linalg.inv_table(ell)
+        self.rows = np.zeros((0, dim), dtype=np.int64)
+        self.pivs = np.zeros(0, dtype=np.int64)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v % self.ell
-        if self.k:
-            coeff = v[self.pivs]
-            if coeff.any():
-                v = (v - coeff @ self.rows[: self.k]) % self.ell
-        return v
-
-    def reduce_block(self, V: np.ndarray) -> np.ndarray:
-        V = V % self.ell
-        if self.k and V.shape[0]:
-            coeff = V[:, self.pivs]
-            if coeff.any():
-                V = (V - linalg.matmul(coeff, self.rows[: self.k], self.ell)) % self.ell
-        return V
-
-    def insert(self, v: np.ndarray) -> bool:
-        """Reduce v; if a new direction remains, add it.  True iff added."""
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        p = int(nz[0])
-        v = (v * self._inv[v[p]]) % self.ell
-        if self.k == len(self.rows):
-            self.rows = np.vstack([self.rows, np.zeros_like(self.rows)])
-        coeff = self.rows[: self.k, p].copy()
-        hit = np.nonzero(coeff)[0]
-        if len(hit):
-            self.rows[hit] = (self.rows[hit] - np.outer(coeff[hit], v)) % self.ell
-        self.rows[self.k] = v
-        self.pivs.append(p)
-        self.k += 1
-        return True
+    def insert(self, V: np.ndarray) -> np.ndarray:
+        """Add the span of V's rows; returns the new rows (none when nothing is new)."""
+        res = linalg.reduce_rows(V, self.rows, self.pivs, self.ell)
+        res = res[res.any(axis=1)]
+        if len(res) == 0:
+            return res
+        new, pn = linalg.rref(res, self.ell)
+        # residues are zero in the stored pivot columns; clear the new ones
+        self.rows = np.vstack([linalg.reduce_rows(self.rows, new, pn, self.ell), new])
+        self.pivs = np.concatenate([self.pivs, pn])
+        return new
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(np.array(self.pivs, dtype=np.int64), kind="stable")
-        basis = self.rows[: self.k][order].copy()
-        pivots = np.array(self.pivs, dtype=np.int64)[order]
-        return basis, pivots
+        order = np.argsort(self.pivs, kind="stable")
+        return self.rows[order], self.pivs[order]
 
 
 def spin(action, seeds, certify: bool = True, cap_dim: int | None = None) -> Submodule | None:
     """Smallest generator-closed subspace containing the seed vectors.
 
-    Generator images are taken one BFS round at a time, so the dominating
-    products are batched.  With cap_dim the spin aborts (returning None) as
-    soon as the dimension exceeds the cap.
+    Generator images are taken one BFS round at a time, and each generator's
+    images are inserted as one block.  With cap_dim the spin aborts
+    (returning None) as soon as the dimension exceeds the cap.
     """
     acc = _EchelonAccumulator(action.dim, action.ell)
-    pending: list[np.ndarray] = []
-    for s in seeds:
-        v = np.asarray(s, dtype=np.int64)
-        if acc.insert(v):
-            pending.append(acc.rows[acc.k - 1].copy())
-    while pending:
-        if cap_dim is not None and acc.k > cap_dim:
+    block = acc.insert(np.array(list(seeds), dtype=np.int64).reshape(-1, action.dim))
+    while len(block):
+        if cap_dim is not None and len(acc.pivs) > cap_dim:
             return None
-        block = np.array(pending, dtype=np.int64)
-        pending = []
+        found = []
         for i in range(action.ngens):
-            imgs = acc.reduce_block(action.act_rows(block, i))
-            for w in imgs:
-                if acc.insert(w):
-                    if cap_dim is not None and acc.k > cap_dim:
-                        return None
-                    pending.append(acc.rows[acc.k - 1].copy())
+            found.append(acc.insert(action.act_rows(block, i)))
+            if cap_dim is not None and len(acc.pivs) > cap_dim:
+                return None
+        block = np.vstack(found)
     basis, pivots = acc.finish()
     sub = Submodule(action, basis, pivots)
     if certify:

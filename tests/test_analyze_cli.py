@@ -164,9 +164,47 @@ def test_cli_unexpected_error_exit(capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in err
 
 
+def test_cli_inexact_product_exits_2(capsys, monkeypatch):
+    import numpy as np
+
+    import rank3mod.cli as cli
+    from rank3mod import linalg
+
+    def too_large(args):
+        return linalg.matmul(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 2**31 - 1)
+
+    monkeypatch.setattr(cli, "cmd_points", too_large)
+    rc = main(["points", "--family", "o+", "--n", "3"])
+    assert rc == 2
+    assert "not exact" in capsys.readouterr().err
+
+
 def test_cli_verify_ell_above_int8(capsys):
     # F_131 residues do not fit int8; the stored matrices widen to int16
     rc = main(["verify", "--family", "o+", "--n", "3", "--ell", "131", "--seed", "1"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["verdict"]["match"] is True
+
+
+def test_cli_suite_out_writes_transcript_and_forwards_flags(capsys, monkeypatch, tmp_path):
+    import rank3mod.cli as cli
+
+    seen = []
+
+    def fake_suite_one(item):
+        seen.append(item)
+        family, size, ell = item[:3]
+        return {"family": family, "size": size, "ell": ell, "status": "PASS"}
+
+    monkeypatch.setattr(cli, "SUITE_INSTANCES", [("o+", 3, 5), ("u", 4, 3)])
+    monkeypatch.setattr(cli, "_suite_one", fake_suite_one)
+    out = tmp_path / "suite.json"
+    rc = main(["suite", "--format", "json", "--seed", "4", "--max-p-size", "500",
+               "--skip-order", "--out", str(out)])
+    assert rc == 0
+    assert seen == [("o+", 3, 5, 4, 500, True), ("u", 4, 3, 4, 500, True)]
+    written = json.loads(out.read_text())
+    assert written == json.loads(capsys.readouterr().out)
+    assert written["allPass"] is True
+    assert [r["status"] for r in written["suite"]] == ["PASS", "PASS", "OUT_OF_SCALE"]

@@ -15,6 +15,7 @@ from rank3mod.fields import (
     gf4_mul,
     is_odd_prime,
     make_prime_field,
+    product_dtype,
     storage_dtype,
 )
 
@@ -107,3 +108,16 @@ def test_storage_dtype_holds_every_residue():
         assert np.iinfo(storage_dtype(ell)).max >= ell - 1
     with pytest.raises(ValueError):
         storage_dtype(65537)
+
+
+def test_product_dtype_exactness_bounds():
+    # float32 while inner * (ell - 1)^2 < 2^24, float64 while < 2^53
+    assert product_dtype(3, 2**22 - 1) == np.float32
+    assert product_dtype(3, 2**22) == np.float64
+    assert product_dtype(17, 672) == np.float32
+    assert product_dtype(32749, 672) == np.float64
+    assert product_dtype(32749, 2**22) == np.float64
+    with pytest.raises(ValueError):
+        product_dtype(32749, 2**23 + 2**22)
+    with pytest.raises(ValueError):
+        product_dtype(2**31 - 1, 1)

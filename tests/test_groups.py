@@ -375,3 +375,39 @@ def test_traced_names_and_signatures():
     assert params(groups.induced_perm) == ["space", "points", "M"]
     assert params(groups.candidate_generators) == ["space", "points"]
     assert inspect.isgeneratorfunction(groups.candidate_generators)
+
+
+# (module, name, leading parameters the tracer's measures read) for every
+# linalg, modules, meataxe and polys name bench/tracer.py wraps; the tracer
+# looks each one up with getattr, so a rename stops the traced run
+TRACED_ELSEWHERE = [
+    ("rank3mod.linalg", "matmul", ["A", "B"]),
+    ("rank3mod.linalg", "rref", ["A"]),
+    ("rank3mod.linalg", "rank", []),
+    ("rank3mod.linalg", "nullspace", []),
+    ("rank3mod.linalg", "reduce_rows", []),
+    ("rank3mod.linalg", "in_rowspace", []),
+    ("rank3mod.linalg", "rowspace_sum", []),
+    ("rank3mod.linalg", "rowspace_intersect", []),
+    ("rank3mod.modules", "spin", ["action", "seeds"]),
+    ("rank3mod.modules", "Submodule.certify_closed", ["self"]),
+    ("rank3mod.modules", "QuotCtx.__init__", ["self", "action", "sub"]),
+    ("rank3mod.meataxe", "krylov_annihilator", ["theta", "v", "ell"]),
+    ("rank3mod.meataxe", "Meataxe.chop", ["self", "action"]),
+    ("rank3mod.meataxe", "Meataxe.socle_series", ["self", "ambient"]),
+    ("rank3mod.meataxe", "Meataxe.lattice", ["self", "ambient"]),
+    ("rank3mod.meataxe", "Meataxe.is_iso_rep", ["self", "idx", "rep"]),
+    ("rank3mod.meataxe", "Word.matrix", ["self", "action"]),
+    ("rank3mod.polys", "factor_poly", ["f", "ell"]),
+]
+
+
+@pytest.mark.parametrize("modname,name,lead", TRACED_ELSEWHERE)
+def test_traced_names_outside_groups(modname, name, lead):
+    import importlib
+
+    obj = importlib.import_module(modname)
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
+    assert list(inspect.signature(obj).parameters)[: len(lead)] == lead

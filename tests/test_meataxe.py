@@ -3,8 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rank3mod.errors import BudgetExceededError
-from rank3mod.meataxe import Meataxe, transpose_action
+from rank3mod import linalg
+from rank3mod.errors import BudgetExceededError, CertificationError
+from rank3mod.meataxe import (
+    Meataxe,
+    _mat_inverse,
+    _replay,
+    _standard_schedule,
+    krylov_annihilator,
+    transpose_action,
+)
 from rank3mod.modules import DenseRep, spin, sub_rep
 
 from conftest import cached_pm
@@ -191,3 +199,80 @@ def test_spin_cap_aborts():
     e01 = np.zeros(28, dtype=np.int64)
     e01[0], e01[1] = 1, 2
     assert spin(pm.ctxP, [e01], cap_dim=5) is None
+
+
+# ---------------------------------------------------------------------------
+# Krylov annihilators and the inverse, over the panel kernel
+
+
+def _block_theta(n, s, ell, rng):
+    """Random n x n matrix under which the last s coordinates span an invariant subspace."""
+    theta = rng.integers(0, ell, size=(n, n)).astype(np.int64)
+    theta[n - s :, : n - s] = 0
+    return theta
+
+
+@pytest.mark.parametrize("ell", [3, 17])
+@pytest.mark.parametrize("s", [1, 63, 64, 65, 130, 150])
+def test_krylov_annihilator_least_monic(ell, s):
+    n = 150
+    rng = np.random.default_rng(ell * 1000 + s)
+    theta = _block_theta(n, s, ell, rng)
+    v = np.zeros(n, dtype=np.int64)
+    v[n - s :] = rng.integers(0, ell, size=s)
+    v[n - 1] = 1
+    p, kry = krylov_annihilator(theta, v, ell)
+    d = len(p) - 1
+    assert p[-1] == 1 and d <= s
+    # the Krylov rows are v theta^i, i < d
+    w = v.copy()
+    for i in range(d):
+        assert np.array_equal(kry[i], w)
+        w = (w @ theta) % ell
+    # v p(theta) = 0, and the rows are independent, so no lower degree works
+    acc = np.zeros(n, dtype=np.int64)
+    w = v.copy()
+    for c in p:
+        acc = (acc + int(c) * w) % ell
+        w = (w @ theta) % ell
+    assert not acc.any()
+    assert linalg.rank(kry, ell) == d
+
+
+def test_krylov_annihilator_of_zero_vector():
+    p, kry = krylov_annihilator(np.eye(70, dtype=np.int64), np.zeros(70, dtype=np.int64), 5)
+    assert list(p) == [1] and kry.shape == (0, 70)
+
+
+def test_mat_inverse_inverts_and_refuses_singular():
+    ell = 7
+    rng = np.random.default_rng(8)
+    while True:
+        A = rng.integers(0, ell, size=(70, 70)).astype(np.int64)
+        if linalg.rank(A, ell) == 70:
+            break
+    assert np.array_equal(linalg.matmul(A, _mat_inverse(A, ell), ell), np.eye(70, dtype=np.int64))
+    S = A.copy()
+    S[69] = (2 * S[3] + S[68]) % ell
+    with pytest.raises(CertificationError):
+        _mat_inverse(S, ell)
+
+
+@pytest.mark.parametrize("family,dim,ell", [("o+", 6, 3), ("u", 4, 3), ("o-", 6, 7)])
+def test_standard_schedule_replays_its_own_spin(family, dim, ell):
+    pm = cached_pm(family, dim, ell)
+    mt = Meataxe(ell, pm.ctxP.ngens, seed=1)
+    mt.chop(pm.ctxP)
+    rng = np.random.default_rng(dim)
+    for cls in mt.classes:
+        if cls.dim == 1:
+            continue
+        seed = mt._nullity1_kernel(cls)
+        sched = _standard_schedule(cls.rep, seed)
+        # the accepted raw vectors are a basis, found in BFS order from the seed
+        assert sched.raw.shape == (cls.dim, cls.dim) and linalg.rank(sched.raw, ell) == cls.dim
+        assert np.array_equal(sched.raw[0], seed)
+        # the identity and a scalar are homomorphisms; a random seed is not one
+        assert np.array_equal(_replay(sched, cls.rep, seed), sched.raw)
+        assert np.array_equal(_replay(sched, cls.rep, 2 * seed % ell), 2 * sched.raw % ell)
+        assert _replay(sched, cls.rep, rng.integers(0, ell, size=cls.dim)) is None

@@ -7,6 +7,7 @@ from rank3mod import linalg
 from rank3mod.errors import CertificationError
 from rank3mod.geometry import SpaceSpec, closed_params, quadratic_roots
 from rank3mod.modules import (
+    DenseRep,
     QuotCtx,
     intersect_sub,
     inner,
@@ -317,3 +318,46 @@ def test_adjacency_identity_on_full_basis():
         lhs = (linalg.matmul(A, A, ell) - (p.r - p.s) * A) % ell
         lhs[np.arange(v), np.arange(v)] = (lhs.diagonal() - (p.a - p.s)) % ell
         assert (lhs == p.s % ell).all()
+
+
+def reference_closure(action, seeds):
+    """Row space of the seeds, closed by re-adding every generator image until it is stable."""
+    ell = action.ell
+    R, _ = linalg.rref(np.array(seeds, dtype=np.int64).reshape(-1, action.dim), ell)
+    while True:
+        imgs = [R] + [action.act_rows(R, i) for i in range(action.ngens)]
+        R2, piv = linalg.rref(np.vstack(imgs), ell)
+        if R2.shape[0] == R.shape[0]:
+            return R2, piv
+        R = R2
+
+
+def _block_rep(n, s, ell, rng, ngens=2):
+    """Dense rep in which the last s coordinates span a submodule."""
+    mats = []
+    for _ in range(ngens):
+        M = rng.integers(0, ell, size=(n, n)).astype(np.int64)
+        M[n - s :, : n - s] = 0
+        mats.append(M)
+    return DenseRep(ell, mats)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_blocked_spin_matches_reference_closure(ell):
+    rng = np.random.default_rng(ell)
+    pm = cached_pm("u", 5, ell)  # 176 points: the spins cross several panels
+    seeds = [(pm.v_c(1, 0) - pm.v_c(1, 5)) % ell, rng.integers(0, ell, size=pm.ctxP.dim)]
+    for action, seed_list in [
+        (pm.ctxP, seeds[:1]),
+        (pm.ctxP, seeds),
+        (_block_rep(140, 70, ell, rng), [np.eye(1, 140, 139, dtype=np.int64)[0]]),
+        (_block_rep(140, 70, ell, rng), [rng.integers(0, ell, size=140)]),
+    ]:
+        R, piv = reference_closure(action, seed_list)
+        sub = spin(action, seed_list)
+        assert np.array_equal(sub.basis, R) and np.array_equal(sub.pivots, piv)
+        for cap in (0, 1, len(piv) - 1, len(piv), len(piv) + 1):
+            capped = spin(action, seed_list, cap_dim=cap)
+            assert (capped is None) == (len(piv) > cap)
+            if capped is not None:
+                assert capped == sub
