@@ -110,18 +110,18 @@ def run_analysis(
     timings["chop"] = _ms_since(t0)
 
     t0 = time.monotonic()
-    layers = mt.socle_series(pm.ctxP)
+    lat = mt.lattice(pm.ctxP, total=total)
+    _lattice_checks(pm, lat, roots)
+    timings["lattice"] = _ms_since(t0)
+
+    t0 = time.monotonic()
+    layers = mt.socle_series(pm.ctxP, lat)
     layer_sum = Counter()
     for lay in layers:
         layer_sum.update(lay)
     if layer_sum != total:
         raise CertificationError("socle series layers do not refine the chop factors")
     timings["socle"] = _ms_since(t0)
-
-    t0 = time.monotonic()
-    lat = mt.lattice(pm.ctxP, total=total)
-    _lattice_checks(pm, lat, roots)
-    timings["lattice"] = _ms_since(t0)
 
     timings["total"] = int(1000 * (time.monotonic() - t_start))
     report = _build_report(

@@ -6,14 +6,15 @@ t part).  Addition is XOR; multiplication, inversion and conjugation
 (x -> x^2, the involution fixing exactly F2) are table driven so they also
 vectorise over numpy arrays of codes.
 
-Odd prime fields are residue arithmetic mod ell with a precomputed inverse
-table.  ell = 2 is rejected everywhere: the structure theory implemented
+Odd prime fields are residues 0..ell-1 in numpy integer arrays; this module
+picks the integer dtype that stores them and the float dtype whose products
+of them are exact, and `linalg.inv_table` holds their inverses.  ell = 2 is
+rejected everywhere (`is_odd_prime`): the structure theory implemented
 downstream needs odd characteristic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -69,35 +70,6 @@ def is_odd_prime(ell: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_ell for an odd prime ell, as residues 0..ell-1."""
-
-    ell: int
-    inv_table: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if not is_odd_prime(self.ell):
-            raise ValueError(f"modulus must be an odd prime, got {self.ell}")
-        inv = np.zeros(self.ell, dtype=np.int64)
-        for x in range(1, self.ell):
-            inv[x] = pow(x, self.ell - 2, self.ell)
-        object.__setattr__(self, "inv_table", inv)
-
-    def reduce(self, z):
-        """Reduce a signed integer (or integer array) into 0..ell-1."""
-        return z % self.ell
-
-    def neg(self, x):
-        return (-x) % self.ell
-
-    def inv(self, x: int) -> int:
-        x = x % self.ell
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0 in F_ell")
-        return int(self.inv_table[x])
-
-
 def storage_dtype(ell: int) -> type:
     """Integer dtype of stored F_ell matrices: int8 for ell <= 127, int16 up to 2^15.
 
@@ -128,7 +100,3 @@ def product_dtype(ell: int, inner: int) -> type:
         f"F_{ell} products over an inner dimension of {inner} are not exact in float64"
     )
 
-
-def make_prime_field(ell: int) -> PrimeField:
-    """Context for F_ell; rejects ell = 2 and composites."""
-    return PrimeField(ell)

@@ -19,25 +19,39 @@ are then candidate images of the factor's distinguished line under
 homomorphisms into M; a candidate m is genuine exactly when its spin has the
 factor's dimension (every head constituent of spin(m) is killed by
 theta - lam, hence is the target factor).  Valid candidate lines give the
-simple submodules isomorphic to the factor, their sum per factor the
-homogeneous socle component, and iterating over quotients the socle series
-and, bottom-up by minimal overmodules, the full submodule lattice.
+simple submodules isomorphic to the factor.  Applied to the quotient by every
+submodule found so far, they give the minimal overmodules, and so, bottom-up,
+the full submodule lattice.  The socle series is then read off the certified
+lattice: soc(M/N) is the sum of the minimal overmodules of N.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, CertificationError
 from .fields import product_dtype, storage_dtype
-from .modules import DenseRep, ModCtx, QuotCtx, Submodule, spin, submodule_from_rows
+from .modules import (
+    DenseRep,
+    ModCtx,
+    QuotCtx,
+    Submodule,
+    intersect_sub,
+    spin,
+    sub_rep,
+    submodule_from_rows,
+    sum_sub,
+    zero_submodule,
+)
 from .polys import factor_poly, poly_divmod, poly_eval_int
 
 HOM_MULTIPLICITY_CAP = 3
+WORD_BUDGET = 80  # words each randomised search draws before it gives up
+LATTICE_NODE_BUDGET = 600
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +203,7 @@ class FactorClass:
     trivial: bool = False  # all generators act as the identity
 
     def nullity_of(self, word: Word, lam: int, ell: int) -> int:
-        th = word.matrix(self.rep)
-        M = th.copy()
-        M[np.arange(self.dim), np.arange(self.dim)] = (M.diagonal() - lam) % ell
-        return self.dim - linalg.rank(M, ell)
+        return self.dim - linalg.rank(_shifted(word, self.rep, lam), ell)
 
 
 @dataclass
@@ -215,11 +226,10 @@ class Lattice:
 class Meataxe:
     """Structure analysis engine for one prime and one generator indexing."""
 
-    def __init__(self, ell: int, ngens: int, seed: int = 0, word_budget: int = 80):
+    def __init__(self, ell: int, ngens: int, seed: int = 0):
         self.ell = ell
         self.ngens = ngens
         self.seed = seed
-        self.word_budget = word_budget
         self.classes: list[FactorClass] = []
         self._fingerprint_words = self._take_words(0xF1, 16)
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
@@ -273,7 +283,7 @@ class Meataxe:
         if n == 1:
             return self.register(DenseRep(self.ell, [action.gen_matrix(i) for i in range(self.ngens)]))
         stream = word_stream(self.ngens, self.ell, self.seed, 0xC4)
-        for _ in range(self.word_budget):
+        for _ in range(WORD_BUDGET):
             word = next(stream)
             theta = word.matrix(action)
             v = self._rng.integers(0, self.ell, size=n, dtype=np.int64)
@@ -291,7 +301,7 @@ class Meataxe:
                 factors = factor_poly(p, self.ell, seed=self.seed)
             # split attempts: kernel vectors are free from the Krylov cache
             for f, _mult in factors:
-                q, rem = poly_divmod(p, f, self.ell, _pf(self.ell))
+                q, rem = poly_divmod(p, f, self.ell)
                 if rem.any():
                     raise CertificationError("annihilator factorisation inconsistent")
                 u = (q @ kry[: len(q)]) % self.ell if len(q) <= len(kry) else None
@@ -299,7 +309,7 @@ class Meataxe:
                     continue
                 W = spin(action, [u])
                 if 0 < W.dim < n:
-                    return [sub_as_rep(action, W), QuotCtx(action, W)]
+                    return [sub_rep(W), QuotCtx(action, W)]
             # Norton certification on a minimal-nullity factor
             for f, _mult in factors:
                 fM = _poly_on_matrix(f, theta, self.ell)
@@ -308,14 +318,14 @@ class Meataxe:
                     continue  # nullity != deg f: no certificate from this factor
                 W = spin(action, [K[0]])
                 if W.dim < n:
-                    return [sub_as_rep(action, W), QuotCtx(action, W)]
+                    return [sub_rep(W), QuotCtx(action, W)]
                 Kt = linalg.nullspace(fM, self.ell)
                 Wt = spin(transpose_action(action), [Kt[0]])
                 if Wt.dim < n:
                     U = submodule_from_rows(action, linalg.nullspace(Wt.basis, self.ell))
                     if not 0 < U.dim < n:
                         raise CertificationError("transpose-side split produced no submodule")
-                    return [sub_as_rep(action, U), QuotCtx(action, U)]
+                    return [sub_rep(U), QuotCtx(action, U)]
                 # simple; certified
                 rep = densify(action)
                 idx = self.register(rep)
@@ -326,7 +336,7 @@ class Meataxe:
                     cls.abs_irred = True
                 return idx
         raise BudgetExceededError(
-            f"chop: no certificate for a dim-{n} module within {self.word_budget} words"
+            f"chop: no certificate for a dim-{n} module within {WORD_BUDGET} words"
         )
 
     # -- isomorphism testing ----------------------------------------------
@@ -342,10 +352,7 @@ class Meataxe:
                 for i in range(self.ngens)
             )
         word, lam = self._nullity1_word(cls)
-        thr = word.matrix(rep)
-        M = thr.copy()
-        M[np.arange(rep.dim), np.arange(rep.dim)] = (M.diagonal() - lam) % self.ell
-        K = left_kernel(M, self.ell)
+        K = left_kernel(_shifted(word, rep, lam), self.ell)
         if K.shape[0] != 1:
             return False
         sched = _standard_schedule(cls.rep, self._nullity1_kernel(cls))
@@ -379,7 +386,7 @@ class Meataxe:
         if cls.peak is not None:
             return cls.peak
         stream = word_stream(self.ngens, self.ell, self.seed, 0xA7)
-        for _ in range(self.word_budget):
+        for _ in range(WORD_BUDGET):
             word = next(stream)
             for lam in range(self.ell):
                 if cls.nullity_of(word, lam, self.ell) == 1:
@@ -390,10 +397,7 @@ class Meataxe:
 
     def _nullity1_kernel(self, cls: FactorClass) -> np.ndarray:
         word, lam = self._nullity1_word(cls)
-        th = word.matrix(cls.rep)
-        M = th.copy()
-        M[np.arange(cls.dim), np.arange(cls.dim)] = (M.diagonal() - lam) % self.ell
-        K = left_kernel(M, self.ell)
+        K = left_kernel(_shifted(word, cls.rep, lam), self.ell)
         if K.shape[0] != 1:
             raise CertificationError("stored peak word lost nullity 1")
         return K[0]
@@ -409,10 +413,10 @@ class Meataxe:
                 return False
         return True
 
-    def _find_peak_for(self, idx: int, budget: int = 60) -> None:
+    def _find_peak_for(self, idx: int) -> None:
         cls = self.classes[idx]
         stream = word_stream(self.ngens, self.ell, self.seed, 0x9E)
-        for _ in range(budget):
+        for _ in range(WORD_BUDGET):
             word = next(stream)
             for lam in range(self.ell):
                 if cls.nullity_of(word, lam, self.ell) == 1 and self._peak_ok(word, lam, idx):
@@ -423,9 +427,10 @@ class Meataxe:
     def ensure_peaks(self) -> None:
         """Give every class a nullity-1 separating peak word.
 
-        Classes are absolutely irreducible exactly when such a word exists;
-        failure to find one within budget is flagged by recomputing the
-        endomorphism-space dimension explicitly.
+        A class with such a word is absolutely irreducible.  Each class
+        without one searches WORD_BUDGET words of one seeded stream, and a
+        class still without a peak word after that raises
+        BudgetExceededError.
         """
         missing = [i for i, c in enumerate(self.classes) if c.peak is None]
         # peaks found during chop may fail separation against later classes
@@ -450,42 +455,29 @@ class Meataxe:
         cls = self.classes[idx]
         word, lam = self._nullity1_word(cls)
         sched = _standard_schedule(cls.rep, self._nullity1_kernel(cls))
-        th = word.matrix(cls.rep)
-        M = th.copy()
-        M[np.arange(cls.dim), np.arange(cls.dim)] = (M.diagonal() - lam) % self.ell
-        K = left_kernel(M, self.ell)
+        K = left_kernel(_shifted(word, cls.rep, lam), self.ell)
         count = 0
         for coeffs in _projective_reps(K.shape[0], self.ell):
             seed = (coeffs @ K) % self.ell
             if _replay(sched, cls.rep, seed) is not None:
                 count += 1
         # lines in End form a projective space over F_ell
-        t = 0
-        while (self.ell**t - 1) // (self.ell - 1) < count:
-            t += 1
-        if (self.ell**t - 1) // (self.ell - 1) != count:
-            raise CertificationError("endomorphism line count is not a projective count")
-        return t
+        return _projective_dim(count, self.ell)
 
-    # -- socle machinery ----------------------------------------------------
+    # -- socle lines, the lattice and the socle series ------------------------
 
-    def socle_lines(self, action, restrict: list[int] | None = None):
-        """For each class: the valid seed lines and their simple submodules.
+    def socle_lines(self, action) -> dict[int, list[Submodule]]:
+        """For each class: the simple submodules of `action` it is isomorphic to.
 
-        Returns dict class_idx -> (mult, [Submodule lines...]).  A candidate
-        kernel line is valid iff its spin has the class dimension; the count
-        of valid lines must be a projective-space count.
+        Returns dict class_idx -> [Submodule lines...].  A candidate kernel
+        line is valid iff its spin has the class dimension; the count of valid
+        lines must be a projective-space count.
         """
         self.ensure_peaks()
         out = {}
         for idx, cls in enumerate(self.classes):
-            if restrict is not None and idx not in restrict:
-                continue
             word, lam = cls.peak
-            theta = word.matrix(action)
-            M = theta.copy()
-            M[np.arange(action.dim), np.arange(action.dim)] = (M.diagonal() - lam) % self.ell
-            K = left_kernel(M, self.ell)
+            K = left_kernel(_shifted(word, action, lam), self.ell)
             if K.shape[0] == 0:
                 continue
             if K.shape[0] > HOM_MULTIPLICITY_CAP:
@@ -499,66 +491,12 @@ class Meataxe:
                 W = spin(action, [seedv], cap_dim=cls.dim)
                 if W is not None and W.dim == cls.dim:
                     lines.append(W)
-            if not lines:
-                continue
-            t = 0
-            while (self.ell**t - 1) // (self.ell - 1) < len(lines):
-                t += 1
-            if (self.ell**t - 1) // (self.ell - 1) != len(lines):
-                raise CertificationError("valid seed lines do not form a projective space")
-            out[idx] = (t, lines)
+            if lines:
+                _projective_dim(len(lines), self.ell)
+                out[idx] = lines
         return out
 
-    def socle(self, action) -> tuple[Submodule, Counter]:
-        lines = self.socle_lines(action)
-        rows = [linesub.basis for _, (_, ls) in lines.items() for linesub in ls]
-        factors = Counter({idx: t for idx, (t, _) in lines.items()})
-        if not rows:
-            return (
-                Submodule(action, np.zeros((0, action.dim), dtype=np.int64), np.array([], dtype=np.int64)),
-                factors,
-            )
-        soc = submodule_from_rows(action, np.vstack(rows))
-        expected = sum(self.classes[i].dim * t for i, t in factors.items())
-        if soc.dim != expected:
-            raise CertificationError("socle dimension does not match its homogeneous parts")
-        return soc, factors
-
-    def socle_series(self, ambient, start: Submodule | None = None) -> list[Counter]:
-        """Ascending socle layers of ambient/start, as Counters of class indices."""
-        layers: list[Counter] = []
-        current = start
-        while True:
-            if current is None or current.dim == 0:
-                act = ambient
-                quot = None
-            else:
-                if current.dim == ambient.dim:
-                    break
-                quot = QuotCtx(ambient, current)
-                act = quot
-            soc, factors = self.socle(act)
-            if soc.dim == 0:
-                raise CertificationError("socle computation returned zero on a nonzero module")
-            layers.append(factors)
-            lifted = soc.basis if quot is None else quot.lift_rows(soc.basis)
-            if current is None or current.dim == 0:
-                current = submodule_from_rows(ambient, lifted)
-            else:
-                current = submodule_from_rows(ambient, np.vstack([current.basis, lifted]))
-            if current.dim == ambient.dim:
-                break
-        return layers
-
-    # -- submodule lattice ---------------------------------------------------
-
-    def lattice(
-        self,
-        ambient,
-        length_bound: int = 8,
-        node_budget: int = 600,
-        total: Counter | None = None,
-    ) -> Lattice:
+    def lattice(self, ambient, length_bound: int = 8, total: Counter | None = None) -> Lattice:
         """All submodules, bottom-up by minimal overmodules."""
         if total is None:
             total = self.chop(ambient)
@@ -567,25 +505,22 @@ class Meataxe:
             raise BudgetExceededError(
                 f"composition length {length} exceeds length_bound {length_bound}"
             )
-        zero = Submodule(
-            ambient, np.zeros((0, ambient.dim), dtype=np.int64), np.array([], dtype=np.int64)
-        )
         nodes: dict[bytes, LatticeNode] = {}
         order: list[bytes] = []
 
         def add_node(sub: Submodule, factors: Counter) -> bytes:
-            key = sub.key() + bytes(str(sub.dim), "ascii")
+            key = sub.key()
             if key in nodes:
                 if nodes[key].factors != factors:
                     raise CertificationError("same submodule reached with different factors")
                 return key
             nodes[key] = LatticeNode(len(nodes), sub, factors)
             order.append(key)
-            if len(nodes) > node_budget:
+            if len(nodes) > LATTICE_NODE_BUDGET:
                 raise BudgetExceededError("lattice node budget exceeded")
             return key
 
-        add_node(zero, Counter())
+        add_node(zero_submodule(ambient), Counter())
         head = 0
         edges: list[tuple[int, int, int]] = []
         while head < len(order):
@@ -600,7 +535,7 @@ class Meataxe:
             else:
                 quot = QuotCtx(ambient, node.sub)
                 act = quot
-            for cls_idx, (_t, lines) in self.socle_lines(act).items():
+            for cls_idx, lines in self.socle_lines(act).items():
                 for line in lines:
                     rows = line.basis if quot is None else quot.lift_rows(line.basis)
                     if node.dim:
@@ -620,12 +555,10 @@ class Meataxe:
         inclusions and complete by construction), so the sum/intersection
         certificates run only on the incomparable pairs.
         """
-        from .modules import intersect_sub, sum_sub
-
         dims = {n.dim for n in lat.nodes}
         if 0 not in dims or ambient.dim not in dims:
             raise CertificationError("lattice missing 0 or the full module")
-        bykey = {n.sub.key() + bytes(str(n.dim), "ascii") for n in lat.nodes}
+        bykey = {n.sub.key() for n in lat.nodes}
         k = len(lat.nodes)
         pos = {n.ident: i for i, n in enumerate(lat.nodes)}
         below = np.eye(k, dtype=bool)
@@ -643,33 +576,75 @@ class Meataxe:
                     continue
                 A, B = subs[i], subs[j]
                 for sub in (sum_sub(A, B), intersect_sub(A, B)):
-                    if sub.key() + bytes(str(sub.dim), "ascii") not in bykey:
+                    if sub.key() not in bykey:
                         raise CertificationError(
                             "lattice not closed under sum/intersection "
                             f"(dims {A.dim},{B.dim} -> {sub.dim})"
                         )
+
+    def socle_series(self, ambient, lat: Lattice) -> list[Counter]:
+        """Ascending socle layers of ambient, as Counters of class indices.
+
+        Read off the certified lattice: soc(M/N) is the sum of the minimal
+        overmodules of N, which are the covers of N's node.  The walk starts
+        at the zero node and moves to the node of that sum until it reaches
+        the whole module.
+        """
+        bykey = {n.sub.key(): n for n in lat.nodes}
+        byident = {n.ident: n for n in lat.nodes}
+        covers: dict[int, list[LatticeNode]] = {}
+        for a, b, _c in lat.edges:
+            covers.setdefault(a, []).append(byident[b])
+
+        def node_of(sub: Submodule) -> LatticeNode:
+            node = bykey.get(sub.key())
+            if node is None:
+                raise CertificationError(
+                    f"a dim-{sub.dim} submodule on the socle walk is not a lattice node"
+                )
+            return node
+
+        layers: list[Counter] = []
+        top = node_of(zero_submodule(ambient))
+        while top.dim < ambient.dim:
+            soc = top.sub
+            for cover in covers.get(top.ident, []):
+                soc = sum_sub(soc, cover.sub)
+            nxt = node_of(soc)
+            if nxt is top:
+                raise CertificationError(f"a dim-{top.dim} lattice node has no covers")
+            layer = nxt.factors - top.factors
+            if nxt.dim - top.dim != sum(self.classes[i].dim * t for i, t in layer.items()):
+                raise CertificationError("socle layer dimension does not match its factors")
+            layers.append(Counter(dict(sorted(layer.items()))))  # class order, as diffs print it
+            top = nxt
+        return layers
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _pf(ell: int):
-    from .fields import PrimeField
-
-    return PrimeField(ell)
-
-
 def densify(action) -> DenseRep:
     return DenseRep(action.ell, [action.gen_matrix(i) for i in range(action.ngens)])
 
 
-def sub_as_rep(action, sub: Submodule) -> DenseRep:
-    mats = []
-    for i in range(action.ngens):
-        img = action.act_rows(sub.basis, i)
-        mats.append(img[:, sub.pivots])
-    return DenseRep(action.ell, mats)
+def _shifted(word: Word, action, lam: int) -> np.ndarray:
+    """theta - lam I, for theta the matrix of `word` on `action`."""
+    M = word.matrix(action).copy()
+    n = action.dim
+    M[np.arange(n), np.arange(n)] = (M.diagonal() - lam) % action.ell
+    return M
+
+
+def _projective_dim(count: int, ell: int) -> int:
+    """The t with count = (ell^t - 1) / (ell - 1), the number of lines in F_ell^t."""
+    t = 0
+    while (ell**t - 1) // (ell - 1) < count:
+        t += 1
+    if (ell**t - 1) // (ell - 1) != count:
+        raise CertificationError(f"{count} lines do not form a projective space over F_{ell}")
+    return t
 
 
 def _projective_reps(k: int, ell: int):

@@ -136,7 +136,7 @@ class _EchelonAccumulator:
         return self.rows[order], self.pivs[order]
 
 
-def spin(action, seeds, certify: bool = True, cap_dim: int | None = None) -> Submodule | None:
+def spin(action, seeds, cap_dim: int | None = None) -> Submodule | None:
     """Smallest generator-closed subspace containing the seed vectors.
 
     Generator images are taken one BFS round at a time, and each generator's
@@ -156,16 +156,14 @@ def spin(action, seeds, certify: bool = True, cap_dim: int | None = None) -> Sub
         block = np.vstack(found)
     basis, pivots = acc.finish()
     sub = Submodule(action, basis, pivots)
-    if certify:
-        sub.certify_closed()
+    sub.certify_closed()
     return sub
 
 
-def submodule_from_rows(action, rows: np.ndarray, certify: bool = True) -> Submodule:
+def submodule_from_rows(action, rows: np.ndarray) -> Submodule:
     basis, piv = linalg.rref(rows, action.ell)
     sub = Submodule(action, basis, piv)
-    if certify:
-        sub.certify_closed()
+    sub.certify_closed()
     return sub
 
 
@@ -212,14 +210,13 @@ def intersect_sub(A: Submodule, B: Submodule) -> Submodule:
     return Submodule(A.action, basis, piv)
 
 
-def perp(sub: Submodule, certify: bool = True) -> Submodule:
+def perp(sub: Submodule) -> Submodule:
     """Orthogonal complement under the coordinatewise inner product."""
     if sub.dim == 0:
         return full_submodule(sub.action)
     basis = linalg.nullspace(sub.basis, sub.action.ell)
     out = Submodule(sub.action, basis, _pivots_of(basis))
-    if certify:
-        out.certify_closed()
+    out.certify_closed()
     return out
 
 

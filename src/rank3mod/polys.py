@@ -4,15 +4,17 @@ Polynomials are numpy int64 coefficient arrays, lowest degree first, with a
 nonzero leading coefficient (the zero polynomial is the empty array).  The
 factorisation route is the classical one: squarefree split, then
 distinct-degree, then Cantor-Zassenhaus equal-degree splitting.  Degrees here
-stay in the low thousands and ell <= 17, so quadratic-time convolution
-arithmetic is fine.
+stay in the low thousands, so quadratic-time convolution arithmetic is fine.
+Coefficients are int64 residues: a convolution sums fewer than a few
+thousand products below ell^2, which is exact for every ell <= 2^15 that
+stored matrices admit (`fields.storage_dtype`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import PrimeField
+from .linalg import inv_table
 
 
 def trim(p: np.ndarray) -> np.ndarray:
@@ -40,15 +42,16 @@ def poly_add(a, b, ell):
     return trim(out % ell)
 
 
-def poly_divmod(a, b, ell, F: PrimeField):
+def poly_divmod(a, b, ell):
     """Quotient and remainder; b must be nonzero."""
+    b = trim(b % ell)
     if len(b) == 0:
         raise ZeroDivisionError("polynomial division by zero")
     a = a.copy() % ell
     db, da = deg(b), deg(a)
     if da < db:
         return a[:0], trim(a)
-    lead_inv = F.inv(int(b[-1]))
+    lead_inv = inv_table(ell)[b[-1]]
     q = np.zeros(da - db + 1, dtype=np.int64)
     for k in range(da - db, -1, -1):
         c = (a[db + k] * lead_inv) % ell
@@ -58,26 +61,26 @@ def poly_divmod(a, b, ell, F: PrimeField):
     return trim(q), trim(a)
 
 
-def poly_mod(a, b, ell, F):
-    return poly_divmod(a, b, ell, F)[1]
+def poly_mod(a, b, ell):
+    return poly_divmod(a, b, ell)[1]
 
 
-def poly_gcd(a, b, ell, F):
+def poly_gcd(a, b, ell):
     a, b = trim(a % ell), trim(b % ell)
     while len(b):
-        a, b = b, poly_mod(a, b, ell, F)
+        a, b = b, poly_mod(a, b, ell)
     if len(a):
-        a = (a * F.inv(int(a[-1]))) % ell
+        a = (a * inv_table(ell)[a[-1]]) % ell
     return a
 
 
-def poly_pow_mod(base, e, mod, ell, F):
+def poly_pow_mod(base, e, mod, ell):
     result = np.array([1], dtype=np.int64)
-    base = poly_mod(base, mod, ell, F)
+    base = poly_mod(base, mod, ell)
     while e:
         if e & 1:
-            result = poly_mod(poly_mul(result, base, ell), mod, ell, F)
-        base = poly_mod(poly_mul(base, base, ell), mod, ell, F)
+            result = poly_mod(poly_mul(result, base, ell), mod, ell)
+        base = poly_mod(poly_mul(base, base, ell), mod, ell)
         e >>= 1
     return result
 
@@ -95,41 +98,41 @@ def poly_eval_int(p, x, ell) -> int:
     return acc
 
 
-def monic(p, ell, F):
+def monic(p, ell):
     if len(p) == 0:
         return p
-    return (p * F.inv(int(p[-1]))) % ell
+    return (p * inv_table(ell)[p[-1]]) % ell
 
 
-def _squarefree_parts(f, ell, F):
+def _squarefree_parts(f, ell):
     """Return [(g, multiplicity)] with each g squarefree monic and f = prod g^mult."""
     out = []
-    f = monic(f, ell, F)
+    f = monic(f, ell)
     if deg(f) < 1:
         return out
     df = poly_deriv(f, ell)
     if len(df) == 0:
         # f'(x) = 0 means f(x) = h(x)^ell (scalars are their own ell-th roots over F_ell).
         h = trim(f[::ell].copy())
-        return [(g, k * ell) for g, k in _squarefree_parts(h, ell, F)]
-    c = poly_gcd(f, df, ell, F)
-    w = poly_divmod(f, c, ell, F)[0]
+        return [(g, k * ell) for g, k in _squarefree_parts(h, ell)]
+    c = poly_gcd(f, df, ell)
+    w = poly_divmod(f, c, ell)[0]
     i = 1
     while deg(w) > 0:
-        y = poly_gcd(w, c, ell, F)
-        z = poly_divmod(w, y, ell, F)[0]
+        y = poly_gcd(w, c, ell)
+        z = poly_divmod(w, y, ell)[0]
         if deg(z) > 0:
-            out.append((monic(z, ell, F), i))
+            out.append((monic(z, ell), i))
         w = y
-        c = poly_divmod(c, y, ell, F)[0]
+        c = poly_divmod(c, y, ell)[0]
         i += 1
     if deg(c) > 0:
         # what is left is h(x)^ell; recurse on its ell-th root h
-        out.extend((g, k * ell) for g, k in _squarefree_parts(trim(c[::ell].copy()), ell, F))
+        out.extend((g, k * ell) for g, k in _squarefree_parts(trim(c[::ell].copy()), ell))
     return out
 
 
-def _distinct_degree(f, ell, F):
+def _distinct_degree(f, ell):
     """Split squarefree monic f into (product-of-degree-d factors, d) pieces."""
     out = []
     x = np.array([0, 1], dtype=np.int64)
@@ -137,18 +140,18 @@ def _distinct_degree(f, ell, F):
     d = 0
     while deg(f) >= 2 * (d + 1):
         d += 1
-        h = poly_pow_mod(h, ell, f, ell, F)
-        g = poly_gcd(poly_add(h, (-x) % ell, ell), f, ell, F)
+        h = poly_pow_mod(h, ell, f, ell)
+        g = poly_gcd(poly_add(h, (-x) % ell, ell), f, ell)
         if deg(g) > 0:
             out.append((g, d))
-            f = poly_divmod(f, g, ell, F)[0]
-            h = poly_mod(h, f, ell, F)
+            f = poly_divmod(f, g, ell)[0]
+            h = poly_mod(h, f, ell)
     if deg(f) > 0:
         out.append((f, deg(f)))
     return out
 
 
-def _equal_degree(f, d, ell, F, rng):
+def _equal_degree(f, d, ell, rng):
     """Cantor-Zassenhaus split of squarefree f, all of whose factors have degree d."""
     n = deg(f)
     if n == d:
@@ -158,15 +161,15 @@ def _equal_degree(f, d, ell, F, rng):
         a = trim(a)
         if deg(a) < 1:
             continue
-        g = poly_gcd(a, f, ell, F)
+        g = poly_gcd(a, f, ell)
         if 0 < deg(g) < n:
             break
-        b = poly_pow_mod(a, (ell**d - 1) // 2, f, ell, F)
-        g = poly_gcd(poly_add(b, np.array([ell - 1]), ell), f, ell, F)
+        b = poly_pow_mod(a, (ell**d - 1) // 2, f, ell)
+        g = poly_gcd(poly_add(b, np.array([ell - 1]), ell), f, ell)
         if 0 < deg(g) < n:
             break
-    rest = poly_divmod(f, g, ell, F)[0]
-    return _equal_degree(g, d, ell, F, rng) + _equal_degree(rest, d, ell, F, rng)
+    rest = poly_divmod(f, g, ell)[0]
+    return _equal_degree(g, d, ell, rng) + _equal_degree(rest, d, ell, rng)
 
 
 def factor_poly(f, ell, seed=0):
@@ -175,15 +178,14 @@ def factor_poly(f, ell, seed=0):
     Deterministic for a fixed seed (equal-degree splitting is randomised).
     Factors are sorted by (degree, coefficients).
     """
-    F = PrimeField(ell)
     f = trim(np.asarray(f, dtype=np.int64) % ell)
     if deg(f) < 1:
         return []
     rng = np.random.default_rng(np.random.SeedSequence([seed, ell, len(f)]))
     out = []
-    for g, mult in _squarefree_parts(f, ell, F):
-        for piece, d in _distinct_degree(g, ell, F):
-            for irr in _equal_degree(piece, d, ell, F, rng):
+    for g, mult in _squarefree_parts(f, ell):
+        for piece, d in _distinct_degree(g, ell):
+            for irr in _equal_degree(piece, d, ell, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: (deg(t[0]), tuple(int(c) for c in t[0])))
     return out

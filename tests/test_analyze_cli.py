@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,7 +39,7 @@ def test_report_deterministic_modulo_timings():
 
 def test_verify_is_idempotent():
     res = cached_analysis("o+", 3, 3)
-    layers_raw = res.meataxe.socle_series(res.pm.ctxP)
+    layers_raw = res.meataxe.socle_series(res.pm.ctxP, res.lattice)
     v1 = verify_result(res.lattice, layers_raw, res.chop_total, res.meataxe, res.label_of, res.expected)
     v2 = verify_result(res.lattice, layers_raw, res.chop_total, res.meataxe, res.label_of, res.expected)
     assert v1 == v2 == res.report["verdict"]
@@ -208,3 +209,34 @@ def test_cli_suite_out_writes_transcript_and_forwards_flags(capsys, monkeypatch,
     assert written == json.loads(capsys.readouterr().out)
     assert written["allPass"] is True
     assert [r["status"] for r in written["suite"]] == ["PASS", "PASS", "OUT_OF_SCALE"]
+
+
+# sha256 of the indented JSON `verify` report without `timingsMs`: any change
+# to factors, socle series, lattice, verdict or their order shows here
+PINNED_REPORTS = [
+    (["--family", "o+", "--n", "3", "--ell", "3", "--seed", "5"],
+     "b1f505e972a92fbffb59770e24ff000e8c0978f3db9f0c7bb0872abd2feabfbf"),
+    (["--family", "o-", "--n", "3", "--ell", "3", "--seed", "5"],
+     "35b0090776179c0d015d0604d2588d59da0e2e2c7f2b5903e281034b82e4d82b"),
+    (["--family", "u", "--dim", "4", "--ell", "3"],
+     "89b345a11c44f4bd2f461988971b4977a849c931d2b393c481245f3e46981b4c"),
+    (["--family", "u", "--dim", "5", "--ell", "5"],
+     "a80ee0a2653334e936ae4e05d6b0e74f56aa3232a607eee49f1e246846db30f7"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=["-".join(a[1::2]) for a, _ in PINNED_REPORTS])
+def test_verify_report_is_pinned(capsys, args, digest):
+    assert main(["verify", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timingsMs")
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+
+# seeds on which the peak-word search (`_find_peak_for`) needs more than 60
+# words of its stream
+@pytest.mark.parametrize("family,seed", [("o+", 164), ("o+", 197), ("o+", 1000008), ("o-", 90)])
+def test_former_peak_word_give_ups_pass(capsys, family, seed):
+    args = ["--family", family, "--n", "3", "--ell", "3", "--seed", str(seed)]
+    assert main(["verify", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["match"]

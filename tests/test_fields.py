@@ -8,16 +8,15 @@ from rank3mod.fields import (
     GF4_T,
     GF4_T2,
     GF4_ZERO,
-    PrimeField,
     gf4_add,
     gf4_conj,
     gf4_inv,
     gf4_mul,
     is_odd_prime,
-    make_prime_field,
     product_dtype,
     storage_dtype,
 )
+from rank3mod.linalg import _reduce, inv_table
 
 ELEMS = [GF4_ZERO, GF4_ONE, GF4_T, GF4_T2]
 
@@ -65,36 +64,35 @@ def test_gf4_vectorised():
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 17])
 def test_prime_field_axioms_exhaustive(ell):
-    F = make_prime_field(ell)
-    for x in range(ell):
-        for y in range(ell):
-            assert (x + y) % ell == F.reduce(x + y)
-            for z in range(ell):
-                assert (x * (y + z)) % ell == (x * y + x * z) % ell
-        if x:
-            assert (x * F.inv(x)) % ell == 1
-    assert F.reduce(-1) == ell - 1
+    # residues mod ell with linalg's inverse table, which is made once per ell
+    inv = inv_table(ell)
+    assert inv_table(ell) is inv
+    xs = np.arange(ell, dtype=np.int64)
+    assert ((xs[1:] * inv[1:]) % ell == 1).all()
+    x, y, z = np.meshgrid(xs, xs, xs, indexing="ij")
+    assert ((x * (y + z)) % ell == (x * y + x * z) % ell).all()
 
 
-def test_make_prime_field_rejects_two_and_composites():
-    assert make_prime_field(3).ell == 3
-    with pytest.raises(ValueError):
-        make_prime_field(2)
-    with pytest.raises(ValueError):
-        make_prime_field(9)
-    with pytest.raises(ValueError):
-        make_prime_field(1)
+def test_non_prime_ell_is_refused():
+    # the guard at the entry of every analysis (and of the CLI)
+    from rank3mod.analyze import run_analysis
+    from rank3mod.expected import expected
+
+    for ell in (1, 2, 9, 15):
+        with pytest.raises(ValueError):
+            expected("o+", 3, ell)
+        with pytest.raises(ValueError):
+            run_analysis("o+", 3, ell)
 
 
 def test_reduce_int_examples():
-    F3 = PrimeField(3)
-    assert F3.reduce(-4) == 2
-    for n in range(2, 20):
-        assert F3.reduce(2 ** (n - 2)) == F3.reduce(-(2 ** (n - 1)))
-    F7 = PrimeField(7)
-    assert F7.reduce(2**3 - 1) == 0
-    arr = F3.reduce(np.array([-4, 5, 6]))
-    assert (arr == np.array([2, 2, 0])).all()
+    # linalg._reduce takes X mod ell in place: np.remainder on small arrays,
+    # X - ell * (X // ell) on large ones; both give residues of negatives too
+    small = np.array([-4, 5, 6], dtype=np.int64)
+    assert _reduce(small, 3) is small
+    assert (small == np.array([2, 2, 0])).all()
+    big = np.arange(-3000, 3000, dtype=np.int64)
+    assert (_reduce(big.copy(), 7) == big % 7).all()
 
 
 def test_is_odd_prime():

@@ -6,6 +6,7 @@ import pytest
 from rank3mod import linalg
 from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.meataxe import (
+    Lattice,
     Meataxe,
     _mat_inverse,
     _replay,
@@ -104,7 +105,7 @@ def test_socle_of_augmentation_oplus3_ell3():
     mt.chop(pm.ctxP)
     S, _T = pm.distinguished()
     rep = sub_rep(S)
-    layers = mt.socle_series(rep)
+    layers = mt.socle_series(rep, mt.lattice(rep))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
     assert dims == [[(7, 1)], [(13, 1)], [(7, 1)]]
     # head-socle symmetry of the self-dual module with simple socle: the top
@@ -121,7 +122,8 @@ def test_socle_series_u5_ell3_augmentation():
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
     S, _T = pm.distinguished()
-    layers = mt.socle_series(sub_rep(S))
+    rep = sub_rep(S)
+    layers = mt.socle_series(rep, mt.lattice(rep))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
     assert dims == [[(55, 1)], [(10, 1)], [(1, 1), (44, 1)], [(10, 1)], [(55, 1)]]
 
@@ -129,11 +131,43 @@ def test_socle_series_u5_ell3_augmentation():
 def test_socle_of_semisimple_is_everything():
     pm = cached_pm("o+", 6, 5)
     mt = Meataxe(5, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
-    soc, factors = mt.socle(pm.ctxP)
-    assert soc.dim == 28
-    layers = mt.socle_series(pm.ctxP)
+    layers = mt.socle_series(pm.ctxP, mt.lattice(pm.ctxP))
     assert len(layers) == 1
+    assert sum(mt.classes[i].dim * t for i, t in layers[0].items()) == 28
+
+
+def _without(lat, ident=None, edge=None):
+    """A copy of lat without one node (and its edges) or without one edge."""
+    nodes = [n for n in lat.nodes if n.ident != ident]
+    edges = [e for e in lat.edges if e != edge and ident not in e[:2]]
+    return Lattice(nodes, edges)
+
+
+def test_socle_series_refuses_a_lattice_with_a_node_or_an_edge_removed():
+    # on the uniserial X - Z - X every node and every edge is on the socle walk
+    pm = cached_pm("o+", 6, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    rep = sub_rep(pm.distinguished()[0])
+    lat = mt.lattice(rep)
+    assert len(mt.socle_series(rep, lat)) == 3
+    assert len(lat.nodes) == 4 and len(lat.edges) == 3
+    for node in lat.nodes:
+        with pytest.raises(CertificationError):
+            mt.socle_series(rep, _without(lat, ident=node.ident))
+    for edge in lat.edges:
+        with pytest.raises(CertificationError):
+            mt.socle_series(rep, _without(lat, edge=edge))
+    # on the U4(2) diamond the socle of the whole module is one node; without
+    # it the sum of the zero node's covers is no node
+    pm = cached_pm("u", 4, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    lat = mt.lattice(pm.ctxP)
+    (first, *_rest) = mt.socle_series(pm.ctxP, lat)
+    soc_dim = sum(mt.classes[i].dim * t for i, t in first.items())
+    (soc,) = [n for n in lat.nodes if n.dim == soc_dim and n.factors == first]
+    with pytest.raises(CertificationError):
+        mt.socle_series(pm.ctxP, _without(lat, ident=soc.ident))
 
 
 def test_lattice_boolean_for_multiplicity_free_semisimple():
