@@ -147,10 +147,10 @@ def _graph_operator_checks(pm: PermModule, params) -> None:
     A = pm._adj
     if v <= 200:
         # A^2 - (r-s)A - (a-s)I = sJ over F_ell (entry counting on the
-        # strongly regular Delta-graph)
-        A2 = linalg.matmul(A, A, ell)
-        lhs = (A2 - (params.r - params.s) * A) % ell
-        lhs[np.arange(v), np.arange(v)] = (lhs.diagonal() - (params.a - params.s)) % ell
+        # strongly regular Delta-graph); the scalars are reduced first, so
+        # every difference stays inside A's dtype
+        lhs = (linalg.matmul(A, A, ell) - (params.r - params.s) % ell * A) % ell
+        lhs[np.arange(v), np.arange(v)] = (lhs.diagonal() - (params.a - params.s) % ell) % ell
         if not (lhs == params.s % ell).all():
             raise CertificationError("adjacency-algebra identity failed")
     # equivariance of the cross incidence: orthogonality is G-invariant

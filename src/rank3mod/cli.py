@@ -157,24 +157,24 @@ def cmd_expect(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
+def _analyze(args) -> bool:
+    """Run and print one analysis; returns whether it matches the tables."""
     _check_ell(args.ell)
     res = run_analysis(
         args.family, _size_of(args), args.ell,
         seed=args.seed, max_p=args.max_p_size, skip_order=args.skip_order,
     )
     _emit(res.report, args.format)
+    return res.report["verdict"]["match"]
+
+
+def cmd_analyze(args) -> int:
+    _analyze(args)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _check_ell(args.ell)
-    res = run_analysis(
-        args.family, _size_of(args), args.ell,
-        seed=args.seed, max_p=args.max_p_size, skip_order=args.skip_order,
-    )
-    _emit(res.report, args.format)
-    return 0 if res.report["verdict"]["match"] else 1
+    return 0 if _analyze(args) else 1
 
 
 def _suite_one(item):
@@ -190,6 +190,9 @@ def _suite_one(item):
         }
     except OutOfScaleError as exc:
         return {"family": family, "size": size, "ell": ell, "status": "OUT_OF_SCALE", "note": str(exc)}
+    except (CertificationError, BudgetExceededError) as exc:
+        # reported in the row; the other rows still run
+        return {"family": family, "size": size, "ell": ell, "status": "ERROR", "note": str(exc)}
 
 
 def cmd_suite(args) -> int:
@@ -212,6 +215,7 @@ def cmd_suite(args) -> int:
         )
     results.sort(key=lambda r: (r["family"], r["size"], r["ell"]))
     ok = all(r["status"] in ("PASS", "OUT_OF_SCALE") for r in results)
+    errored = any(r["status"] == "ERROR" for r in results)
     payload = {"suite": results, "allPass": ok}
     if args.out:
         with open(args.out, "w") as fh:
@@ -220,10 +224,10 @@ def cmd_suite(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for r in results:
-            extra = " ".join(r.get("flags", []))
+            extra = r["note"] if r["status"] == "ERROR" else " ".join(r.get("flags", []))
             print(f"{r['family']:>2} size={r['size']} ell={r['ell']:>2}  {r['status']}  {extra}")
         print("suite:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return 2 if errored else 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

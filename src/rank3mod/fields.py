@@ -2,15 +2,15 @@
 
 F4 = {0, 1, t, t^2}, t^2 = t + 1, is encoded in two bits: code 0 is 0, code 1
 is 1, code 2 is t, code 3 is t^2 = t + 1 (bit 0 the constant part, bit 1 the
-t part).  Addition is XOR; multiplication, inversion and conjugation
-(x -> x^2, the involution fixing exactly F2) are table driven so they also
-vectorise over numpy arrays of codes.
+t part).  Addition is XOR; multiplication and conjugation (x -> x^2, the
+involution fixing exactly F2) are the tables GF4_MUL and GF4_CONJ, indexed
+by codes, so they also vectorise over numpy arrays of codes.
 
 Odd prime fields are residues 0..ell-1 in numpy integer arrays; this module
-picks the integer dtype that stores them and the float dtype whose products
-of them are exact, and `linalg.inv_table` holds their inverses.  ell = 2 is
-rejected everywhere (`is_odd_prime`): the structure theory implemented
-downstream needs odd characteristic.
+picks, for `linalg`, the integer dtype that stores them and the float dtype
+whose products of them are exact, and `linalg.inv_table` holds their
+inverses.  ell = 2 is rejected everywhere (`is_odd_prime`): the structure
+theory implemented downstream needs odd characteristic.
 """
 
 from __future__ import annotations
@@ -33,30 +33,6 @@ GF4_MUL = np.array(
 )
 # x^2, which is also conjugation.
 GF4_CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
-# multiplicative inverses (index 0 unused).
-GF4_INV = np.array([0, 1, 3, 2], dtype=np.uint8)
-
-
-def gf4_add(x, y):
-    """Sum in F4 (characteristic 2, so XOR on codes)."""
-    return x ^ y
-
-
-def gf4_mul(x, y):
-    """Product in F4; works elementwise on arrays of codes."""
-    return GF4_MUL[x, y]
-
-
-def gf4_conj(x):
-    """Conjugation x -> x^2."""
-    return GF4_CONJ[x]
-
-
-def gf4_inv(x):
-    """Multiplicative inverse; raises on 0."""
-    if np.any(np.asarray(x) == 0):
-        raise ZeroDivisionError("inverse of 0 in F4")
-    return GF4_INV[x]
 
 
 def is_odd_prime(ell: int) -> bool:

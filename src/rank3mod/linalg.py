@@ -1,9 +1,17 @@
 """Dense linear algebra over F_ell.
 
-Matrices are numpy integer arrays with entries in 0..ell-1, and every result
-is an int64 array reduced into that range.  Products go through float BLAS in
-the precision `fields.product_dtype` picks from ell and the inner dimension,
-which refuses (ValueError) any product that would not be exact.
+An F_ell matrix is a numpy array with entries in 0..ell-1 in one integer
+dtype, `fields.storage_dtype(ell)`: int8 up to ell = 127 and int16 up to
+2^15.  Every matrix this module returns has that type, and a matrix of that
+type is taken to be reduced; `asmat` brings any other integer array into it.
+Entries are widened only here, in the elimination's working copies and in
+product buffers.  Products go through float BLAS in the precision
+`fields.product_dtype` picks from ell and the inner dimension, which refuses
+(ValueError) any product that would not be exact.
+
+Narrow integers wrap silently, so arithmetic on F_ell matrices outside this
+module must stay inside (-ell, ell), as a difference of two of them does, or
+widen first.
 
 Row reduction is one kernel, `_eliminate`: Gaussian elimination that reveals
 the rank profile one panel of PANEL columns at a time, as in FFLAS-FFPACK
@@ -14,7 +22,8 @@ reduced rows; one product applies it to the rest of those rows, and one more
 clears the panel's pivot columns from every other row.
 
 Bases of subspaces are always kept in reduced row echelon form with sorted
-pivots, so equality of subspaces is equality of arrays.
+pivots, so equality of subspaces is equality of arrays.  `rowspace_sum` and
+`rowspace_intersect` merge a further set of rows into such a basis.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import product_dtype
+from .fields import product_dtype, storage_dtype
 
 PANEL = 64
 
@@ -74,14 +83,32 @@ def _work_dtype(ell: int) -> type:
     raise ValueError(f"ell = {ell} is too large for exact elimination")
 
 
-def _product(A: np.ndarray, B: np.ndarray, ell: int, dtype) -> np.ndarray:
-    """A B as integers of `dtype`, not yet reduced, through one exact float product."""
+def zeros(shape, ell: int) -> np.ndarray:
+    return np.zeros(shape, dtype=storage_dtype(ell))
+
+
+def asmat(A, ell: int) -> np.ndarray:
+    """A as an F_ell matrix: A itself when it has the storage dtype, else A mod ell in it."""
+    A = np.asarray(A)
+    dt = storage_dtype(ell)
+    if A.dtype == dt:
+        return A
+    return np.remainder(A, np.int64(ell), out=np.empty(A.shape, dtype=dt), casting="unsafe")
+
+
+def _product(A: np.ndarray, B: np.ndarray, ell: int, dtype=None) -> np.ndarray:
+    """A B as integers of `dtype`, not yet reduced, through one exact float product.
+
+    Without a dtype the product buffer is int32 when float32 is exact, else int64.
+    """
     dt = product_dtype(ell, A.shape[1])
+    if dtype is None:
+        dtype = np.int32 if dt is np.float32 else np.int64
     return (A.astype(dt) @ B.astype(dt)).astype(dtype)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, ell: int) -> np.ndarray:
-    return _reduce(_product(A, B, ell, np.int64), ell)
+    return _reduce(_product(A, B, ell), ell).astype(storage_dtype(ell))
 
 
 def _panel(A: np.ndarray, w: int, ell: int, track: bool, clear_above: bool):
@@ -192,7 +219,7 @@ def rref(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form.  Returns (R, pivot_columns); R has no zero rows."""
     W = _work_copy(A, ell)
     pivots = _eliminate(W, ell, reduced=True)
-    return W[: len(pivots)].astype(np.int64), np.array(pivots, dtype=np.int64)
+    return W[: len(pivots)].astype(storage_dtype(ell)), np.array(pivots, dtype=np.int64)
 
 
 def rank(A: np.ndarray, ell: int) -> int:
@@ -205,9 +232,9 @@ def nullspace(A: np.ndarray, ell: int) -> np.ndarray:
     n = A.shape[1]
     R, piv = rref(A, ell)
     free = np.setdiff1d(np.arange(n), piv)
+    N = zeros((len(free), n), ell)
     if len(free) == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    N = np.zeros((len(free), n), dtype=np.int64)
+        return N
     N[np.arange(len(free)), free] = 1
     # x_piv = -R[:, free]^T for each free column unit vector
     if R.shape[0]:
@@ -217,29 +244,74 @@ def nullspace(A: np.ndarray, ell: int) -> np.ndarray:
 
 def reduce_rows(V: np.ndarray, basis: np.ndarray, pivots: np.ndarray, ell: int) -> np.ndarray:
     """Reduce rows of V modulo an RREF basis (returns the residues)."""
-    V = _reduce(np.array(V, dtype=np.int64), ell)
+    V = asmat(V, ell)
     if basis.shape[0] == 0 or V.shape[0] == 0:
         return V
-    V -= matmul(V[:, pivots], basis, ell)
-    return _reduce(V, ell)
+    return _reduce(V - matmul(V[:, pivots], basis, ell), ell)
 
 
 def in_rowspace(V: np.ndarray, basis: np.ndarray, pivots: np.ndarray, ell: int) -> bool:
     return not reduce_rows(np.atleast_2d(V), basis, pivots, ell).any()
 
 
-def rowspace_sum(A: np.ndarray, B: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    return rref(np.vstack([A, B]), ell)
+def rowspace_sum(
+    A: np.ndarray, pivots: np.ndarray, B: np.ndarray, ell: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """RREF basis and pivots of rowspace(A) + rowspace(B), for A in RREF with these pivots.
+
+    B is reduced against A with one product and only its residues are
+    eliminated; they are zero in A's pivot columns, so clearing their pivot
+    columns from A's rows completes the echelon form.  A's rows and pivots
+    keep their places among the new ones, and A itself is returned when B
+    adds nothing.
+    """
+    res = reduce_rows(B, A, pivots, ell)
+    res = res[res.any(axis=1)]
+    if len(res) == 0:
+        return A, pivots
+    new, pn = rref(res, ell)
+    piv = np.concatenate([pivots, pn])
+    order = np.argsort(piv, kind="stable")
+    return np.vstack([reduce_rows(A, new, pn, ell), new])[order], piv[order]
 
 
-def rowspace_intersect(A: np.ndarray, B: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zassenhaus-style intersection via the kernel of the stacked matrix."""
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64), np.array([], dtype=np.int64)
-    # x*A + y*B = 0  =>  x*A is in the intersection (and all of it arises this way).
-    stacked = np.vstack([A, B])
-    ker = nullspace(stacked.T, ell)
-    if ker.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64), np.array([], dtype=np.int64)
-    X = ker[:, : A.shape[0]]
-    return rref(matmul(X, A, ell), ell)
+def rowspace_intersect(
+    A: np.ndarray, pivots: np.ndarray, B: np.ndarray, ell: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """RREF basis and pivots of rowspace(A) & rowspace(B), for A in RREF with these pivots.
+
+    The intersection is spanned by the combinations of B's rows whose
+    residue modulo A vanishes.
+    """
+    combos = nullspace(reduce_rows(B, A, pivots, ell).T, ell)  # c with c . res = 0
+    return rref(matmul(combos, B, ell), ell)
+
+
+def krylov_annihilator(theta: np.ndarray, v: np.ndarray, ell: int):
+    """Least monic p with v p(theta) = 0, plus the Krylov vectors computed.
+
+    The Krylov rows v theta^i are made in growing blocks (PANEL, 2 PANEL, ...)
+    and each block's transpose is put in reduced row echelon form.  Its first
+    non-pivot column d is the first linear dependence, so deg p = d and
+    column d holds the coefficients of v theta^d over the earlier rows.
+    """
+    n = theta.shape[0]
+    dt = product_dtype(ell, n)
+    thetaf = theta.astype(dt)
+    kry = zeros((n + 1, n), ell)
+    kry[0] = v % ell
+    filled = 1
+    size = PANEL
+    while True:
+        size = min(size, n + 1)
+        for i in range(filled, size):
+            kry[i] = np.remainder(kry[i - 1].astype(dt) @ thetaf, ell)
+        filled = size
+        R, piv = rref(kry[:filled].T, ell)
+        d = len(piv)
+        if d < filled:
+            p = np.zeros(d + 1, dtype=np.int64)
+            p[:d] = (-R[:, d]) % ell
+            p[d] = 1
+            return p, kry[:d]
+        size *= 2

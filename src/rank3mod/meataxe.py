@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, CertificationError
-from .fields import product_dtype, storage_dtype
+from .linalg import krylov_annihilator
 from .modules import (
     DenseRep,
     ModCtx,
@@ -86,7 +86,7 @@ class Word:
             amb = self.matrix(action.ambient)
             out = linalg.matmul(amb[action.nonpivots], action._proj, ell)
         else:
-            out = np.zeros((n, n), dtype=np.int64)
+            out = np.zeros((n, n), dtype=np.int64)  # the sum of the terms, reduced once
             for coeff, seq in self.terms:
                 if len(seq) == 0:
                     out[np.arange(n), np.arange(n)] += coeff
@@ -100,9 +100,8 @@ class Word:
                     M = action.gen_matrix(seq[0])
                     for gi in seq[1:]:
                         M = linalg.matmul(M, action.gen_matrix(gi), ell)
-                    out = out + coeff * M
-            out %= ell
-        out = out.astype(storage_dtype(ell))  # entries < ell; keeps the cache small
+                    out += np.multiply(coeff, M, dtype=np.int64)  # would wrap in M's dtype
+            out = linalg.asmat(out, ell)
         cache[self] = out
         return out
 
@@ -140,41 +139,10 @@ def transpose_action(action):
 # annihilator polynomials
 
 
-def krylov_annihilator(theta: np.ndarray, v: np.ndarray, ell: int):
-    """Least monic p with v p(theta) = 0, plus the Krylov vectors computed.
-
-    The Krylov rows v theta^i are made in growing blocks (PANEL, 2 PANEL, ...)
-    and each block's transpose is put in reduced row echelon form.  Its first
-    non-pivot column d is the first linear dependence, so deg p = d and
-    column d holds the coefficients of v theta^d over the earlier rows.
-    """
-    n = theta.shape[0]
-    dt = product_dtype(ell, n)
-    thetaf = theta.astype(dt)
-    kry = np.zeros((n + 1, n), dtype=np.int64)
-    kry[0] = v % ell
-    filled = 1
-    size = linalg.PANEL
-    while True:
-        size = min(size, n + 1)
-        for i in range(filled, size):
-            kry[i] = kry[i - 1].astype(dt) @ thetaf
-            kry[i] %= ell
-        filled = size
-        R, piv = linalg.rref(kry[:filled].T, ell)
-        d = len(piv)
-        if d < filled:
-            p = np.zeros(d + 1, dtype=np.int64)
-            p[:d] = (-R[:, d]) % ell
-            p[d] = 1
-            return p, kry[:d]
-        size *= 2
-
-
 def _poly_on_matrix(p: np.ndarray, theta: np.ndarray, ell: int) -> np.ndarray:
     """p(theta) by Horner."""
     n = theta.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
+    out = linalg.zeros((n, n), ell)
     for c in p[::-1]:
         out = linalg.matmul(out, theta, ell)
         if c:
@@ -281,7 +249,7 @@ class Meataxe:
         """Either a class index (certified simple) or a [sub_rep, quot_rep] split."""
         n = action.dim
         if n == 1:
-            return self.register(DenseRep(self.ell, [action.gen_matrix(i) for i in range(self.ngens)]))
+            return self.register(densify(action))
         stream = word_stream(self.ngens, self.ell, self.seed, 0xC4)
         for _ in range(WORD_BUDGET):
             word = next(stream)
@@ -370,14 +338,6 @@ class Meataxe:
             if not np.array_equal(lhs, rhs):
                 return False
         return linalg.rank(phi, self.ell) == cls.dim
-
-    def is_iso(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        ci, cj = self.classes[i], self.classes[j]
-        if ci.dim != cj.dim or ci.fingerprint != cj.fingerprint:
-            return False
-        return self.is_iso_rep(i, cj.rep)
 
     def _nullity1_word(self, cls: FactorClass) -> tuple[Word, int]:
         """A (word, eigenvalue) with nullity 1 on this factor (no separation needed)."""
@@ -538,9 +498,9 @@ class Meataxe:
             for cls_idx, lines in self.socle_lines(act).items():
                 for line in lines:
                     rows = line.basis if quot is None else quot.lift_rows(line.basis)
-                    if node.dim:
-                        rows = np.vstack([node.sub.basis, rows])
-                    child = submodule_from_rows(ambient, rows)
+                    basis, piv = linalg.rowspace_sum(node.sub.basis, node.sub.pivots, rows, self.ell)
+                    child = Submodule(ambient, basis, piv)
+                    child.certify_closed()
                     factors = node.factors + Counter({cls_idx: 1})
                     ckey = add_node(child, factors)
                     edges.append((node.ident, nodes[ckey].ident, cls_idx))
@@ -699,15 +659,15 @@ def _standard_schedule(rep: DenseRep, seed: np.ndarray) -> _Schedule:
     vectors and the earlier images only.
     """
     ell, d = rep.ell, rep.dim
-    raw = np.zeros((d, d), dtype=np.int64)
-    acc = np.zeros((d, 2 * d), dtype=np.int64)  # rows [E | T] with E = T raw, mutually reduced
+    raw = linalg.zeros((d, d), ell)
+    acc = linalg.zeros((d, 2 * d), ell)  # rows [E | T] with E = T raw, mutually reduced
     pivs = np.zeros(0, dtype=np.int64)
     count = 0
 
     def add(W: np.ndarray):
         nonlocal pivs, count
         B, k = len(W), len(pivs)
-        aug = np.zeros((B, d + B + d), dtype=np.int64)
+        aug = linalg.zeros((B, d + B + d), ell)
         aug[:, :d] = W
         aug[np.arange(B), d + B - 1 - np.arange(B)] = 1
         if k:
@@ -721,7 +681,7 @@ def _standard_schedule(rep: DenseRep, seed: np.ndarray) -> _Schedule:
         accepted = np.setdiff1d(np.arange(B), rejected)
         # payload over the raw vectors, the accepted images taking the next indices
         new_count = count + len(accepted)
-        Z = np.zeros((len(R), d), dtype=np.int64)
+        Z = linalg.zeros((len(R), d), ell)
         Z[:, :count] = R[:, d + B : d + B + count]
         Z[:, count:new_count] = R[:, d + B - 1 - accepted]
         raw[count:new_count] = W[accepted]
@@ -753,7 +713,7 @@ def _replay(sched: _Schedule, rep, seed: np.ndarray) -> np.ndarray | None:
     relation holds, else None.
     """
     ell = rep.ell
-    imgs = np.zeros((len(sched.raw), rep.dim), dtype=np.int64)
+    imgs = linalg.zeros((len(sched.raw), rep.dim), ell)
     imgs[0] = seed % ell
     filled = 1
     for start, stop, gi, accepted, rejected, coeffs in sched.blocks:

@@ -3,7 +3,8 @@
 A module is described by an action object: either a ModCtx (group generators
 act as coordinate permutations, the ambient permutation module) or a DenseRep
 (generators are dense matrices, used for submodules and quotients).  Vectors
-are numpy int64 rows; right action throughout.
+are rows and matrices are F_ell matrices in `linalg`'s one storage dtype;
+right action throughout.
 
 Submodules are held as reduced-row-echelon bases with sorted pivots, so two
 submodules are equal iff their arrays are equal.  spin() closes a seed set
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificationError
-from .fields import storage_dtype
 from .geometry import PointSets
 
 
@@ -42,7 +42,7 @@ class ModCtx:
         return V[:, self.invperms[i]]
 
     def gen_matrix(self, i: int) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=np.int64)
+        M = linalg.zeros((self.dim, self.dim), self.ell)
         M[np.arange(self.dim), self.perms[i]] = 1
         return M
 
@@ -52,7 +52,7 @@ class DenseRep:
 
     def __init__(self, ell: int, mats: list[np.ndarray]):
         self.ell = ell
-        self.mats = [np.asarray(m, dtype=storage_dtype(ell)) for m in mats]
+        self.mats = [linalg.asmat(m, ell) for m in mats]
         self.dim = self.mats[0].shape[0] if self.mats else 0
 
     @property
@@ -63,7 +63,7 @@ class DenseRep:
         return linalg.matmul(V, self.mats[i], self.ell)
 
     def gen_matrix(self, i: int) -> np.ndarray:
-        return self.mats[i].astype(np.int64)
+        return self.mats[i]
 
 
 @dataclass
@@ -79,10 +79,7 @@ class Submodule:
         return self.basis.shape[0]
 
     def key(self) -> bytes:
-        return self.basis.astype(storage_dtype(self.action.ell)).tobytes()
-
-    def contains_vec(self, v: np.ndarray) -> bool:
-        return linalg.in_rowspace(v, self.basis, self.pivots, self.action.ell)
+        return self.basis.tobytes()
 
     def contains(self, other: "Submodule") -> bool:
         if other.dim > self.dim:
@@ -107,54 +104,30 @@ class Submodule:
                 )
 
 
-class _EchelonAccumulator:
-    """Mutually reduced row store used by spin(); canonicalised at the end.
-
-    Every stored row is zero in the pivot columns of the others, so a block
-    of vectors is reduced against the store with one product.
-    """
-
-    def __init__(self, dim: int, ell: int):
-        self.ell = ell
-        self.rows = np.zeros((0, dim), dtype=np.int64)
-        self.pivs = np.zeros(0, dtype=np.int64)
-
-    def insert(self, V: np.ndarray) -> np.ndarray:
-        """Add the span of V's rows; returns the new rows (none when nothing is new)."""
-        res = linalg.reduce_rows(V, self.rows, self.pivs, self.ell)
-        res = res[res.any(axis=1)]
-        if len(res) == 0:
-            return res
-        new, pn = linalg.rref(res, self.ell)
-        # residues are zero in the stored pivot columns; clear the new ones
-        self.rows = np.vstack([linalg.reduce_rows(self.rows, new, pn, self.ell), new])
-        self.pivs = np.concatenate([self.pivs, pn])
-        return new
-
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.pivs, kind="stable")
-        return self.rows[order], self.pivs[order]
-
-
 def spin(action, seeds, cap_dim: int | None = None) -> Submodule | None:
     """Smallest generator-closed subspace containing the seed vectors.
 
     Generator images are taken one BFS round at a time, and each generator's
-    images are inserted as one block.  With cap_dim the spin aborts
-    (returning None) as soon as the dimension exceeds the cap.
+    images are merged into the basis as one block (`linalg.rowspace_sum`);
+    the rows that block adds are the next round's.  With cap_dim the spin
+    aborts (returning None) as soon as the dimension exceeds the cap.
     """
-    acc = _EchelonAccumulator(action.dim, action.ell)
-    block = acc.insert(np.array(list(seeds), dtype=np.int64).reshape(-1, action.dim))
+    ell = action.ell
+    basis, pivots = linalg.rref(np.array(list(seeds)).reshape(-1, action.dim), ell)
+    block = basis
     while len(block):
-        if cap_dim is not None and len(acc.pivs) > cap_dim:
+        if cap_dim is not None and len(pivots) > cap_dim:
             return None
         found = []
         for i in range(action.ngens):
-            found.append(acc.insert(action.act_rows(block, i)))
-            if cap_dim is not None and len(acc.pivs) > cap_dim:
+            basis, merged = linalg.rowspace_sum(basis, pivots, action.act_rows(block, i), ell)
+            new = np.ones(len(merged), dtype=bool)
+            new[np.searchsorted(merged, pivots)] = False  # rows at old pivots were there before
+            found.append(basis[new])
+            pivots = merged
+            if cap_dim is not None and len(pivots) > cap_dim:
                 return None
         block = np.vstack(found)
-    basis, pivots = acc.finish()
     sub = Submodule(action, basis, pivots)
     sub.certify_closed()
     return sub
@@ -169,63 +142,22 @@ def submodule_from_rows(action, rows: np.ndarray) -> Submodule:
 
 def zero_submodule(action) -> Submodule:
     return Submodule(
-        action, np.zeros((0, action.dim), dtype=np.int64), np.array([], dtype=np.int64)
-    )
-
-
-def full_submodule(action) -> Submodule:
-    return Submodule(
-        action, np.eye(action.dim, dtype=np.int64), np.arange(action.dim, dtype=np.int64)
+        action, linalg.zeros((0, action.dim), action.ell), np.array([], dtype=np.int64)
     )
 
 
 def sum_sub(A: Submodule, B: Submodule) -> Submodule:
-    """A + B, reusing A's echelon form: only B's residues need elimination."""
-    ell = A.action.ell
-    if A.dim == 0:
-        return Submodule(A.action, B.basis.copy(), B.pivots.copy())
-    res = linalg.reduce_rows(B.basis, A.basis, A.pivots, ell)
-    res = res[res.any(axis=1)]
-    if res.shape[0] == 0:
-        return Submodule(A.action, A.basis.copy(), A.pivots.copy())
-    Rn, pn = linalg.rref(res, ell)
-    top = linalg.reduce_rows(A.basis, Rn, pn, ell)
-    stacked = np.vstack([top, Rn])
-    piv = np.concatenate([A.pivots, pn])
-    order = np.argsort(piv, kind="stable")
-    return Submodule(A.action, stacked[order], piv[order])
-
-
-def intersect_sub(A: Submodule, B: Submodule) -> Submodule:
-    """A intersect B: combinations of B's rows whose A-residue vanishes."""
-    ell = A.action.ell
-    if A.dim == 0 or B.dim == 0:
-        return zero_submodule(A.action)
-    res = linalg.reduce_rows(B.basis, A.basis, A.pivots, ell)
-    combos = linalg.nullspace(res.T, ell)  # c with c . res = 0
-    if combos.shape[0] == 0:
-        return zero_submodule(A.action)
-    rows = linalg.matmul(combos, B.basis, ell)
-    basis, piv = linalg.rref(rows, ell)
+    basis, piv = linalg.rowspace_sum(A.basis, A.pivots, B.basis, A.action.ell)
     return Submodule(A.action, basis, piv)
 
 
-def perp(sub: Submodule) -> Submodule:
-    """Orthogonal complement under the coordinatewise inner product."""
-    if sub.dim == 0:
-        return full_submodule(sub.action)
-    basis = linalg.nullspace(sub.basis, sub.action.ell)
-    out = Submodule(sub.action, basis, _pivots_of(basis))
-    out.certify_closed()
-    return out
+def intersect_sub(A: Submodule, B: Submodule) -> Submodule:
+    basis, piv = linalg.rowspace_intersect(A.basis, A.pivots, B.basis, A.action.ell)
+    return Submodule(A.action, basis, piv)
 
 
 def _pivots_of(R: np.ndarray) -> np.ndarray:
     return np.array([int(np.nonzero(r)[0][0]) for r in R], dtype=np.int64)
-
-
-def inner(u: np.ndarray, v: np.ndarray, ell: int) -> int:
-    return int(np.dot(u.astype(np.int64), v.astype(np.int64)) % ell)
 
 
 class QuotCtx(DenseRep):
@@ -244,7 +176,7 @@ class QuotCtx(DenseRep):
         n = action.dim
         nonpiv = np.setdiff1d(np.arange(n), sub.pivots)
         self.nonpivots = nonpiv
-        P = np.zeros((n, len(nonpiv)), dtype=np.int64)
+        P = linalg.zeros((n, len(nonpiv)), ell)
         P[nonpiv, np.arange(len(nonpiv))] = 1
         if sub.dim:
             P[sub.pivots] = (-sub.basis[:, nonpiv]) % ell
@@ -255,21 +187,18 @@ class QuotCtx(DenseRep):
                 mats.append(P[action.perms[i]][nonpiv])
         else:
             for i in range(action.ngens):
-                rows = action.act_rows(_unit_rows(nonpiv, n), i)
+                rows = action.act_rows(_unit_rows(nonpiv, n, ell), i)
                 mats.append(linalg.matmul(rows, P, ell))
         super().__init__(ell, mats)
 
-    def project_rows(self, V: np.ndarray) -> np.ndarray:
-        return linalg.matmul(V % self.ambient.ell, self._proj, self.ambient.ell)
-
     def lift_rows(self, V: np.ndarray) -> np.ndarray:
-        out = np.zeros((V.shape[0], self.ambient.dim), dtype=np.int64)
-        out[:, self.nonpivots] = V % self.ambient.ell
+        out = linalg.zeros((V.shape[0], self.ambient.dim), self.ell)
+        out[:, self.nonpivots] = V
         return out
 
 
-def _unit_rows(indices: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((len(indices), n), dtype=np.int64)
+def _unit_rows(indices: np.ndarray, n: int, ell: int) -> np.ndarray:
+    out = linalg.zeros((len(indices), n), ell)
     out[np.arange(len(indices)), indices] = 1
     return out
 
@@ -297,28 +226,17 @@ class PermModule:
         self.ell = ell
         self.ctxP = ModCtx(ell, perms_P, "P")
         self.ctxP0 = ModCtx(ell, perms_P0, "P0")
-        self._adj = points.adj.astype(np.int64)
-        self._cross = points.cross.astype(np.int64)
+        self._adj = linalg.asmat(points.adj, ell)
+        self._cross = linalg.asmat(points.cross, ell)
 
     def delta_sum(self, i: int) -> np.ndarray:
         """Characteristic vector of Delta(alpha_i)."""
         return self._adj[i].copy()
 
-    def apply_T(self, v: np.ndarray) -> np.ndarray:
-        return linalg.matmul(v[None, :], self._adj, self.ell)[0]
-
-    def apply_T_rows(self, V: np.ndarray) -> np.ndarray:
-        return linalg.matmul(V, self._adj, self.ell)
-
     def v_c(self, c: int, i: int) -> np.ndarray:
         v = self.delta_sum(i)
-        v[i] = (v[i] + c) % self.ell
+        v[i] = (int(v[i]) + c) % self.ell
         return v
-
-    def u_c(self, c: int) -> Submodule:
-        # v_{c,alpha} g = v_{c,alpha g} and the action is transitive, so one
-        # seed generates the whole of U_c.
-        return spin(self.ctxP, [self.v_c(c, 0)])
 
     def graph_submodule(self, c: int, base: int = 0) -> Submodule:
         """Submodule generated by the differences v_{c,alpha} - v_{c,beta}."""
@@ -337,18 +255,11 @@ class PermModule:
     def distinguished(self) -> tuple[Submodule, Submodule]:
         """(S, T): zero-coefficient-sum submodule and the all-ones line."""
         n = self.ctxP.dim
-        ones = np.ones((1, n), dtype=np.int64)
+        ones = linalg.asmat(np.ones((1, n), dtype=np.int64), self.ell)
         S_basis = linalg.nullspace(ones, self.ell)
         S = Submodule(self.ctxP, S_basis, _pivots_of(S_basis))
         T = Submodule(self.ctxP, ones, np.array([0], dtype=np.int64))
         return S, T
-
-    def q_apply(self, v: np.ndarray) -> np.ndarray:
-        """F_ell[P] -> F_ell[P0], point to the sum of its orthogonal singular points."""
-        return linalg.matmul(v[None, :], self._cross, self.ell)[0]
-
-    def r_apply(self, v: np.ndarray) -> np.ndarray:
-        return linalg.matmul(v[None, :], self._cross.T, self.ell)[0]
 
     def q_image(self, sub: Submodule) -> Submodule:
         rows = linalg.matmul(sub.basis, self._cross, self.ell)

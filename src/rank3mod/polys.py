@@ -7,7 +7,7 @@ distinct-degree, then Cantor-Zassenhaus equal-degree splitting.  Degrees here
 stay in the low thousands, so quadratic-time convolution arithmetic is fine.
 Coefficients are int64 residues: a convolution sums fewer than a few
 thousand products below ell^2, which is exact for every ell <= 2^15 that
-stored matrices admit (`fields.storage_dtype`).
+F_ell matrices admit (`linalg`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from rank3mod.analyze import diagram_iso, run_analysis, verify_result
 from rank3mod.cli import main
-from rank3mod.errors import OutOfScaleError
+from rank3mod.errors import BudgetExceededError, CertificationError, OutOfScaleError
+from rank3mod.fields import storage_dtype
+from rank3mod.modules import DenseRep, QuotCtx
 
 from conftest import cached_analysis
 
@@ -71,6 +74,31 @@ def test_maximal_chain_dims_sum():
         e["dim"] * e_mult
         for e, e_mult in ((f, f["mult"]) for f in res.report["factors"])
     )
+
+
+@pytest.mark.parametrize("ell,seed", [(3, 0), (131, 1)])
+def test_every_kept_matrix_has_the_storage_dtype(monkeypatch, ell, seed):
+    reps = []
+    init = DenseRep.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        reps.append(self)
+
+    # quotients and class representatives too: QuotCtx initialises through DenseRep
+    monkeypatch.setattr(DenseRep, "__init__", recording_init)
+    res = run_analysis("o+", 3, ell, seed=seed)
+    assert res.report["verdict"]["match"]
+    want = storage_dtype(ell)
+    assert any(isinstance(r, QuotCtx) for r in reps)
+    for r in reps:
+        assert all(m.dtype == want for m in r.mats)
+        if isinstance(r, QuotCtx):
+            assert r._proj.dtype == want
+    assert all(nd.sub.basis.dtype == want for nd in res.lattice.nodes)
+    words = [m for a in [res.pm.ctxP, *reps] for m in getattr(a, "_word_cache", {}).values()]
+    assert words and all(m.dtype == want for m in words)
+    assert res.pm._adj.dtype == res.pm._cross.dtype == want
 
 
 def test_diagram_iso_positive_and_negative():
@@ -180,14 +208,6 @@ def test_cli_inexact_product_exits_2(capsys, monkeypatch):
     assert "not exact" in capsys.readouterr().err
 
 
-def test_cli_verify_ell_above_int8(capsys):
-    # F_131 residues do not fit int8; the stored matrices widen to int16
-    rc = main(["verify", "--family", "o+", "--n", "3", "--ell", "131", "--seed", "1"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert out["verdict"]["match"] is True
-
-
 def test_cli_suite_out_writes_transcript_and_forwards_flags(capsys, monkeypatch, tmp_path):
     import rank3mod.cli as cli
 
@@ -211,6 +231,29 @@ def test_cli_suite_out_writes_transcript_and_forwards_flags(capsys, monkeypatch,
     assert [r["status"] for r in written["suite"]] == ["PASS", "PASS", "OUT_OF_SCALE"]
 
 
+@pytest.mark.parametrize("error", [CertificationError, BudgetExceededError])
+def test_cli_suite_reports_an_erroring_row_and_runs_the_rest(capsys, monkeypatch, tmp_path, error):
+    import rank3mod.cli as cli
+
+    def fake_run_analysis(family, size, ell, **kwargs):
+        if (family, size, ell) == ("o+", 3, 5):
+            raise error("no certificate")
+        verdict = {"match": True, "flags": [], "diffs": []}
+        return SimpleNamespace(report={"verdict": verdict, "timingsMs": {}})
+
+    monkeypatch.setattr(cli, "SUITE_INSTANCES", [("o+", 3, 5), ("u", 4, 3)])
+    monkeypatch.setattr(cli, "run_analysis", fake_run_analysis)
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--format", "json", "--out", str(out)]) == 2
+    written = json.loads(out.read_text())
+    assert written == json.loads(capsys.readouterr().out)
+    assert written["allPass"] is False
+    assert [(r["family"], r["status"]) for r in written["suite"]] == [
+        ("o+", "ERROR"), ("u", "PASS"), ("u", "OUT_OF_SCALE"),
+    ]
+    assert written["suite"][0]["note"] == "no certificate"
+
+
 # sha256 of the indented JSON `verify` report without `timingsMs`: any change
 # to factors, socle series, lattice, verdict or their order shows here
 PINNED_REPORTS = [
@@ -222,6 +265,14 @@ PINNED_REPORTS = [
      "89b345a11c44f4bd2f461988971b4977a849c931d2b393c481245f3e46981b4c"),
     (["--family", "u", "--dim", "5", "--ell", "5"],
      "a80ee0a2653334e936ae4e05d6b0e74f56aa3232a607eee49f1e246846db30f7"),
+    # the edges of the storage dtype: the first table ell whose (ell - 1)^2
+    # exceeds int8, the last int8 ell and the first int16 ell
+    (["--family", "o-", "--n", "4", "--ell", "17"],
+     "a3d27cd91a26e985ac21878b006f39d26b320057faff4c9fe96ad00d4ef90be2"),
+    (["--family", "o-", "--n", "4", "--ell", "127"],
+     "20089ab5f8a51f42a9f53e7ff0b8373eed5f1b2a7c6e3a2f6cb6674538eb6dbf"),
+    (["--family", "o+", "--n", "3", "--ell", "131", "--seed", "1"],
+     "d44335faadf1f7bf9070dbce703fa225b7ea555a00b7644d52dd0d245992bca1"),
 ]
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rank3mod import linalg
+from rank3mod.fields import storage_dtype
 
 matrices = st.sampled_from([3, 5, 7, 13, 17]).flatmap(
     lambda ell: st.tuples(
@@ -52,12 +53,12 @@ def test_nullspace_annihilates(args):
 @given(matrices, st.integers(0, 2**31 - 1))
 def test_sum_intersect_dimension_formula(args, seed2):
     ell, rows, cols, seed = args
-    A = linalg.rref(random_matrix(ell, rows, cols, seed), ell)[0]
+    A, pa = linalg.rref(random_matrix(ell, rows, cols, seed), ell)
     B = linalg.rref(random_matrix(ell, rows, cols, seed2), ell)[0]
     if A.shape[0] == 0 or B.shape[0] == 0:
         return
-    S, _ = linalg.rowspace_sum(A, B, ell)
-    I, ipiv = linalg.rowspace_intersect(A, B, ell)
+    S, _ = linalg.rowspace_sum(A, pa, B, ell)
+    I, ipiv = linalg.rowspace_intersect(A, pa, B, ell)
     assert S.shape[0] + I.shape[0] == A.shape[0] + B.shape[0]
     if I.shape[0]:
         RA, pa = linalg.rref(A, ell)
@@ -140,19 +141,70 @@ def kernel_cases(width, ell, rng):
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
-@pytest.mark.parametrize("ell", [3, 5, 17, 131, 32749])
+@pytest.mark.parametrize("ell", [3, 5, 17, 127, 131, 32749])
 def test_kernel_matches_pivot_at_a_time(width, ell):
     rng = np.random.default_rng(1000 * width + ell)
     for name, A in kernel_cases(width, ell, rng):
         R0, piv0 = reference_rref(A, ell)
         R, piv = linalg.rref(A, ell)
-        assert R.dtype == np.int64 and piv.dtype == np.int64, name
+        assert R.dtype == storage_dtype(ell) and piv.dtype == np.int64, name
         assert np.array_equal(R, R0) and list(piv) == piv0, name
         assert linalg.rank(A, ell) == len(piv0), name
         if A.shape[1]:
             assert np.array_equal(linalg.nullspace(A, ell), reference_nullspace(A, ell)), name
         # the transpose crosses the panels in the other direction
         assert linalg.rank(A.T, ell) == len(piv0), name
+
+
+def reference_intersection(A, B, ell):
+    """RREF of the row space of A met with that of B, from the kernel of [A; B]^T."""
+    X = reference_nullspace(np.vstack([A, B]).T, ell)[:, : len(A)]
+    return reference_rref(X @ A % ell, ell)
+
+
+def assert_stored(X, ell):
+    assert X.dtype == storage_dtype(ell)
+    assert X.size == 0 or (X.min() >= 0 and X.max() < ell)
+
+
+@pytest.mark.parametrize("ell", [3, 127, 131, 32749])
+def test_every_result_is_one_stored_type(ell):
+    # A and B share a 20-dimensional subspace, and 70 columns cross a panel
+    rng = np.random.default_rng(ell)
+    shared = rng.integers(0, ell, size=(20, 70))
+    A = np.vstack([rng.integers(0, ell, size=(25, 20)) @ shared, rng.integers(0, ell, size=(10, 70))]) % ell
+    B = np.vstack([rng.integers(0, ell, size=(25, 20)) @ shared, rng.integers(0, ell, size=(5, 70))]) % ell
+    C = rng.integers(0, ell, size=(70, 40))
+
+    P = linalg.matmul(A, C, ell)
+    assert_stored(P, ell)
+    assert np.array_equal(P, A @ C % ell)
+
+    R, piv = linalg.rref(A, ell)
+    R0, piv0 = reference_rref(A, ell)
+    assert_stored(R, ell)
+    assert np.array_equal(R, R0) and list(piv) == piv0
+
+    N = linalg.nullspace(A, ell)
+    assert_stored(N, ell)
+    assert np.array_equal(N, reference_nullspace(A, ell))
+
+    # stored and int64 rows reduce alike
+    for V in (B, linalg.asmat(B, ell)):
+        res = linalg.reduce_rows(V, R, piv, ell)
+        assert_stored(res, ell)
+        assert np.array_equal(res, (B - B[:, piv] @ R0) % ell)
+
+    S, spiv = linalg.rowspace_sum(R, piv, B, ell)
+    S0, spiv0 = reference_rref(np.vstack([A, B]), ell)
+    assert_stored(S, ell)
+    assert np.array_equal(S, S0) and list(spiv) == spiv0
+
+    Int, ipiv = linalg.rowspace_intersect(R, piv, B, ell)
+    I0, ipiv0 = reference_intersection(A, B, ell)
+    assert_stored(Int, ell)
+    assert np.array_equal(Int, I0) and list(ipiv) == ipiv0
+    assert len(ipiv) == len(piv) + linalg.rank(B, ell) - len(spiv) >= 20
 
 
 def test_full_rank_square_and_identity_block():

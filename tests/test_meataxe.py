@@ -5,6 +5,7 @@ import pytest
 
 from rank3mod import linalg
 from rank3mod.errors import BudgetExceededError, CertificationError
+from rank3mod.fields import storage_dtype
 from rank3mod.meataxe import (
     Lattice,
     Meataxe,
@@ -56,8 +57,8 @@ def test_trivial_vs_sign_classes_not_isomorphic():
     trivial = [i for i in ones if mt.classes[i].trivial]
     sign = [i for i in ones if not mt.classes[i].trivial]
     assert len(trivial) == 1 and len(sign) == 1
-    assert not mt.is_iso(trivial[0], sign[0])
-    assert mt.is_iso(trivial[0], trivial[0])
+    assert not mt.is_iso_rep(trivial[0], mt.classes[sign[0]].rep)
+    assert mt.is_iso_rep(trivial[0], mt.classes[trivial[0]].rep)
 
 
 def test_is_iso_on_conjugated_rep():
@@ -113,7 +114,7 @@ def test_socle_of_augmentation_oplus3_ell3():
     assert layers[0] == layers[-1]
     (top_cls,) = layers[-1]
     (soc_cls,) = layers[0]
-    assert mt.is_iso(top_cls, soc_cls)
+    assert mt.is_iso_rep(top_cls, mt.classes[soc_cls].rep)
 
 
 def test_socle_series_u5_ell3_augmentation():
@@ -258,6 +259,7 @@ def test_krylov_annihilator_least_monic(ell, s):
     p, kry = krylov_annihilator(theta, v, ell)
     d = len(p) - 1
     assert p[-1] == 1 and d <= s
+    assert kry.dtype == storage_dtype(ell)
     # the Krylov rows are v theta^i, i < d
     w = v.copy()
     for i in range(d):
@@ -305,6 +307,7 @@ def test_standard_schedule_replays_its_own_spin(family, dim, ell):
         sched = _standard_schedule(cls.rep, seed)
         # the accepted raw vectors are a basis, found in BFS order from the seed
         assert sched.raw.shape == (cls.dim, cls.dim) and linalg.rank(sched.raw, ell) == cls.dim
+        assert sched.raw.dtype == storage_dtype(ell)
         assert np.array_equal(sched.raw[0], seed)
         # the identity and a scalar are homomorphisms; a random seed is not one
         assert np.array_equal(_replay(sched, cls.rep, seed), sched.raw)

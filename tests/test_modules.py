@@ -10,8 +10,6 @@ from rank3mod.modules import (
     DenseRep,
     QuotCtx,
     intersect_sub,
-    inner,
-    perp,
     spin,
     submodule_from_rows,
     sum_sub,
@@ -43,13 +41,13 @@ def test_delta_sum_properties():
 def test_apply_T_on_all_ones_and_graph_submodule():
     pm = cached_pm("o+", 6, 5)
     ones = np.ones(28, dtype=np.int64)
-    assert (pm.apply_T(ones) == (12 % 5) * ones % 5).all()
+    assert (linalg.matmul(ones[None, :], pm._adj, 5)[0] == (12 % 5) * ones % 5).all()
     # on the graph submodule for root c, T acts as -d
     U2 = pm.graph_submodule(2)
-    img = pm.apply_T_rows(U2.basis)
+    img = linalg.matmul(U2.basis, pm._adj, 5)
     assert (img % 5 == (4 * U2.basis) % 5).all()  # -d = 4 for d = -4
     Um4 = pm.graph_submodule(-4)
-    img = pm.apply_T_rows(Um4.basis)
+    img = linalg.matmul(Um4.basis, pm._adj, 5)
     assert (img % 5 == ((-2) * Um4.basis) % 5).all()  # -c = -2
 
 
@@ -60,9 +58,9 @@ def test_adjacency_eigenvalues_on_graph_submodules(family, dim, ell):
     p = params_of(family, dim)
     c, d = quadratic_roots(p)
     Uc = pm.graph_submodule(c)
-    assert (pm.apply_T_rows(Uc.basis) == (-d % ell) * Uc.basis % ell).all()
+    assert (linalg.matmul(Uc.basis, pm._adj, ell) == (-d % ell) * Uc.basis % ell).all()
     Ud = pm.graph_submodule(d)
-    assert (pm.apply_T_rows(Ud.basis) == (-c % ell) * Ud.basis % ell).all()
+    assert (linalg.matmul(Ud.basis, pm._adj, ell) == (-c % ell) * Ud.basis % ell).all()
 
 
 def test_apply_T_equivariant_on_random_vectors():
@@ -71,8 +69,8 @@ def test_apply_T_equivariant_on_random_vectors():
     for _ in range(20):
         v = rng.integers(0, 5, size=28).astype(np.int64)
         for gi in range(pm.ctxP.ngens):
-            lhs = pm.ctxP.act_rows(pm.apply_T(v)[None, :], gi)[0]
-            rhs = pm.apply_T(pm.ctxP.act_rows(v[None, :], gi)[0])
+            lhs = pm.ctxP.act_rows(linalg.matmul(v[None, :], pm._adj, 5), gi)[0]
+            rhs = linalg.matmul(pm.ctxP.act_rows(v[None, :], gi), pm._adj, 5)[0]
             assert (lhs == rhs).all()
 
 
@@ -96,7 +94,7 @@ def test_inner_products_of_root_vectors():
         rng = np.random.default_rng(11)
         for _ in range(100):
             i, j = rng.integers(0, p.v, size=2)
-            val = inner(pm.v_c(c, int(i)), pm.v_c(d, int(j)), ell)
+            val = linalg.matmul(pm.v_c(c, int(i))[None, :], pm.v_c(d, int(j))[:, None], ell)[0, 0]
             assert val == p.s % ell
 
 
@@ -108,7 +106,9 @@ def test_inner_invariance_under_generators():
     for gi in range(pm.ctxP.ngens):
         gu = pm.ctxP.act_rows(u[None, :], gi)[0]
         gv = pm.ctxP.act_rows(v[None, :], gi)[0]
-        assert inner(gu, gv, 7) == inner(u, v, 7)
+        assert np.array_equal(
+            linalg.matmul(gu[None, :], gv[:, None], 7), linalg.matmul(u[None, :], v[:, None], 7)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +186,35 @@ def test_nonroot_graph_submodule_is_full_augmentation(family, dim, expect):
     assert pm.graph_submodule(nonroot).dim == p.v - 1
 
 
+# U_c is spun from one v_{c,alpha}: v_{c,alpha} g = v_{c,alpha g} and the
+# action is transitive
+
+
 def test_u4_ell3_u1_contains_all_ones():
     pm = cached_pm("u", 4, 3)
-    U1 = pm.u_c(1)
+    U1 = spin(pm.ctxP, [pm.v_c(1, 0)])
     U1p = pm.graph_submodule(1)
     assert U1.dim == 11 and U1p.dim == 10
-    assert U1.contains_vec(np.ones(40, dtype=np.int64))
-    assert not U1p.contains_vec(np.ones(40, dtype=np.int64))
+    ones = np.ones(40, dtype=np.int64)
+    assert linalg.in_rowspace(ones, U1.basis, U1.pivots, 3)
+    assert not linalg.in_rowspace(ones, U1p.basis, U1p.pivots, 3)
 
 
 def test_oplus_ell3_u2_splits_off_trivial():
     pm = cached_pm("o+", 6, 3)
-    U2 = pm.u_c(2)
+    U2 = spin(pm.ctxP, [pm.v_c(2, 0)])
     U2p = pm.graph_submodule(2)
     assert U2.dim == U2p.dim + 1
-    assert not U2p.contains_vec(np.ones(28, dtype=np.int64))
+    assert not linalg.in_rowspace(np.ones(28, dtype=np.int64), U2p.basis, U2p.pivots, 3)
 
 
 def test_nonroot_u_c_is_everything():
     pm = cached_pm("o+", 6, 5)
     # 4 is not a root mod 5 and c + a = 16 != 0 mod 5, so U_4 is everything
-    assert pm.u_c(4).dim == 28
+    assert spin(pm.ctxP, [pm.v_c(4, 0)]).dim == 28
     # 3 is also a non-root but 3 + a = 0 mod 5 puts the generators inside the
     # augmentation, so U_3 collapses to it
-    assert pm.u_c(3).dim == 27
+    assert spin(pm.ctxP, [pm.v_c(3, 0)]).dim == 27
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +239,16 @@ def test_distinguished_sum_behaviour():
 def test_perp_properties():
     pm = cached_pm("o+", 6, 5)
     U2 = pm.graph_submodule(2)
-    P = perp(U2)
+    P = submodule_from_rows(pm.ctxP, linalg.nullspace(U2.basis, 5))
     assert P.dim == 28 - U2.dim
-    assert perp(P) == U2
+    assert submodule_from_rows(pm.ctxP, linalg.nullspace(P.basis, 5)) == U2
     P.certify_closed()
 
 
 def test_graph_submodules_orthogonal():
     pm = cached_pm("o+", 6, 3)
     U2p = pm.graph_submodule(2)
-    U2 = pm.u_c(2)
+    U2 = spin(pm.ctxP, [pm.v_c(2, 0)])
     prods = linalg.matmul(U2p.basis, U2.basis.T, 3)
     assert not prods.any()
 
@@ -259,15 +264,15 @@ def test_sum_intersect_of_graph_submodules():
 
 def test_quotient_certified_and_dims():
     pm = cached_pm("o+", 6, 3)
-    U2 = pm.u_c(2)
-    q = QuotCtx(pm.ctxP, perp(U2))
+    U2 = spin(pm.ctxP, [pm.v_c(2, 0)])
+    q = QuotCtx(pm.ctxP, submodule_from_rows(pm.ctxP, linalg.nullspace(U2.basis, 3)))
     assert q.dim == U2.dim  # FP / U^perp has the dimension of U (self-duality)
     # quotient action respects products: (v g) h matches v (gh) on a sample
     v = np.arange(q.dim, dtype=np.int64) % 3
     a = q.act_rows(q.act_rows(v[None, :], 0), 1)[0]
     lifted = q.lift_rows(v[None, :])
     amb = pm.ctxP.act_rows(pm.ctxP.act_rows(lifted, 0), 1)
-    b = q.project_rows(amb)[0]
+    b = linalg.matmul(amb, q._proj, 3)[0]
     assert (a == b).all()
 
 
@@ -291,8 +296,8 @@ def test_q_r_equivariance_and_images():
     for gi in range(pm.ctxP.ngens):
         e0 = np.zeros(28, dtype=np.int64)
         e0[0] = 1
-        lhs = pm.ctxP0.act_rows(pm.q_apply(e0)[None, :], gi)[0]
-        rhs = pm.q_apply(pm.ctxP.act_rows(e0[None, :], gi)[0])
+        lhs = pm.ctxP0.act_rows(linalg.matmul(e0[None, :], pm._cross, 3), gi)[0]
+        rhs = linalg.matmul(pm.ctxP.act_rows(e0[None, :], gi), pm._cross, 3)[0]
         assert (lhs == rhs).all()
     # R side
     ones0 = np.ones((1, pm.ctxP0.dim), dtype=np.int64)
@@ -305,7 +310,7 @@ def test_q_coefficient_sum_is_lambda_count():
     pm = cached_pm("o+", 6, 5)
     e0 = np.zeros(28, dtype=np.int64)
     e0[0] = 1
-    q = pm.q_apply(e0)
+    q = linalg.matmul(e0[None, :], pm._cross, 5)[0]
     assert q.sum() % 5 == 15 % 5
 
 
@@ -315,8 +320,8 @@ def test_adjacency_identity_on_full_basis():
         p = params_of(family, dim)
         A = pm._adj
         v = p.v
-        lhs = (linalg.matmul(A, A, ell) - (p.r - p.s) * A) % ell
-        lhs[np.arange(v), np.arange(v)] = (lhs.diagonal() - (p.a - p.s)) % ell
+        lhs = (linalg.matmul(A, A, ell) - (p.r - p.s) % ell * A) % ell
+        lhs[np.arange(v), np.arange(v)] = (lhs.diagonal() - (p.a - p.s) % ell) % ell
         assert (lhs == p.s % ell).all()
 
 
