@@ -125,13 +125,17 @@ def _f4_split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def f4_pair_form(space: Space, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All pairwise hermitian values (u_i, v_j); returns (constant, t) parts mod 2."""
+    """All pairwise hermitian values (u_i, v_j); returns (constant, t) parts mod 2.
+
+    U and V may be stacks (..., k, m) of matching leading shape.
+    """
     G = space.gram.astype(np.int64)
     u0, u1 = _f4_split(U)
     v0, v1 = _f4_split(V)
     # u * conj(v) has constant part u0 v0 + u0 v1 + u1 v1 and t-part u0 v1 + u1 v0.
-    c = (u0 @ G @ (v0 + v1).T + u1 @ G @ v1.T) % 2
-    t = (u0 @ G @ v1.T + u1 @ G @ v0.T) % 2
+    v0, v1 = np.swapaxes(v0, -1, -2), np.swapaxes(v1, -1, -2)
+    c = (u0 @ G @ (v0 + v1) + u1 @ G @ v1) % 2
+    t = (u0 @ G @ v1 + u1 @ G @ v0) % 2
     return c, t
 
 

@@ -17,14 +17,25 @@ serve as a cross-check that the pool generates the full group.
 
 Each level of the chain stores a Schreier vector (the parent and the
 generator of every orbit point in a spanning tree) and the inverse of each
-of its generators.  Stripping walks the tree from the image of the base back
-to the base and applies the inverse generator of every edge, so no coset
-representative is built or inverted.  The verification checks, at every
-level, the Schreier generators of all strong generators fixing the earlier
-base points, skipping tree edges (whose Schreier generators are the identity
-by construction).  It follows only the images of the base points and of a
-frame of vectors spanning the space: a linear map fixing a spanning set is
-the identity, so this decides whether a residue is trivial.
+of its generators, in one flat table.  Stripping walks the tree from the
+image of the base back to the base and applies the inverse generator of
+every edge, so no coset representative is built or inverted.  One routine
+strips many elements at once: each row holds the images of some points
+under one element, and one step of the walk is one gather for all rows.
+The verification checks, at every level, the Schreier generators of all
+strong generators fixing the earlier base points, skipping tree edges
+(whose Schreier generators are the identity by construction).  It strips
+them in blocks of rows (Seress, Permutation Group Algorithms, CUP 2003,
+section 4.2, on stripping many elements by Schreier vectors at once) and
+follows only the images of the base points and of a frame of vectors
+spanning the space: a linear map fixing a spanning set is the identity, so
+this decides whether a residue is trivial.  The first failing Schreier
+generator in (level, orbit point, generator) order is the witness, as in a
+sweep that tries them one by one.
+
+Candidate generators are built and isometry-checked a block of
+representatives at a time; their images on the domain are found through a
+dense code -> index table.
 
 Rank and suborbits are certified on P by orbital closure (min-label
 propagation on P x P), which needs no stabiliser generators.
@@ -69,60 +80,67 @@ def vec_mat(space: Space, V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return mat_mul(space, np.atleast_2d(V), M)
 
 
-def is_isometry(space: Space, M: np.ndarray) -> bool:
-    """M preserves the form on every pair of basis vectors (and Q on each, over F2)."""
+def is_isometry(space: Space, M: np.ndarray):
+    """M preserves the form on every pair of basis vectors (and Q on each, over F2).
+
+    M may be a stack of matrices (..., m, m); the answer then has shape (...).
+    """
     if space.q == 2:
         G = space.gram.astype(np.int64)
         Mi = M.astype(np.int64)
-        if ((Mi @ G @ Mi.T) % 2 != G).any():
-            return False
+        forms = (Mi @ G @ np.swapaxes(Mi, -1, -2)) % 2 == G
         upper = np.triu(G, 1)
-        q_rows = (Mi @ space.qvals.astype(np.int64) + ((Mi @ upper) * Mi).sum(axis=1)) % 2
-        return bool((q_rows == space.qvals).all())
+        q_rows = (Mi @ space.qvals.astype(np.int64) + ((Mi @ upper) * Mi).sum(axis=-1)) % 2
+        return forms.all(axis=(-2, -1)) & (q_rows == space.qvals).all(axis=-1)
     c, t = f4_pair_form(space, M, M)
-    return bool(((c | (t << 1)) == space.gram).all())
+    return ((c | (t << 1)) == space.gram).all(axis=(-2, -1))
 
 
 def transvection(space: Space, v: np.ndarray) -> np.ndarray:
-    """x -> x + (x, v) v; an isometry exactly when Q(v) = 1 (characteristic 2)."""
-    Gv = (space.gram.astype(np.int64) @ v.astype(np.int64)) % 2
-    M = (np.eye(space.dim, dtype=np.int64) + np.outer(Gv, v.astype(np.int64))) % 2
+    """x -> x + (x, v) v; an isometry exactly when Q(v) = 1 (characteristic 2).
+
+    v may be a stack of vectors (..., m); the result is then (..., m, m).
+    """
+    v = v.astype(np.int64)
+    Gv = (v @ space.gram.astype(np.int64)) % 2  # the gram matrix is symmetric
+    M = (np.eye(space.dim, dtype=np.int64) + Gv[..., :, None] * v[..., None, :]) % 2
     return M.astype(np.uint8)
 
 
 def pseudo_reflection(space: Space, v: np.ndarray, lam: int) -> np.ndarray:
-    """x -> x + (lam - 1)(x, v) v for (v, v) = 1 and lam of order 3."""
-    m = space.dim
-    cv = GF4_CONJ[v]
-    Gcv = np.zeros(m, dtype=np.uint8)
-    for i in range(m):
-        acc = 0
-        for j in range(m):
-            if space.gram[i, j]:
-                acc ^= GF4_MUL[space.gram[i, j], cv[j]]
-        Gcv[i] = acc
+    """x -> x + (lam - 1)(x, v) v for (v, v) = 1 and lam of order 3.
+
+    v may be a stack of vectors (..., m); the result is then (..., m, m).
+    """
+    # row i of the gram matrix against conj(v): the XOR (F4 sum) of the products
+    Gcv = np.bitwise_xor.reduce(GF4_MUL[space.gram, GF4_CONJ[v][..., None, :]], axis=-1)
     mu = lam ^ 1  # lam - 1 in characteristic 2
-    M = np.eye(m, dtype=np.uint8)
-    for i in range(m):
-        M[i] = M[i] ^ GF4_MUL[GF4_MUL[mu, Gcv[i]], v]
-    return M
+    scaled = GF4_MUL[mu, Gcv]
+    return np.eye(space.dim, dtype=np.uint8) ^ GF4_MUL[scaled[..., :, None], v[..., None, :]]
+
+
+# candidate matrices built and checked together, from this many representatives
+CANDIDATE_BLOCK = 256
 
 
 def candidate_generators(space: Space, points: PointSets):
-    """Isometry generator candidates from nonsingular-point representatives."""
-    if space.q == 2:
-        for rep in points.P:
-            M = transvection(space, rep)
-            if not is_isometry(space, M):
-                raise CertificationError("transvection failed the isometry check")
-            yield M
-    else:
-        for rep in points.P:
-            for lam in (GF4_T, GF4_T2):
-                M = pseudo_reflection(space, rep, lam)
-                if not is_isometry(space, M):
-                    raise CertificationError("pseudo-reflection failed the isometry check")
-                yield M
+    """Isometry generator candidates from nonsingular-point representatives.
+
+    They are built and checked a block of representatives at a time and
+    handed out one by one, in representative order (and, for the unitary
+    families, lam = t before t^2).
+    """
+    m = space.dim
+    for lo in range(0, points.nP, CANDIDATE_BLOCK):
+        reps = points.P[lo:lo + CANDIDATE_BLOCK]
+        if space.q == 2:
+            mats, kind = transvection(space, reps), "transvection"
+        else:
+            mats = [pseudo_reflection(space, reps, lam) for lam in (GF4_T, GF4_T2)]
+            mats, kind = np.stack(mats, axis=1).reshape(-1, m, m), "pseudo-reflection"
+        if not is_isometry(space, mats).all():
+            raise CertificationError(f"{kind} failed the isometry check")
+        yield from mats
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +164,18 @@ class PermPair:
     on_P0: np.ndarray
 
 
-def code_positions(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Index of each code in the sorted array sorted_codes; every code must occur."""
-    pos = np.searchsorted(sorted_codes, codes)
-    if not ((pos < len(sorted_codes)).all() and np.array_equal(sorted_codes[pos], codes)):
+def code_table(codes: np.ndarray, size: int) -> np.ndarray:
+    """Dense lookup of the codes below size: table[c] is the index of code c
+    in codes, or -1 when c is not among them."""
+    table = np.full(size, -1, dtype=np.int64)
+    table[codes] = np.arange(len(codes))
+    return table
+
+
+def code_positions(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Index of each code by a code_table; every code must occur."""
+    pos = table[codes]
+    if (pos < 0).any():
         raise CertificationError("image point missing from index: not an isometry")
     return pos
 
@@ -158,7 +184,7 @@ def induced_perm(space: Space, points: PointSets, M: np.ndarray) -> PermPair:
     out = []
     for reps, codes in ((points.P, points.P_codes), (points.P0, points.P0_codes)):
         img = normalise_rows(space, vec_mat(space, reps, M))
-        perm = code_positions(codes, pack_codes(img, space.q))
+        perm = code_positions(code_table(codes, space.q**space.dim), pack_codes(img, space.q))
         if len(np.unique(perm)) != len(perm):
             raise CertificationError("induced map on points is not a bijection")
         out.append(perm)
@@ -202,51 +228,105 @@ def spanning_frame(space: Space, codes: np.ndarray) -> np.ndarray:
 
 class _Level:
     """One level of the chain: its base point, strong generators with their
-    inverses, and the Schreier vector (parent, gen_of) of the base's orbit."""
+    inverses, and the Schreier vector (parent, gen_of) of the base's orbit.
 
-    __slots__ = ("base", "gens", "inv_gens", "parent", "gen_of", "orbit")
+    The k generators are the rows of one flat table `fwd` and their inverses
+    those of `inv`, in numpy's index type, so a gather through them converts
+    no indices.  `off[x]` is the offset in `inv` of the inverse generator on
+    the tree edge into x, so one strip step of many rows of images at once
+    is `inv[off[x][:, None] + img]`, x being the rows' base images.  The
+    orbit is kept in BFS order, so by depth in the tree (`depth`, -1 off
+    the orbit) and a point after its parent.  `tree` repeats parent and
+    gen_of as Python lists, for walking one element point by point.
+    """
+
+    __slots__ = ("base", "degree", "fwd", "inv", "parent", "gen_of", "off", "depth", "orbit",
+                 "tree")
 
     def __init__(self, base: int, degree: int):
         self.base = base
-        self.gens: list[np.ndarray] = []
-        self.inv_gens: list[np.ndarray] = []
-        self.parent = [-1] * degree
-        self.gen_of = [-1] * degree
-        self.orbit: list[int] = [base]
+        self.degree = degree
+        self.fwd = np.empty(0, dtype=np.int64)
+        self.inv = np.empty(0, dtype=np.int64)
+        self.rebuild_orbit()
+
+    @property
+    def ngens(self) -> int:
+        return len(self.fwd) // self.degree
+
+    @property
+    def gens(self) -> list[np.ndarray]:
+        return list(self.fwd.reshape(-1, self.degree))
+
+    @property
+    def inv_gens(self) -> list[np.ndarray]:
+        return list(self.inv.reshape(-1, self.degree))
 
     def add_gen(self, g: np.ndarray):
         g = np.asarray(g, dtype=np.int64)
         inv = np.empty_like(g)
-        inv[g] = np.arange(len(g))
-        self.gens.append(g)
-        self.inv_gens.append(inv)
+        inv[g] = np.arange(self.degree)
+        self.fwd = np.concatenate([self.fwd, g])
+        self.inv = np.concatenate([self.inv, inv])
         self.rebuild_orbit()
 
     def rebuild_orbit(self):
-        self.parent = [-1] * len(self.parent)
-        self.gen_of = [-1] * len(self.gen_of)
-        self.parent[self.base] = self.base
-        self.orbit = [self.base]
-        head = 0
-        while head < len(self.orbit):
-            x = self.orbit[head]
-            head += 1
-            for gi, g in enumerate(self.gens):
-                y = int(g[x])
-                if self.parent[y] == -1:
-                    self.parent[y] = x
-                    self.gen_of[y] = gi
-                    self.orbit.append(y)
+        """Breadth-first Schreier tree: each new point is reached from the
+        first (point, generator) pair in (layer order, generator order)."""
+        d, k = self.degree, self.ngens
+        self.parent = np.full(d, -1, dtype=np.int64)
+        self.gen_of = np.full(d, -1, dtype=np.int64)
+        self.depth = np.full(d, -1, dtype=np.int64)
+        self.parent[self.base], self.depth[self.base] = self.base, 0
+        layers = [np.array([self.base], dtype=np.int64)]
+        while k:
+            frontier = layers[-1]
+            ys = self.fwd.reshape(k, d)[:, frontier].T.ravel()  # point-major, generator-minor
+            new = np.flatnonzero(self.parent[ys] == -1)
+            if not len(new):
+                break
+            _, first = np.unique(ys[new], return_index=True)
+            pick = new[np.sort(first)]
+            y = ys[pick]
+            self.parent[y], self.gen_of[y] = frontier[pick // k], pick % k
+            self.depth[y] = len(layers)
+            layers.append(y)
+        self.off = self.gen_of * d
+        self.orbit = np.concatenate(layers)
+        self.tree = (self.parent.tolist(), self.gen_of.tolist())
 
     def transversal(self, beta: int, points: np.ndarray) -> np.ndarray:
         """Images of points under u_beta, the tree's word with u_beta[base] = beta."""
         path = []
         while beta != self.base:
-            path.append(self.gen_of[beta])
-            beta = self.parent[beta]
+            path.append(int(self.gen_of[beta]))
+            beta = int(self.parent[beta])
         for gi in reversed(path):
-            points = self.gens[gi][points]
+            points = self.fwd[gi * self.degree + points]
         return points
+
+    def transversals(self, points: np.ndarray) -> np.ndarray:
+        """Images of points under u_beta for every beta, rows in orbit order.
+
+        Built one BFS layer (one depth) at a time: u_beta = g u_parent for
+        the generator g on the tree edge into beta, and a layer's parents lie
+        in the layer before it.
+        """
+        pos = np.empty(self.degree, dtype=np.int64)
+        pos[self.orbit] = np.arange(len(self.orbit))
+        depth = self.depth[self.orbit]
+        ends = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
+        out = np.empty((len(self.orbit), len(points)), dtype=np.int64)
+        out[0] = points
+        for start, end in zip(ends, ends[1:]):
+            beta = self.orbit[start:end]
+            up = out[pos[self.parent[beta]]]
+            out[start:end] = self.fwd[self.off[beta][:, None] + up]
+        return out
+
+
+# rows stripped together in one block of the verification sweep
+SWEEP_ROWS = 1 << 12
 
 
 class StabilizerChain:
@@ -254,12 +334,17 @@ class StabilizerChain:
 
     Each level keeps a Schreier vector for its fundamental orbit and the
     inverse of every strong generator, so stripping walks the tree and never
-    builds or inverts a coset representative.
+    builds or inverts a coset representative.  One routine (`_strip_rows`)
+    strips every element: `sift` passes one row of all point images, the
+    verification sweep blocks of rows of base and frame images.
 
     frame: points that no permutation of the groups held here, other than the
     identity, fixes all of (for permutations induced by linear maps on a set
     of vectors, vectors spanning the space).  verify() follows only the
     frame and the base points; by default the frame is every point.
+
+    schreier_tested: the Schreier generators the last verify() tested, over
+    all its passes.
     """
 
     def __init__(self, degree: int, seed: int = 0, frame: np.ndarray | None = None):
@@ -267,39 +352,77 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, degree, 0x5C]))
         self.verified = False
+        self.schreier_tested = 0
         self._identity = np.arange(degree, dtype=np.int64)
         self.frame = self._identity if frame is None else np.asarray(frame, dtype=np.int64)
 
     def _is_identity(self, p: np.ndarray) -> bool:
         return bool((p == self._identity).all())
 
-    def _strip(self, img: np.ndarray, slots) -> tuple[np.ndarray, int]:
-        """Strip images of points through the chain; slots[li] is where img
-        holds the image of level li's base.
+    def _strip_rows(self, img: np.ndarray, slots, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Strip many elements at once through levels start, start + 1, ...
 
-        At a level whose orbit holds beta, the image of its base, the element
-        becomes u_beta^-1 times itself: the Schreier tree is walked from beta
-        back to the base and the stored inverse generator of each edge is
-        applied.  Returns (stripped images, level index where it stuck).
+        Row r of img holds the images of some points under one element, and
+        column slots[li] the image of level li's base.  At a level whose
+        orbit holds beta, the image of its base, the element becomes
+        u_beta^-1 times itself: the rows walk their Schreier trees together,
+        deepest first, so that the rows still walking after k steps are a
+        prefix, and a step is one gather of the level's inverse generators
+        for that prefix.  A lone row (sift) walks its path point by point.
+        A row whose base image is outside a level's orbit is stuck there and
+        leaves the walk as it is.  img is overwritten.  Returns (stripped
+        images, level index where each row stuck, len(levels) if none).
         """
-        for li, lev in enumerate(self.levels):
-            x = int(img[slots[li]])
-            parent, gen_of, inv_gens = lev.parent, lev.gen_of, lev.inv_gens
-            if parent[x] == -1:
-                return img, li
-            while x != lev.base:
-                img = inv_gens[gen_of[x]][img]
-                x = parent[x]
-        return img, len(self.levels)
+        done, d = len(self.levels), self.degree
+        stuck = np.full(len(img), done, dtype=np.int64)
+        rows, work = np.arange(len(img)), img  # work[k] is img row rows[k]
+        for li in range(start, done):
+            lev, slot = self.levels[li], slots[li]
+            if not len(work):
+                break
+            if len(work) == 1:  # one element: its tree path point by point
+                x = int(work[0, slot])
+                parent, gen_of = lev.tree
+                if parent[x] < 0:
+                    stuck[rows[0]] = li
+                    break
+                row = work[0]
+                while x != lev.base:
+                    o = gen_of[x] * d
+                    row = lev.inv[o:o + d][row]
+                    x = parent[x]
+                work = row[None]
+                continue
+            # deepest rows first, stuck rows (depth -1) last and out
+            depth = lev.depth[work[:, slot]]
+            key = depth.max() - depth  # a small key, so the stable sort is a radix sort
+            order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+            live = np.count_nonzero(depth >= 0)
+            out = order[live:]
+            img[rows[out]] = work[out]
+            stuck[rows[out]] = li
+            order = order[:live]
+            rows, work = rows[order], work[order]
+            # after k steps only the rows deeper than k still walk: a prefix
+            walking = live - np.cumsum(np.bincount(depth[order], minlength=1))
+            idx = np.empty_like(work)
+            for n in walking[:-1]:
+                head = work[:n]
+                np.add(lev.off[head[:, slot]][:, None], head, out=idx[:n])
+                np.take(lev.inv, idx[:n], out=head, mode="clip")
+        img[rows] = work
+        return img, stuck
 
     def sift(self, p: np.ndarray) -> tuple[np.ndarray, int]:
         """Strip p through the chain; (residue, level index where it stuck).
 
-        Each level strips by its Schreier vector (`_strip`): the inverse
-        generators along the tree path of p's base image are applied to p,
-        with no coset representative built.
+        This is `_strip_rows` on the one row of all of p's images: the
+        inverse generators along the tree path of each base image are
+        applied to p, with no coset representative built.
         """
-        return self._strip(p, [lev.base for lev in self.levels])
+        rows = np.array(p, dtype=np.int64, ndmin=2)
+        img, stuck = self._strip_rows(rows, [lev.base for lev in self.levels])
+        return img[0], int(stuck[0])
 
     def contains(self, p: np.ndarray) -> bool:
         res, _ = self.sift(p)
@@ -352,13 +475,17 @@ class StabilizerChain:
         Witnesses are added and the sweep restarts, so on return the product of
         the fundamental orbit lengths is the exact order of the generated group.
         """
+        self.schreier_tested = 0
         for _ in range(max_passes):
             witness = self._find_witness()
             if witness is None:
                 self.verified = True
                 return
             self._add_residue(*witness)
-        raise CertificationError("Schreier-Sims verification did not stabilise")
+        raise CertificationError(
+            f"Schreier-Sims verification did not stabilise: {max_passes} passes, each adding "
+            f"a witness, tested {self.schreier_tested} Schreier generators"
+        )
 
     def _find_witness(self):
         """First Schreier generator that does not strip to the identity, sifted.
@@ -375,24 +502,45 @@ class StabilizerChain:
         u_{g beta} = g u_beta and the Schreier generator is the identity.
 
         Only the images of the base points and the frame are followed, which
-        decides the identity; a witness is then sifted as a whole permutation.
+        decides the identity; at level i the earlier base points, which all
+        these elements fix, are left out.  The images under u_beta are built
+        once per level for the whole orbit.  Then, for a block of orbit
+        points at a time (about SWEEP_ROWS rows), one gather through the
+        stacked generators forms every (beta, g) row, beta-major as a sweep
+        that tries them one by one would, and `_strip_rows` strips the block
+        from level i down.  The first failing row in (level, beta, g) order
+        is the witness, sifted as a whole permutation.  schreier_tested
+        grows by the rows up to and including it.
         """
         bases = np.array([lev.base for lev in self.levels], dtype=np.int64)
-        points = np.concatenate([bases, self.frame])
-        fixed = points.tobytes()
-        slots = range(len(self.levels))
+        points = np.concatenate([bases, self.frame[~np.isin(self.frame, bases)]])
+        levels, d = len(self.levels), self.degree
         for li, lev in enumerate(self.levels):
-            gens = lev.gens + [g for low in self.levels[li + 1:] for g in low.gens]
-            for beta in lev.orbit:
-                u = lev.transversal(beta, points)
-                for gi, g in enumerate(gens):
-                    if gi < len(lev.gens):
-                        img = int(g[beta])
-                        if lev.parent[img] == beta and lev.gen_of[img] == gi:
-                            continue
-                    res, level = self._strip(g[u], slots)
-                    if level < len(self.levels) or res.tobytes() != fixed:
-                        return self.sift(g[lev.transversal(beta, self._identity)])
+            # every element tried here fixes the earlier base points
+            followed, slots = points[li:], range(-li, levels - li)
+            own = lev.ngens
+            stack = np.concatenate([low.fwd for low in self.levels[li:]])
+            ngens = len(stack) // d
+            shift = np.arange(ngens, dtype=np.int64) * d
+            us = lev.transversals(followed)
+            step = max(1, SWEEP_ROWS // ngens)
+            for lo in range(0, len(lev.orbit), step):
+                beta = lev.orbit[lo:lo + step]
+                # the (beta, g) grid without the tree edges
+                img_b = lev.fwd[shift[:own] + beta[:, None]]
+                keep = np.ones((len(beta), ngens), dtype=bool)
+                edge = (lev.parent[img_b] == beta[:, None]) & (lev.gen_of[img_b] == np.arange(own))
+                keep[:, :own] = ~edge
+                rb, rg = np.nonzero(keep)
+                rows = stack[shift[rg][:, None] + us[lo + rb]]
+                img, stuck = self._strip_rows(rows, slots, li)
+                bad = np.flatnonzero((stuck < levels) | (img != followed).any(axis=1))
+                if len(bad):
+                    self.schreier_tested += int(bad[0]) + 1
+                    b, g = int(beta[rb[bad[0]]]), int(rg[bad[0]])
+                    u = lev.transversal(b, self._identity)
+                    return self.sift(stack[g * d + u])
+                self.schreier_tested += len(rows)
         return None
 
     def order(self) -> int:
@@ -448,10 +596,11 @@ def build_group(
     domain = vector_action_domain(space, points)
     domain_codes = pack_codes(domain, space.q)  # sorted: the domain is in code order
     chain = StabilizerChain(len(domain), seed=seed, frame=spanning_frame(space, domain_codes))
+    table = code_table(domain_codes, space.q**space.dim)
     mats: list[np.ndarray] = []
 
     def vec_perm(M):
-        return code_positions(domain_codes, pack_codes(vec_mat(space, domain, M), space.q))
+        return code_positions(table, pack_codes(vec_mat(space, domain, M), space.q))
 
     for M in candidate_generators(space, points):
         p = vec_perm(M)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rank3mod.fields import GF4_T
+from rank3mod.fields import GF4_T, GF4_T2
 from rank3mod.geometry import (
     OMINUS,
     OPLUS,
@@ -20,7 +20,9 @@ from rank3mod.geometry import bilinear, pack_codes
 from rank3mod.groups import (
     StabilizerChain,
     build_group,
+    candidate_generators,
     code_positions,
+    code_table,
     formula_order,
     induced_perm,
     is_isometry,
@@ -80,7 +82,7 @@ def test_induced_perm_identity_and_fixed_point():
     pt = induced_perm(space, points, t)
     e2f2 = np.zeros(6, dtype=np.uint8)
     e2f2[1] = e2f2[4] = 1
-    idx = code_positions(points.P_codes, pack_codes(e2f2[None, :], 2))[0]
+    idx = code_positions(code_table(points.P_codes, 2**6), pack_codes(e2f2[None, :], 2))[0]
     assert pt.on_P[idx] == idx
     assert len(np.unique(pt.on_P)) == points.nP
 
@@ -173,7 +175,8 @@ def test_formula_order_values():
 def _vector_perms(space, points, mats):
     domain = vector_action_domain(space, points)
     codes = pack_codes(domain, space.q)
-    perms = [code_positions(codes, pack_codes(vec_mat(space, domain, M), space.q)) for M in mats]
+    table = code_table(codes, space.q**space.dim)
+    perms = [code_positions(table, pack_codes(vec_mat(space, domain, M), space.q)) for M in mats]
     return perms, spanning_frame(space, codes)
 
 
@@ -252,6 +255,116 @@ def test_sift_matches_transversal_reference():
         assert (res == ref).all()
 
 
+def _reference_strip(chain, img, slots):
+    """Strip one element at a time, one stored inverse per tree edge."""
+    for li, lev in enumerate(chain.levels):
+        x = int(img[slots[li]])
+        if lev.parent[x] == -1:
+            return img, li
+        while x != lev.base:
+            img = lev.inv_gens[int(lev.gen_of[x])][img]
+            x = int(lev.parent[x])
+    return img, len(chain.levels)
+
+
+def _reference_find_witness(chain):
+    """The per-generator sweep: one strip for each Schreier generator.
+
+    Returns (witness sifted by explicit transversals or None, Schreier
+    generators tested).
+    """
+    bases = np.array([lev.base for lev in chain.levels], dtype=np.int64)
+    points = np.concatenate([bases, chain.frame])
+    slots = range(len(chain.levels))
+    tested = 0
+    for li, lev in enumerate(chain.levels):
+        gens = lev.gens + [g for low in chain.levels[li + 1:] for g in low.gens]
+        for beta in lev.orbit.tolist():
+            u = lev.transversal(beta, points)
+            for gi, g in enumerate(gens):
+                if gi < len(lev.gens):
+                    img = int(g[beta])
+                    if lev.parent[img] == beta and lev.gen_of[img] == gi:
+                        continue
+                tested += 1
+                res, level = _reference_strip(chain, g[u], slots)
+                if level < len(chain.levels) or not (res == points).all():
+                    whole = g[lev.transversal(beta, np.arange(chain.degree))]
+                    return _reference_sift(chain, whole), tested
+    return None, tested
+
+
+def _rounds0_chain(family, dim, seed, count):
+    space, points, gd = cached_setup(family, dim, seed)
+    perms, frame = _vector_perms(space, points, gd.mats[:count])
+    chain = StabilizerChain(len(perms[0]), seed=seed, frame=frame)
+    for p in perms:
+        chain.add_generator(p, rounds=0)
+    return chain
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("count", [6, 12])
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (OMINUS, 6), (UNITARY, 4), (OPLUS, 8)])
+def test_bulk_sweep_matches_per_generator_sweep(family, dim, seed, count):
+    bulk = _rounds0_chain(family, dim, seed, count)
+    ref = _rounds0_chain(family, dim, seed, count)
+    seen, want = [], []
+    for chain, out, find in ((bulk, seen, StabilizerChain._find_witness),
+                             (ref, want, lambda c: _reference_find_witness(c)[0])):
+        while (witness := find(chain)) is not None:
+            res, level = witness
+            out.append((level, np.asarray(res, dtype=np.int64).tobytes()))
+            chain._add_residue(res, level)
+    assert seen == want
+    assert bulk.order_lower_bound() == ref.order_lower_bound()
+
+
+@pytest.mark.parametrize("family,dim", [(OMINUS, 8), (UNITARY, 4)])
+def test_sweep_tests_every_schreier_generator(family, dim):
+    space, points, gd = cached_setup(family, dim)
+    perms, frame = _vector_perms(space, points, gd.mats)
+    chain = StabilizerChain(len(perms[0]), seed=0, frame=frame)
+    for p in perms:
+        chain.add_generator(p)
+    chain.verify()
+    chain.verify()  # one pass over a complete chain
+    want = 0
+    for li, lev in enumerate(chain.levels):
+        gens = sum(len(low.gens) for low in chain.levels[li:])
+        want += len(lev.orbit) * gens - (len(lev.orbit) - 1)
+    assert chain.schreier_tested == want
+    assert _reference_find_witness(chain) == (None, want)
+
+
+def test_strip_rows_matches_one_at_a_time_with_stuck_rows():
+    # an incomplete chain: most random permutations stick at some level
+    chain = _rounds0_chain(OMINUS, 6, 0, 6)
+    bases = [lev.base for lev in chain.levels]
+    rng = np.random.default_rng(4)
+    rows = np.array([rng.permutation(chain.degree) for _ in range(300)])
+    mixed = rows.copy()
+    mixed[::3] = [chain._random_element() for _ in range(100)]  # these strip through
+    levels = set()
+    for block in (mixed, rows):  # every random row sticks, so the walk runs dry
+        img, stuck = chain._strip_rows(block.copy(), bases)
+        for row, got, at in zip(block, img, stuck):
+            want, want_at = _reference_strip(chain, row, bases)
+            assert at == want_at
+            assert (got == want).all()
+            levels.add(int(at))
+    assert {0, len(chain.levels)} < levels  # stuck deeper than level 0, and not stuck
+
+
+def test_verify_give_up_says_what_it_tried():
+    chain = StabilizerChain(6, seed=0)
+    chain.add_generator(np.array([1, 0, 2, 3, 4, 5]), rounds=0)
+    chain.add_generator(np.array([1, 2, 3, 4, 5, 0]), rounds=0)
+    _, tested = _reference_find_witness(chain)
+    with pytest.raises(CertificationError, match=rf"1 passes, .* {tested} Schreier generators"):
+        chain.verify(max_passes=1)
+
+
 def test_spanning_frame_spans():
     for family, dim in [(OPLUS, 6), (OMINUS, 8), (UNITARY, 5)]:
         space, points, _ = cached_setup(family, dim)
@@ -302,12 +415,13 @@ def test_is_isometry_matches_loop_definition(family, dim):
     mats = list(gd.mats)
     mats += [rng.integers(0, space.q, size=(dim, dim)).astype(np.uint8) for _ in range(20)]
     mats += [np.eye(dim, dtype=np.uint8)]
-    seen = set()
+    seen = []
     for M in mats:
         want = _loop_is_isometry(space, M)
         assert is_isometry(space, M) == want
-        seen.add(want)
-    assert seen == {True, False}
+        seen.append(want)
+    assert set(seen) == {True, False}
+    assert is_isometry(space, np.stack(mats)).tolist() == seen
 
 
 @pytest.mark.parametrize("family,dim", [(OPLUS, 6), (UNITARY, 5)])
@@ -324,6 +438,30 @@ def test_mat_mul_matches_integer_reference(family, dim):
             for k in range(dim):
                 want ^= GF4_MUL[A[:, k][:, None], B[k][None, :]]
         assert (mat_mul(space, A, B) == want).all()
+
+
+def _reference_candidates(space, points):
+    """x -> x + mu (x, v) v row by row from the form, mu = 1 over F2 and
+    lam - 1 for lam = t, t^2 over F4."""
+    eye = np.eye(space.dim, dtype=np.uint8)
+    for rep in points.P:
+        for mu in [1] if space.q == 2 else [GF4_T ^ 1, GF4_T2 ^ 1]:
+            M = eye.copy()
+            for i in range(space.dim):
+                M[i] ^= GF4_MUL[GF4_MUL[mu, bilinear(space, eye[i], rep)], rep]
+            yield M
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (OMINUS, 8), (UNITARY, 4), (UNITARY, 5)])
+def test_candidates_match_the_definition_across_blocks(family, dim, monkeypatch):
+    space, points, _ = cached_setup(family, dim)
+    monkeypatch.setattr(groups, "CANDIDATE_BLOCK", 7)
+    got = list(candidate_generators(space, points))
+    want = list(_reference_candidates(space, points))
+    assert len(got) == len(want) == points.nP * (1 if space.q == 2 else 2)
+    assert all(g.dtype == np.uint8 and (g == w).all() for g, w in zip(got, want))
+    one = transvection if space.q == 2 else lambda sp, v: pseudo_reflection(sp, v, GF4_T)
+    assert (one(space, points.P[5]) == one(space, points.P[3:8])[2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +492,11 @@ def test_vector_perm_rejects_non_isometry(family, dim, monkeypatch):
 
 
 def test_code_positions_rejects_missing_codes():
-    codes = np.array([2, 5, 9], dtype=np.int64)
-    assert (code_positions(codes, np.array([9, 2, 5])) == [2, 0, 1]).all()
-    for missing in ([3], [10], [0]):
+    table = code_table(np.array([2, 5, 9], dtype=np.int64), 16)
+    assert (code_positions(table, np.array([9, 2, 5])) == [2, 0, 1]).all()
+    for missing in ([3], [10], [0], [15], [5, 3]):
         with pytest.raises(CertificationError):
-            code_positions(codes, np.array(missing))
+            code_positions(table, np.array(missing))
 
 
 # ---------------------------------------------------------------------------
