@@ -21,6 +21,7 @@ from . import linalg
 from .errors import CertificationError, OutOfScaleError
 from .expected import FF, OMEGA, ExpectedStructure, expected
 from .geometry import (
+    EXHAUSTIVE_CHECK_MAX_POINTS,
     OMINUS,
     OPLUS,
     SpaceSpec,
@@ -145,7 +146,7 @@ def _graph_operator_checks(pm: PermModule, params) -> None:
     ell = pm.ell
     v = pm.ctxP.dim
     A = pm._adj
-    if v <= 200:
+    if v <= EXHAUSTIVE_CHECK_MAX_POINTS:
         # A^2 - (r-s)A - (a-s)I = sJ over F_ell (entry counting on the
         # strongly regular Delta-graph); the scalars are reduced first, so
         # every difference stays inside A's dtype

@@ -37,6 +37,10 @@ UNITARY = "u"
 
 FAMILIES = (OPLUS, OMINUS, UNITARY)
 
+# checks over every pair of points (brute_params, the adjacency-algebra
+# identity in analyze) run only up to this many points
+EXHAUSTIVE_CHECK_MAX_POINTS = 200
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -248,12 +252,12 @@ class Rank3Params:
             raise ValueError("strongly-regular identity a(a-r-1) = b s fails")
 
 
-def brute_params(ps: PointSets, full_check: bool | None = None) -> Rank3Params:
+def brute_params(ps: PointSets) -> Rank3Params:
     """Parameters by explicit counting on the Delta-graph.
 
-    With full_check (default: automatically on for v <= 200) the common
-    neighbour counts are validated over every pair, which certifies that the
-    parameters do not depend on the choice of base points.
+    For v <= EXHAUSTIVE_CHECK_MAX_POINTS the common neighbour counts are
+    validated over every pair, which certifies that the parameters do not
+    depend on the choice of base points.
     """
     A = ps.adj
     v = ps.nP
@@ -269,9 +273,7 @@ def brute_params(ps: PointSets, full_check: bool | None = None) -> Rank3Params:
     gamma = int(np.nonzero(others)[0][0])
     r = int((A[0] & A[beta]).sum())
     s = int((A[0] & A[gamma]).sum())
-    if full_check is None:
-        full_check = v <= 200
-    if full_check:
+    if v <= EXHAUSTIVE_CHECK_MAX_POINTS:
         N = (A.astype(np.float64) @ A.astype(np.float64)).astype(np.int64)
         if not (N[A] == r).all():
             raise ValueError("common-neighbour count varies over adjacent pairs")

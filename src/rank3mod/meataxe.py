@@ -10,7 +10,10 @@ f(theta) are split candidates, and Norton's criterion (kernel vector spins to
 everything, transpose-side kernel vector spins to everything, nullity equal
 to deg f) certifies irreducibility.  A nullity-1 eigenvalue word on a simple
 module also certifies absolute irreducibility: any endomorphism preserves the
-kernel line, so it is scalar on a generator.
+kernel line, so it is scalar on a generator.  The same word tests a module T
+for isomorphism with a simple S of dimension d (the standard-basis test): the
+spin of (kernel vector on S, kernel vector on T) in S + T has dimension d
+exactly when S and T are isomorphic.
 
 Socles are located with peak words: a word theta and eigenvalue lam with
 nullity 1 on the target factor and invertible on every other composition
@@ -52,6 +55,7 @@ from .polys import factor_poly, poly_divmod, poly_eval_int
 HOM_MULTIPLICITY_CAP = 3
 WORD_BUDGET = 80  # words each randomised search draws before it gives up
 LATTICE_NODE_BUDGET = 600
+LATTICE_LENGTH_BOUND = 8  # composition length above which no lattice is built
 
 
 # ---------------------------------------------------------------------------
@@ -310,57 +314,69 @@ class Meataxe:
     # -- isomorphism testing ----------------------------------------------
 
     def is_iso_rep(self, idx: int, rep: DenseRep) -> bool:
-        """Explicit-homomorphism isomorphism test between class idx and rep."""
+        """Standard-basis isomorphism test between class idx and rep, as one spin.
+
+        With S = the class's rep, d = dim S and (theta, lam) a nullity-1 word
+        on S, spin (k_S, k_T) in S + T for k_S, k_T spanning the kernels of
+        theta - lam on S and on T = rep, capped at dimension d.  A spin W of
+        dimension d maps onto the simple S, hence isomorphically, and into T
+        injectively, since W meets S + 0 in a proper submodule of W, which is
+        zero; so S and T are isomorphic.  Conversely an isomorphism S -> T sends
+        k_S to a multiple of k_T, and the spin is its graph, of dimension d.
+        """
         cls = self.classes[idx]
-        if cls.dim != rep.dim:
+        d = cls.dim
+        if d != rep.dim:
             return False
-        if cls.dim == 1:
+        if d == 1:
             return all(
                 np.array_equal(cls.rep.gen_matrix(i), rep.gen_matrix(i))
                 for i in range(self.ngens)
             )
-        word, lam = self._nullity1_word(cls)
-        K = left_kernel(_shifted(word, rep, lam), self.ell)
-        if K.shape[0] != 1:
+        word, lam = self._nullity1_word(idx)
+        K_T = left_kernel(_shifted(word, rep, lam), self.ell)
+        if K_T.shape[0] != 1:
             return False
-        sched = _standard_schedule(cls.rep, self._nullity1_kernel(cls))
-        phi_rows = _replay(sched, rep, K[0])
-        if phi_rows is None:
-            return False
-        # explicit intertwiner: raw_cls[i] -> phi_rows[i]
-        X_s = sched.raw
-        X_t = phi_rows
-        Xs_inv = _mat_inverse(X_s, self.ell)
-        phi = linalg.matmul(Xs_inv, X_t, self.ell)
+        K_S = left_kernel(_shifted(word, cls.rep, lam), self.ell)
+        if K_S.shape[0] != 1:
+            raise CertificationError("stored nullity-1 word lost nullity 1")
+        mats = []
         for i in range(self.ngens):
-            lhs = linalg.matmul(cls.rep.gen_matrix(i), phi, self.ell)
-            rhs = linalg.matmul(phi, rep.gen_matrix(i), self.ell)
-            if not np.array_equal(lhs, rhs):
-                return False
-        return linalg.rank(phi, self.ell) == cls.dim
+            M = linalg.zeros((2 * d, 2 * d), self.ell)
+            M[:d, :d] = cls.rep.gen_matrix(i)
+            M[d:, d:] = rep.gen_matrix(i)
+            mats.append(M)
+        W = spin(DenseRep(self.ell, mats), [np.concatenate([K_S[0], K_T[0]])], cap_dim=d)
+        return W is not None and W.dim == d
 
-    def _nullity1_word(self, cls: FactorClass) -> tuple[Word, int]:
-        """A (word, eigenvalue) with nullity 1 on this factor (no separation needed)."""
+    def _nullity1_search(self, idx: int, tag: int, separating: bool) -> tuple[Word, int] | None:
+        """The first (word, eigenvalue) of stream `tag` within WORD_BUDGET words
+        with nullity 1 on class idx, and if separating also a peak word."""
+        cls = self.classes[idx]
+        stream = word_stream(self.ngens, self.ell, self.seed, tag)
+        for _ in range(WORD_BUDGET):
+            word = next(stream)
+            for lam in range(self.ell):
+                if cls.nullity_of(word, lam, self.ell) == 1 and (
+                    not separating or self._peak_ok(word, lam, idx)
+                ):
+                    cls.abs_irred = True
+                    return word, lam
+        return None
+
+    def _nullity1_word(self, idx: int) -> tuple[Word, int]:
+        """A (word, eigenvalue) with nullity 1 on class idx (no separation needed)."""
+        cls = self.classes[idx]
         if cls.n1 is not None:
             return cls.n1
         if cls.peak is not None:
             return cls.peak
-        stream = word_stream(self.ngens, self.ell, self.seed, 0xA7)
-        for _ in range(WORD_BUDGET):
-            word = next(stream)
-            for lam in range(self.ell):
-                if cls.nullity_of(word, lam, self.ell) == 1:
-                    cls.n1 = (word, lam)
-                    cls.abs_irred = True
-                    return cls.n1
-        raise BudgetExceededError(f"no nullity-1 word found for a dim-{cls.dim} factor")
-
-    def _nullity1_kernel(self, cls: FactorClass) -> np.ndarray:
-        word, lam = self._nullity1_word(cls)
-        K = left_kernel(_shifted(word, cls.rep, lam), self.ell)
-        if K.shape[0] != 1:
-            raise CertificationError("stored peak word lost nullity 1")
-        return K[0]
+        cls.n1 = self._nullity1_search(idx, 0xA7, separating=False)
+        if cls.n1 is None:
+            raise BudgetExceededError(
+                f"no nullity-1 word found for a dim-{cls.dim} factor within {WORD_BUDGET} words"
+            )
+        return cls.n1
 
     # -- peak words ---------------------------------------------------------
 
@@ -372,17 +388,6 @@ class Meataxe:
             if other.nullity_of(word, lam, self.ell) != 0:
                 return False
         return True
-
-    def _find_peak_for(self, idx: int) -> None:
-        cls = self.classes[idx]
-        stream = word_stream(self.ngens, self.ell, self.seed, 0x9E)
-        for _ in range(WORD_BUDGET):
-            word = next(stream)
-            for lam in range(self.ell):
-                if cls.nullity_of(word, lam, self.ell) == 1 and self._peak_ok(word, lam, idx):
-                    cls.peak = (word, lam)
-                    cls.abs_irred = True
-                    return
 
     def ensure_peaks(self) -> None:
         """Give every class a nullity-1 separating peak word.
@@ -401,28 +406,14 @@ class Meataxe:
                     cls.peak = None
                     missing.append(i)
         for i in missing:
-            self._find_peak_for(i)
+            self.classes[i].peak = self._nullity1_search(i, 0x9E, separating=True)
         still = [i for i in range(len(self.classes)) if self.classes[i].peak is None]
         if still:
             dims = [self.classes[i].dim for i in still]
             raise BudgetExceededError(
-                f"no separating nullity-1 peak words for factors of dims {dims}; "
-                "endomorphism rings may be larger than the prime field"
+                f"no separating nullity-1 peak words for factors of dims {dims} within "
+                f"{WORD_BUDGET} words each; endomorphism rings may be larger than the prime field"
             )
-
-    def end_dim(self, idx: int) -> int:
-        """dim_F End of a class via homomorphism replay into itself."""
-        cls = self.classes[idx]
-        word, lam = self._nullity1_word(cls)
-        sched = _standard_schedule(cls.rep, self._nullity1_kernel(cls))
-        K = left_kernel(_shifted(word, cls.rep, lam), self.ell)
-        count = 0
-        for coeffs in _projective_reps(K.shape[0], self.ell):
-            seed = (coeffs @ K) % self.ell
-            if _replay(sched, cls.rep, seed) is not None:
-                count += 1
-        # lines in End form a projective space over F_ell
-        return _projective_dim(count, self.ell)
 
     # -- socle lines, the lattice and the socle series ------------------------
 
@@ -456,14 +447,14 @@ class Meataxe:
                 out[idx] = lines
         return out
 
-    def lattice(self, ambient, length_bound: int = 8, total: Counter | None = None) -> Lattice:
+    def lattice(self, ambient, total: Counter | None = None) -> Lattice:
         """All submodules, bottom-up by minimal overmodules."""
         if total is None:
             total = self.chop(ambient)
         length = sum(total.values())
-        if length > length_bound:
+        if length > LATTICE_LENGTH_BOUND:
             raise BudgetExceededError(
-                f"composition length {length} exceeds length_bound {length_bound}"
+                f"composition length {length} exceeds LATTICE_LENGTH_BOUND = {LATTICE_LENGTH_BOUND}"
             )
         nodes: dict[bytes, LatticeNode] = {}
         order: list[bytes] = []
@@ -477,7 +468,7 @@ class Meataxe:
             nodes[key] = LatticeNode(len(nodes), sub, factors)
             order.append(key)
             if len(nodes) > LATTICE_NODE_BUDGET:
-                raise BudgetExceededError("lattice node budget exceeded")
+                raise BudgetExceededError(f"lattice node budget exceeded ({LATTICE_NODE_BUDGET} nodes)")
             return key
 
         add_node(zero_submodule(ambient), Counter())
@@ -622,106 +613,3 @@ def _projective_reps(k: int, ell: int):
                 v[lead + 1 + t] = rest % ell
                 rest //= ell
             yield v
-
-
-def _mat_inverse(A: np.ndarray, ell: int) -> np.ndarray:
-    n = A.shape[0]
-    aug = np.hstack([A % ell, np.eye(n, dtype=np.int64)])
-    R, piv = linalg.rref(aug, ell)
-    if R.shape[0] != n or not np.array_equal(piv, np.arange(n)):
-        raise CertificationError("matrix not invertible")
-    return R[:, n:]
-
-
-@dataclass
-class _Schedule:
-    """How the source spin found its basis, for replay against a candidate image.
-
-    Each block (start, stop, gen, accepted, rejected, coeffs) took the images
-    of raw[start:stop] under generator gen.  The images at positions
-    `accepted` became the next raw vectors, in order; the image at
-    rejected[t] equals coeffs[t] times the first coeffs.shape[1] raw vectors.
-    """
-
-    blocks: list
-    raw: np.ndarray  # accepted raw vectors on the source side, as rows
-
-
-def _standard_schedule(rep: DenseRep, seed: np.ndarray) -> _Schedule:
-    """Spin `seed` through rep one BFS round and one generator at a time.
-
-    An image is accepted when it is independent of the raw vectors and the
-    images accepted before it.  Each block of images is reduced against the
-    echelon of the raw vectors, which carries its coefficients over them, and
-    then put in reduced row echelon form with one payload column per image,
-    later images first.  A row whose vector part vanishes is then a relation
-    whose leading payload entry is the image it rejects, written over the raw
-    vectors and the earlier images only.
-    """
-    ell, d = rep.ell, rep.dim
-    raw = linalg.zeros((d, d), ell)
-    acc = linalg.zeros((d, 2 * d), ell)  # rows [E | T] with E = T raw, mutually reduced
-    pivs = np.zeros(0, dtype=np.int64)
-    count = 0
-
-    def add(W: np.ndarray):
-        nonlocal pivs, count
-        B, k = len(W), len(pivs)
-        aug = linalg.zeros((B, d + B + d), ell)
-        aug[:, :d] = W
-        aug[np.arange(B), d + B - 1 - np.arange(B)] = 1
-        if k:
-            prod = linalg.matmul(aug[:, pivs], acc[:k], ell)
-            aug[:, :d] -= prod[:, :d]
-            aug[:, d + B :] -= prod[:, d:]
-            aug %= ell
-        R, piv = linalg.rref(aug, ell)
-        vec = piv < d
-        rejected = np.sort(d + B - 1 - piv[~vec])
-        accepted = np.setdiff1d(np.arange(B), rejected)
-        # payload over the raw vectors, the accepted images taking the next indices
-        new_count = count + len(accepted)
-        Z = linalg.zeros((len(R), d), ell)
-        Z[:, :count] = R[:, d + B : d + B + count]
-        Z[:, count:new_count] = R[:, d + B - 1 - accepted]
-        raw[count:new_count] = W[accepted]
-        rel = (-Z[~vec][::-1, :new_count]) % ell
-        if vec.any():
-            rows = np.hstack([R[vec, :d], Z[vec]])
-            acc[:k] = linalg.reduce_rows(acc[:k], rows, piv[vec], ell)
-            acc[k : k + len(rows)] = rows
-            pivs = np.concatenate([pivs, piv[vec]])
-        count = new_count
-        return accepted, rejected, rel
-
-    add(np.asarray(seed, dtype=np.int64)[None, :] % ell)
-    blocks = []
-    head = 0
-    while head < count:
-        start, stop = head, count
-        head = stop
-        for gi in range(rep.ngens):
-            accepted, rejected, rel = add(rep.act_rows(raw[start:stop], gi))
-            blocks.append((start, stop, gi, accepted, rejected, rel))
-    return _Schedule(blocks, raw[:count])
-
-
-def _replay(sched: _Schedule, rep, seed: np.ndarray) -> np.ndarray | None:
-    """Replay a standard-basis schedule against a candidate image seed.
-
-    Returns the image raw vectors (rows aligned with sched.raw) when every
-    relation holds, else None.
-    """
-    ell = rep.ell
-    imgs = linalg.zeros((len(sched.raw), rep.dim), ell)
-    imgs[0] = seed % ell
-    filled = 1
-    for start, stop, gi, accepted, rejected, coeffs in sched.blocks:
-        W = rep.act_rows(imgs[start:stop], gi)
-        imgs[filled : filled + len(accepted)] = W[accepted]
-        filled += len(accepted)
-        if len(rejected):
-            want = linalg.matmul(coeffs, imgs[: coeffs.shape[1]], ell)
-            if not np.array_equal(W[rejected], want):
-                return None
-    return imgs

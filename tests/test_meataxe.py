@@ -3,16 +3,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rank3mod import linalg
+from rank3mod import linalg, meataxe
 from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.fields import storage_dtype
 from rank3mod.meataxe import (
     Lattice,
     Meataxe,
-    _mat_inverse,
-    _replay,
-    _standard_schedule,
+    _shifted,
     krylov_annihilator,
+    left_kernel,
     transpose_action,
 )
 from rank3mod.modules import DenseRep, spin, sub_rep
@@ -89,6 +88,53 @@ def _inv_mod(A, ell):
     return R[:, n:]
 
 
+def _hom_dim(S, T, ell):
+    """dim Hom(S, T): the nullity of the stacked S(g) (x) I - I (x) T(g)^T.
+
+    With row-major vec, vec(S(g) X - X T(g)) = (S(g) (x) I - I (x) T(g)^T) vec(X).
+    """
+    d, e = S.dim, T.dim
+    blocks = [
+        np.kron(S.gen_matrix(i).astype(np.int64), np.eye(e, dtype=np.int64))
+        - np.kron(np.eye(d, dtype=np.int64), T.gen_matrix(i).astype(np.int64).T)
+        for i in range(S.ngens)
+    ]
+    return d * e - linalg.rank(np.vstack(blocks) % ell, ell)
+
+
+@pytest.mark.parametrize("family,dim", [("o+", 6), ("o-", 6), ("u", 4)])
+def test_is_iso_rep_matches_hom_reference(family, dim):
+    # every class of dim <= 14 against a conjugated copy (isomorphic) and a
+    # copy with its generators rotated by one (not isomorphic)
+    ell = 3
+    pm = cached_pm(family, dim, ell)
+    mt = Meataxe(ell, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    rng = np.random.default_rng(dim)
+    spin_decided = 0
+    for idx, cls in enumerate(mt.classes):
+        if cls.dim > 14:
+            continue
+        rep, d = cls.rep, cls.dim
+        while True:
+            C = rng.integers(0, ell, size=(d, d)).astype(np.int64)
+            if linalg.rank(C, ell) == d:
+                break
+        Cinv = _inv_mod(C, ell).astype(np.int64)
+        conj = DenseRep(ell, [(Cinv @ rep.gen_matrix(i) @ C) % ell for i in range(rep.ngens)])
+        rot = DenseRep(ell, [rep.gen_matrix((i + 1) % rep.ngens) for i in range(rep.ngens)])
+        assert _hom_dim(rep, conj, ell) == 1
+        assert mt.is_iso_rep(idx, conj)
+        iso_rot = mt.is_iso_rep(idx, rot)
+        assert iso_rot == (_hom_dim(rep, rot, ell) > 0)
+        if d > 1:
+            assert not iso_rot
+            word, lam = mt._nullity1_word(idx)
+            spin_decided += left_kernel(_shifted(word, rot, lam), ell).shape[0] == 1
+    # at least one negative answer came from the spin, not an early exit
+    assert spin_decided >= 1
+
+
 def test_abs_irred_certificates():
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
@@ -96,7 +142,6 @@ def test_abs_irred_certificates():
     mt.ensure_peaks()
     for i in total:
         assert mt.classes[i].abs_irred
-        assert mt.end_dim(i) == 1
 
 
 def test_socle_of_augmentation_oplus3_ell3():
@@ -200,11 +245,33 @@ def test_lattice_u4_ell3_diamond():
     assert sorted(n.dim for n in lat.nodes) == [0, 1, 10, 11, 15, 16, 24, 25, 29, 30, 39, 40]
 
 
-def test_lattice_length_bound():
+def test_lattice_length_bound(monkeypatch):
+    monkeypatch.setattr(meataxe, "LATTICE_LENGTH_BOUND", 3)
     pm = cached_pm("u", 5, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    with pytest.raises(BudgetExceededError):
-        mt.lattice(pm.ctxP, length_bound=3)
+    with pytest.raises(BudgetExceededError, match="LATTICE_LENGTH_BOUND = 3"):
+        mt.lattice(pm.ctxP)
+
+
+def test_lattice_give_up_names_its_node_budget(monkeypatch):
+    # the U4(2) diamond has 12 nodes
+    monkeypatch.setattr(meataxe, "LATTICE_NODE_BUDGET", 5)
+    pm = cached_pm("u", 4, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    with pytest.raises(BudgetExceededError, match=r"node budget exceeded \(5 nodes\)"):
+        mt.lattice(pm.ctxP)
+
+
+def test_nullity1_give_up_names_its_word_budget(monkeypatch):
+    pm = cached_pm("u", 4, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    ten = next(i for i, c in enumerate(mt.classes) if c.dim == 10)
+    mt.classes[ten].peak = mt.classes[ten].n1 = None
+    # the first word of the stream has no eigenvalue of nullity 1 on it
+    monkeypatch.setattr(meataxe, "WORD_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="dim-10 factor within 1 words"):
+        mt.is_iso_rep(ten, mt.classes[ten].rep)
 
 
 def test_determinism_same_seed_same_lattice():
@@ -237,7 +304,7 @@ def test_spin_cap_aborts():
 
 
 # ---------------------------------------------------------------------------
-# Krylov annihilators and the inverse, over the panel kernel
+# Krylov annihilators, over the panel kernel
 
 
 def _block_theta(n, s, ell, rng):
@@ -278,38 +345,3 @@ def test_krylov_annihilator_least_monic(ell, s):
 def test_krylov_annihilator_of_zero_vector():
     p, kry = krylov_annihilator(np.eye(70, dtype=np.int64), np.zeros(70, dtype=np.int64), 5)
     assert list(p) == [1] and kry.shape == (0, 70)
-
-
-def test_mat_inverse_inverts_and_refuses_singular():
-    ell = 7
-    rng = np.random.default_rng(8)
-    while True:
-        A = rng.integers(0, ell, size=(70, 70)).astype(np.int64)
-        if linalg.rank(A, ell) == 70:
-            break
-    assert np.array_equal(linalg.matmul(A, _mat_inverse(A, ell), ell), np.eye(70, dtype=np.int64))
-    S = A.copy()
-    S[69] = (2 * S[3] + S[68]) % ell
-    with pytest.raises(CertificationError):
-        _mat_inverse(S, ell)
-
-
-@pytest.mark.parametrize("family,dim,ell", [("o+", 6, 3), ("u", 4, 3), ("o-", 6, 7)])
-def test_standard_schedule_replays_its_own_spin(family, dim, ell):
-    pm = cached_pm(family, dim, ell)
-    mt = Meataxe(ell, pm.ctxP.ngens, seed=1)
-    mt.chop(pm.ctxP)
-    rng = np.random.default_rng(dim)
-    for cls in mt.classes:
-        if cls.dim == 1:
-            continue
-        seed = mt._nullity1_kernel(cls)
-        sched = _standard_schedule(cls.rep, seed)
-        # the accepted raw vectors are a basis, found in BFS order from the seed
-        assert sched.raw.shape == (cls.dim, cls.dim) and linalg.rank(sched.raw, ell) == cls.dim
-        assert sched.raw.dtype == storage_dtype(ell)
-        assert np.array_equal(sched.raw[0], seed)
-        # the identity and a scalar are homomorphisms; a random seed is not one
-        assert np.array_equal(_replay(sched, cls.rep, seed), sched.raw)
-        assert np.array_equal(_replay(sched, cls.rep, 2 * seed % ell), 2 * sched.raw % ell)
-        assert _replay(sched, cls.rep, rng.integers(0, ell, size=cls.dim)) is None
