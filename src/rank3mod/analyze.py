@@ -58,6 +58,16 @@ def canon_size(family: str, size: int) -> SpaceSpec:
     return SpaceSpec(family, size)
 
 
+def desk_scale_spec(family: str, size: int, max_p: int) -> SpaceSpec:
+    """canon_size(family, size), refused with OutOfScaleError when the
+    closed-form |P| exceeds max_p, before any point is enumerated."""
+    spec = canon_size(family, size)
+    v = closed_params(spec).v
+    if v > max_p:
+        raise OutOfScaleError(f"out of desk scale: {family} size {size} has |P| = {v} > {max_p}")
+    return spec
+
+
 def run_analysis(
     family: str,
     size: int,
@@ -69,12 +79,8 @@ def run_analysis(
     t_start = time.monotonic()
     timings: dict[str, int] = {}
     exp = expected(family, size, ell)
-    spec = canon_size(family, size)
+    spec = desk_scale_spec(family, size, max_p)
     cp = closed_params(spec)
-    if cp.v > max_p:
-        raise OutOfScaleError(
-            f"out of desk scale: {family} size {size} has |P| = {cp.v} > {max_p}"
-        )
 
     t0 = time.monotonic()
     space = build_space(spec)

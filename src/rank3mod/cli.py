@@ -12,7 +12,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .analyze import DEFAULT_MAX_P, canon_size, run_analysis
+from .analyze import DEFAULT_MAX_P, canon_size, desk_scale_spec, run_analysis
 from .errors import BudgetExceededError, CertificationError, OutOfScaleError
 from .expected import expected
 from .fields import is_odd_prime
@@ -92,14 +92,14 @@ def _emit_text(payload: dict, indent: str = ""):
 
 
 def cmd_points(args) -> int:
-    spec = canon_size(args.family, _size_of(args))
+    spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     ps = enumerate_points(build_space(spec))
     _emit({"family": args.family, "m": spec.dim, "nonsingular": ps.nP, "singular": ps.nP0}, args.format)
     return 0
 
 
 def cmd_params(args) -> int:
-    spec = canon_size(args.family, _size_of(args))
+    spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     cp = closed_params(spec)
     ps = enumerate_points(build_space(spec))
     bp = brute_params(ps)
@@ -118,7 +118,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_order(args) -> int:
-    spec = canon_size(args.family, _size_of(args))
+    spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     space = build_space(spec)
     ps = enumerate_points(space)
     gd = build_group(space, ps, seed=args.seed, certify_order=True)

@@ -43,7 +43,6 @@ from .modules import (
     ModCtx,
     QuotCtx,
     Submodule,
-    intersect_sub,
     spin,
     sub_rep,
     submodule_from_rows,
@@ -167,7 +166,6 @@ def left_kernel(M: np.ndarray, ell: int) -> np.ndarray:
 class FactorClass:
     rep: DenseRep
     dim: int
-    fingerprint: tuple[int, ...]
     peak: tuple[Word, int] | None = None  # nullity-1 AND invertible on all other classes
     n1: tuple[Word, int] | None = None    # nullity-1 on this factor alone
     abs_irred: bool = False
@@ -203,33 +201,20 @@ class Meataxe:
         self.ngens = ngens
         self.seed = seed
         self.classes: list[FactorClass] = []
-        self._fingerprint_words = self._take_words(0xF1, 16)
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
 
-    def _take_words(self, tag: int, count: int) -> list[Word]:
-        stream = word_stream(self.ngens, self.ell, self.seed, tag)
-        return [next(stream) for _ in range(count)]
-
-    # -- fingerprints and registration ------------------------------------
-
-    def _fingerprint(self, rep: DenseRep) -> tuple[int, ...]:
-        out = []
-        for w in self._fingerprint_words:
-            out.append(int(w.matrix(rep).diagonal().sum() % self.ell))
-        return tuple(out)
-
     def register(self, rep: DenseRep) -> int:
-        """Dedupe a certified-simple rep against known classes; return class index."""
-        fp = self._fingerprint(rep)
+        """Class index of a certified-simple rep: the first class of its
+        dimension that `is_iso_rep` (exact) matches, or else a new class."""
         dim = rep.dim
         for idx, cls in enumerate(self.classes):
-            if cls.dim == dim and cls.fingerprint == fp and self.is_iso_rep(idx, rep):
+            if cls.dim == dim and self.is_iso_rep(idx, rep):
                 return idx
         trivial = all(
             np.array_equal(rep.gen_matrix(i), np.eye(dim, dtype=np.int64))
             for i in range(rep.ngens)
         )
-        self.classes.append(FactorClass(rep, dim, fp, trivial=trivial))
+        self.classes.append(FactorClass(rep, dim, trivial=trivial))
         return len(self.classes) - 1
 
     # -- chop ---------------------------------------------------------------
@@ -420,11 +405,11 @@ class Meataxe:
     def socle_lines(self, action) -> dict[int, list[Submodule]]:
         """For each class: the simple submodules of `action` it is isomorphic to.
 
-        Returns dict class_idx -> [Submodule lines...].  A candidate kernel
+        Returns dict class_idx -> [Submodule lines...].  Every class must hold
+        its peak word (`lattice` runs `ensure_peaks` once).  A candidate kernel
         line is valid iff its spin has the class dimension; the count of valid
         lines must be a projective-space count.
         """
-        self.ensure_peaks()
         out = {}
         for idx, cls in enumerate(self.classes):
             word, lam = cls.peak
@@ -456,6 +441,7 @@ class Meataxe:
             raise BudgetExceededError(
                 f"composition length {length} exceeds LATTICE_LENGTH_BOUND = {LATTICE_LENGTH_BOUND}"
             )
+        self.ensure_peaks()  # the classes are final: no node of the walk registers one
         nodes: dict[bytes, LatticeNode] = {}
         order: list[bytes] = []
 
@@ -500,16 +486,18 @@ class Meataxe:
         return lat
 
     def _certify_lattice(self, lat: Lattice, ambient) -> None:
-        """Closure under sum and intersection over incomparable pairs.
+        """Closure under sum and intersection, one rank per incomparable pair.
 
-        Comparability is read off the covering edges (they are genuine
-        inclusions and complete by construction), so the sum/intersection
-        certificates run only on the incomparable pairs.
+        `below` is the transitive closure of the cover edges, and each edge is
+        a genuine inclusion, so every node above A and B contains A + B, of
+        dimension r = dim A + rank(B mod A): one of dimension r is A + B, and
+        one below both of dimension dim A + dim B - r is their intersection.
+        A containment A < B missing from `below` is refused too, as the only
+        node of dimension r = dim B above B is B itself.
         """
-        dims = {n.dim for n in lat.nodes}
+        dims = np.array([n.dim for n in lat.nodes])
         if 0 not in dims or ambient.dim not in dims:
             raise CertificationError("lattice missing 0 or the full module")
-        bykey = {n.sub.key() for n in lat.nodes}
         k = len(lat.nodes)
         pos = {n.ident: i for i, n in enumerate(lat.nodes)}
         below = np.eye(k, dtype=bool)
@@ -520,18 +508,20 @@ class Meataxe:
             if np.array_equal(new, below):
                 break
             below = new
-        subs = [n.sub for n in lat.nodes]
         for i in range(k):
             for j in range(i + 1, k):
                 if below[i, j] or below[j, i]:
                     continue
-                A, B = subs[i], subs[j]
-                for sub in (sum_sub(A, B), intersect_sub(A, B)):
-                    if sub.key() not in bykey:
-                        raise CertificationError(
-                            "lattice not closed under sum/intersection "
-                            f"(dims {A.dim},{B.dim} -> {sub.dim})"
-                        )
+                A, B = lat.nodes[i].sub, lat.nodes[j].sub
+                res = linalg.reduce_rows(B.basis, A.basis, A.pivots, self.ell)
+                r = A.dim + linalg.rank(res, self.ell)
+                meet = A.dim + B.dim - r
+                above, under = below[i] & below[j], below[:, i] & below[:, j]
+                if r not in dims[above] or meet not in dims[under]:
+                    raise CertificationError(
+                        "lattice not closed under sum/intersection "
+                        f"(dims {A.dim},{B.dim} -> {r},{meet})"
+                    )
 
     def socle_series(self, ambient, lat: Lattice) -> list[Counter]:
         """Ascending socle layers of ambient, as Counters of class indices.

@@ -94,7 +94,11 @@ class Submodule:
         )
 
     def certify_closed(self) -> None:
+        """Raise unless every generator maps the basis into its span (the
+        whole space is closed, so it returns at once)."""
         act = self.action
+        if self.dim == act.dim:
+            return
         for i in range(act.ngens):
             img = act.act_rows(self.basis, i)
             res = linalg.reduce_rows(img, self.basis, self.pivots, act.ell)
@@ -109,15 +113,16 @@ def spin(action, seeds, cap_dim: int | None = None) -> Submodule | None:
 
     Generator images are taken one BFS round at a time, and each generator's
     images are merged into the basis as one block (`linalg.rowspace_sum`);
-    the rows that block adds are the next round's.  With cap_dim the spin
-    aborts (returning None) as soon as the dimension exceeds the cap.
+    the rows that block adds are the next round's.  The rounds end when a
+    round adds nothing or the basis spans the whole space.  With cap_dim the
+    spin aborts (returning None) as soon as the dimension exceeds the cap.
     """
     ell = action.ell
     basis, pivots = linalg.rref(np.array(list(seeds)).reshape(-1, action.dim), ell)
+    if cap_dim is not None and len(pivots) > cap_dim:
+        return None
     block = basis
-    while len(block):
-        if cap_dim is not None and len(pivots) > cap_dim:
-            return None
+    while len(block) and len(pivots) < action.dim:
         found = []
         for i in range(action.ngens):
             basis, merged = linalg.rowspace_sum(basis, pivots, action.act_rows(block, i), ell)
@@ -148,11 +153,6 @@ def zero_submodule(action) -> Submodule:
 
 def sum_sub(A: Submodule, B: Submodule) -> Submodule:
     basis, piv = linalg.rowspace_sum(A.basis, A.pivots, B.basis, A.action.ell)
-    return Submodule(A.action, basis, piv)
-
-
-def intersect_sub(A: Submodule, B: Submodule) -> Submodule:
-    basis, piv = linalg.rowspace_intersect(A.basis, A.pivots, B.basis, A.action.ell)
     return Submodule(A.action, basis, piv)
 
 

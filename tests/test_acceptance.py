@@ -5,6 +5,8 @@ asserted only against a generous 10x slack so slow CI machines do not flake.
 """
 
 import contextlib
+import hashlib
+import json
 import os
 import time
 from collections import Counter
@@ -131,6 +133,27 @@ TABLE_ROWS = [
     ("u", 5, 3, {("FF", 1): 2, ("X", 55): 2, ("Z", 10): 2, ("W", 44): 1}, []),
 ]
 
+# sha256 of each row's report without timingsMs, as indented JSON
+# (`cached_analysis`, seed 0)
+TABLE_ROW_DIGESTS = {
+    ("o+", 3, 5): "6567c20fa026c8b979961eba8dc1112310a50721f7973a34c38adaf812cf0def",
+    ("o+", 3, 7): "31dbf6f0eabcad71b04d96f6a9cfd6cbaa4ef4fc2f940cf3baf55158aa11d182",
+    ("o+", 3, 3): "832c103154b78bf349b60cd62aacd6cd73f88225dc1ac5ad8188cf9b5927c06c",
+    ("o+", 4, 3): "95a5b7a150c3a4dfd7f653695ebce313dac69e0524b1bcb4c2babcb0ed19e359",
+    ("o-", 3, 5): "0884537879895724cb97d10bb1d0a8cea9400d473701e5a11f0f649fde88d965",
+    ("o-", 3, 7): "a011fd609649d7f265ef9dbb59e4f4b112feec134fc38a44eabccd78f56624a3",
+    ("o-", 4, 17): "a3d27cd91a26e985ac21878b006f39d26b320057faff4c9fe96ad00d4ef90be2",
+    ("o-", 3, 3): "13a00fb0653a9bf9e1062546515643160c4b1d24fd5beac6abcab8bd58824e72",
+    ("o-", 4, 3): "ffcb7279a93b83a3bab967f75f0d907fc2d77d95d2b9ea82442ebe12f3109b67",
+    ("u", 4, 7): "164e8931453b3f4f3a9009643e2e4811c2cd1ac5d7cc57363da075a465423812",
+    ("u", 4, 5): "cbc567bb957a0e5b1a902419184012a1e8219f80f1fc64cfa9f540493de59e9a",
+    ("u", 4, 3): "89b345a11c44f4bd2f461988971b4977a849c931d2b393c481245f3e46981b4c",
+    ("u", 6, 3): "e233787505b535ee60ae30506fd494f8b8c7bad42e092a6e4a295d35e13e3d15",
+    ("u", 5, 5): "a80ee0a2653334e936ae4e05d6b0e74f56aa3232a607eee49f1e246846db30f7",
+    ("u", 5, 11): "0c005f5bcb2ada2c426146a17f2bb2f6b30f1b12594abef8902c7ce86b55e06a",
+    ("u", 5, 3): "bc1a86effbe7bf229c6506b7a68db32a0acb767cdf563fc9aa5b26c2227de4b7",
+}
+
 
 def test_criterion_4_table_rows():
     with criterion("4 table row verifications", 60.0 * 15 + 600.0):
@@ -144,6 +167,10 @@ def test_criterion_4_table_rows():
             assert got == Counter(factors), (family, size, ell, got)
             for flag in flags:
                 assert flag in verdict["flags"]
+            report = dict(res.report)
+            report.pop("timingsMs")
+            digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+            assert digest == TABLE_ROW_DIGESTS[(family, size, ell)], (family, size, ell)
 
 
 @pytest.mark.extended

@@ -180,6 +180,33 @@ def test_cli_out_of_scale_exit(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv,size_note",
+    [
+        (["points", "--family", "o+", "--n", "4", "--max-p-size", "100"], "|P| = 120 > 100"),
+        (["params", "--family", "o+", "--n", "4", "--max-p-size", "100"], "|P| = 120 > 100"),
+        (["order", "--family", "o+", "--n", "4", "--max-p-size", "100"], "|P| = 120 > 100"),
+        (["verify", "--family", "o+", "--n", "4", "--ell", "3", "--max-p-size", "100"],
+         "|P| = 120 > 100"),
+        (["points", "--family", "u", "--dim", "9"], "|P| = 43776 > 3000"),
+    ],
+    ids=["points", "params", "order", "verify", "points-u9"],
+)
+def test_cli_max_p_size_refuses_before_enumerating(capsys, monkeypatch, argv, size_note):
+    import rank3mod.analyze as analyze
+    import rank3mod.cli as cli
+
+    def refuse(space):
+        raise AssertionError("points enumerated past --max-p-size")
+
+    monkeypatch.setattr(cli, "enumerate_points", refuse)
+    monkeypatch.setattr(analyze, "enumerate_points", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: out of desk scale" in err and size_note in err
+    assert "internal error" not in err
+
+
 def test_cli_unexpected_error_exit(capsys, monkeypatch):
     import rank3mod.cli as cli
 

@@ -79,6 +79,36 @@ def test_is_iso_on_conjugated_rep():
     assert mt.is_iso_rep(seven, conj)
 
 
+def test_register_maps_an_isomorphic_copy_to_its_class():
+    pm = cached_pm("o+", 6, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    count = len(mt.classes)
+    rng = np.random.default_rng(7)
+    for idx in range(count):
+        assert mt.register(_conjugated(mt.classes[idx].rep, 3, rng)) == idx
+    assert len(mt.classes) == count
+    # the generators of the dim-7 class rotated by one generate the same
+    # matrix algebra, so the rep is simple, but it is not isomorphic
+    seven = next(i for i, c in enumerate(mt.classes) if c.dim == 7)
+    rep = mt.classes[seven].rep
+    rot = DenseRep(3, [rep.gen_matrix((i + 1) % rep.ngens) for i in range(rep.ngens)])
+    assert _hom_dim(rep, rot, 3) == 0
+    assert mt.register(rot) == count
+    assert len(mt.classes) == count + 1 and mt.classes[count].dim == 7
+
+
+def _conjugated(rep, ell, rng):
+    """rep written in a random basis: C^-1 rep(g) C for a random invertible C."""
+    d = rep.dim
+    while True:
+        C = rng.integers(0, ell, size=(d, d)).astype(np.int64)
+        if linalg.rank(C, ell) == d:
+            break
+    Cinv = _inv_mod(C, ell).astype(np.int64)
+    return DenseRep(ell, [(Cinv @ rep.gen_matrix(i) @ C) % ell for i in range(rep.ngens)])
+
+
 def _inv_mod(A, ell):
     from rank3mod import linalg
 
@@ -116,12 +146,7 @@ def test_is_iso_rep_matches_hom_reference(family, dim):
         if cls.dim > 14:
             continue
         rep, d = cls.rep, cls.dim
-        while True:
-            C = rng.integers(0, ell, size=(d, d)).astype(np.int64)
-            if linalg.rank(C, ell) == d:
-                break
-        Cinv = _inv_mod(C, ell).astype(np.int64)
-        conj = DenseRep(ell, [(Cinv @ rep.gen_matrix(i) @ C) % ell for i in range(rep.ngens)])
+        conj = _conjugated(rep, ell, rng)
         rot = DenseRep(ell, [rep.gen_matrix((i + 1) % rep.ngens) for i in range(rep.ngens)])
         assert _hom_dim(rep, conj, ell) == 1
         assert mt.is_iso_rep(idx, conj)
@@ -214,6 +239,52 @@ def test_socle_series_refuses_a_lattice_with_a_node_or_an_edge_removed():
     (soc,) = [n for n in lat.nodes if n.dim == soc_dim and n.factors == first]
     with pytest.raises(CertificationError):
         mt.socle_series(pm.ctxP, _without(lat, ident=soc.ident))
+
+
+def test_certify_lattice_refuses_a_lattice_with_a_node_or_an_edge_removed():
+    # O+6(2), ell = 5: the boolean lattice of three simple summands
+    pm = cached_pm("o+", 6, 5)
+    mt = Meataxe(5, pm.ctxP.ngens, seed=0)
+    lat = mt.lattice(pm.ctxP)
+    assert len(lat.nodes) == 8 and len(lat.edges) == 12
+    mt._certify_lattice(lat, pm.ctxP)
+    for node in lat.nodes:
+        with pytest.raises(CertificationError):
+            mt._certify_lattice(_without(lat, ident=node.ident), pm.ctxP)
+    for edge in lat.edges:
+        with pytest.raises(CertificationError):
+            mt._certify_lattice(_without(lat, edge=edge), pm.ctxP)
+    # O+6(2), ell = 3: the uniserial X - Z - X zero-sum submodule, where a
+    # missing middle node or edge leaves two nested nodes looking incomparable
+    pm = cached_pm("o+", 6, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    rep = sub_rep(pm.distinguished()[0])
+    lat = mt.lattice(rep)
+    assert sorted(n.dim for n in lat.nodes) == [0, 7, 20, 27]
+    mt._certify_lattice(lat, rep)
+    for node in lat.nodes:
+        if 0 < node.dim < rep.dim:
+            with pytest.raises(CertificationError):
+                mt._certify_lattice(_without(lat, ident=node.ident), rep)
+    for edge in lat.edges:
+        with pytest.raises(CertificationError):
+            mt._certify_lattice(_without(lat, edge=edge), rep)
+
+
+def test_lattice_runs_ensure_peaks_once(monkeypatch):
+    calls = []
+    ensure_peaks = Meataxe.ensure_peaks
+
+    def counted(self):
+        calls.append(1)
+        ensure_peaks(self)
+
+    monkeypatch.setattr(Meataxe, "ensure_peaks", counted)
+    pm = cached_pm("u", 4, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    lat = mt.lattice(pm.ctxP)
+    assert len(lat.nodes) == 12 and len(calls) == 1
 
 
 def test_lattice_boolean_for_multiplicity_free_semisimple():

@@ -9,7 +9,6 @@ from rank3mod.geometry import SpaceSpec, closed_params, quadratic_roots
 from rank3mod.modules import (
     DenseRep,
     QuotCtx,
-    intersect_sub,
     spin,
     submodule_from_rows,
     sum_sub,
@@ -229,10 +228,10 @@ def test_distinguished_sum_behaviour():
     pm5 = cached_pm("o+", 6, 5)
     S, T = pm5.distinguished()
     assert not S.contains(T)
-    assert intersect_sub(S, T).dim == 0
+    assert linalg.rowspace_intersect(S.basis, S.pivots, T.basis, 5)[0].shape[0] == 0
     pm3 = cached_pm("u", 5, 3)  # 176 = 2 mod 3
     S, T = pm3.distinguished()
-    assert intersect_sub(S, T).dim == 0
+    assert linalg.rowspace_intersect(S.basis, S.pivots, T.basis, 3)[0].shape[0] == 0
     assert sum_sub(S, T).dim == 176
 
 
@@ -243,6 +242,24 @@ def test_perp_properties():
     assert P.dim == 28 - U2.dim
     assert submodule_from_rows(pm.ctxP, linalg.nullspace(P.basis, 5)) == U2
     P.certify_closed()
+
+
+def test_certify_closed_refuses_a_line_that_is_not_invariant():
+    pm = cached_pm("o+", 6, 3)
+    rng = np.random.default_rng(3)
+    v = rng.integers(0, 3, size=(1, 28))
+    v[0, 0] = 1
+    assert not linalg.in_rowspace(np.ones((1, 28), dtype=np.int64), *linalg.rref(v, 3), 3)
+    with pytest.raises(CertificationError):
+        submodule_from_rows(pm.ctxP, v)
+
+
+def test_spin_to_everything_returns_the_identity_basis():
+    # the group is transitive on P, so one point spins to all of F_ell[P]
+    pm = cached_pm("o+", 6, 3)
+    W = spin(pm.ctxP, [np.eye(28, dtype=np.int64)[5]])
+    assert np.array_equal(W.basis, np.eye(28, dtype=W.basis.dtype))
+    assert np.array_equal(W.pivots, np.arange(28))
 
 
 def test_graph_submodules_orthogonal():
@@ -259,7 +276,7 @@ def test_sum_intersect_of_graph_submodules():
     B = pm.graph_submodule(-4)
     S, _T = pm.distinguished()
     assert sum_sub(A, B) == S
-    assert intersect_sub(A, B).dim == 0
+    assert linalg.rowspace_intersect(A.basis, A.pivots, B.basis, 5)[0].shape[0] == 0
 
 
 def test_quotient_certified_and_dims():
