@@ -39,16 +39,20 @@ EXTENDED_INSTANCES = [(UNITARY, 7, 3)]
 OUT_OF_SCALE_INSTANCES = [(UNITARY, 9, 3)]
 
 
-def _add_common(p: argparse.ArgumentParser, need_ell: bool):
+def _add_common(p: argparse.ArgumentParser, ell=False, seed=False, max_p=True, skip_order=False):
+    """The flags of one command; a command gets only those it reads."""
     p.add_argument("--family", required=True, choices=[OPLUS, OMINUS, UNITARY])
     p.add_argument("--dim", type=int, help="ambient dimension m")
     p.add_argument("--n", type=int, help="half-dimension n (orthogonal families)")
-    if need_ell:
+    if ell:
         p.add_argument("--ell", type=int, required=True, help="odd prime coefficient characteristic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-p-size", type=int, default=DEFAULT_MAX_P)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if max_p:
+        p.add_argument("--max-p-size", type=int, default=DEFAULT_MAX_P)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--skip-order", action="store_true")
+    if skip_order:
+        p.add_argument("--skip-order", action="store_true")
 
 
 def _size_of(args) -> int:
@@ -237,16 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
         "for O(2n,2)+/- and U(m,2), verified against the structure tables.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, need_ell in [
-        ("points", cmd_points, False),
-        ("params", cmd_params, False),
-        ("order", cmd_order, False),
-        ("analyze", cmd_analyze, True),
-        ("expect", cmd_expect, True),
-        ("verify", cmd_verify, True),
+    analysis = {"ell": True, "seed": True, "skip_order": True}
+    for name, fn, flags in [
+        ("points", cmd_points, {}),
+        ("params", cmd_params, {}),
+        ("order", cmd_order, {"seed": True}),
+        ("analyze", cmd_analyze, analysis),
+        ("expect", cmd_expect, {"ell": True, "max_p": False}),
+        ("verify", cmd_verify, analysis),
     ]:
         p = sub.add_parser(name)
-        _add_common(p, need_ell)
+        _add_common(p, **flags)
         p.set_defaults(func=fn)
     p = sub.add_parser("suite")
     p.add_argument("--extended", action="store_true", help="include the U_7(2) instance")

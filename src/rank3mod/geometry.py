@@ -20,16 +20,20 @@ every nonsingular point has norm exactly 1 no matter the representative.
 
 Coordinates are stored as small numpy code arrays (F2: 0/1, F4: 2-bit codes);
 a point's canonical representative scales the first nonzero coordinate to 1.
+Each point is also kept as uint64 bit masks, one over F2 and two over F4 (the
+constant and the t plane of its coordinates), and the forms are evaluated on
+those as parities of AND-ed masks.  The nonsingularity test is all that
+enumerate_points evaluates; the Delta-adjacency and the P x P0 orthogonality
+are built from the masks only when a caller first reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-from .fields import GF4_CONJ, GF4_MUL
 
 OPLUS = "o+"
 OMINUS = "o-"
@@ -102,25 +106,9 @@ def build_space(spec: SpaceSpec) -> Space:
 # ---------------------------------------------------------------------------
 # form evaluation
 
-
-def bilinear(space: Space, u: np.ndarray, v: np.ndarray) -> int:
-    """(u, v): symmetric bilinear over F2, hermitian over F4 (code returned)."""
-    if space.q == 2:
-        return int(u.astype(np.int64) @ space.gram.astype(np.int64) @ v.astype(np.int64) % 2)
-    acc = 0
-    for i in range(space.dim):
-        for j in range(space.dim):
-            if space.gram[i, j]:
-                acc ^= GF4_MUL[GF4_MUL[u[i], GF4_CONJ[v[j]]], space.gram[i, j]]
-    return int(acc)
-
-
-def quadratic(space: Space, u: np.ndarray) -> int:
-    """Q(u) for the orthogonal families."""
-    if space.qvals is None:
-        raise ValueError("quadratic form requested on a unitary space")
-    upper = np.triu(space.gram, 1)
-    return int((u @ space.qvals + u @ upper @ u) % 2)
+# rows of an incidence matrix built at a time: no |P| x |P| temporary wider
+# than one byte is ever formed
+ROW_BLOCK = 256
 
 
 def _f4_split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,21 +131,60 @@ def f4_pair_form(space: Space, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray
     return c, t
 
 
-def _f4_norms(space: Space, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian norms (v_i, v_i), rowwise."""
-    G = space.gram.astype(np.int64)
-    v0, v1 = _f4_split(V)
-    c = (((v0 @ G) * (v0 + v1)).sum(axis=1) + ((v1 @ G) * v1).sum(axis=1)) % 2
-    t = (((v0 @ G) * v1).sum(axis=1) + ((v1 @ G) * v0).sum(axis=1)) % 2
+def _masks(V: np.ndarray, q: int) -> np.ndarray:
+    """Coordinate rows as uint64 bit masks, planes first: (1, k) over F2, and
+    (2, k) over F4, the constant plane and the t plane."""
+    bits = np.uint64(1) << np.arange(V.shape[1], dtype=np.uint64)
+    planes = [V] if q == 2 else [V & 1, V >> 1]
+    return np.stack([p.astype(np.uint64) @ bits for p in planes])
+
+
+def _par(x: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(x) & 1
+
+
+def _apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Masks of A x for a 0/1 matrix A and masks X: bit i is (row i of A) . x."""
+    out = np.zeros_like(X)
+    for i, row in enumerate(_masks(A, 2)[0]):
+        out |= _par(X & row).astype(np.uint64) << np.uint64(i)
+    return out
+
+
+def _pair_form(u: np.ndarray, gv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) as (constant, t) parities from the masks of u and of G v.
+
+    Over F4 this is the algebra of f4_pair_form; over F2 the t part is 0.
+    """
+    if len(u) == 1:
+        return _par(u[0] & gv[0]), 0
+    c = _par((u[0] & (gv[0] ^ gv[1])) ^ (u[1] & gv[1]))
+    t = _par((u[0] & gv[1]) ^ (u[1] & gv[0]))
     return c, t
+
+
+def _orthogonal(space: Space, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """bool (|U|, |V|): whether (u_i, v_j) = 0, for point masks U and V.
+
+    Built ROW_BLOCK rows at a time.
+    """
+    GV = _apply(space.gram, V)[:, None, :]
+    out = np.empty((U.shape[1], V.shape[1]), dtype=bool)
+    for lo in range(0, U.shape[1], ROW_BLOCK):
+        c, t = _pair_form(U[:, lo:lo + ROW_BLOCK, None], GV)
+        out[lo:lo + ROW_BLOCK] = (c | t) == 0
+    return out
 
 
 @dataclass
 class PointSets:
     """Indexed nonsingular (P) and singular (P0) points with adjacency data.
 
-    adj is the Delta-relation on P under the family convention; cross marks
-    orthogonal pairs between P and P0 (the Lambda/Gamma incidence).
+    Each point is kept as its coordinate codes and as uint64 bit masks (one
+    per F2 plane of its coordinates).  The two incidences are built from the
+    masks the first time they are read, and then kept: adj is the
+    Delta-relation on P under the family convention; cross marks orthogonal
+    pairs between P and P0 (the Lambda/Gamma incidence).
     """
 
     space: Space
@@ -165,8 +192,8 @@ class PointSets:
     P0: np.ndarray         # (|P0|, m)
     P_codes: np.ndarray    # packed integer per point, increasing: the lookup index
     P0_codes: np.ndarray
-    adj: np.ndarray        # bool (|P|, |P|)
-    cross: np.ndarray      # bool (|P|, |P0|)
+    P_masks: np.ndarray    # uint64 (planes, |P|)
+    P0_masks: np.ndarray   # uint64 (planes, |P0|)
 
     @property
     def nP(self) -> int:
@@ -175,6 +202,20 @@ class PointSets:
     @property
     def nP0(self) -> int:
         return len(self.P0_codes)
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        """bool (|P|, |P|), with a False diagonal: over F2 (v, v) = 0, so v is
+        orthogonal to itself, and over F4 (v, v) = 1 on P."""
+        adj = _orthogonal(self.space, self.P_masks, self.P_masks)
+        if self.space.q == 2:
+            np.logical_not(adj, out=adj)
+        return adj
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """bool (|P|, |P0|)"""
+        return _orthogonal(self.space, self.P_masks, self.P0_masks)
 
 
 def _all_projective_reps(q: int, m: int) -> np.ndarray:
@@ -195,42 +236,26 @@ def pack_codes(V: np.ndarray, q: int) -> np.ndarray:
 
 
 def enumerate_points(space: Space) -> PointSets:
-    q, m = space.q, space.dim
-    reps = _all_projective_reps(q, m)
+    q = space.q
+    reps = _all_projective_reps(q, space.dim)
+    codes = pack_codes(reps, q)
+    order = np.argsort(codes)
+    reps, codes = reps[order], codes[order]
+    M = _masks(reps, q)
     if q == 2:
-        upper = np.triu(space.gram, 1).astype(np.int64)
-        R = reps.astype(np.int64)
-        qv = (R @ space.qvals.astype(np.int64) + ((R @ upper) * R).sum(axis=1)) % 2
-        nonsing = qv == 1
+        # Q(v) = (qvals . v) + v^T U v for the strict upper triangle U of the Gram matrix
+        qmask = _masks(space.qvals[None, :], 2)[0, 0]
+        nonsing = _par(M[0] & (qmask ^ _apply(np.triu(space.gram, 1), M)[0])) == 1
     else:
-        norms_c, norms_t = _f4_norms(space, reps)
+        norms_c, norms_t = _pair_form(M, _apply(space.gram, M))
         # the norm is conjugation-fixed, hence has no t-part
         if norms_t.any():
             raise AssertionError("hermitian norm left the prime field")
         nonsing = norms_c == 1
-    P, P0 = reps[nonsing], reps[~nonsing]
-    P_codes, P0_codes = pack_codes(P, q), pack_codes(P0, q)
-    oP, oP0 = np.argsort(P_codes), np.argsort(P0_codes)
-    P, P_codes = P[oP], P_codes[oP]
-    P0, P0_codes = P0[oP0], P0_codes[oP0]
-
-    if q == 2:
-        G = space.gram.astype(np.int64)
-        B = (P.astype(np.int64) @ G @ P.astype(np.int64).T) % 2
-        orth_PP = B == 0
-        BX = (P.astype(np.int64) @ G @ P0.astype(np.int64).T) % 2
-        cross = BX == 0
-        adj = ~orth_PP
-        np.fill_diagonal(adj, False)
-    else:
-        c, t = f4_pair_form(space, P, P)
-        orth_PP = (c == 0) & (t == 0)
-        cx, tx = f4_pair_form(space, P, P0)
-        cross = (cx == 0) & (tx == 0)
-        adj = orth_PP.copy()
-        np.fill_diagonal(adj, False)
-
-    return PointSets(space, P, P0, P_codes, P0_codes, adj, cross)
+    sing = ~nonsing
+    return PointSets(
+        space, reps[nonsing], reps[sing], codes[nonsing], codes[sing], M[:, nonsing], M[:, sing]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import rank3mod
+from rank3mod import geometry
 from rank3mod.analyze import diagram_iso, run_analysis, verify_result
 from rank3mod.cli import main
 from rank3mod.errors import BudgetExceededError, CertificationError, OutOfScaleError
@@ -318,3 +324,110 @@ def test_former_peak_word_give_ups_pass(capsys, family, seed):
     args = ["--family", family, "--n", "3", "--ell", "3", "--seed", str(seed)]
     assert main(["verify", *args]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"]["match"]
+
+
+# ---------------------------------------------------------------------------
+# each command takes only the flags it reads
+
+O6 = ["--family", "o+", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", *O6, "--skip-order"],
+        ["points", *O6, "--seed", "1"],
+        ["points", *O6, "--skip-order"],
+        ["params", *O6, "--seed", "1"],
+        ["params", *O6, "--skip-order"],
+        ["expect", *O6, "--ell", "5", "--seed", "9"],
+        ["expect", *O6, "--ell", "5", "--max-p-size", "1"],
+        ["expect", *O6, "--ell", "5", "--skip-order"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-1].isdigit() else argv[-1]}",
+)
+def test_cli_refuses_a_flag_the_command_ignores(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["points", *O6, "--max-p-size", "100", "--format", "text"],
+        ["params", "--family", "o+", "--dim", "6", "--max-p-size", "100", "--format", "text"],
+        ["order", *O6, "--seed", "7", "--max-p-size", "100", "--format", "text"],
+        ["expect", *O6, "--ell", "5", "--format", "text"],
+        ["analyze", *O6, "--ell", "5", "--seed", "1", "--max-p-size", "100", "--skip-order",
+         "--format", "text"],
+        ["verify", *O6, "--ell", "5", "--seed", "1", "--max-p-size", "100", "--skip-order",
+         "--format", "text"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_accepts_the_flags_the_command_reads(capsys, argv):
+    assert main(argv) == 0
+
+
+# ---------------------------------------------------------------------------
+# the incidence matrices are built only when read
+
+
+def _record_incidences(monkeypatch) -> list[int]:
+    """Patch the incidence builder to log |V| of each matrix it builds."""
+    built = []
+    real = geometry._orthogonal
+
+    def record(space, U, V):
+        built.append(V.shape[1])
+        return real(space, U, V)
+
+    monkeypatch.setattr(geometry, "_orthogonal", record)
+    return built
+
+
+@pytest.mark.parametrize("command", ["order", "points"])
+@pytest.mark.parametrize("size", [["--family", "o+", "--n", "4"], ["--family", "u", "--dim", "5"]],
+                         ids=["o+8", "u5"])
+def test_order_and_points_build_no_incidence(capsys, monkeypatch, command, size):
+    def refuse(*args):
+        raise AssertionError("an incidence matrix was built")
+
+    monkeypatch.setattr(geometry, "_orthogonal", refuse)
+    assert main([command, *size]) == 0
+
+
+def test_params_builds_the_adjacency_only(capsys, monkeypatch):
+    built = _record_incidences(monkeypatch)
+    assert main(["params", "--family", "o+", "--n", "4"]) == 0
+    assert built == [120]  # |P| = 120, |P0| = 135
+
+
+def test_one_analysis_builds_each_incidence_once(monkeypatch):
+    built = _record_incidences(monkeypatch)
+    run_analysis("o+", 3, 3, seed=5)
+    assert sorted(built) == [28, 35]  # |P|, |P0|
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the Linux VmHWM")
+def test_order_peak_memory_stays_small():
+    # The child's own peak is the high-water mark of its own address space
+    # (VmHWM).  Its ru_maxrss would not do: Linux carries into it the peak of
+    # the address space that exec replaced, here this test process's, and
+    # RUSAGE_CHILDREN would carry other tests' children.
+    code = (
+        "import contextlib, io\n"
+        "from rank3mod.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['order', '--family', 'o+', '--n', '6', '--seed', '1'])\n"
+        "hwm = next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))\n"
+        "print(rc, hwm.split()[1])\n"
+    )
+    src = str(Path(rank3mod.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=600)
+    rc, peak_kib = map(int, out.stdout.split())
+    assert rc == 0
+    assert peak_kib / 1024 < 96  # MiB; 133 when every request built both incidences

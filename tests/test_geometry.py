@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rank3mod import geometry
 from rank3mod.fields import GF4_CONJ, GF4_MUL, GF4_T, GF4_T2
 from rank3mod.geometry import (
     OMINUS,
@@ -16,42 +17,22 @@ from rank3mod.geometry import (
     UNITARY,
     Rank3Params,
     SpaceSpec,
-    bilinear,
     brute_params,
     build_space,
     closed_params,
     enumerate_points,
-    quadratic,
+    f4_pair_form,
     quadratic_roots,
     root_pattern,
 )
+
+from conftest import naive_form, naive_quadratic
 
 DESK = [
     (OPLUS, 6), (OPLUS, 8), (OPLUS, 10),
     (OMINUS, 6), (OMINUS, 8), (OMINUS, 10),
     (UNITARY, 4), (UNITARY, 5), (UNITARY, 6), (UNITARY, 7),
 ]
-
-
-def naive_quadratic(space, v):
-    """Reference Q: sum of qvals on support plus pairwise bilinear terms."""
-    total = 0
-    m = space.dim
-    for i in range(m):
-        total ^= int(v[i]) * int(space.qvals[i])
-    for i in range(m):
-        for j in range(i + 1, m):
-            total ^= int(v[i]) * int(v[j]) * int(space.gram[i, j])
-    return total
-
-
-def naive_hermitian(space, u, v):
-    acc = 0
-    for i in range(space.dim):
-        for j in range(space.dim):
-            if space.gram[i, j]:
-                acc ^= GF4_MUL[GF4_MUL[u[i], GF4_CONJ[v[j]]], space.gram[i, j]]
-    return int(acc)
 
 
 def test_spec_validation():
@@ -76,36 +57,33 @@ def test_standard_bases():
         for j in range(n):
             e_i = np.eye(6, dtype=np.uint8)[i]
             f_j = np.eye(6, dtype=np.uint8)[n + j]
-            assert bilinear(plus, e_i, f_j) == (1 if i == j else 0)
-            assert bilinear(plus, e_i, np.eye(6, dtype=np.uint8)[j]) == 0
+            assert naive_form(plus, e_i, f_j) == (1 if i == j else 0)
+            assert naive_form(plus, e_i, np.eye(6, dtype=np.uint8)[j]) == 0
     # all basis vectors singular for plus type; Q(e_n) = Q(f_n) = 1 for minus
-    assert all(quadratic(plus, np.eye(6, dtype=np.uint8)[k]) == 0 for k in range(6))
-    qm = [quadratic(minus, np.eye(6, dtype=np.uint8)[k]) for k in range(6)]
+    assert all(naive_quadratic(plus, np.eye(6, dtype=np.uint8)[k]) == 0 for k in range(6))
+    qm = [naive_quadratic(minus, np.eye(6, dtype=np.uint8)[k]) for k in range(6)]
     assert qm == [0, 0, 1, 0, 0, 1]
     # odd unitary: (g, g) = 1 and g orthogonal to everything else
     g = np.eye(5, dtype=np.uint8)[4]
-    assert naive_hermitian(u5, g, g) == 1
+    assert naive_form(u5, g, g) == 1
     for k in range(4):
-        assert naive_hermitian(u5, g, np.eye(5, dtype=np.uint8)[k]) == 0
+        assert naive_form(u5, g, np.eye(5, dtype=np.uint8)[k]) == 0
 
 
 def test_eval_form_examples():
     plus = build_space(SpaceSpec(OPLUS, 6))
     e1f1 = np.zeros(6, dtype=np.uint8)
     e1f1[0] = e1f1[3] = 1
-    assert quadratic(plus, e1f1) == 1
+    assert naive_quadratic(plus, e1f1) == 1
     minus = build_space(SpaceSpec(OMINUS, 6))
     e3f3 = np.zeros(6, dtype=np.uint8)
     e3f3[2] = e3f3[5] = 1
-    assert quadratic(minus, e3f3) == 1
+    assert naive_quadratic(minus, e3f3) == 1
     u4 = build_space(SpaceSpec(UNITARY, 4))
     v = np.zeros(4, dtype=np.uint8)
     v[0] = 1
     v[2] = GF4_T  # e1 + t f1
-    assert naive_hermitian(u4, v, v) == 1  # t + t^2 = 1: nonsingular
-    assert bilinear(u4, v, v) == 1
-    with pytest.raises(ValueError):
-        quadratic(u4, v)
+    assert naive_form(u4, v, v) == 1  # t + t^2 = 1: nonsingular
 
 
 def test_hermitian_conjugate_symmetry():
@@ -114,8 +92,7 @@ def test_hermitian_conjugate_symmetry():
     for _ in range(30):
         u = rng.integers(0, 4, size=4).astype(np.uint8)
         v = rng.integers(0, 4, size=4).astype(np.uint8)
-        assert naive_hermitian(u4, u, v) == GF4_CONJ[naive_hermitian(u4, v, u)]
-        assert bilinear(u4, u, v) == naive_hermitian(u4, u, v)
+        assert naive_form(u4, u, v) == GF4_CONJ[naive_form(u4, v, u)]
 
 
 def naive_point_counts(space):
@@ -132,7 +109,7 @@ def naive_point_counts(space):
         if q == 2:
             value = naive_quadratic(space, v)
         else:
-            value = naive_hermitian(space, v, v)
+            value = naive_form(space, v, v)
         if value:
             nonsing += 1
         else:
@@ -200,11 +177,11 @@ def test_delta_convention_per_family():
     plus = build_space(SpaceSpec(OPLUS, 6))
     psp = enumerate_points(plus)
     i, j = 0, int(np.nonzero(psp.adj[0])[0][0])
-    assert bilinear(plus, psp.P[i], psp.P[j]) == 1
+    assert naive_form(plus, psp.P[i], psp.P[j]) == 1
     u4 = build_space(SpaceSpec(UNITARY, 4))
     psu = enumerate_points(u4)
     i, j = 0, int(np.nonzero(psu.adj[0])[0][0])
-    assert naive_hermitian(u4, psu.P[i], psu.P[j]) == 0
+    assert naive_form(u4, psu.P[i], psu.P[j]) == 0
 
 
 def test_point_normalisation_unique():
@@ -228,6 +205,51 @@ def test_cross_incidence_counts():
     naive = sum(
         1
         for j in range(ps.nP0)
-        if bilinear(space, ps.P[0], ps.P0[j]) == 0
+        if naive_form(space, ps.P[0], ps.P0[j]) == 0
     )
     assert lam == naive == 2**4 - 1
+
+
+def _expected_adj(family, orth_PP):
+    """The Delta-relation from the table of orthogonal pairs in P, by the family convention."""
+    adj = orth_PP.copy() if family == UNITARY else ~orth_PP
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@pytest.mark.parametrize(
+    "family,dim", [(OPLUS, 6), (OMINUS, 6), (OPLUS, 8), (OMINUS, 8), (UNITARY, 4), (UNITARY, 5)]
+)
+def test_incidences_match_the_pair_by_pair_form(family, dim):
+    space = build_space(SpaceSpec(family, dim))
+    ps = enumerate_points(space)
+    P, P0 = ps.P.tolist(), ps.P0.tolist()
+    orth_PP = np.array([[naive_form(space, u, v) == 0 for v in P] for u in P])
+    orth_PP0 = np.array([[naive_form(space, u, v) == 0 for v in P0] for u in P])
+    assert ps.adj.dtype == ps.cross.dtype == bool
+    assert np.array_equal(ps.adj, _expected_adj(family, orth_PP))
+    assert np.array_equal(ps.cross, orth_PP0)
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 10), (OMINUS, 10), (UNITARY, 6)])
+def test_incidences_match_the_gram_product(family, dim):
+    # f4_pair_form on F2 codes has a zero t part and the F2 form as its
+    # constant part
+    space = build_space(SpaceSpec(family, dim))
+    ps = enumerate_points(space)
+    orth_PP, orth_PP0 = [
+        (c == 0) & (t == 0) for c, t in (f4_pair_form(space, ps.P, V) for V in (ps.P, ps.P0))
+    ]
+    assert np.array_equal(ps.adj, _expected_adj(family, orth_PP))
+    assert np.array_equal(ps.cross, orth_PP0)
+
+
+def test_incidences_are_built_blockwise_once(monkeypatch):
+    # blocks that do not divide |P| give the same matrices, and a second read
+    # returns the kept matrix
+    space = build_space(SpaceSpec(UNITARY, 5))
+    want = enumerate_points(space)
+    monkeypatch.setattr(geometry, "ROW_BLOCK", 7)
+    ps = enumerate_points(space)
+    assert np.array_equal(ps.adj, want.adj) and np.array_equal(ps.cross, want.cross)
+    assert ps.adj is ps.adj and ps.cross is ps.cross

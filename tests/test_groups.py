@@ -9,14 +9,13 @@ from rank3mod.geometry import (
     SpaceSpec,
     build_space,
     closed_params,
-    quadratic,
 )
 import inspect
 
 from rank3mod import groups
 from rank3mod.errors import CertificationError
 from rank3mod.fields import GF4_MUL
-from rank3mod.geometry import bilinear, pack_codes
+from rank3mod.geometry import pack_codes
 from rank3mod.groups import (
     StabilizerChain,
     build_group,
@@ -35,7 +34,7 @@ from rank3mod.groups import (
     vector_action_domain,
 )
 
-from conftest import cached_setup
+from conftest import cached_setup, naive_form, naive_quadratic
 
 
 def test_transvection_examples():
@@ -50,7 +49,7 @@ def test_transvection_examples():
     # t preserves Q on all 63 nonzero vectors
     for code in range(1, 64):
         x = np.array([(code >> k) & 1 for k in range(6)], dtype=np.uint8)
-        assert quadratic(space, (x @ t) % 2) == quadratic(space, x)
+        assert naive_quadratic(space, (x @ t) % 2) == naive_quadratic(space, x)
     # involution
     assert ((t @ t) % 2 == np.eye(6, dtype=np.int64)).all()
 
@@ -401,10 +400,10 @@ def _loop_is_isometry(space, M):
     m = space.dim
     for i in range(m):
         for j in range(m):
-            if bilinear(space, M[i], M[j]) != int(space.gram[i, j]):
+            if naive_form(space, M[i], M[j]) != int(space.gram[i, j]):
                 return False
     if space.q == 2:
-        return all(quadratic(space, M[i]) == int(space.qvals[i]) for i in range(m))
+        return all(naive_quadratic(space, M[i]) == int(space.qvals[i]) for i in range(m))
     return True
 
 
@@ -448,7 +447,7 @@ def _reference_candidates(space, points):
         for mu in [1] if space.q == 2 else [GF4_T ^ 1, GF4_T2 ^ 1]:
             M = eye.copy()
             for i in range(space.dim):
-                M[i] ^= GF4_MUL[GF4_MUL[mu, bilinear(space, eye[i], rep)], rep]
+                M[i] ^= GF4_MUL[GF4_MUL[mu, naive_form(space, eye[i], rep)], rep]
             yield M
 
 
