@@ -2,9 +2,10 @@
 comparison of the computed structure against the table expectations.
 
 run_analysis() certifies as it goes (brute-force vs closed parameters, root
-patterns, Schreier-Sims order vs formula order, rank-3 orbitals, the graph
-operator cross-checks, socle/chop consistency, lattice perp anti-automorphism
-and graph-submodule minimality) and raises on any certification failure.
+patterns, Schreier-Sims order vs formula order, rank-3 orbitals, the
+generating pair the module work runs on, the graph operator cross-checks,
+socle/chop consistency, lattice perp anti-automorphism and graph-submodule
+minimality) and raises on any certification failure.
 verify_result() then compares factors, socle layers, and the lattice diagram
 against expected(), arbitrating known-typo readings by the computed values.
 """
@@ -32,7 +33,7 @@ from .geometry import (
     quadratic_roots,
     root_pattern,
 )
-from .groups import build_group, rank_and_orbitals
+from .groups import build_group, generating_pair, rank_and_orbitals
 from .meataxe import Lattice, Meataxe
 from .modules import PermModule, submodule_from_rows
 
@@ -101,15 +102,16 @@ def run_analysis(
         raise CertificationError(f"rank-3 certification failed: {orb}")
     if orb["suborbits"] != sorted([1, cp.a, cp.b]):
         raise CertificationError(f"suborbit sizes {orb['suborbits']} != {{1, a, b}}")
+    pair = generating_pair(gd, points, seed=seed)
     timings["group"] = _ms_since(t0)
 
     t0 = time.monotonic()
-    pm = PermModule(points, ell, perms_P, [p.on_P0 for p in gd.pairs])
+    pm = PermModule(points, ell, [p.on_P for p in pair], [p.on_P0 for p in pair])
     _graph_operator_checks(pm, cp)
     timings["modules"] = _ms_since(t0)
 
     t0 = time.monotonic()
-    mt = Meataxe(ell, len(perms_P), seed=seed)
+    mt = Meataxe(ell, len(pair), seed=seed)
     total = mt.chop(pm.ctxP)
     if sum(mt.classes[i].dim * m for i, m in total.items()) != cp.v:
         raise CertificationError("composition factor dimensions do not sum to |P|")
@@ -148,7 +150,11 @@ def _ms_since(t0: float) -> int:
 
 def _graph_operator_checks(pm: PermModule, params) -> None:
     """Adjacency-algebra identity (small v), graph-map equivariance, and the
-    image constraints of the singular/nonsingular cross maps."""
+    image constraints of the singular/nonsingular cross maps.
+
+    Equivariance is checked on the module's generators, the certified
+    generating pair: invariance under a generating set is invariance
+    under G."""
     ell = pm.ell
     v = pm.ctxP.dim
     A = pm._adj

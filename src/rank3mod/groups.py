@@ -37,6 +37,11 @@ Candidate generators are built and isometry-checked a block of
 representatives at a time; their images on the domain are found through a
 dense code -> index table.
 
+The module work runs on two generators (`generating_pair`): two random
+words in the kept generators, certified to generate G on P by a fresh chain
+whose orbit lower bound reaches the order of G on P, as in the fullness
+argument above.
+
 Rank and suborbits are certified on P by orbital closure (min-label
 propagation on P x P), which needs no stabiliser generators.
 """
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError
+from .errors import BudgetExceededError, CertificationError
 from .fields import GF4_CONJ, GF4_MUL, GF4_T, GF4_T2
 from .geometry import (
     OPLUS,
@@ -630,6 +635,72 @@ def build_group(
 
 
 # ---------------------------------------------------------------------------
+# a certified generating pair for the module work
+
+PAIR_WORD_LENGTHS = (15, 25)  # inclusive bounds of a pair word's length
+PAIR_DRAWS = 16  # pairs drawn before generating_pair gives up
+PAIR_ROUNDS = 8  # quiet random sifts after which a pair's chain counts as stalled
+
+
+def _pair_words(rng: np.random.Generator, ngens: int) -> list[np.ndarray]:
+    lo, hi = PAIR_WORD_LENGTHS
+    return [rng.integers(0, ngens, size=int(rng.integers(lo, hi + 1))) for _ in range(2)]
+
+
+def word_perm(pairs: list[PermPair], word) -> PermPair:
+    """The permutations on P and P0 of the product of pairs[i] over i in word,
+    in word order (right action: the first letter acts first)."""
+    on_P, on_P0 = np.arange(len(pairs[0].on_P)), np.arange(len(pairs[0].on_P0))
+    for i in word:
+        on_P, on_P0 = pairs[i].on_P[on_P], pairs[i].on_P0[on_P0]
+    return PermPair(on_P, on_P0)
+
+
+def _pair_bound(perms: list[np.ndarray], target: int, seed: int = 0) -> int:
+    """Orbit lower bound of a fresh chain grown on perms until it reaches
+    target or a batch of PAIR_ROUNDS quiet random sifts adds nothing.
+
+    perms lie in a group of order target, so the bound never exceeds it
+    unless something is wrong; reaching it certifies that they generate
+    that group.
+    """
+    chain = StabilizerChain(len(perms[0]), seed=seed)
+    for p in perms:
+        chain.add_generator(p, rounds=PAIR_ROUNDS)
+    bound = chain.order_lower_bound()
+    while bound < target:
+        chain._random_rounds(PAIR_ROUNDS)
+        grown = chain.order_lower_bound()
+        if grown == bound:
+            break
+        bound = grown
+    if bound > target:
+        raise CertificationError(f"a generating pair's group exceeds the order {target} on P")
+    return bound
+
+
+def generating_pair(gd: GroupData, points: PointSets, seed: int = 0) -> list[PermPair]:
+    """Two elements of G, as PermPairs, whose permutations generate G on P.
+
+    Each is a word of PAIR_WORD_LENGTHS letters in the kept generators,
+    drawn from a stream seeded by seed and their number.  A pair is accepted
+    when `_pair_bound` reaches the order of G on P: the formula order over
+    the scalars of norm 1 (F_q^x for q = 2, 4), which fix every point.  So
+    the pair generates G modulo those scalars, which fix every point of P0
+    too, and any module of G on P or P0 has the same submodules under the
+    pair.  A certificate is needed: every orthogonal generator is a
+    transvection, and words of even length lie in the index-2 subgroup.
+    """
+    target = gd.formula_order // (points.space.q - 1)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, len(gd.pairs), 0x2B]))
+    for _ in range(PAIR_DRAWS):
+        pair = [word_perm(gd.pairs, w) for w in _pair_words(rng, len(gd.pairs))]
+        if _pair_bound([p.on_P for p in pair], target, seed) == target:
+            return pair
+    raise BudgetExceededError(f"no certified generating pair within {PAIR_DRAWS} draws")
+
+
+# ---------------------------------------------------------------------------
 # rank and suborbits on P
 
 
@@ -653,20 +724,28 @@ def rank_and_orbitals(perms: list[np.ndarray], points: PointSets, base: int = 0)
     """Transitivity, rank, suborbit sizes on P, and the orbital/adjacency match.
 
     The orbit partition of P x P is computed by min-label propagation along
-    (i, j) -> (g i, g j); the suborbits are the label classes on the base row.
+    (i, j) -> (g i, g j) for every generator g and its inverse; the suborbits
+    are the label classes on the base row.  Labels take the narrowest
+    unsigned dtype that holds |P|^2 - 1 (uint32 at desk scale) and are
+    lowered in place.
     """
     v = points.nP
     if not orbit_of(perms, 0, v).all():
         return {"transitive": False, "rank": None, "suborbits": [], "orbitals_match": False}
-    labels = np.arange(v * v, dtype=np.int64).reshape(v, v)
-    while True:
-        before = labels
-        for g in perms:
-            ig = np.argsort(g)
-            labels = np.minimum(labels, labels[np.ix_(g, g)])
-            labels = np.minimum(labels, labels[np.ix_(ig, ig)])
-        if np.array_equal(before, labels):
-            break
+    moves = []
+    for g in perms:
+        ig = np.empty_like(g)
+        ig[g] = np.arange(v)
+        moves += [g, ig]
+    labels = np.arange(v * v, dtype=np.min_scalar_type(v * v - 1)).reshape(v, v)
+    changed = True
+    while changed:
+        changed = False
+        for g in moves:
+            img = labels[np.ix_(g, g)]
+            if (img < labels).any():
+                np.minimum(labels, img, out=labels)
+                changed = True
     row = labels[base]
     classes: dict[int, list[int]] = {}
     for j in range(v):

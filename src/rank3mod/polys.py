@@ -1,19 +1,29 @@
 """Univariate polynomial arithmetic and factorisation over odd prime fields.
 
 Polynomials are numpy int64 coefficient arrays, lowest degree first, with a
-nonzero leading coefficient (the zero polynomial is the empty array).  The
-factorisation route is the classical one: squarefree split, then
-distinct-degree, then Cantor-Zassenhaus equal-degree splitting.  Degrees here
-stay in the low thousands, so quadratic-time convolution arithmetic is fine.
+nonzero leading coefficient (the zero polynomial is the empty array).
 Coefficients are int64 residues: a convolution sums fewer than a few
 thousand products below ell^2, which is exact for every ell <= 2^15 that
 F_ell matrices admit (`linalg`).
+
+Factorisation is a squarefree split followed by Berlekamp's method
+(Bell Syst. Tech. J. 46, 1967) on each squarefree part g of degree n.  Its
+linear algebra goes through `linalg`: the Frobenius matrix Q, whose row i
+holds x^(ell i) mod g, is filled by doubling from C^ell, C being the
+companion matrix of g, in O(log ell + log n) products of n x n matrices,
+and the left kernel of Q - I (the polynomials b with b^ell = b mod g) is
+one elimination.  Its dimension is the number of irreducible factors of g;
+random elements b of it split g by gcd(b^((ell-1)/2) - 1, g), since b is a
+constant of F_ell modulo each irreducible factor, a square for about half
+of them.  The remaining polynomial arithmetic is quadratic-time
+convolution and division on degrees in the low thousands at most.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .linalg import inv_table
 
 
@@ -132,51 +142,71 @@ def _squarefree_parts(f, ell):
     return out
 
 
-def _distinct_degree(f, ell):
-    """Split squarefree monic f into (product-of-degree-d factors, d) pieces."""
-    out = []
-    x = np.array([0, 1], dtype=np.int64)
-    h = x.copy()
-    d = 0
-    while deg(f) >= 2 * (d + 1):
-        d += 1
-        h = poly_pow_mod(h, ell, f, ell)
-        g = poly_gcd(poly_add(h, (-x) % ell, ell), f, ell)
-        if deg(g) > 0:
-            out.append((g, d))
-            f = poly_divmod(f, g, ell)[0]
-            h = poly_mod(h, f, ell)
-    if deg(f) > 0:
-        out.append((f, deg(f)))
-    return out
-
-
-def _equal_degree(f, d, ell, rng):
-    """Cantor-Zassenhaus split of squarefree f, all of whose factors have degree d."""
-    n = deg(f)
-    if n == d:
-        return [f]
+def _mat_pow(M: np.ndarray, e: int, ell: int) -> np.ndarray:
+    """M^e for e >= 1, by repeated squaring."""
+    out = None
     while True:
-        a = rng.integers(0, ell, size=n, dtype=np.int64)
-        a = trim(a)
-        if deg(a) < 1:
-            continue
-        g = poly_gcd(a, f, ell)
-        if 0 < deg(g) < n:
-            break
-        b = poly_pow_mod(a, (ell**d - 1) // 2, f, ell)
-        g = poly_gcd(poly_add(b, np.array([ell - 1]), ell), f, ell)
-        if 0 < deg(g) < n:
-            break
-    rest = poly_divmod(f, g, ell)[0]
-    return _equal_degree(g, d, ell, rng) + _equal_degree(rest, d, ell, rng)
+        if e & 1:
+            out = M if out is None else linalg.matmul(out, M, ell)
+        e >>= 1
+        if not e:
+            return out
+        M = linalg.matmul(M, M, ell)
+
+
+def _frobenius_matrix(g, ell):
+    """Q for monic g of degree n: row i holds the coefficients of x^(ell i) mod g.
+
+    Row i of the companion matrix C holds x^(i+1) mod g, so C^k multiplies
+    by x^k modulo g.  With the rows below k known, those below 2k are them
+    times (C^ell)^k.
+    """
+    n = deg(g)
+    C = linalg.zeros((n, n), ell)
+    C[np.arange(n - 1), np.arange(1, n)] = 1
+    C[n - 1] = (-g[:n]) % ell
+    X = _mat_pow(C, ell, ell)
+    Q = linalg.zeros((n, n), ell)
+    Q[0, 0] = 1
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        Q[k:k + m] = linalg.matmul(Q[:m], X, ell)
+        k += m
+        if k < n:
+            X = linalg.matmul(X, X, ell)
+    return Q
+
+
+def _berlekamp(g, ell, rng):
+    """Monic irreducible factors of squarefree monic g (Berlekamp)."""
+    n = deg(g)
+    if n == 1:
+        return [g]
+    Q = _frobenius_matrix(g, ell)
+    Q[np.arange(n), np.arange(n)] = (Q.diagonal() - 1) % ell
+    B = linalg.nullspace(Q.T, ell).astype(np.int64)  # b with b (Q - I) = 0
+    pieces = [g]
+    minus_one = np.array([ell - 1], dtype=np.int64)
+    while len(pieces) < len(B):
+        b = trim(rng.integers(0, ell, size=len(B)) @ B % ell)
+        split = []
+        for h in pieces:
+            c = poly_pow_mod(b, (ell - 1) // 2, h, ell)
+            d = poly_gcd(poly_add(c, minus_one, ell), h, ell)
+            if 0 < deg(d) < deg(h):
+                split += [d, poly_divmod(h, d, ell)[0]]
+            else:
+                split.append(h)
+        pieces = split
+    return pieces
 
 
 def factor_poly(f, ell, seed=0):
     """Full factorisation over F_ell: list of (monic irreducible, multiplicity).
 
-    Deterministic for a fixed seed (equal-degree splitting is randomised).
-    Factors are sorted by (degree, coefficients).
+    The factors do not depend on the seed, which only drives Berlekamp's
+    random splitting elements.  They are sorted by (degree, coefficients).
     """
     f = trim(np.asarray(f, dtype=np.int64) % ell)
     if deg(f) < 1:
@@ -184,8 +214,6 @@ def factor_poly(f, ell, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence([seed, ell, len(f)]))
     out = []
     for g, mult in _squarefree_parts(f, ell):
-        for piece, d in _distinct_degree(g, ell):
-            for irr in _equal_degree(piece, d, ell, rng):
-                out.append((irr, mult))
+        out.extend((irr, mult) for irr in _berlekamp(g, ell, rng))
     out.sort(key=lambda t: (deg(t[0]), tuple(int(c) for c in t[0])))
     return out

@@ -13,7 +13,7 @@ from rank3mod.geometry import (
 import inspect
 
 from rank3mod import groups
-from rank3mod.errors import CertificationError
+from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.fields import GF4_MUL
 from rank3mod.geometry import pack_codes
 from rank3mod.groups import (
@@ -23,6 +23,7 @@ from rank3mod.groups import (
     code_positions,
     code_table,
     formula_order,
+    generating_pair,
     induced_perm,
     is_isometry,
     mat_mul,
@@ -32,6 +33,7 @@ from rank3mod.groups import (
     transvection,
     vec_mat,
     vector_action_domain,
+    word_perm,
 )
 
 from conftest import cached_setup, naive_form, naive_quadratic
@@ -496,6 +498,80 @@ def test_code_positions_rejects_missing_codes():
     for missing in ([3], [10], [0], [15], [5, 3]):
         with pytest.raises(CertificationError):
             code_positions(table, np.array(missing))
+
+
+# ---------------------------------------------------------------------------
+# the certified generating pair
+
+
+def _even_words(rng, ngens):
+    return [rng.integers(0, ngens, size=2 * int(rng.integers(8, 13))) for _ in range(2)]
+
+
+@pytest.mark.parametrize("family", [OPLUS, OMINUS])
+def test_even_transvection_words_are_not_accepted(family, monkeypatch):
+    # every kept generator is a transvection, of Dickson invariant 1: words of
+    # even length lie in the index-2 subgroup, whose order the bound never passes
+    _, points, gd = cached_setup(family, 6)
+    target = gd.formula_order
+    rng = np.random.default_rng(11)
+    for seed in range(6):
+        pair = [word_perm(gd.pairs, w).on_P for w in _even_words(rng, len(gd.pairs))]
+        assert groups._pair_bound(pair, target, seed) <= target // 2
+    monkeypatch.setattr(groups, "_pair_words", _even_words)
+    with pytest.raises(BudgetExceededError, match=f"{groups.PAIR_DRAWS} draws"):
+        generating_pair(gd, points, seed=0)
+
+
+def test_pair_bound_above_the_order_is_refused():
+    _, points, gd = cached_setup(OPLUS, 6)
+    pair = [p.on_P for p in generating_pair(gd, points, seed=0)]
+    with pytest.raises(CertificationError, match="exceeds"):
+        groups._pair_bound(pair, 1)
+
+
+@pytest.mark.parametrize(
+    "family,dim,scalars", [(OPLUS, 6, 1), (OMINUS, 8, 1), (UNITARY, 4, 3), (UNITARY, 5, 3)]
+)
+def test_pair_target_is_the_order_on_points(family, dim, scalars, monkeypatch):
+    _, points, gd = cached_setup(family, dim)
+    targets = []
+    bound = groups._pair_bound
+
+    def spy(perms, target, seed=0):
+        targets.append(target)
+        return bound(perms, target, seed)
+
+    monkeypatch.setattr(groups, "_pair_bound", spy)
+    pair = generating_pair(gd, points, seed=0)
+    assert targets[-1] == gd.formula_order // scalars
+    # the scalars fix every point: all generators reach no more on P either
+    on_P = [p.on_P for p in pair]
+    assert bound(on_P, gd.formula_order, 0) == gd.formula_order // scalars
+    assert bound([p.on_P for p in gd.pairs], gd.formula_order, 0) == gd.formula_order // scalars
+
+
+@pytest.mark.parametrize("family,dim", [(OMINUS, 6), (UNITARY, 4)])
+def test_same_seed_gives_the_same_pair(family, dim):
+    _, points, gd = cached_setup(family, dim)
+    a, b = generating_pair(gd, points, seed=4), generating_pair(gd, points, seed=4)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.on_P, y.on_P) and np.array_equal(x.on_P0, y.on_P0)
+    assert len(a) == 2
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (UNITARY, 4)])
+def test_word_perm_is_the_word_matrix_on_points(family, dim):
+    space, points, gd = cached_setup(family, dim)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        word = rng.integers(0, len(gd.pairs), size=int(rng.integers(15, 26)))
+        M = np.eye(space.dim, dtype=np.uint8)
+        for i in word:
+            M = mat_mul(space, M, gd.mats[i])
+        want = induced_perm(space, points, M)
+        got = word_perm(gd.pairs, word)
+        assert np.array_equal(got.on_P, want.on_P) and np.array_equal(got.on_P0, want.on_P0)
 
 
 # ---------------------------------------------------------------------------
