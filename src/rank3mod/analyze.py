@@ -2,10 +2,11 @@
 comparison of the computed structure against the table expectations.
 
 run_analysis() certifies as it goes (brute-force vs closed parameters, root
-patterns, Schreier-Sims order vs formula order, rank-3 orbitals, the
-generating pair the module work runs on, the graph operator cross-checks,
-socle/chop consistency, lattice perp anti-automorphism and graph-submodule
-minimality) and raises on any certification failure.
+patterns, Schreier-Sims order vs formula order, the generating pair the
+module work runs on, the rank-3 orbitals read off its chain, the graph
+operator cross-checks, socle/chop consistency, lattice perp
+anti-automorphism and graph-submodule minimality) and raises on any
+certification failure.
 verify_result() then compares factors, socle layers, and the lattice diagram
 against expected(), arbitrating known-typo readings by the computed values.
 """
@@ -96,13 +97,12 @@ def run_analysis(
 
     t0 = time.monotonic()
     gd = build_group(space, points, seed=seed, certify_order=not skip_order)
-    perms_P = [p.on_P for p in gd.pairs]
-    orb = rank_and_orbitals(perms_P, points)
+    pair, chain = generating_pair(gd, points, seed=seed)
+    orb = rank_and_orbitals(chain, points)
     if not (orb["transitive"] and orb["rank"] == 3 and orb["orbitals_match"]):
         raise CertificationError(f"rank-3 certification failed: {orb}")
     if orb["suborbits"] != sorted([1, cp.a, cp.b]):
         raise CertificationError(f"suborbit sizes {orb['suborbits']} != {{1, a, b}}")
-    pair = generating_pair(gd, points, seed=seed)
     timings["group"] = _ms_since(t0)
 
     t0 = time.monotonic()

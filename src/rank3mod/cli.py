@@ -190,6 +190,7 @@ def _suite_one(item):
         return {
             "family": family, "size": size, "ell": ell, "status": status,
             "flags": verdict["flags"], "diffs": verdict["diffs"],
+            "factors": res.report["factors"], "socleSeries": res.report["socleSeries"],
             "timingsMs": res.report["timingsMs"],
         }
     except OutOfScaleError as exc:
@@ -197,6 +198,16 @@ def _suite_one(item):
     except (CertificationError, BudgetExceededError) as exc:
         # reported in the row; the other rows still run
         return {"family": family, "size": size, "ell": ell, "status": "ERROR", "note": str(exc)}
+
+
+def _print_suite_row(r: dict) -> None:
+    """One text row, and under an analysed row its factors and socle series."""
+    extra = r["note"] if r["status"] == "ERROR" else " ".join(r.get("flags", []))
+    print(f"{r['family']:>2} size={r['size']} ell={r['ell']:>2}  {r['status']}  {extra}")
+    if "factors" in r:
+        print("    factors", ", ".join(f"{f['label']}({f['dim']})x{f['mult']}" for f in r["factors"]))
+        layers = [" + ".join(f"{e['label']}{e['dim']}" for e in lay) for lay in r["socleSeries"]]
+        print("    socle", " - ".join(f"({lay})" for lay in layers))
 
 
 def cmd_suite(args) -> int:
@@ -228,8 +239,7 @@ def cmd_suite(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for r in results:
-            extra = r["note"] if r["status"] == "ERROR" else " ".join(r.get("flags", []))
-            print(f"{r['family']:>2} size={r['size']} ell={r['ell']:>2}  {r['status']}  {extra}")
+            _print_suite_row(r)
         print("suite:", "PASS" if ok else "FAIL")
     return 2 if errored else 0 if ok else 1
 

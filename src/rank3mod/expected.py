@@ -56,10 +56,6 @@ class ExpectedStructure:
     flags: list[str] = field(default_factory=list)
     note: str | None = None
 
-    @property
-    def verifiable(self) -> bool:
-        return self.socle is not None
-
 
 # ---------------------------------------------------------------------------
 # lattice builders

@@ -42,8 +42,10 @@ words in the kept generators, certified to generate G on P by a fresh chain
 whose orbit lower bound reaches the order of G on P, as in the fullness
 argument above.
 
-Rank and suborbits are certified on P by orbital closure (min-label
-propagation on P x P), which needs no stabiliser generators.
+Transitivity, rank and suborbits are read off that chain
+(`rank_and_orbitals`): its first level's orbit is the orbit of its base b,
+and the strong generators of the deeper levels fix b, so their orbits on P
+refine those of the stabiliser G_b.
 """
 
 from __future__ import annotations
@@ -429,10 +431,6 @@ class StabilizerChain:
         img, stuck = self._strip_rows(rows, [lev.base for lev in self.levels])
         return img[0], int(stuck[0])
 
-    def contains(self, p: np.ndarray) -> bool:
-        res, _ = self.sift(p)
-        return self._is_identity(res)
-
     def _add_residue(self, res: np.ndarray, level: int):
         self.verified = False
         if level == len(self.levels):
@@ -560,10 +558,9 @@ class StabilizerChain:
 
 @dataclass
 class GroupData:
-    """Pruned generating set with order data and induced point permutations."""
+    """Pruned generating set, as isometry matrices, with order data."""
 
     mats: list[np.ndarray]
-    pairs: list[PermPair]
     order: int | None
     formula_order: int
     base_size: int
@@ -608,10 +605,8 @@ def build_group(
         return code_positions(table, pack_codes(vec_mat(space, domain, M), space.q))
 
     for M in candidate_generators(space, points):
-        p = vec_perm(M)
-        if chain.contains(p):
+        if not chain.add_generator(vec_perm(M)):
             continue
-        chain.add_generator(p)
         mats.append(M)
         if chain.order_lower_bound() >= target:
             break
@@ -630,8 +625,7 @@ def build_group(
             )
     else:
         order = None
-    pairs = [induced_perm(space, points, M) for M in mats]
-    return GroupData(mats, pairs, order, target, len(chain.levels), certify_order)
+    return GroupData(mats, order, target, len(chain.levels), certify_order)
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +641,18 @@ def _pair_words(rng: np.random.Generator, ngens: int) -> list[np.ndarray]:
     return [rng.integers(0, ngens, size=int(rng.integers(lo, hi + 1))) for _ in range(2)]
 
 
-def word_perm(pairs: list[PermPair], word) -> PermPair:
-    """The permutations on P and P0 of the product of pairs[i] over i in word,
+def word_perm(points: PointSets, mats: list[np.ndarray], word) -> PermPair:
+    """The permutations on P and P0 of the product of mats[i] over i in word,
     in word order (right action: the first letter acts first)."""
-    on_P, on_P0 = np.arange(len(pairs[0].on_P)), np.arange(len(pairs[0].on_P0))
+    space = points.space
+    M = np.eye(space.dim, dtype=np.uint8)
     for i in word:
-        on_P, on_P0 = pairs[i].on_P[on_P], pairs[i].on_P0[on_P0]
-    return PermPair(on_P, on_P0)
+        M = mat_mul(space, M, mats[i])
+    return induced_perm(space, points, M)
 
 
-def _pair_bound(perms: list[np.ndarray], target: int, seed: int = 0) -> int:
-    """Orbit lower bound of a fresh chain grown on perms until it reaches
+def _pair_chain(perms: list[np.ndarray], target: int, seed: int = 0) -> StabilizerChain:
+    """A fresh chain grown on perms until its orbit lower bound reaches
     target or a batch of PAIR_ROUNDS quiet random sifts adds nothing.
 
     perms lie in a group of order target, so the bound never exceeds it
@@ -676,27 +671,32 @@ def _pair_bound(perms: list[np.ndarray], target: int, seed: int = 0) -> int:
         bound = grown
     if bound > target:
         raise CertificationError(f"a generating pair's group exceeds the order {target} on P")
-    return bound
+    return chain
 
 
-def generating_pair(gd: GroupData, points: PointSets, seed: int = 0) -> list[PermPair]:
-    """Two elements of G, as PermPairs, whose permutations generate G on P.
+def generating_pair(
+    gd: GroupData, points: PointSets, seed: int = 0
+) -> tuple[list[PermPair], StabilizerChain]:
+    """Two elements of G, as PermPairs, whose permutations generate G on P,
+    and the chain on P that certifies it.
 
     Each is a word of PAIR_WORD_LENGTHS letters in the kept generators,
     drawn from a stream seeded by seed and their number.  A pair is accepted
-    when `_pair_bound` reaches the order of G on P: the formula order over
-    the scalars of norm 1 (F_q^x for q = 2, 4), which fix every point.  So
-    the pair generates G modulo those scalars, which fix every point of P0
-    too, and any module of G on P or P0 has the same submodules under the
-    pair.  A certificate is needed: every orthogonal generator is a
-    transvection, and words of even length lie in the index-2 subgroup.
+    when the orbit lower bound of `_pair_chain` reaches the order of G on P:
+    the formula order over the scalars of norm 1 (F_q^x for q = 2, 4), which
+    fix every point.  So the pair generates G modulo those scalars, which
+    fix every point of P0 too, and any module of G on P or P0 has the same
+    submodules under the pair.  A certificate is needed: every orthogonal
+    generator is a transvection, and words of even length lie in the
+    index-2 subgroup.
     """
     target = gd.formula_order // (points.space.q - 1)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, len(gd.pairs), 0x2B]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, len(gd.mats), 0x2B]))
     for _ in range(PAIR_DRAWS):
-        pair = [word_perm(gd.pairs, w) for w in _pair_words(rng, len(gd.pairs))]
-        if _pair_bound([p.on_P for p in pair], target, seed) == target:
-            return pair
+        pair = [word_perm(points, gd.mats, w) for w in _pair_words(rng, len(gd.mats))]
+        chain = _pair_chain([p.on_P for p in pair], target, seed)
+        if chain.order_lower_bound() == target:
+            return pair, chain
     raise BudgetExceededError(f"no certified generating pair within {PAIR_DRAWS} draws")
 
 
@@ -704,58 +704,44 @@ def generating_pair(gd: GroupData, points: PointSets, seed: int = 0) -> list[Per
 # rank and suborbits on P
 
 
-def orbit_of(perms: list[np.ndarray], start: int, degree: int) -> np.ndarray:
-    seen = np.zeros(degree, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in perms:
-                y = int(g[x])
-                if not seen[y]:
-                    seen[y] = True
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+def rank_and_orbitals(chain: StabilizerChain, points: PointSets) -> dict:
+    """Transitivity, rank, suborbit sizes on P, and the orbital/adjacency
+    match, read off a stabiliser chain of G on P.
 
-
-def rank_and_orbitals(perms: list[np.ndarray], points: PointSets, base: int = 0) -> dict:
-    """Transitivity, rank, suborbit sizes on P, and the orbital/adjacency match.
-
-    The orbit partition of P x P is computed by min-label propagation along
-    (i, j) -> (g i, g j) for every generator g and its inverse; the suborbits
-    are the label classes on the base row.  Labels take the narrowest
-    unsigned dtype that holds |P|^2 - 1 (uint32 at desk scale) and are
-    lowered in place.
+    G is transitive when the first level's orbit is all of P; let b be its
+    base.  The suborbits are the orbits on P of the strong generators of
+    all deeper levels, found by min-label propagation on one label per
+    point.  These generators fix b, so {b} is one of their orbits, and
+    their orbits refine those of G_b.  G preserves the Delta-relation
+    (`analyze._graph_operator_checks` checks this on the generating pair),
+    so G_b preserves {b}, Delta(b) and the rest.  When there are three
+    orbits and Delta(b) is one of them, they are exactly the orbits of G_b,
+    and the rank is 3 (orbitals_match).  This does not depend on the order
+    formula.
     """
     v = points.nP
-    if not orbit_of(perms, 0, v).all():
+    if not chain.levels or len(chain.levels[0].orbit) != v:
         return {"transitive": False, "rank": None, "suborbits": [], "orbitals_match": False}
-    moves = []
-    for g in perms:
-        ig = np.empty_like(g)
-        ig[g] = np.arange(v)
-        moves += [g, ig]
-    labels = np.arange(v * v, dtype=np.min_scalar_type(v * v - 1)).reshape(v, v)
+    b = chain.levels[0].base
+    # x takes the label of g x when that is lower; at the fixed point the
+    # labels are constant along every cycle of every generator
+    labels = np.arange(v)
     changed = True
     while changed:
         changed = False
-        for g in moves:
-            img = labels[np.ix_(g, g)]
-            if (img < labels).any():
-                np.minimum(labels, img, out=labels)
-                changed = True
-    row = labels[base]
-    classes: dict[int, list[int]] = {}
-    for j in range(v):
-        classes.setdefault(int(row[j]), []).append(j)
-    suborbits = sorted(len(js) for js in classes.values())
-    rank = len(classes)
-    ok = False
-    if rank == 3:
-        sets = sorted(classes.values(), key=len)
-        delta = set(np.nonzero(points.adj[base])[0].tolist())
-        sizes = {frozenset(s) for s in sets[1:]}
-        ok = sets[0] == [base] and frozenset(delta) in sizes
-    return {"transitive": True, "rank": rank, "suborbits": suborbits, "orbitals_match": ok}
+        for lev in chain.levels[1:]:
+            for g in lev.gens:
+                img = labels[g]
+                if (img < labels).any():
+                    np.minimum(labels, img, out=labels)
+                    changed = True
+    sizes = np.bincount(labels)  # nonzero exactly at each orbit's least point
+    rank = int(np.count_nonzero(sizes))
+    delta = points.adj[b]
+    ok = rank == 3 and np.array_equal(labels == labels[np.argmax(delta)], delta)
+    return {
+        "transitive": True,
+        "rank": rank,
+        "suborbits": sorted(sizes[sizes > 0].tolist()),
+        "orbitals_match": bool(ok),
+    }

@@ -6,7 +6,7 @@ import pytest
 from rank3mod.analyze import run_analysis
 from rank3mod.fields import GF4_CONJ, GF4_MUL
 from rank3mod.geometry import SpaceSpec, build_space, enumerate_points
-from rank3mod.groups import build_group
+from rank3mod.groups import build_group, induced_perm
 from rank3mod.modules import PermModule
 
 
@@ -44,10 +44,9 @@ def cached_setup(family: str, dim: int, seed: int = 0):
 
 @functools.cache
 def cached_pm(family: str, dim: int, ell: int, seed: int = 0) -> PermModule:
-    _, points, group = cached_setup(family, dim, seed)
-    return PermModule(
-        points, ell, [p.on_P for p in group.pairs], [p.on_P0 for p in group.pairs]
-    )
+    space, points, group = cached_setup(family, dim, seed)
+    pairs = [induced_perm(space, points, M) for M in group.mats]
+    return PermModule(points, ell, [p.on_P for p in pairs], [p.on_P0 for p in pairs])
 
 
 @functools.cache

@@ -74,13 +74,13 @@ def test_criterion_2_group_certification():
             ("u", 4): 77760,
             ("u", 5): 41057280,
         }
-        from rank3mod.groups import rank_and_orbitals
+        from rank3mod.groups import generating_pair, rank_and_orbitals
 
         for (family, dim), order in expect.items():
             _, points, gd = cached_setup(family, dim)
             assert gd.order == order == gd.formula_order
             p = closed_params(SpaceSpec(family, dim))
-            res = rank_and_orbitals([pp.on_P for pp in gd.pairs], points)
+            res = rank_and_orbitals(generating_pair(gd, points)[1], points)
             assert res["transitive"] and res["rank"] == 3
             assert res["suborbits"] == sorted([1, p.a, p.b])
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import rank3mod
@@ -14,6 +15,7 @@ from rank3mod.analyze import diagram_iso, run_analysis, verify_result
 from rank3mod.cli import main
 from rank3mod.errors import BudgetExceededError, CertificationError, OutOfScaleError
 from rank3mod.fields import storage_dtype
+from rank3mod.groups import StabilizerChain
 from rank3mod.modules import DenseRep, QuotCtx
 
 from conftest import cached_analysis
@@ -272,7 +274,8 @@ def test_cli_suite_reports_an_erroring_row_and_runs_the_rest(capsys, monkeypatch
         if (family, size, ell) == ("o+", 3, 5):
             raise error("no certificate")
         verdict = {"match": True, "flags": [], "diffs": []}
-        return SimpleNamespace(report={"verdict": verdict, "timingsMs": {}})
+        report = {"verdict": verdict, "factors": [], "socleSeries": [], "timingsMs": {}}
+        return SimpleNamespace(report=report)
 
     monkeypatch.setattr(cli, "SUITE_INSTANCES", [("o+", 3, 5), ("u", 4, 3)])
     monkeypatch.setattr(cli, "run_analysis", fake_run_analysis)
@@ -285,6 +288,22 @@ def test_cli_suite_reports_an_erroring_row_and_runs_the_rest(capsys, monkeypatch
         ("o+", "ERROR"), ("u", "PASS"), ("u", "OUT_OF_SCALE"),
     ]
     assert written["suite"][0]["note"] == "no certificate"
+
+
+def test_cli_suite_text_row_shows_factors_and_socle(capsys, monkeypatch, tmp_path):
+    import rank3mod.cli as cli
+
+    monkeypatch.setattr(cli, "SUITE_INSTANCES", [("o-", 3, 3)])
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "o- size=3 ell= 3  PASS  ",
+        "    factors FF(1)x2, omega(1)x1, Z(5)x1, X(14)x2",
+        "    socle (FF1 + X14) - (omega1 + Z5) - (FF1 + X14)",
+    ]
+    row = json.loads(out.read_text())["suite"][0]
+    report = cached_analysis("o-", 3, 3).report
+    assert (row["factors"], row["socleSeries"]) == (report["factors"], report["socleSeries"])
 
 
 # sha256 of the indented JSON `verify` report without `timingsMs`: any change
@@ -348,15 +367,20 @@ def test_seed_scan_o6(capsys):
 
 def test_module_work_runs_on_the_generating_pair(monkeypatch):
     seen = {}
-    build_group, rank_and_orbitals = analyze.build_group, analyze.rank_and_orbitals
+    build_group, generating_pair = analyze.build_group, analyze.generating_pair
+    rank_and_orbitals = analyze.rank_and_orbitals
 
     def spy_build(*args, **kwargs):
         seen["group"] = build_group(*args, **kwargs)
         return seen["group"]
 
-    def spy_rank(perms, points):
-        seen["rank_gens"] = len(perms)
-        return rank_and_orbitals(perms, points)
+    def spy_pair(*args, **kwargs):
+        seen["pair"] = generating_pair(*args, **kwargs)
+        return seen["pair"]
+
+    def spy_rank(chain, points):
+        seen["rank_chain"] = chain
+        return rank_and_orbitals(chain, points)
 
     class SpyMeataxe(analyze.Meataxe):
         def __init__(self, ell, ngens, seed=0):
@@ -364,13 +388,45 @@ def test_module_work_runs_on_the_generating_pair(monkeypatch):
             super().__init__(ell, ngens, seed)
 
     monkeypatch.setattr(analyze, "build_group", spy_build)
+    monkeypatch.setattr(analyze, "generating_pair", spy_pair)
     monkeypatch.setattr(analyze, "rank_and_orbitals", spy_rank)
     monkeypatch.setattr(analyze, "Meataxe", SpyMeataxe)
     res = run_analysis("o-", 3, 3, seed=5)
-    assert len(seen["group"].pairs) > 2
-    assert seen["rank_gens"] == len(seen["group"].pairs)
+    assert len(seen["group"].mats) > 2
+    # rank 3 is read off the chain that certifies the pair
+    pair, chain = seen["pair"]
+    assert seen["rank_chain"] is chain
     assert seen["meataxe_gens"] == 2
     assert res.pm.ctxP.ngens == res.pm.ctxP0.ngens == 2
+    for k, p in enumerate(pair):
+        assert np.array_equal(res.pm.ctxP.perms[k], p.on_P)
+        assert np.array_equal(res.pm.ctxP0.perms[k], p.on_P0)
+
+
+def _first_of_pair(pair, chain):
+    return [pair[0].on_P]
+
+
+def _stabiliser_of_base(pair, chain):
+    return [g for lev in chain.levels[1:] for g in lev.gens]
+
+
+@pytest.mark.parametrize("family,size", [("o+", 3), ("u", 4)])
+@pytest.mark.parametrize("subgroup", [_first_of_pair, _stabiliser_of_base])
+def test_rank_check_refuses_a_chain_on_a_proper_subgroup(monkeypatch, family, size, subgroup):
+    # given a chain on a proper subgroup, run_analysis stops before the module work
+    generating_pair = analyze.generating_pair
+
+    def proper_chain(gd, points, seed=0):
+        pair, chain = generating_pair(gd, points, seed=seed)
+        sub = StabilizerChain(points.nP, seed=seed)
+        for g in subgroup(pair, chain):
+            sub.add_generator(g)
+        return pair, sub
+
+    monkeypatch.setattr(analyze, "generating_pair", proper_chain)
+    with pytest.raises(CertificationError, match="rank-3 certification failed"):
+        run_analysis(family, size, 3, seed=1)
 
 
 # ---------------------------------------------------------------------------

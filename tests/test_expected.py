@@ -71,7 +71,6 @@ def test_printed_vs_corrected_y():
 
 def test_out_of_scale_row():
     exp = expected("u", 9, 3)
-    assert not exp.verifiable
     assert exp.socle is None and exp.lattice_nodes is None
     assert exp.factors == Counter({FF: 2, "X": 2, "Z": 2, "W": 1})
     assert "43776" in exp.note

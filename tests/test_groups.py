@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,30 +112,138 @@ def test_formula_orders_bigger_instances():
         assert gd.order == gd.formula_order
 
 
+def all_generators_on_P(space, points, gd):
+    return [induced_perm(space, points, M).on_P for M in gd.mats]
+
+
+def orbital_closure_reference(perms, points, base=0):
+    """Rank and suborbits by orbital closure: min-label propagation on P x P
+    along (i, j) -> (g i, g j) for every generator g and its inverse, the
+    suborbits being the label classes on the base row."""
+    v = points.nP
+    moves = []
+    for g in perms:
+        ig = np.empty_like(g)
+        ig[g] = np.arange(v)
+        moves += [g, ig]
+    labels = np.arange(v * v).reshape(v, v)
+    changed = True
+    while changed:
+        changed = False
+        for g in moves:
+            img = labels[np.ix_(g, g)]
+            if (img < labels).any():
+                np.minimum(labels, img, out=labels)
+                changed = True
+    # transitive when every (i, base) shares an orbital with some (0, j)
+    transitive = bool((labels[:, base] // v == 0).all())
+    classes: dict[int, list[int]] = {}
+    for j, lab in enumerate(labels[base].tolist()):
+        classes.setdefault(lab, []).append(j)
+    sets = sorted(classes.values(), key=len)
+    delta = np.flatnonzero(points.adj[base]).tolist()
+    ok = len(sets) == 3 and sets[0] == [base] and delta in sets[1:]
+    return {
+        "transitive": transitive,
+        "rank": len(classes),
+        "suborbits": sorted(len(js) for js in classes.values()),
+        "orbitals_match": ok,
+    }
+
+
+SUITE_GEOMETRIES = [(OPLUS, 6), (OPLUS, 8), (OMINUS, 6), (OMINUS, 8), (UNITARY, 4), (UNITARY, 5),
+                    (UNITARY, 6)]
+
+
 @pytest.mark.parametrize("family,dim", [(OPLUS, 6), (OMINUS, 8), (UNITARY, 5)])
 def test_rank3_and_suborbits(family, dim):
     _, points, gd = cached_setup(family, dim)
     p = closed_params(SpaceSpec(family, dim))
-    perms = [pair.on_P for pair in gd.pairs]
-    res = rank_and_orbitals(perms, points)
+    _, chain = generating_pair(gd, points, seed=0)
+    res = rank_and_orbitals(chain, points)
     assert res["transitive"] and res["rank"] == 3
     assert res["suborbits"] == sorted([1, p.a, p.b])
     assert res["orbitals_match"]
 
 
+@pytest.mark.parametrize("family,dim", SUITE_GEOMETRIES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chain_answer_equals_orbital_closure(family, dim, seed):
+    # the pair's chain gives the orbital closure's answer on all generators
+    space, points, gd = cached_setup(family, dim, seed)
+    _, chain = generating_pair(gd, points, seed=seed)
+    want = orbital_closure_reference(all_generators_on_P(space, points, gd), points)
+    assert want["rank"] == 3 and want["orbitals_match"]
+    assert rank_and_orbitals(chain, points) == want
+
+
 def test_rank_independent_of_base_point():
-    _, points, gd = cached_setup(OPLUS, 6)
-    perms = [pair.on_P for pair in gd.pairs]
-    r0 = rank_and_orbitals(perms, points, base=0)
-    r7 = rank_and_orbitals(perms, points, base=7)
-    assert (r0["rank"], r0["suborbits"]) == (r7["rank"], r7["suborbits"])
+    # the same answer on every seed's chain, and on certified chains of G
+    # based at other points: a chain's first base is the first point its
+    # first generator moves, and a level-1 generator fixes the pair chain's
+    # base
+    for family, dim in [(OPLUS, 6), (UNITARY, 4)]:
+        _, points, gd = cached_setup(family, dim)
+        target = gd.formula_order // (points.space.q - 1)
+        answers, bases = [], set()
+        for seed in range(3):
+            pair, chain = generating_pair(gd, points, seed=seed)
+            answers.append(rank_and_orbitals(chain, points))
+            bases.add(chain.levels[0].base)
+            for h in chain.levels[1].gens[:3]:
+                other = groups._pair_chain([h] + [p.on_P for p in pair], target, seed)
+                if other.order_lower_bound() == target:
+                    answers.append(rank_and_orbitals(other, points))
+                    bases.add(other.levels[0].base)
+        assert len(bases) > 1
+        assert all(a == answers[0] for a in answers)
+
+
+def _chain_on(perms):
+    chain = StabilizerChain(len(perms[0]), seed=0)
+    for p in perms:
+        chain.add_generator(p)
+    return chain
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (OMINUS, 6), (UNITARY, 4)])
+def test_chain_on_a_proper_subgroup_does_not_pass(family, dim):
+    space, points, gd = cached_setup(family, dim)
+    v = points.nP
+    # one generator: a transvection or pseudo-reflection, far from transitive
+    one = _chain_on([induced_perm(space, points, gd.mats[0]).on_P])
+    assert rank_and_orbitals(one, points)["transitive"] is False
+    assert rank_and_orbitals(StabilizerChain(v), points)["transitive"] is False
+    # the stabiliser G_b of the certified chain fixes b
+    _, chain = generating_pair(gd, points, seed=0)
+    stab = _chain_on([g for lev in chain.levels[1:] for g in lev.gens])
+    assert rank_and_orbitals(stab, points)["transitive"] is False
+    # a regular cyclic group is transitive, with trivial point stabilisers
+    res = rank_and_orbitals(_chain_on([np.roll(np.arange(v), 1)]), points)
+    assert res == {"transitive": True, "rank": v, "suborbits": [1] * v, "orbitals_match": False}
+    # a transitive chain whose deeper levels lost generators: G_b splits further
+    chain.levels[1].fwd = chain.levels[1].fwd[: v]
+    for lev in chain.levels[2:]:
+        lev.fwd = lev.fwd[:0]
+    res = rank_and_orbitals(chain, points)
+    assert res["transitive"] and res["rank"] > 3 and not res["orbitals_match"]
+
+
+@pytest.mark.parametrize("family,dim", [(OMINUS, 6), (UNITARY, 5)])
+def test_orbitals_must_match_the_delta_relation(family, dim):
+    # the same chain against a relation whose Delta(b) is not a suborbit
+    _, points, gd = cached_setup(family, dim)
+    _, chain = generating_pair(gd, points, seed=0)
+    shifted = SimpleNamespace(nP=points.nP, adj=np.roll(points.adj, 1, axis=1))
+    res = rank_and_orbitals(chain, shifted)
+    assert res["rank"] == 3 and not res["orbitals_match"]
+    assert rank_and_orbitals(chain, points)["orbitals_match"]
 
 
 def test_generators_preserve_adjacency_edges():
-    _, points, gd = cached_setup(OPLUS, 6)
+    space, points, gd = cached_setup(OPLUS, 6)
     A = points.adj
-    for pair in gd.pairs:
-        s = pair.on_P
+    for s in all_generators_on_P(space, points, gd):
         assert (A[np.ix_(s, s)] == A).all()
 
 
@@ -143,7 +253,8 @@ def test_stabilizer_chain_on_symmetric_group():
     chain.add_generator(np.array([1, 0, 2, 3, 4]))
     chain.add_generator(np.array([1, 2, 3, 4, 0]))
     assert chain.order() == 120
-    assert chain.contains(np.array([0, 1, 3, 2, 4]))
+    res, _ = chain.sift(np.array([0, 1, 3, 2, 4]))
+    assert (res == np.arange(5)).all()
 
 
 def test_stabilizer_chain_proper_subgroup():
@@ -151,7 +262,8 @@ def test_stabilizer_chain_proper_subgroup():
     chain = StabilizerChain(5, seed=0)
     chain.add_generator(np.array([1, 2, 0, 3, 4]))
     assert chain.order() == 3
-    assert not chain.contains(np.array([1, 0, 2, 3, 4]))
+    res, _ = chain.sift(np.array([1, 0, 2, 3, 4]))
+    assert not (res == np.arange(5)).all()
 
 
 def test_chain_order_lower_bound_reaches_order():
@@ -516,8 +628,8 @@ def test_even_transvection_words_are_not_accepted(family, monkeypatch):
     target = gd.formula_order
     rng = np.random.default_rng(11)
     for seed in range(6):
-        pair = [word_perm(gd.pairs, w).on_P for w in _even_words(rng, len(gd.pairs))]
-        assert groups._pair_bound(pair, target, seed) <= target // 2
+        pair = [word_perm(points, gd.mats, w).on_P for w in _even_words(rng, len(gd.mats))]
+        assert groups._pair_chain(pair, target, seed).order_lower_bound() <= target // 2
     monkeypatch.setattr(groups, "_pair_words", _even_words)
     with pytest.raises(BudgetExceededError, match=f"{groups.PAIR_DRAWS} draws"):
         generating_pair(gd, points, seed=0)
@@ -525,36 +637,39 @@ def test_even_transvection_words_are_not_accepted(family, monkeypatch):
 
 def test_pair_bound_above_the_order_is_refused():
     _, points, gd = cached_setup(OPLUS, 6)
-    pair = [p.on_P for p in generating_pair(gd, points, seed=0)]
+    pair = [p.on_P for p in generating_pair(gd, points, seed=0)[0]]
     with pytest.raises(CertificationError, match="exceeds"):
-        groups._pair_bound(pair, 1)
+        groups._pair_chain(pair, 1)
 
 
 @pytest.mark.parametrize(
     "family,dim,scalars", [(OPLUS, 6, 1), (OMINUS, 8, 1), (UNITARY, 4, 3), (UNITARY, 5, 3)]
 )
 def test_pair_target_is_the_order_on_points(family, dim, scalars, monkeypatch):
-    _, points, gd = cached_setup(family, dim)
+    space, points, gd = cached_setup(family, dim)
     targets = []
-    bound = groups._pair_bound
+    pair_chain = groups._pair_chain
 
     def spy(perms, target, seed=0):
         targets.append(target)
-        return bound(perms, target, seed)
+        return pair_chain(perms, target, seed)
 
-    monkeypatch.setattr(groups, "_pair_bound", spy)
-    pair = generating_pair(gd, points, seed=0)
+    def bound(perms):
+        return pair_chain(perms, gd.formula_order, 0).order_lower_bound()
+
+    monkeypatch.setattr(groups, "_pair_chain", spy)
+    pair, chain = generating_pair(gd, points, seed=0)
     assert targets[-1] == gd.formula_order // scalars
+    assert chain.order_lower_bound() == gd.formula_order // scalars
     # the scalars fix every point: all generators reach no more on P either
-    on_P = [p.on_P for p in pair]
-    assert bound(on_P, gd.formula_order, 0) == gd.formula_order // scalars
-    assert bound([p.on_P for p in gd.pairs], gd.formula_order, 0) == gd.formula_order // scalars
+    assert bound([p.on_P for p in pair]) == gd.formula_order // scalars
+    assert bound(all_generators_on_P(space, points, gd)) == gd.formula_order // scalars
 
 
 @pytest.mark.parametrize("family,dim", [(OMINUS, 6), (UNITARY, 4)])
 def test_same_seed_gives_the_same_pair(family, dim):
     _, points, gd = cached_setup(family, dim)
-    a, b = generating_pair(gd, points, seed=4), generating_pair(gd, points, seed=4)
+    (a, _), (b, _) = generating_pair(gd, points, seed=4), generating_pair(gd, points, seed=4)
     for x, y in zip(a, b):
         assert np.array_equal(x.on_P, y.on_P) and np.array_equal(x.on_P0, y.on_P0)
     assert len(a) == 2
@@ -562,16 +677,18 @@ def test_same_seed_gives_the_same_pair(family, dim):
 
 @pytest.mark.parametrize("family,dim", [(OPLUS, 6), (UNITARY, 4)])
 def test_word_perm_is_the_word_matrix_on_points(family, dim):
+    # the word's permutations are its letters' permutations composed, the
+    # first letter acting first
     space, points, gd = cached_setup(family, dim)
+    letters = [induced_perm(space, points, M) for M in gd.mats]
     rng = np.random.default_rng(2)
     for _ in range(3):
-        word = rng.integers(0, len(gd.pairs), size=int(rng.integers(15, 26)))
-        M = np.eye(space.dim, dtype=np.uint8)
+        word = rng.integers(0, len(gd.mats), size=int(rng.integers(15, 26)))
+        on_P, on_P0 = np.arange(points.nP), np.arange(points.nP0)
         for i in word:
-            M = mat_mul(space, M, gd.mats[i])
-        want = induced_perm(space, points, M)
-        got = word_perm(gd.pairs, word)
-        assert np.array_equal(got.on_P, want.on_P) and np.array_equal(got.on_P0, want.on_P0)
+            on_P, on_P0 = letters[i].on_P[on_P], letters[i].on_P0[on_P0]
+        got = word_perm(points, gd.mats, word)
+        assert np.array_equal(got.on_P, on_P) and np.array_equal(got.on_P0, on_P0)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +705,29 @@ def test_traced_names_and_signatures():
     assert params(groups.induced_perm) == ["space", "points", "M"]
     assert params(groups.candidate_generators) == ["space", "points"]
     assert inspect.isgeneratorfunction(groups.candidate_generators)
+
+
+def test_every_traced_name_resolves():
+    # the tracer, loaded by path, looks up each function with getattr and
+    # each method in its class's own __dict__; a missing name stops the run
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, name, _span, _measure in tracer.FUNCTIONS:
+        if not callable(getattr(importlib.import_module(modname), name, None)):
+            missing.append(f"{modname}.{name}")
+    for modname, cls_name, meth, _span, _measure in tracer.METHODS:
+        cls = getattr(importlib.import_module(modname), cls_name, None)
+        if not callable(vars(cls).get(meth) if cls is not None else None):
+            missing.append(f"{modname}.{cls_name}.{meth}")
+    assert len(tracer.FUNCTIONS) > 15 and len(tracer.METHODS) > 5
+    assert missing == []
 
 
 # (module, name, leading parameters the tracer's measures read) for every
