@@ -4,9 +4,10 @@ comparison of the computed structure against the table expectations.
 run_analysis() certifies as it goes (brute-force vs closed parameters, root
 patterns, Schreier-Sims order vs formula order, the generating pair the
 module work runs on, the rank-3 orbitals read off its chain, the graph
-operator cross-checks, socle/chop consistency, lattice perp
-anti-automorphism and graph-submodule minimality) and raises on any
-certification failure.
+operator cross-checks, the split of F_ell[P] along an eigenvalue of the
+adjacency operator that the lattice is glued from, socle/chop consistency,
+lattice perp anti-automorphism and graph-submodule minimality) and raises on
+any certification failure.
 verify_result() then compares factors, socle layers, and the lattice diagram
 against expected(), arbitrating known-typo readings by the computed values.
 """
@@ -119,7 +120,8 @@ def run_analysis(
     timings["chop"] = _ms_since(t0)
 
     t0 = time.monotonic()
-    lat = mt.lattice(pm.ctxP, total=total)
+    eigenvalues = (cp.a, -roots[0], -roots[1])  # of the adjacency operator
+    lat = mt.lattice(pm.ctxP, total=total, operator=pm._adj, eigenvalues=eigenvalues)
     _lattice_checks(pm, lat, roots)
     timings["lattice"] = _ms_since(t0)
 

@@ -26,6 +26,14 @@ simple submodules isomorphic to the factor.  Applied to the quotient by every
 submodule found so far, they give the minimal overmodules, and so, bottom-up,
 the full submodule lattice.  The socle series is then read off the certified
 lattice: soc(M/N) is the sum of the minimal overmodules of N.
+
+When an operator commuting with the group (the adjacency operator of the
+rank-3 graph) has an eigenvalue whose residue occurs once, M is the direct
+sum S + D of that simple eigenspace S and the other generalised eigenspaces
+D.  Then only the interval [S, M], a copy of the lattice of D, is walked, and
+the other submodules are glued on by Goursat's lemma: the submodules U of D
+and, over every cover U < U' of D with U'/U isomorphic to S, the ell - 1
+graphs of the surjections U' -> S with kernel U (`Meataxe.lattice`).
 """
 
 from __future__ import annotations
@@ -191,6 +199,47 @@ class LatticeNode:
 class Lattice:
     nodes: list[LatticeNode]
     edges: list[tuple[int, int, int]]  # (lower ident, upper ident, class idx)
+
+
+class _Nodes:
+    """Lattice nodes by key in the order they are added, within LATTICE_NODE_BUDGET."""
+
+    def __init__(self):
+        self.bykey: dict[bytes, LatticeNode] = {}
+        self.nodes: list[LatticeNode] = []
+        self.edges: list[tuple[int, int, int]] = []
+
+    def add(self, sub: Submodule, factors: Counter, fresh: bool = False) -> LatticeNode:
+        """The node of `sub`, added unless present; a `fresh` node must not be."""
+        key = sub.key()
+        node = self.bykey.get(key)
+        if node is not None:
+            if fresh or node.factors != factors:
+                raise CertificationError(f"a dim-{sub.dim} submodule was reached twice")
+            return node
+        node = LatticeNode(len(self.nodes), sub, factors)
+        self.bykey[key] = node
+        self.nodes.append(node)
+        if len(self.nodes) > LATTICE_NODE_BUDGET:
+            raise BudgetExceededError(f"lattice node budget exceeded ({LATTICE_NODE_BUDGET} nodes)")
+        return node
+
+    def lattice(self) -> Lattice:
+        return Lattice(list(self.nodes), list(self.edges))
+
+
+@dataclass
+class _Split:
+    """M = S + D as spaces, with e_S = proj @ S.basis the projection onto S along D."""
+
+    S: Submodule
+    D: Submodule
+    proj: np.ndarray
+
+    def off_summand(self, rows: np.ndarray) -> np.ndarray:
+        """rows (1 - e_S): their components in D."""
+        ell = self.S.action.ell
+        return (rows - linalg.matmul(linalg.matmul(rows, self.proj, ell), self.S.basis, ell)) % ell
 
 
 class Meataxe:
@@ -402,13 +451,14 @@ class Meataxe:
 
     # -- socle lines, the lattice and the socle series ------------------------
 
-    def socle_lines(self, action) -> dict[int, list[Submodule]]:
+    def socle_lines(self, action) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
         """For each class: the simple submodules of `action` it is isomorphic to.
 
-        Returns dict class_idx -> [Submodule lines...].  Every class must hold
-        its peak word (`lattice` runs `ensure_peaks` once).  A candidate kernel
-        line is valid iff its spin has the class dimension; the count of valid
-        lines must be a projective-space count.
+        Returns dict class_idx -> [(seed, line)...], where each line is spun
+        from its seed, a kernel vector of the class's peak word.  Every class
+        must hold its peak word (`lattice` runs `ensure_peaks` once).  A
+        candidate kernel line is valid iff its spin has the class dimension;
+        the count of valid lines must be a projective-space count.
         """
         out = {}
         for idx, cls in enumerate(self.classes):
@@ -426,14 +476,51 @@ class Meataxe:
                 seedv = (coeffs @ K) % self.ell
                 W = spin(action, [seedv], cap_dim=cls.dim)
                 if W is not None and W.dim == cls.dim:
-                    lines.append(W)
+                    lines.append((seedv, W))
             if lines:
                 _projective_dim(len(lines), self.ell)
                 out[idx] = lines
         return out
 
-    def lattice(self, ambient, total: Counter | None = None) -> Lattice:
-        """All submodules, bottom-up by minimal overmodules."""
+    def lattice(self, ambient, total: Counter | None = None, operator=None, eigenvalues=None) -> Lattice:
+        """All submodules, certified.
+
+        Without an operator, or when the residues of its `eigenvalues` mod
+        ell are all equal, the lattice is walked from 0: each node's quotient
+        gives its minimal overmodules (`socle_lines`), and `_certify_lattice`
+        checks that the nodes are closed under sum and intersection.
+
+        `operator` is a matrix A commuting with the group, and `eigenvalues`
+        its eigenvalues (a, -rho0, -rho1).  For the first of them whose
+        residue lam occurs once (the valency's when it does: its summand is
+        the all-ones line, the smallest there can be), let q(x) be the
+        product of x - mu over the other two; then S = rowspace q(A) and
+        D = rowspace (A - lam).  Checked:
+        both are closed, dim S + dim D = dim M, S and D meet in 0, S is simple
+        (its one simple submodule is S itself), and e_S = q(A) / q(lam) is
+        the projection onto S along D (S e_S = S, D e_S = 0).  S has a
+        nullity-1 peak word, so it is absolutely irreducible, End(S) = F_ell.
+        So for every submodule W both W & S and its projection to S are 0
+        or S, and W is (Goursat's lemma) one of
+          - U, a submodule of D;
+          - S + U;
+          - the graph of one of the |End(S)^x| = ell - 1 surjections U' -> S
+            with kernel U, for a cover U < U' of D with U'/U isomorphic to S.
+        Only the interval [S, M] = {S + U} is walked, and `_certify_lattice`
+        runs on it alone.  Each U is read off as (S + U)(1 - e_S).  The
+        diagonals over a walked cover S + U < S + U' labelled with S's class
+        are U + spin(x + t s), t = 1 .. ell - 1, where x in U' lifts the
+        peak-word kernel line of U'/U and s spans it on S.  Each is checked
+        to have dimension dim U' and not to contain s, and the ell - 1 of a
+        pencil to be distinct (`_check_pencil`): so each is a graph with
+        kernel U, and they are all of them.  The covers are the walked
+        ones, their images in D, U < S + U, U < graph < S + U', and the
+        covers between graphs over U1 < U1' and U2 < U2', which exist only
+        where U1 < U2 and U1' < U2' are covers; there each graph of the first
+        pencil lies in exactly one of the second when U1' != U2, and in none
+        otherwise, which is checked.  Glued nodes count against
+        LATTICE_NODE_BUDGET.
+        """
         if total is None:
             total = self.chop(ambient)
         length = sum(total.values())
@@ -442,62 +529,122 @@ class Meataxe:
                 f"composition length {length} exceeds LATTICE_LENGTH_BOUND = {LATTICE_LENGTH_BOUND}"
             )
         self.ensure_peaks()  # the classes are final: no node of the walk registers one
-        nodes: dict[bytes, LatticeNode] = {}
-        order: list[bytes] = []
+        lam = None if operator is None else _summand_eigenvalue(eigenvalues, self.ell)
+        if lam is None:
+            nodes = _Nodes()
+            self._walk(ambient, nodes, zero_submodule(ambient), Counter())
+            lat = nodes.lattice()
+            self._certify_lattice(lat, ambient)
+            return lat
+        others = [e for e in eigenvalues if (e - lam) % self.ell]
+        split = _eigen_split(ambient, operator, lam, others)
+        return self._glue(ambient, split)
 
-        def add_node(sub: Submodule, factors: Counter) -> bytes:
-            key = sub.key()
-            if key in nodes:
-                if nodes[key].factors != factors:
-                    raise CertificationError("same submodule reached with different factors")
-                return key
-            nodes[key] = LatticeNode(len(nodes), sub, factors)
-            order.append(key)
-            if len(nodes) > LATTICE_NODE_BUDGET:
-                raise BudgetExceededError(f"lattice node budget exceeded ({LATTICE_NODE_BUDGET} nodes)")
-            return key
-
-        add_node(zero_submodule(ambient), Counter())
-        head = 0
-        edges: list[tuple[int, int, int]] = []
-        while head < len(order):
-            key = order[head]
+    def _walk(self, ambient, nodes: _Nodes, bottom: Submodule, factors: Counter, summand=None) -> dict:
+        """Add the interval [bottom, ambient] to `nodes`, bottom-up by minimal
+        overmodules.  Returns, for each cover labelled with class `summand`,
+        (lower ident, upper ident) -> a lift to the ambient of the seed of its
+        quotient, the peak-word kernel line."""
+        seeds = {}
+        head = len(nodes.nodes)
+        nodes.add(bottom, factors)
+        while head < len(nodes.nodes):
+            node = nodes.nodes[head]
             head += 1
-            node = nodes[key]
             if node.dim == ambient.dim:
                 continue
-            if node.dim == 0:
-                quot = None
-                act = ambient
-            else:
-                quot = QuotCtx(ambient, node.sub)
-                act = quot
-            for cls_idx, lines in self.socle_lines(act).items():
-                for line in lines:
+            quot = None if node.dim == 0 else QuotCtx(ambient, node.sub)
+            for cls_idx, lines in self.socle_lines(ambient if quot is None else quot).items():
+                for seed, line in lines:
                     rows = line.basis if quot is None else quot.lift_rows(line.basis)
                     basis, piv = linalg.rowspace_sum(node.sub.basis, node.sub.pivots, rows, self.ell)
                     child = Submodule(ambient, basis, piv)
                     child.certify_closed()
-                    factors = node.factors + Counter({cls_idx: 1})
-                    ckey = add_node(child, factors)
-                    edges.append((node.ident, nodes[ckey].ident, cls_idx))
-        lat = Lattice([nodes[k] for k in order], edges)
-        self._certify_lattice(lat, ambient)
-        return lat
+                    upper = nodes.add(child, node.factors + Counter({cls_idx: 1}))
+                    nodes.edges.append((node.ident, upper.ident, cls_idx))
+                    if cls_idx == summand:
+                        lift = seed[None] if quot is None else quot.lift_rows(seed[None])
+                        seeds[(node.ident, upper.ident)] = lift
+        return seeds
 
-    def _certify_lattice(self, lat: Lattice, ambient) -> None:
+    def _certify_split(self, ambient, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
+        """Check that ambient = S + D with S simple.  Returns S's class and a
+        vector s spanning the kernel of the class's peak word on S."""
+        S.certify_closed()
+        D.certify_closed()
+        if S.dim + D.dim != ambient.dim:
+            raise CertificationError(f"summands of dims {S.dim} and {D.dim} do not make {ambient.dim}")
+        if linalg.rank(linalg.reduce_rows(S.basis, D.basis, D.pivots, self.ell), self.ell) != S.dim:
+            raise CertificationError("the summands meet")
+        socle = self.socle_lines(sub_rep(S))
+        lines = [pair for found in socle.values() for pair in found]
+        if len(lines) != 1 or lines[0][1].dim != S.dim:
+            raise CertificationError(f"the dim-{S.dim} summand is not simple")
+        (summand,) = socle
+        seed = lines[0][0]
+        return summand, linalg.matmul(seed[None], S.basis, self.ell)[0]
+
+    def _glue(self, ambient, split: _Split) -> Lattice:
+        """The lattice of ambient = S + D from the walked interval [S, M]
+        (the certificate is in `lattice`'s docstring)."""
+        ell = self.ell
+        summand, s = self._certify_split(ambient, split.S, split.D)
+        nodes = _Nodes()
+        seeds = self._walk(ambient, nodes, split.S, Counter({summand: 1}), summand)
+        interval = nodes.lattice()
+        self._certify_lattice(interval, ambient, bottom=split.S.dim)
+        lower: dict[int, LatticeNode] = {}
+        for node in interval.nodes:
+            basis, piv = linalg.rref(split.off_summand(node.sub.basis), ell)
+            U = nodes.add(Submodule(ambient, basis, piv), node.factors - Counter({summand: 1}), fresh=True)
+            lower[node.ident] = U
+            nodes.edges.append((U.ident, node.ident, summand))
+        for a, b, cls_idx in interval.edges:
+            nodes.edges.append((lower[a].ident, lower[b].ident, cls_idx))
+        pencils = {}
+        for (a, b), lift in seeds.items():
+            x = split.off_summand(lift)[0].astype(np.int64)
+            seeds_t = (x + np.arange(1, ell)[:, None] * s.astype(np.int64)) % ell  # x + t s
+            pencil = []
+            for v in seeds_t:
+                W = spin(ambient, [v], cap_dim=lower[b].dim)
+                pencil.append(None if W is None else sum_sub(lower[a].sub, W))
+            _check_pencil(pencil, lower[b].dim, s, ell)
+            pencil = [nodes.add(W, lower[b].factors, fresh=True) for W in pencil]
+            for W in pencil:
+                nodes.edges.append((lower[a].ident, W.ident, summand))
+                nodes.edges.append((W.ident, b, summand))
+            pencils[(a, b)] = list(zip(seeds_t, pencil))
+        covers = {(a, b): cls_idx for a, b, cls_idx in interval.edges}
+        for (a, a1), below in pencils.items():
+            for (b, b1), above in pencils.items():
+                if (a, b) not in covers or (a1, b1) not in covers:
+                    continue
+                want = int(a1 != b)
+                for v, low in below:
+                    hits = [W for _v, W in above if linalg.in_rowspace(v, W.sub.basis, W.sub.pivots, ell)]
+                    if len(hits) != want:
+                        raise CertificationError(
+                            f"a diagonal lies in {len(hits)} diagonals of the pencil above, not {want}"
+                        )
+                    nodes.edges.extend((low.ident, W.ident, covers[(a, b)]) for W in hits)
+        return nodes.lattice()
+
+    def _certify_lattice(self, lat: Lattice, ambient, bottom: int = 0) -> None:
         """Closure under sum and intersection, one rank per incomparable pair.
 
-        `below` is the transitive closure of the cover edges, and each edge is
-        a genuine inclusion, so every node above A and B contains A + B, of
-        dimension r = dim A + rank(B mod A): one of dimension r is A + B, and
-        one below both of dimension dim A + dim B - r is their intersection.
-        A containment A < B missing from `below` is refused too, as the only
+        `lat` is the lattice of `ambient`, or with `bottom` > 0 the interval
+        above a submodule of that dimension.  `below` is the transitive
+        closure of the cover edges, and each edge is a genuine inclusion, so
+        every node above A and B contains A + B, of dimension
+        r = dim A + rank(B mod A): one of dimension r is A + B, and one below
+        both of dimension dim A + dim B - r is their intersection.  A
+        containment A < B missing from `below` is refused too, as the only
         node of dimension r = dim B above B is B itself.
         """
         dims = np.array([n.dim for n in lat.nodes])
-        if 0 not in dims or ambient.dim not in dims:
-            raise CertificationError("lattice missing 0 or the full module")
+        if bottom not in dims or ambient.dim not in dims:
+            raise CertificationError(f"lattice missing its bottom (dim {bottom}) or the full module")
         k = len(lat.nodes)
         pos = {n.ident: i for i, n in enumerate(lat.nodes)}
         below = np.eye(k, dtype=bool)
@@ -572,10 +719,55 @@ def densify(action) -> DenseRep:
 
 def _shifted(word: Word, action, lam: int) -> np.ndarray:
     """theta - lam I, for theta the matrix of `word` on `action`."""
-    M = word.matrix(action).copy()
-    n = action.dim
-    M[np.arange(n), np.arange(n)] = (M.diagonal() - lam) % action.ell
-    return M
+    return _minus_scalar(word.matrix(action), lam, action.ell)
+
+
+def _minus_scalar(M: np.ndarray, lam: int, ell: int) -> np.ndarray:
+    """M - lam I as a new F_ell matrix."""
+    out = M.copy()
+    n = M.shape[0]
+    out[np.arange(n), np.arange(n)] = (out.diagonal() - lam % ell) % ell
+    return out
+
+
+def _summand_eigenvalue(eigenvalues, ell: int) -> int | None:
+    """The residue mod ell of the first eigenvalue whose residue occurs once
+    among them, or None when they all have one residue."""
+    residues = [e % ell for e in eigenvalues]
+    return next((r for r in residues if residues.count(r) == 1), None)
+
+
+def _eigen_split(ambient, operator: np.ndarray, lam: int, others) -> _Split:
+    """S = rowspace q(A), D = rowspace (A - lam) and the projection onto S along D.
+
+    q(x) is the product of x - mu over the eigenvalues mu in `others`, none
+    congruent to lam, and e_S = q(A) / q(lam) = C S.basis with C the columns
+    of q(A) / q(lam) at S's pivots.  Raises unless S e_S = S and D e_S = 0.
+    """
+    ell = ambient.ell
+    mu0, mu1 = others
+    Q = linalg.matmul(_minus_scalar(operator, mu0, ell), _minus_scalar(operator, mu1, ell), ell)
+    S = Submodule(ambient, *linalg.rref(Q, ell))
+    D = Submodule(ambient, *linalg.rref(_minus_scalar(operator, lam, ell), ell))
+    scale = pow((lam - mu0) * (lam - mu1) % ell, -1, ell)
+    proj = linalg.asmat(Q[:, S.pivots].astype(np.int64) * scale, ell)
+    if not (
+        np.array_equal(linalg.matmul(S.basis, proj, ell), np.eye(S.dim))
+        and not linalg.matmul(D.basis, proj, ell).any()
+    ):
+        raise CertificationError("q(A) / q(lam) is not the projection onto S along D")
+    return _Split(S, D, proj)
+
+
+def _check_pencil(pencil: list, dim: int, s: np.ndarray, ell: int) -> None:
+    """Raise unless the pencil has ell - 1 distinct diagonals of dimension
+    `dim`, none containing s."""
+    if len(pencil) != ell - 1 or any(W is None or W.dim != dim for W in pencil):
+        raise CertificationError(f"a pencil over a dim-{dim} cover lacks a diagonal of that dimension")
+    if any(linalg.in_rowspace(s, W.basis, W.pivots, ell) for W in pencil):
+        raise CertificationError("a diagonal contains the summand")
+    if len({W.key() for W in pencil}) != ell - 1:
+        raise CertificationError("two diagonals of a pencil coincide")
 
 
 def _projective_dim(count: int, ell: int) -> int:

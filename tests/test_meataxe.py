@@ -14,7 +14,7 @@ from rank3mod.meataxe import (
     left_kernel,
     transpose_action,
 )
-from rank3mod.modules import DenseRep, spin, sub_rep
+from rank3mod.modules import DenseRep, spin, sub_rep, sum_sub
 
 from conftest import cached_pm
 
@@ -416,3 +416,149 @@ def test_krylov_annihilator_least_monic(ell, s):
 def test_krylov_annihilator_of_zero_vector():
     p, kry = krylov_annihilator(np.eye(70, dtype=np.int64), np.zeros(70, dtype=np.int64), 5)
     assert list(p) == [1] and kry.shape == (0, 70)
+
+
+# ---------------------------------------------------------------------------
+# the lattice glued from a simple eigenspace summand of the adjacency operator
+
+
+def _eigenvalues(res):
+    rep = res.report
+    return rep["params"]["a"], -rep["roots"][0], -rep["roots"][1]
+
+
+def _split_of(res):
+    """The eigenspace split `lattice` glues the analysis' lattice from."""
+    ell = res.report["input"]["ell"]
+    eigenvalues = _eigenvalues(res)
+    lam = meataxe._summand_eigenvalue(eigenvalues, ell)
+    others = [e for e in eigenvalues if (e - lam) % ell]
+    return meataxe._eigen_split(res.pm.ctxP, res.pm._adj, lam, others)
+
+
+def _shape(lat):
+    """Node keys with their factors, and edges as (key, key, class)."""
+    key = {n.ident: n.sub.key() for n in lat.nodes}
+    nodes = {n.sub.key(): n.factors for n in lat.nodes}
+    assert len(nodes) == len(lat.nodes)
+    return nodes, sorted((key[a], key[b], c) for a, b, c in lat.edges)
+
+
+# the suite rows whose eigenvalue residues are not all equal
+TWO_RESIDUE_ROWS = [
+    ("o+", 3, 5), ("o+", 3, 7), ("o+", 3, 3),
+    ("o-", 3, 5), ("o-", 3, 7), ("o-", 4, 3), ("o-", 4, 17),
+    ("u", 4, 7), ("u", 4, 5), ("u", 4, 3),
+    ("u", 5, 5), ("u", 5, 11), ("u", 5, 3),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family,size,ell", TWO_RESIDUE_ROWS)
+def test_glued_lattice_equals_the_walk_from_zero(analysis, family, size, ell, seed):
+    res = analysis(family, size, ell, seed)
+    assert meataxe._summand_eigenvalue(_eigenvalues(res), ell) is not None
+    walked = res.meataxe.lattice(res.pm.ctxP, total=res.chop_total)
+    assert _shape(res.lattice) == _shape(walked)
+    res.meataxe._certify_lattice(res.lattice, res.pm.ctxP)
+
+
+def _pencils(lat, split):
+    """The diagonals of lat (nodes neither containing S nor inside D) by the
+    ident of the node of D each covers."""
+    inside = {n.ident for n in lat.nodes if split.D.contains(n.sub)}
+    diagonal = {
+        n.ident: n for n in lat.nodes if n.ident not in inside and not n.sub.contains(split.S)
+    }
+    out: dict[int, list] = {}
+    for a, b, _c in lat.edges:
+        if a in inside and b in diagonal:
+            out.setdefault(a, []).append(diagonal[b])
+    assert sum(map(len, out.values())) == len(diagonal)
+    return out
+
+
+def test_glued_u5_ell3_has_two_pencils_and_their_diagonal_edges(analysis):
+    res = analysis("u", 5, 3)
+    split = _split_of(res)
+    assert split.S.dim == 1  # the trivial line
+    assert sum(n.sub.contains(split.S) for n in res.lattice.nodes) == 8
+    assert sum(split.D.contains(n.sub) for n in res.lattice.nodes) == 8
+    pencils = _pencils(res.lattice, split)
+    assert sorted(map(len, pencils.values())) == [3 - 1, 3 - 1]
+    ids = {n.ident for pencil in pencils.values() for n in pencil}
+    assert sum(a in ids and b in ids for a, b, _c in res.lattice.edges) == 3 - 1
+
+
+def test_split_refuses_a_summand_that_is_not_simple_or_not_a_complement():
+    # O+6(2), ell = 7: S = the eigenvalue-4 eigenspace X (dim 7), D = FF/Y/FF;
+    # 28 points, so the all-ones line lies in the zero-sum submodule
+    pm = cached_pm("o+", 6, 7)
+    mt = Meataxe(7, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    mt.ensure_peaks()
+    split = meataxe._eigen_split(pm.ctxP, pm._adj, 4, [12, -2])
+    assert (split.S.dim, split.D.dim) == (7, 21)
+    mt._certify_split(pm.ctxP, split.S, split.D)
+    with pytest.raises(CertificationError, match="not simple"):
+        mt._certify_split(pm.ctxP, split.D, split.S)
+    zero_sum, ones = pm.distinguished()
+    with pytest.raises(CertificationError, match="meet"):
+        mt._certify_split(pm.ctxP, ones, zero_sum)
+    with pytest.raises(CertificationError, match="do not make 28"):
+        mt._certify_split(pm.ctxP, split.S, ones)
+
+
+def test_pencil_check_refuses_a_missing_or_wrong_diagonal(analysis):
+    res = analysis("u", 5, 3)
+    split = _split_of(res)
+    mt, ctx = res.meataxe, res.pm.ctxP
+    _summand, s = mt._certify_split(ctx, split.S, split.D)
+    pencil = [n.sub for n in next(iter(_pencils(res.lattice, split).values()))]
+    dim = pencil[0].dim
+    meataxe._check_pencil(pencil, dim, s, 3)
+    with pytest.raises(CertificationError, match="lacks a diagonal"):
+        meataxe._check_pencil(pencil[:1], dim, s, 3)
+    above = sum_sub(pencil[0], split.S)
+    with pytest.raises(CertificationError, match="lacks a diagonal"):
+        meataxe._check_pencil([pencil[0], above], dim, s, 3)
+    with pytest.raises(CertificationError, match="lacks a diagonal"):
+        meataxe._check_pencil([pencil[0], None], dim, s, 3)
+    with pytest.raises(CertificationError, match="coincide"):
+        meataxe._check_pencil([pencil[0], pencil[0]], dim, s, 3)
+
+
+def test_glued_nodes_count_against_the_node_budget(analysis, monkeypatch):
+    # U5(2), ell = 3: 8 walked nodes, their 8 images in D and 4 diagonals
+    res = analysis("u", 5, 3)
+    args = (res.pm.ctxP, res.chop_total, res.pm._adj, _eigenvalues(res))
+    monkeypatch.setattr(meataxe, "LATTICE_NODE_BUDGET", 19)
+    with pytest.raises(BudgetExceededError, match=r"node budget exceeded \(19 nodes\)"):
+        res.meataxe.lattice(*args)
+    monkeypatch.setattr(meataxe, "LATTICE_NODE_BUDGET", 20)
+    assert len(res.meataxe.lattice(*args).nodes) == 20
+
+
+class _Walked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("family,size,ell", [("o+", 4, 3), ("o-", 3, 3), ("u", 6, 3), ("o+", 3, 5)])
+def test_one_residue_rows_compute_no_eigenspace(analysis, monkeypatch, family, size, ell):
+    res = analysis(family, size, ell)
+    calls = []
+    eigen_split = meataxe._eigen_split
+
+    def counted(*args):
+        calls.append(args)
+        return eigen_split(*args)
+
+    def stop(*args):
+        raise _Walked
+
+    monkeypatch.setattr(meataxe, "_eigen_split", counted)
+    monkeypatch.setattr(Meataxe, "_walk", stop)
+    with pytest.raises(_Walked):
+        res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.pm._adj, _eigenvalues(res))
+    # O+6(2), ell = 5 has three residues and is the control
+    assert len(calls) == (family == "o+" and size == 3)
