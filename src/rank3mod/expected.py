@@ -33,9 +33,6 @@ from .geometry import OMINUS, OPLUS, UNITARY
 FF = "FF"
 OMEGA = "omega"
 
-KNOWN_FLAGS = ("TABLE2_Y_DELTA", "U_EVEN_S_PAREN")
-
-
 def delta(i: int, j: int) -> int:
     """1 if i divides j else 0."""
     return 1 if j % i == 0 else 0

@@ -713,7 +713,7 @@ def rank_and_orbitals(chain: StabilizerChain, points: PointSets) -> dict:
     all deeper levels, found by min-label propagation on one label per
     point.  These generators fix b, so {b} is one of their orbits, and
     their orbits refine those of G_b.  G preserves the Delta-relation
-    (`analyze._graph_operator_checks` checks this on the generating pair),
+    (`modules.eigen_split` checks this on the generating pair),
     so G_b preserves {b}, Delta(b) and the rest.  When there are three
     orbits and Delta(b) is one of them, they are exactly the orbits of G_b,
     and the rank is 3 (orbitals_match).  This does not depend on the order

@@ -96,6 +96,14 @@ def asmat(A, ell: int) -> np.ndarray:
     return np.remainder(A, np.int64(ell), out=np.empty(A.shape, dtype=dt), casting="unsafe")
 
 
+def minus_scalar(M: np.ndarray, lam: int, ell: int) -> np.ndarray:
+    """M - lam I as a new F_ell matrix."""
+    out = asmat(M, ell).copy()
+    n = M.shape[0]
+    out[np.arange(n), np.arange(n)] = (out.diagonal() - lam % ell) % ell
+    return out
+
+
 def _product(A: np.ndarray, B: np.ndarray, ell: int, dtype=None) -> np.ndarray:
     """A B as integers of `dtype`, not yet reduced, through one exact float product.
 

@@ -27,13 +27,18 @@ submodule found so far, they give the minimal overmodules, and so, bottom-up,
 the full submodule lattice.  The socle series is then read off the certified
 lattice: soc(M/N) is the sum of the minimal overmodules of N.
 
-When an operator commuting with the group (the adjacency operator of the
-rank-3 graph) has an eigenvalue whose residue occurs once, M is the direct
-sum S + D of that simple eigenspace S and the other generalised eigenspaces
-D.  Then only the interval [S, M], a copy of the lattice of D, is walked, and
-the other submodules are glued on by Goursat's lemma: the submodules U of D
-and, over every cover U < U' of D with U'/U isomorphic to S, the ell - 1
-graphs of the surjections U' -> S with kernel U (`Meataxe.lattice`).
+An operator A commuting with the group (the adjacency operator of the
+rank-3 graph) cuts M by elimination alone (`modules.eigen_split`).  Its
+generalised eigenspaces E are submodules, and so are the kernels of
+B = A - mu on the chain E > E B > ...; since M / Ker B is isomorphic to
+M B, the chop runs only on the pieces Ker(B | E B^j) / Ker(B | E B^(j+1))
+and counts each j + 1 times (`Meataxe.chop`).  When an eigenvalue's residue
+occurs once, M is the direct sum S + D of that eigenspace S, checked to be
+simple, and the other generalised eigenspaces D.  Then only the interval
+[S, M], a copy of the lattice of D, is walked, and the other submodules are
+glued on by Goursat's lemma: the submodules U of D and, over every cover
+U < U' of D with U'/U isomorphic to S, the ell - 1 graphs of the
+surjections U' -> S with kernel U (`Meataxe.lattice`).
 """
 
 from __future__ import annotations
@@ -48,9 +53,11 @@ from .errors import BudgetExceededError, CertificationError
 from .linalg import krylov_annihilator
 from .modules import (
     DenseRep,
+    EigenSplit,
     ModCtx,
     QuotCtx,
     Submodule,
+    Summands,
     spin,
     sub_rep,
     submodule_from_rows,
@@ -177,7 +184,6 @@ class FactorClass:
     peak: tuple[Word, int] | None = None  # nullity-1 AND invertible on all other classes
     n1: tuple[Word, int] | None = None    # nullity-1 on this factor alone
     abs_irred: bool = False
-    label: str | None = None
     trivial: bool = False  # all generators act as the identity
 
     def nullity_of(self, word: Word, lam: int, ell: int) -> int:
@@ -228,20 +234,6 @@ class _Nodes:
         return Lattice(list(self.nodes), list(self.edges))
 
 
-@dataclass
-class _Split:
-    """M = S + D as spaces, with e_S = proj @ S.basis the projection onto S along D."""
-
-    S: Submodule
-    D: Submodule
-    proj: np.ndarray
-
-    def off_summand(self, rows: np.ndarray) -> np.ndarray:
-        """rows (1 - e_S): their components in D."""
-        ell = self.S.action.ell
-        return (rows - linalg.matmul(linalg.matmul(rows, self.proj, ell), self.S.basis, ell)) % ell
-
-
 class Meataxe:
     """Structure analysis engine for one prime and one generator indexing."""
 
@@ -268,19 +260,32 @@ class Meataxe:
 
     # -- chop ---------------------------------------------------------------
 
-    def chop(self, action) -> Counter:
-        """Composition factors with multiplicities as Counter{class index}."""
+    def chop(self, action, split: EigenSplit | None = None) -> Counter:
+        """Composition factors with multiplicities as Counter{class index}.
+
+        With `split`, an `EigenSplit` of `action` along an operator A that
+        commutes with it, only the split's pieces are chopped, and each
+        factor of a piece counts as often as the piece's multiplicity.  This
+        is exact: A commutes with the generators (`modules.eigen_split`
+        checks this where it builds the split), so Ker B and Im B are
+        submodules for every B = A - mu, and M / Ker B is isomorphic to Im B
+        by rank-nullity.  Unrolled along the chain E > E B > ... of each
+        generalised eigenspace E, the factors of M are those of the pieces
+        Ker(B | E B^j) / Ker(B | E B^(j+1)), each counted j + 1 times, and
+        the pieces' dimensions so counted are checked to add up to dim M.
+        The pieces are built by elimination only, with no random word.
+        """
         out: Counter = Counter()
-        stack = [action]
+        stack = [(action, 1)] if split is None else list(split.pieces)
         while stack:
-            m = stack.pop()
+            m, mult = stack.pop()
             if m.dim == 0:
                 continue
             res = self._chop_one(m)
             if isinstance(res, int):
-                out[res] += 1
+                out[res] += mult
             else:
-                stack.extend(res)
+                stack.extend((part, mult) for part in res)
         return out
 
     def _chop_one(self, action):
@@ -482,23 +487,24 @@ class Meataxe:
                 out[idx] = lines
         return out
 
-    def lattice(self, ambient, total: Counter | None = None, operator=None, eigenvalues=None) -> Lattice:
+    def lattice(self, ambient, total: Counter | None = None, split: EigenSplit | None = None) -> Lattice:
         """All submodules, certified.
 
-        Without an operator, or when the residues of its `eigenvalues` mod
-        ell are all equal, the lattice is walked from 0: each node's quotient
-        gives its minimal overmodules (`socle_lines`), and `_certify_lattice`
-        checks that the nodes are closed under sum and intersection.
+        Without a split, or when the split has no summands (the residues of
+        the operator's eigenvalues mod ell are all equal), the lattice is
+        walked from 0: each node's quotient gives its minimal overmodules
+        (`socle_lines`), and `_certify_lattice` checks that the nodes are
+        closed under sum and intersection.
 
-        `operator` is a matrix A commuting with the group, and `eigenvalues`
-        its eigenvalues (a, -rho0, -rho1).  For the first of them whose
-        residue lam occurs once (the valency's when it does: its summand is
-        the all-ones line, the smallest there can be), let q(x) be the
-        product of x - mu over the other two; then S = rowspace q(A) and
-        D = rowspace (A - lam).  Checked:
-        both are closed, dim S + dim D = dim M, S and D meet in 0, S is simple
-        (its one simple submodule is S itself), and e_S = q(A) / q(lam) is
-        the projection onto S along D (S e_S = S, D e_S = 0).  S has a
+        `split` is an `EigenSplit` of `ambient` along an operator A
+        commuting with the group.  Its summands are taken at the first
+        eigenvalue whose residue lam occurs once (the valency's when it does:
+        its summand is the all-ones line, the smallest there can be):
+        S = rowspace q(A), for q(x) the product of x - mu over the other two,
+        and D the other generalised eigenspaces, with e_S = q(A) / q(lam)
+        checked to be the projection onto S along D (S e_S = S, D e_S = 0).
+        Checked here: both are closed, dim S + dim D = dim M, S and D meet
+        in 0, and S is simple (its one simple submodule is S itself).  S has a
         nullity-1 peak word, so it is absolutely irreducible, End(S) = F_ell.
         So for every submodule W both W & S and its projection to S are 0
         or S, and W is (Goursat's lemma) one of
@@ -522,23 +528,20 @@ class Meataxe:
         LATTICE_NODE_BUDGET.
         """
         if total is None:
-            total = self.chop(ambient)
+            total = self.chop(ambient, split)
         length = sum(total.values())
         if length > LATTICE_LENGTH_BOUND:
             raise BudgetExceededError(
                 f"composition length {length} exceeds LATTICE_LENGTH_BOUND = {LATTICE_LENGTH_BOUND}"
             )
         self.ensure_peaks()  # the classes are final: no node of the walk registers one
-        lam = None if operator is None else _summand_eigenvalue(eigenvalues, self.ell)
-        if lam is None:
+        if split is None or split.summands is None:
             nodes = _Nodes()
             self._walk(ambient, nodes, zero_submodule(ambient), Counter())
             lat = nodes.lattice()
             self._certify_lattice(lat, ambient)
             return lat
-        others = [e for e in eigenvalues if (e - lam) % self.ell]
-        split = _eigen_split(ambient, operator, lam, others)
-        return self._glue(ambient, split)
+        return self._glue(ambient, split.summands)
 
     def _walk(self, ambient, nodes: _Nodes, bottom: Submodule, factors: Counter, summand=None) -> dict:
         """Add the interval [bottom, ambient] to `nodes`, bottom-up by minimal
@@ -584,18 +587,18 @@ class Meataxe:
         seed = lines[0][0]
         return summand, linalg.matmul(seed[None], S.basis, self.ell)[0]
 
-    def _glue(self, ambient, split: _Split) -> Lattice:
+    def _glue(self, ambient, summands: Summands) -> Lattice:
         """The lattice of ambient = S + D from the walked interval [S, M]
         (the certificate is in `lattice`'s docstring)."""
         ell = self.ell
-        summand, s = self._certify_split(ambient, split.S, split.D)
+        summand, s = self._certify_split(ambient, summands.S, summands.D)
         nodes = _Nodes()
-        seeds = self._walk(ambient, nodes, split.S, Counter({summand: 1}), summand)
+        seeds = self._walk(ambient, nodes, summands.S, Counter({summand: 1}), summand)
         interval = nodes.lattice()
-        self._certify_lattice(interval, ambient, bottom=split.S.dim)
+        self._certify_lattice(interval, ambient, bottom=summands.S.dim)
         lower: dict[int, LatticeNode] = {}
         for node in interval.nodes:
-            basis, piv = linalg.rref(split.off_summand(node.sub.basis), ell)
+            basis, piv = linalg.rref(summands.off_summand(node.sub.basis), ell)
             U = nodes.add(Submodule(ambient, basis, piv), node.factors - Counter({summand: 1}), fresh=True)
             lower[node.ident] = U
             nodes.edges.append((U.ident, node.ident, summand))
@@ -603,7 +606,7 @@ class Meataxe:
             nodes.edges.append((lower[a].ident, lower[b].ident, cls_idx))
         pencils = {}
         for (a, b), lift in seeds.items():
-            x = split.off_summand(lift)[0].astype(np.int64)
+            x = summands.off_summand(lift)[0].astype(np.int64)
             seeds_t = (x + np.arange(1, ell)[:, None] * s.astype(np.int64)) % ell  # x + t s
             pencil = []
             for v in seeds_t:
@@ -719,44 +722,7 @@ def densify(action) -> DenseRep:
 
 def _shifted(word: Word, action, lam: int) -> np.ndarray:
     """theta - lam I, for theta the matrix of `word` on `action`."""
-    return _minus_scalar(word.matrix(action), lam, action.ell)
-
-
-def _minus_scalar(M: np.ndarray, lam: int, ell: int) -> np.ndarray:
-    """M - lam I as a new F_ell matrix."""
-    out = M.copy()
-    n = M.shape[0]
-    out[np.arange(n), np.arange(n)] = (out.diagonal() - lam % ell) % ell
-    return out
-
-
-def _summand_eigenvalue(eigenvalues, ell: int) -> int | None:
-    """The residue mod ell of the first eigenvalue whose residue occurs once
-    among them, or None when they all have one residue."""
-    residues = [e % ell for e in eigenvalues]
-    return next((r for r in residues if residues.count(r) == 1), None)
-
-
-def _eigen_split(ambient, operator: np.ndarray, lam: int, others) -> _Split:
-    """S = rowspace q(A), D = rowspace (A - lam) and the projection onto S along D.
-
-    q(x) is the product of x - mu over the eigenvalues mu in `others`, none
-    congruent to lam, and e_S = q(A) / q(lam) = C S.basis with C the columns
-    of q(A) / q(lam) at S's pivots.  Raises unless S e_S = S and D e_S = 0.
-    """
-    ell = ambient.ell
-    mu0, mu1 = others
-    Q = linalg.matmul(_minus_scalar(operator, mu0, ell), _minus_scalar(operator, mu1, ell), ell)
-    S = Submodule(ambient, *linalg.rref(Q, ell))
-    D = Submodule(ambient, *linalg.rref(_minus_scalar(operator, lam, ell), ell))
-    scale = pow((lam - mu0) * (lam - mu1) % ell, -1, ell)
-    proj = linalg.asmat(Q[:, S.pivots].astype(np.int64) * scale, ell)
-    if not (
-        np.array_equal(linalg.matmul(S.basis, proj, ell), np.eye(S.dim))
-        and not linalg.matmul(D.basis, proj, ell).any()
-    ):
-        raise CertificationError("q(A) / q(lam) is not the projection onto S along D")
-    return _Split(S, D, proj)
+    return linalg.minus_scalar(word.matrix(action), lam, action.ell)
 
 
 def _check_pencil(pencil: list, dim: int, s: np.ndarray, ell: int) -> None:

@@ -9,7 +9,10 @@ right action throughout.
 Submodules are held as reduced-row-echelon bases with sorted pivots, so two
 submodules are equal iff their arrays are equal.  spin() closes a seed set
 under the generators; every Submodule built here also carries an independent
-closure certificate (apply every generator to every basis row and reduce).
+closure certificate (apply every generator to every basis row and reduce),
+except those of `eigen_split`, which cuts a module by elimination along an
+operator that it checks to commute with the generators, so that every
+subspace it forms is closed.
 """
 
 from __future__ import annotations
@@ -151,13 +154,20 @@ def zero_submodule(action) -> Submodule:
     )
 
 
+def whole_submodule(action) -> Submodule:
+    """The whole module, with the identity as its basis."""
+    n = action.dim
+    return Submodule(action, linalg.asmat(np.eye(n, dtype=np.int64), action.ell), np.arange(n))
+
+
 def sum_sub(A: Submodule, B: Submodule) -> Submodule:
     basis, piv = linalg.rowspace_sum(A.basis, A.pivots, B.basis, A.action.ell)
     return Submodule(A.action, basis, piv)
 
 
 def _pivots_of(R: np.ndarray) -> np.ndarray:
-    return np.array([int(np.nonzero(r)[0][0]) for r in R], dtype=np.int64)
+    """The leading column of each row of R, which has no zero row."""
+    return (R != 0).argmax(axis=1).astype(np.int64)
 
 
 class QuotCtx(DenseRep):
@@ -211,6 +221,160 @@ def sub_rep(sub: Submodule) -> DenseRep:
         img = act.act_rows(sub.basis, i)
         mats.append(img[:, sub.pivots])
     return DenseRep(act.ell, mats)
+
+
+# ---------------------------------------------------------------------------
+# the split along an operator that commutes with the group
+
+
+@dataclass
+class Summands:
+    """M = S + D as spaces, with e_S = proj @ S.basis the projection onto S along D."""
+
+    S: Submodule
+    D: Submodule
+    proj: np.ndarray
+
+    def off_summand(self, rows: np.ndarray) -> np.ndarray:
+        """rows (1 - e_S): their components in D."""
+        ell = self.S.action.ell
+        return (rows - linalg.matmul(linalg.matmul(rows, self.proj, ell), self.S.basis, ell)) % ell
+
+
+@dataclass
+class EigenSplit:
+    """A module cut along an operator that commutes with it (`eigen_split`).
+
+    `pieces` are (module, multiplicity) pairs: the composition factors of the
+    pieces, each counted that many times, are those of the whole module.
+    `summands` is M = S + D when some residue of the eigenvalues occurs once,
+    with S its eigenspace and D the other generalised eigenspaces, else None.
+    """
+
+    pieces: list[tuple[object, int]]
+    summands: Summands | None
+
+
+def eigen_split(action, operator: np.ndarray, eigenvalues) -> EigenSplit:
+    """The pieces of `action` along an operator A that commutes with it, and
+    its summands S + D (see `EigenSplit`), by elimination alone.
+
+    `eigenvalues` are integers e with prod (A - e) = 0, repeated as in that
+    product (for the adjacency operator: a, -rho0 and -rho1); the checks
+    below refuse any list on which the split would not be exact.  For each of
+    their residues mu mod ell, E = rowspace q(A), with q the product of
+    x - e over the eigenvalues e of the other residues, and B = A - mu.
+    The pieces of E are K_j / K_(j+1) with multiplicity j + 1, for the
+    kernels K_j = Ker(B | E B^j) of B on the chain E > E B > E B^2 > ...,
+    which stops where E B^t = 0 (raises where it stalls: B is then not
+    nilpotent on E, and the eigenvalues are not the operator's).
+
+    Why their factors are those of M:
+      - A commutes with every generator (checked here; raises otherwise),
+        so every polynomial in A is a module endomorphism, and E, its images
+        under powers of B and their kernels are submodules;
+      - B maps a submodule X onto XB with kernel Ker(B | X), so
+        X / Ker(B | X) is isomorphic to XB (rank-nullity) and
+        factors(X) = factors(Ker(B | X)) + factors(XB).  Ker(B | XB) is
+        Ker(B | X) & XB, so K_(j+1) lies in K_j, and unrolled from X = E
+        this counts each K_j / K_(j+1) j + 1 times;
+      - E B^t = 0 puts E inside the generalised mu-eigenspace of A, and
+        those of distinct residues are independent; the pieces' dimensions
+        with multiplicity add up to dim M (checked), so M is the direct sum
+        of the E's.
+    Ker(B | X) lies in Ker B, computed once on M; it is all of Ker B when the
+    dimensions say so (dim X - dim XB = dim Ker B), and X & Ker B otherwise.
+
+    The summands are taken at the first eigenvalue whose residue lam occurs
+    once: S is its E, D the sum of the others, and e_S = q(A) / q(lam) =
+    C S.basis with C the columns of q(A) / q(lam) at S's pivots; raises
+    unless S e_S = S and D e_S = 0.
+    """
+    ell = action.ell
+    _check_commutes(action, operator)
+    residues = [e % ell for e in eigenvalues]
+    lam = next((r for r in residues if residues.count(r) == 1), None)
+    pieces, others = [], []
+    for mu in dict.fromkeys(residues):
+        Q = None
+        for e in residues:
+            if e != mu:
+                shifted = linalg.minus_scalar(operator, e, ell)
+                Q = shifted if Q is None else linalg.matmul(Q, shifted, ell)
+        E = whole_submodule(action) if Q is None else Submodule(action, *linalg.rref(Q, ell))
+        pieces += _kernel_pieces(action, E, linalg.minus_scalar(operator, mu, ell))
+        if mu == lam:
+            S, C = E, Q[:, E.pivots]
+        else:
+            others.append(E)
+    if sum(piece.dim * mult for piece, mult in pieces) != action.dim:
+        raise CertificationError(
+            f"the operator's generalised eigenspaces do not make up all {action.dim} dimensions"
+        )
+    if lam is None:
+        return EigenSplit(pieces, None)
+    D = others[0] if len(others) == 1 else sum_sub(*others)
+    q_lam = 1
+    for e in residues:
+        if e != lam:
+            q_lam = q_lam * (lam - e) % ell
+    proj = linalg.asmat(C.astype(np.int64) * pow(q_lam, -1, ell), ell)
+    if not (
+        np.array_equal(linalg.matmul(S.basis, proj, ell), np.eye(S.dim))
+        and not linalg.matmul(D.basis, proj, ell).any()
+    ):
+        raise CertificationError("q(A) / q(lam) is not the projection onto S along D")
+    return EigenSplit(pieces, Summands(S, D, proj))
+
+
+def _check_commutes(action, operator: np.ndarray) -> None:
+    """Raise unless the operator commutes with every generator of the action."""
+    ell = action.ell
+    for i in range(action.ngens):
+        if isinstance(action, ModCtx):
+            p = action.perms[i]
+            ok = np.array_equal(operator[np.ix_(p, p)], operator)
+        else:
+            g = action.gen_matrix(i)
+            ok = np.array_equal(linalg.matmul(g, operator, ell), linalg.matmul(operator, g, ell))
+        if not ok:
+            raise CertificationError(f"the operator does not commute with generator {i}")
+
+
+def _kernel_pieces(action, E: Submodule, B: np.ndarray) -> list[tuple[object, int]]:
+    """(K_j / K_(j+1), j + 1) for K_j = Ker(B | E B^j), the nonzero ones."""
+    ell, n = action.ell, action.dim
+    kernels = []
+    X, ker = E, None
+    while True:
+        Y = B if X.dim == n else linalg.matmul(X.basis, B, ell)
+        if not Y.any():
+            kernels.append(X)
+            break
+        XB = Submodule(action, *linalg.rref(Y, ell))
+        if XB.dim == X.dim:
+            raise CertificationError(
+                f"B is invertible on a dim-{X.dim} piece: the eigenvalues are not the operator's"
+            )
+        if ker is None:
+            K = linalg.nullspace(B.T, ell)  # {x : x B = 0}, in RREF
+            ker = Submodule(action, K, _pivots_of(K))
+        if X.dim - XB.dim == ker.dim:
+            kernels.append(ker)
+        else:
+            meet = linalg.rowspace_intersect(ker.basis, ker.pivots, X.basis, ell)
+            kernels.append(Submodule(action, *meet))
+        X = XB
+    pieces = []
+    for j, K in enumerate(kernels):
+        below = kernels[j + 1] if j + 1 < len(kernels) else zero_submodule(action)
+        if K.dim == below.dim:
+            continue
+        rep = action if K.dim == n else sub_rep(K)
+        if below.dim:
+            rep = QuotCtx(rep, Submodule(rep, *linalg.rref(below.basis[:, K.pivots], ell)))
+        pieces.append((rep, j + 1))
+    return pieces
 
 
 class PermModule:

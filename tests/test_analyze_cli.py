@@ -317,6 +317,9 @@ PINNED_REPORTS = [
      "89b345a11c44f4bd2f461988971b4977a849c931d2b393c481245f3e46981b4c"),
     (["--family", "u", "--dim", "5", "--ell", "5"],
      "a80ee0a2653334e936ae4e05d6b0e74f56aa3232a607eee49f1e246846db30f7"),
+    # the u6-dense benchmark request
+    (["--family", "u", "--dim", "6", "--ell", "3", "--seed", "5"],
+     "01848205e2101fcbb07cd6455f042a6bea2902f5d7812f3a9c965ccf8d63671f"),
     # the edges of the storage dtype: the first table ell whose (ell - 1)^2
     # exceeds int8, the last int8 ell and the first int16 ell
     (["--family", "o-", "--n", "4", "--ell", "17"],

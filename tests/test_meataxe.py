@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rank3mod import linalg, meataxe
+from rank3mod.cli import SUITE_INSTANCES
 from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.fields import storage_dtype
 from rank3mod.meataxe import (
@@ -14,7 +15,7 @@ from rank3mod.meataxe import (
     left_kernel,
     transpose_action,
 )
-from rank3mod.modules import DenseRep, spin, sub_rep, sum_sub
+from rank3mod.modules import DenseRep, eigen_split, spin, sub_rep, sum_sub
 
 from conftest import cached_pm
 
@@ -422,18 +423,14 @@ def test_krylov_annihilator_of_zero_vector():
 # the lattice glued from a simple eigenspace summand of the adjacency operator
 
 
+def _split_of(res):
+    """The eigenspace summands `lattice` glues the analysis' lattice from."""
+    return res.split.summands
+
+
 def _eigenvalues(res):
     rep = res.report
     return rep["params"]["a"], -rep["roots"][0], -rep["roots"][1]
-
-
-def _split_of(res):
-    """The eigenspace split `lattice` glues the analysis' lattice from."""
-    ell = res.report["input"]["ell"]
-    eigenvalues = _eigenvalues(res)
-    lam = meataxe._summand_eigenvalue(eigenvalues, ell)
-    others = [e for e in eigenvalues if (e - lam) % ell]
-    return meataxe._eigen_split(res.pm.ctxP, res.pm._adj, lam, others)
 
 
 def _shape(lat):
@@ -457,7 +454,7 @@ TWO_RESIDUE_ROWS = [
 @pytest.mark.parametrize("family,size,ell", TWO_RESIDUE_ROWS)
 def test_glued_lattice_equals_the_walk_from_zero(analysis, family, size, ell, seed):
     res = analysis(family, size, ell, seed)
-    assert meataxe._summand_eigenvalue(_eigenvalues(res), ell) is not None
+    assert res.split.summands is not None
     walked = res.meataxe.lattice(res.pm.ctxP, total=res.chop_total)
     assert _shape(res.lattice) == _shape(walked)
     res.meataxe._certify_lattice(res.lattice, res.pm.ctxP)
@@ -497,7 +494,7 @@ def test_split_refuses_a_summand_that_is_not_simple_or_not_a_complement():
     mt = Meataxe(7, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
     mt.ensure_peaks()
-    split = meataxe._eigen_split(pm.ctxP, pm._adj, 4, [12, -2])
+    split = eigen_split(pm.ctxP, pm._adj, (12, -2, 4)).summands
     assert (split.S.dim, split.D.dim) == (7, 21)
     mt._certify_split(pm.ctxP, split.S, split.D)
     with pytest.raises(CertificationError, match="not simple"):
@@ -531,7 +528,7 @@ def test_pencil_check_refuses_a_missing_or_wrong_diagonal(analysis):
 def test_glued_nodes_count_against_the_node_budget(analysis, monkeypatch):
     # U5(2), ell = 3: 8 walked nodes, their 8 images in D and 4 diagonals
     res = analysis("u", 5, 3)
-    args = (res.pm.ctxP, res.chop_total, res.pm._adj, _eigenvalues(res))
+    args = (res.pm.ctxP, res.chop_total, res.split)
     monkeypatch.setattr(meataxe, "LATTICE_NODE_BUDGET", 19)
     with pytest.raises(BudgetExceededError, match=r"node budget exceeded \(19 nodes\)"):
         res.meataxe.lattice(*args)
@@ -545,20 +542,97 @@ class _Walked(Exception):
 
 @pytest.mark.parametrize("family,size,ell", [("o+", 4, 3), ("o-", 3, 3), ("u", 6, 3), ("o+", 3, 5)])
 def test_one_residue_rows_compute_no_eigenspace(analysis, monkeypatch, family, size, ell):
+    # one residue: the whole module is the one generalised eigenspace, so the
+    # split forms no q(A) and has no summands, and the lattice is walked from 0
     res = analysis(family, size, ell)
-    calls = []
-    eigen_split = meataxe._eigen_split
+    v = res.pm.ctxP.dim
+    squares, bottoms = [], []
+    matmul = linalg.matmul
 
-    def counted(*args):
-        calls.append(args)
-        return eigen_split(*args)
+    def counted(A, B, ell):
+        squares.append(A.shape == B.shape == (v, v))
+        return matmul(A, B, ell)
 
-    def stop(*args):
+    def stop(self, ambient, nodes, bottom, *args):
+        bottoms.append(bottom.dim)
         raise _Walked
 
-    monkeypatch.setattr(meataxe, "_eigen_split", counted)
+    monkeypatch.setattr(linalg, "matmul", counted)
+    split = eigen_split(res.pm.ctxP, res.pm._adj, _eigenvalues(res))
     monkeypatch.setattr(Meataxe, "_walk", stop)
     with pytest.raises(_Walked):
-        res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.pm._adj, _eigenvalues(res))
-    # O+6(2), ell = 5 has three residues and is the control
-    assert len(calls) == (family == "o+" and size == 3)
+        res.meataxe.lattice(res.pm.ctxP, res.chop_total, split)
+    # O+6(2), ell = 5 has three residues and is the control: each eigenspace
+    # is the row space of a product of two shifts of A, and the walk starts
+    # at the trivial summand
+    three = family == "o+" and size == 3
+    assert (split.summands is None) != three
+    assert sum(squares) == (3 if three else 0)
+    assert bottoms == [1 if three else 0]
+
+
+# ---------------------------------------------------------------------------
+# the chop of the pieces along the adjacency operator
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_chop_of_the_pieces_equals_the_whole_chop(analysis, family, size, ell, seed):
+    res = analysis(family, size, ell, seed)
+    mt, total = res.meataxe, res.chop_total
+    whole = Meataxe(ell, res.pm.ctxP.ngens, seed=seed)
+    whole_total = whole.chop(res.pm.ctxP)
+    assert chop_dims(mt, total) == chop_dims(whole, whole_total)
+    partners = set()
+    for idx, mult in total.items():
+        (partner,) = [j for j in whole_total if whole.is_iso_rep(j, mt.classes[idx].rep)]
+        assert whole_total[partner] == mult
+        partners.add(partner)
+    assert len(partners) == len(total)
+
+
+def test_u6_ell3_pieces_are_the_kernel_quotient_and_the_image(analysis):
+    # one residue, B^2 = 0: Ker B / Im B once and Im B twice
+    res = analysis("u", 6, 3)
+    split = eigen_split(res.pm.ctxP, res.pm._adj, _eigenvalues(res))
+    assert split.summands is None
+    assert sorted((piece.dim, mult) for piece, mult in split.pieces) == [(211, 2), (250, 1)]
+
+
+def test_split_refuses_an_operator_that_does_not_commute():
+    pm = cached_pm("o+", 6, 5)
+    dense = DenseRep(5, [pm.ctxP.gen_matrix(i) for i in range(pm.ctxP.ngens)])
+    swapped = pm._adj.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    for action in (pm.ctxP, dense):
+        eigen_split(action, pm._adj, (12, -2, 4))
+        with pytest.raises(CertificationError, match="does not commute"):
+            eigen_split(action, swapped, (12, -2, 4))
+
+
+def test_split_refuses_eigenvalues_that_are_not_the_operators():
+    # O+6(2), ell = 7: 5 is congruent to 12 and -2, but 4 is left out, and
+    # A - 5 is invertible on the eigenvalue-4 eigenspace
+    pm = cached_pm("o+", 6, 7)
+    with pytest.raises(CertificationError, match="not the operator's"):
+        eigen_split(pm.ctxP, pm._adj, (12, -2, 5))
+
+
+@pytest.mark.parametrize("blocks,pieces", [((3,), [(1, 3)]), ((3, 1), [(1, 1), (1, 3)])])
+def test_kernel_chain_of_a_jordan_operator_gives_the_whole_chop(blocks, pieces):
+    # B^2 != 0: the generators are the identity on F_3^n and A is 2 plus
+    # nilpotent Jordan blocks; with blocks 3 and 1, Ker(B | MB) is smaller
+    # than Ker B and is read as an intersection
+    ell, n = 3, sum(blocks)
+    A = 2 * np.eye(n, dtype=np.int64)
+    start = 0
+    for size in blocks:
+        for i in range(start, start + size - 1):
+            A[i, i + 1] = 1
+        start += size
+    rep = DenseRep(ell, [np.eye(n, dtype=np.int64)] * 2)
+    split = eigen_split(rep, A, (2, 2, 2))
+    assert split.summands is None
+    assert sorted((piece.dim, mult) for piece, mult in split.pieces) == pieces
+    mt, whole = Meataxe(ell, 2, seed=0), Meataxe(ell, 2, seed=0)
+    assert chop_dims(mt, mt.chop(rep, split)) == chop_dims(whole, whole.chop(rep)) == [(1, n)]
