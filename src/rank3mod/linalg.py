@@ -21,6 +21,14 @@ panel alone, which also tracks the k x k transform taking the chosen rows to
 reduced rows; one product applies it to the rest of those rows, and one more
 clears the panel's pivot columns from every other row.
 
+A pivot step on the panel takes its column mod ell, exchanges the first row
+with a nonzero entry into place through one copied row, takes the pivot row
+mod ell, and only then scales it to a unit pivot and subtracts its multiples
+from the other rows.  The order matters: entries are reduced lazily, and the
+bound of `_work_dtype` holds only if every multiple subtracted is c * p with
+both c and p already in 0..ell-1 (scaling an unreduced row overflows int16
+at ell = 17).
+
 Bases of subspaces are always kept in reduced row echelon form with sorted
 pivots, so equality of subspaces is equality of arrays.  `rowspace_sum` and
 `rowspace_intersect` merge a further set of rows into such a basis.
@@ -50,17 +58,18 @@ def inv_table(ell: int) -> np.ndarray:
 
 
 def _reduce(X: np.ndarray, ell: int) -> np.ndarray:
-    """X mod ell, in place.
+    """X mod ell, in place, with the modulus a scalar of X's own dtype.
 
-    numpy divides integer arrays by a scalar several times faster than it
-    takes their remainder, so large arrays form the remainder as
-    X - ell * (X // ell); small ones save the two extra calls.
+    numpy floor-divides a contiguous integer array by a scalar several times
+    faster than it takes the remainder, so large arrays form the remainder as
+    X - ell * (X // ell); small ones save the two extra passes.
     """
-    if X.size <= 512:
-        np.remainder(X, ell, out=X)
+    m = X.dtype.type(ell)
+    if X.size <= 1024:
+        X %= m
         return X
-    q = X // ell
-    q *= ell
+    q = X // m
+    q *= m
     X -= q
     return X
 
@@ -81,6 +90,12 @@ def _work_dtype(ell: int) -> type:
     if bound < 2**53:  # also the bound of exact float64 panel products
         return np.int64
     raise ValueError(f"ell = {ell} is too large for exact elimination")
+
+
+@cache
+def _inv_work(ell: int) -> np.ndarray:
+    """The inverses mod ell in the work dtype, so scaling a row keeps its dtype."""
+    return inv_table(ell).astype(_work_dtype(ell))
 
 
 def zeros(shape, ell: int) -> np.ndarray:
@@ -122,15 +137,21 @@ def matmul(A: np.ndarray, B: np.ndarray, ell: int) -> np.ndarray:
 def _panel(A: np.ndarray, w: int, ell: int, track: bool, clear_above: bool):
     """Pivot-at-a-time elimination of the narrow panel A[:, :w], in place.
 
-    Returns (pivot positions, row swaps).  The swaps bring the pivot rows to
-    the top in pivot order; afterwards A[:k, :w] are those rows reduced on
-    the panel (unit pivots, cleared from each other when clear_above), and
-    A[k:, :w] is zero.  With `track`, A has w more columns, zero on entry,
-    and A[:k, w:w+k] becomes the transform T: the reduced pivot rows are T
-    times the pivot rows as they were given.
+    Returns (pivot positions, row exchanges).  The exchanges bring the pivot
+    rows to the top in pivot order; afterwards A[:k, :w] are those rows
+    reduced on the panel (unit pivots, cleared from each other when
+    clear_above), and A[k:, :w] is zero.  With `track`, A has w more
+    columns, zero on entry, and A[:k, w:w+k] becomes the transform T: the
+    reduced pivot rows are T times the pivot rows as they were given.
+
+    Each pivot reduces its column and then its row before scaling the row,
+    so every update x - c * p has 0 <= c, p < ell, the bound `_work_dtype`
+    rests on; the column and row are small or strided, where one remainder
+    by a scalar of the work dtype is the cheapest form.
     """
     h = A.shape[0]
-    inv = inv_table(ell)
+    m = A.dtype.type(ell)
+    inv = _inv_work(ell)
     piv: list[int] = []
     swaps: list[tuple[int, int]] = []
     k = 0
@@ -139,25 +160,29 @@ def _panel(A: np.ndarray, w: int, ell: int, track: bool, clear_above: bool):
         if k == h:
             break
         lo = 0 if clear_above else k
-        col = _reduce(A[lo:, j], ell)
+        col = A[lo:, j]
+        col %= m
         nz = col[k - lo :].nonzero()[0]
         if len(nz) == 0:
             continue
         p = k + int(nz[0])
         if p != k:
-            A[[k, p]] = A[[p, k]]
+            row = A[p].copy()
+            A[p] = A[k]
+            A[k] = row
             swaps.append((k, p))
         end = w + k + 1 if track else w
         if track:
             A[k, w + k] = 1
-        row = _reduce(A[k, j:end], ell)
+        row = A[k, j:end]
+        row %= m
         if row[0] != 1:
             row *= inv[row[0]]
-            _reduce(row, ell)
+            row %= m
         if clear_above:
-            coeff = A[:, j, None].copy()
-            coeff[k] = 0
-            A[:, j:end] -= coeff * row
+            upd = A[:, j, None] * row
+            upd[k] = 0
+            A[:, j:end] -= upd
         else:
             A[k + 1 :, j:end] -= A[k + 1 :, j, None] * row
         piv.append(j)
@@ -195,8 +220,10 @@ def _eliminate(W: np.ndarray, ell: int, reduced: bool) -> list[int]:
             continue
         cols = [c0 + j for j in piv]
         if c1 < n:
-            for a, b in swaps:
-                W[[r + a, r + b]] = W[[r + b, r + a]]
+            for a, b in swaps:  # W's rows from r on are zero left of c0
+                row = W[r + b, c0:].copy()
+                W[r + b, c0:] = W[r + a, c0:]
+                W[r + a, c0:] = row
             # pivot rows right of the panel: T times the rows as they were
             right = _reduce(_product(A[:k, w : w + k], W[r : r + k, c1:], ell, W.dtype), ell)
             rest = W[r + k :]
@@ -218,6 +245,8 @@ def _work_copy(A, ell: int) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
+    if A.dtype == storage_dtype(ell):  # reduced already; rows contiguous, also for a transpose
+        return A.astype(_work_dtype(ell), order="C")
     W = np.empty(A.shape, dtype=_work_dtype(ell))
     np.remainder(A, np.int64(ell), out=W, casting="unsafe")
     return W

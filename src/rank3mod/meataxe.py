@@ -456,7 +456,9 @@ class Meataxe:
 
     # -- socle lines, the lattice and the socle series ------------------------
 
-    def socle_lines(self, action) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
+    def socle_lines(
+        self, action, factors: Counter | None = None
+    ) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
         """For each class: the simple submodules of `action` it is isomorphic to.
 
         Returns dict class_idx -> [(seed, line)...], where each line is spun
@@ -464,9 +466,17 @@ class Meataxe:
         must hold its peak word (`lattice` runs `ensure_peaks` once).  A
         candidate kernel line is valid iff its spin has the class dimension;
         the count of valid lines must be a projective-space count.
+
+        `factors`, when given, are the composition factors of `action`, and
+        the kernel of every class absent from them is skipped: it is 0.  A
+        peak word theta - lam has nullity 0 on every other class
+        (`_peak_ok`), so it is invertible on each composition factor of
+        `action`, and hence on `action` itself.
         """
         out = {}
         for idx, cls in enumerate(self.classes):
+            if factors is not None and not factors[idx]:
+                continue
             word, lam = cls.peak
             K = left_kernel(_shifted(word, action, lam), self.ell)
             if K.shape[0] == 0:
@@ -537,17 +547,21 @@ class Meataxe:
         self.ensure_peaks()  # the classes are final: no node of the walk registers one
         if split is None or split.summands is None:
             nodes = _Nodes()
-            self._walk(ambient, nodes, zero_submodule(ambient), Counter())
+            self._walk(ambient, nodes, zero_submodule(ambient), Counter(), total)
             lat = nodes.lattice()
             self._certify_lattice(lat, ambient)
             return lat
-        return self._glue(ambient, split.summands)
+        return self._glue(ambient, split.summands, total)
 
-    def _walk(self, ambient, nodes: _Nodes, bottom: Submodule, factors: Counter, summand=None) -> dict:
+    def _walk(
+        self, ambient, nodes: _Nodes, bottom: Submodule, factors: Counter, total: Counter, summand=None
+    ) -> dict:
         """Add the interval [bottom, ambient] to `nodes`, bottom-up by minimal
-        overmodules.  Returns, for each cover labelled with class `summand`,
-        (lower ident, upper ident) -> a lift to the ambient of the seed of its
-        quotient, the peak-word kernel line."""
+        overmodules; `factors` and `total` are the composition factors of
+        bottom and of ambient, so those of a node's quotient are
+        total - node.factors.  Returns, for each cover labelled with class
+        `summand`, (lower ident, upper ident) -> a lift to the ambient of the
+        seed of its quotient, the peak-word kernel line."""
         seeds = {}
         head = len(nodes.nodes)
         nodes.add(bottom, factors)
@@ -557,7 +571,8 @@ class Meataxe:
             if node.dim == ambient.dim:
                 continue
             quot = None if node.dim == 0 else QuotCtx(ambient, node.sub)
-            for cls_idx, lines in self.socle_lines(ambient if quot is None else quot).items():
+            lines_of = self.socle_lines(ambient if quot is None else quot, total - node.factors)
+            for cls_idx, lines in lines_of.items():
                 for seed, line in lines:
                     rows = line.basis if quot is None else quot.lift_rows(line.basis)
                     basis, piv = linalg.rowspace_sum(node.sub.basis, node.sub.pivots, rows, self.ell)
@@ -587,13 +602,13 @@ class Meataxe:
         seed = lines[0][0]
         return summand, linalg.matmul(seed[None], S.basis, self.ell)[0]
 
-    def _glue(self, ambient, summands: Summands) -> Lattice:
+    def _glue(self, ambient, summands: Summands, total: Counter) -> Lattice:
         """The lattice of ambient = S + D from the walked interval [S, M]
         (the certificate is in `lattice`'s docstring)."""
         ell = self.ell
         summand, s = self._certify_split(ambient, summands.S, summands.D)
         nodes = _Nodes()
-        seeds = self._walk(ambient, nodes, summands.S, Counter({summand: 1}), summand)
+        seeds = self._walk(ambient, nodes, summands.S, Counter({summand: 1}), total, summand)
         interval = nodes.lattice()
         self._certify_lattice(interval, ambient, bottom=summands.S.dim)
         lower: dict[int, LatticeNode] = {}

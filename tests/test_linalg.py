@@ -138,10 +138,17 @@ def kernel_cases(width, ell, rng):
     low = rng.integers(0, ell, size=(width + 5, rk)) @ rng.integers(0, ell, size=(rk, width))
     low[:, ::7] = 0  # zero columns inside and across panels
     yield "rank-deficient", low % ell
+    # a zero first row over an upper triangular matrix with a nonzero
+    # diagonal: the zero row moves down one place at every pivot, so every
+    # pivot takes a row exchange
+    upper = np.triu(rng.integers(0, ell, size=(width, width)))
+    upper[np.diag_indices(width)] = rng.integers(1, ell, size=width)
+    yield "exchanges", np.vstack([np.zeros((1, width), dtype=np.int64), upper])
 
 
+# 23 and 29 are the last ell with an int16 and the first with an int32 work dtype
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
-@pytest.mark.parametrize("ell", [3, 5, 17, 127, 131, 32749])
+@pytest.mark.parametrize("ell", [3, 5, 17, 23, 29, 127, 131, 32749])
 def test_kernel_matches_pivot_at_a_time(width, ell):
     rng = np.random.default_rng(1000 * width + ell)
     for name, A in kernel_cases(width, ell, rng):
@@ -149,6 +156,11 @@ def test_kernel_matches_pivot_at_a_time(width, ell):
         R, piv = linalg.rref(A, ell)
         assert R.dtype == storage_dtype(ell) and piv.dtype == np.int64, name
         assert np.array_equal(R, R0) and list(piv) == piv0, name
+        # input already in the storage dtype is widened without a remainder,
+        # into rows that are contiguous even when the input is a transpose
+        R1, piv1 = linalg.rref(linalg.asmat(A, ell), ell)
+        assert np.array_equal(R1, R0) and list(piv1) == piv0, name
+        assert linalg._work_copy(linalg.asmat(A, ell).T, ell).flags.c_contiguous, name
         assert linalg.rank(A, ell) == len(piv0), name
         if A.shape[1]:
             assert np.array_equal(linalg.nullspace(A, ell), reference_nullspace(A, ell)), name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rank3mod import linalg, meataxe
+from rank3mod.analyze import run_analysis
 from rank3mod.cli import SUITE_INSTANCES
 from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.fields import storage_dtype
@@ -569,6 +570,54 @@ def test_one_residue_rows_compute_no_eigenspace(analysis, monkeypatch, family, s
     assert (split.summands is None) != three
     assert sum(squares) == (3 if three else 0)
     assert bottoms == [1 if three else 0]
+
+
+def _skipped_peak_kernels(monkeypatch):
+    """Patch `socle_lines` to compute, for each class absent from the factors
+    it is given, the left kernel of the class's peak word on the quotient
+    directly.  Returns the list of their dimensions, and the list of left
+    kernels `socle_lines` itself computes."""
+    skipped, computed = [], []
+    socle_lines, left = Meataxe.socle_lines, meataxe.left_kernel
+
+    def checked(self, action, factors=None):
+        if factors is not None:
+            for idx, cls in enumerate(self.classes):
+                if not factors[idx]:
+                    word, lam = cls.peak
+                    skipped.append(left(_shifted(word, action, lam), self.ell).shape[0])
+        monkeypatch.setattr(meataxe, "left_kernel", counted)
+        try:
+            return socle_lines(self, action, factors)
+        finally:
+            monkeypatch.setattr(meataxe, "left_kernel", left)
+
+    def counted(M, ell):
+        computed.append(M.shape[0])
+        return left(M, ell)
+
+    monkeypatch.setattr(Meataxe, "socle_lines", checked)
+    return skipped, computed
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_the_peak_kernels_the_walk_skips_are_zero(analysis, monkeypatch, family, size, ell):
+    # a class absent from the factors of M/N has a peak word invertible on
+    # M/N: at every walked node, its kernel computed directly is 0
+    res = analysis(family, size, ell)
+    skipped, _computed = _skipped_peak_kernels(monkeypatch)
+    lat = res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.split)
+    assert _shape(lat) == _shape(res.lattice)
+    assert skipped and not any(skipped)
+
+
+def test_u4_ell3_walk_skips_nine_of_twenty_four_peak_kernels(monkeypatch):
+    # 4 classes; the walk over [S, M] has 5 nodes below M, and the split's
+    # check of S takes the 4 kernels on S itself, where nothing is skipped
+    skipped, computed = _skipped_peak_kernels(monkeypatch)
+    res = run_analysis("u", 4, 3)
+    assert len(res.meataxe.classes) == 4
+    assert (len(computed), len(skipped)) == (15, 9)
 
 
 # ---------------------------------------------------------------------------
