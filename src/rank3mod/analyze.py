@@ -40,7 +40,7 @@ from .geometry import (
 )
 from .groups import build_group, generating_pair, rank_and_orbitals
 from .meataxe import Lattice, Meataxe
-from .modules import EigenSplit, PermModule, eigen_split, submodule_from_rows
+from .modules import EigenSplit, PermModule, eigen_split
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_P = 3000
@@ -130,7 +130,7 @@ def run_analysis(
 
     t0 = time.monotonic()
     lat = mt.lattice(pm.ctxP, total=total, split=split)
-    _lattice_checks(pm, lat, roots)
+    _lattice_checks(pm, lat, roots, seed)
     timings["lattice"] = _ms_since(t0)
 
     t0 = time.monotonic()
@@ -165,7 +165,18 @@ def _graph_operator_checks(pm: PermModule, params) -> None:
     Equivariance is checked on the module's generators, the certified
     generating pair: invariance under a generating set is invariance
     under G.  That of the adjacency operator is checked where its split is
-    built (`modules.eigen_split`)."""
+    built (`modules.eigen_split`).
+
+    The images are read off the cross incidence C in closed form.  The
+    zero-sum module of F_ell[P] is spanned by the differences e_i - e_last,
+    so its image under Q: x -> x C is spanned by the row differences
+    C_i - C_last, and it is 0 or <1> exactly when each of them is constant
+    (`_image_in_ones`).  The image under R: y -> y C^T of the zero-sum
+    module of F_ell[P0] is the same on the column differences.  Both say
+    C = u 1^T + 1 w^T, so R's test refuses only what Q's has; it is kept
+    as the statement of the second constraint.  No closure check is
+    needed: the images of submodules under the equivariant Q and R are
+    submodules."""
     ell = pm.ell
     v = pm.ctxP.dim
     A = pm._adj
@@ -184,54 +195,68 @@ def _graph_operator_checks(pm: PermModule, params) -> None:
         sP0 = pm.ctxP0.perms[pair_idx]
         if not np.array_equal(C[np.ix_(sP, sP0)], C):
             raise CertificationError("cross incidence is not generator-invariant")
-    S, T = pm.distinguished()
-    imgQ = pm.q_image(S)
-    if imgQ.dim == 0 or (imgQ.dim == 1 and _is_all_ones_line(imgQ.basis, ell)):
+    if _image_in_ones(C, ell):
         raise CertificationError("image of the zero-sum module under Q degenerate")
-    S0 = submodule_from_rows(pm.ctxP0, linalg.nullspace(np.ones((1, pm.ctxP0.dim), dtype=np.int64), ell))
-    imgR = pm.r_image(S0)
-    if imgR.dim == 0 or (imgR.dim == 1 and _is_all_ones_line(imgR.basis, ell)):
+    if _image_in_ones(C.T, ell):
         raise CertificationError("image of the singular zero-sum module under R degenerate")
 
 
-def _is_all_ones_line(basis: np.ndarray, ell: int) -> bool:
-    return basis.shape[0] == 1 and (basis[0] == basis[0][0]).all()
+def _image_in_ones(M: np.ndarray, ell: int) -> bool:
+    """Whether the row differences M_i - M_last of an F_ell matrix are all
+    constant: the rows of (M - M[:, :1]) mod ell are then all equal.  The
+    difference stays in (-ell, ell), so it is taken in M's own dtype."""
+    D = M - M[:, :1]
+    D %= D.dtype.type(ell)
+    return bool((D == D[-1]).all())
 
 
-def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int]) -> None:
+def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int], seed: int) -> None:
     """Self-duality (perp is an anti-automorphism of the lattice) and
     graph-submodule minimality over all nodes.
 
     perp(node) is identified inside the lattice without computing nullspaces:
     a node of complementary dimension orthogonal to the given one IS its perp.
+    A candidate is first tested against one random combination x of the
+    node's rows, drawn from a stream seeded by the request: x C^T != 0, for
+    C the candidate's basis, proves the two not orthogonal, as x lies in the
+    node.  Only the candidates that x cannot rule out get the full product.
+
+    Every node is a submodule, so it contains U'_c = spin(seeds) iff it
+    contains the seeds (`PermModule.graph_seeds`); no U'_c is spun.
     """
     v = pm.ctxP.dim
     ell = pm.ell
+    rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0x9E]))
     by_dim: dict[int, list] = {}
     for node in lat.nodes:
         by_dim.setdefault(node.dim, []).append(node)
     for node in lat.nodes:
         mates = by_dim.get(v - node.dim, [])
-        hits = 0
-        for cand in mates:
-            if node.dim == 0 or cand.dim == 0:
-                hits += 1
-                continue
-            if not linalg.matmul(node.sub.basis, cand.sub.basis.T, ell).any():
-                hits += 1
+        if node.dim == 0 or v - node.dim == 0:
+            hits = len(mates)
+        else:
+            basis = node.sub.basis
+            probe = linalg.matmul(rng.integers(0, ell, size=(1, node.dim)), basis, ell)
+            hits = 0
+            for cand in mates:
+                other = cand.sub.basis.T
+                if linalg.matmul(probe, other, ell).any():
+                    continue
+                if not linalg.matmul(basis, other, ell).any():
+                    hits += 1
         if hits != 1:
             raise CertificationError(
                 f"perp of a dim-{node.dim} lattice node matched {hits} nodes"
             )
-    uc = pm.graph_submodule(roots[0])
-    ud = pm.graph_submodule(roots[1])
+    seeds = [pm.graph_seeds(roots[0]), pm.graph_seeds(roots[1])]
     ones = np.ones((1, v), dtype=np.int64)
     for node in lat.nodes:
         if node.dim == 0:
             continue
-        if node.dim == 1 and linalg.in_rowspace(ones, node.sub.basis, node.sub.pivots, pm.ell):
+        basis, piv = node.sub.basis, node.sub.pivots
+        if node.dim == 1 and linalg.in_rowspace(ones, basis, piv, ell):
             continue  # the trivial all-ones line is the allowed exception
-        if not (node.sub.contains(uc) or node.sub.contains(ud)):
+        if not any(linalg.in_rowspace(rows, basis, piv, ell) for rows in seeds):
             raise CertificationError(
                 f"lattice node of dim {node.dim} contains no graph submodule"
             )

@@ -512,9 +512,10 @@ class Meataxe:
         its summand is the all-ones line, the smallest there can be):
         S = rowspace q(A), for q(x) the product of x - mu over the other two,
         and D the other generalised eigenspaces, with e_S = q(A) / q(lam)
-        checked to be the projection onto S along D (S e_S = S, D e_S = 0).
-        Checked here: both are closed, dim S + dim D = dim M, S and D meet
-        in 0, and S is simple (its one simple submodule is S itself).  S has a
+        checked to be the projection onto S along D (S e_S = S, D e_S = 0);
+        both are closed, as row spaces of polynomials in A.  Checked here
+        (`_certify_split`): dim S + dim D = dim M, S and D meet in 0, and S
+        is simple (its one simple submodule is S itself).  S has a
         nullity-1 peak word, so it is absolutely irreducible, End(S) = F_ell.
         So for every submodule W both W & S and its projection to S are 0
         or S, and W is (Goursat's lemma) one of
@@ -523,8 +524,9 @@ class Meataxe:
           - the graph of one of the |End(S)^x| = ell - 1 surjections U' -> S
             with kernel U, for a cover U < U' of D with U'/U isomorphic to S.
         Only the interval [S, M] = {S + U} is walked, and `_certify_lattice`
-        runs on it alone.  Each U is read off as (S + U)(1 - e_S).  The
-        diagonals over a walked cover S + U < S + U' labelled with S's class
+        runs on it alone.  Each U is (S + U)(1 - e_S) = (S + U) & D, read
+        off the RREF of S + U (`Summands.meet_d`).  The diagonals over a
+        walked cover S + U < S + U' labelled with S's class
         are U + spin(x + t s), t = 1 .. ell - 1, where x in U' lifts the
         peak-word kernel line of U'/U and s spans it on S.  Each is checked
         to have dimension dim U' and not to contain s, and the ell - 1 of a
@@ -561,7 +563,13 @@ class Meataxe:
         bottom and of ambient, so those of a node's quotient are
         total - node.factors.  Returns, for each cover labelled with class
         `summand`, (lower ident, upper ident) -> a lift to the ambient of the
-        seed of its quotient, the peak-word kernel line."""
+        seed of its quotient, the peak-word kernel line.
+
+        A child is node + span(rows), for the rows lifted from a simple
+        submodule of the node's quotient, and the node was certified closed
+        when it was added (the bottom is: 0 trivially, the summand S by
+        `modules.eigen_split`).  So the child is closed iff every generator
+        maps those rows into it, and `certify_closed` tests only them."""
         seeds = {}
         head = len(nodes.nodes)
         nodes.add(bottom, factors)
@@ -577,7 +585,7 @@ class Meataxe:
                     rows = line.basis if quot is None else quot.lift_rows(line.basis)
                     basis, piv = linalg.rowspace_sum(node.sub.basis, node.sub.pivots, rows, self.ell)
                     child = Submodule(ambient, basis, piv)
-                    child.certify_closed()
+                    child.certify_closed(rows)
                     upper = nodes.add(child, node.factors + Counter({cls_idx: 1}))
                     nodes.edges.append((node.ident, upper.ident, cls_idx))
                     if cls_idx == summand:
@@ -587,9 +595,11 @@ class Meataxe:
 
     def _certify_split(self, ambient, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
         """Check that ambient = S + D with S simple.  Returns S's class and a
-        vector s spanning the kernel of the class's peak word on S."""
-        S.certify_closed()
-        D.certify_closed()
+        vector s spanning the kernel of the class's peak word on S.
+
+        S and D are not checked to be closed again: `modules.eigen_split`
+        forms both as row spaces of polynomials in an operator it checks to
+        commute with the generators."""
         if S.dim + D.dim != ambient.dim:
             raise CertificationError(f"summands of dims {S.dim} and {D.dim} do not make {ambient.dim}")
         if linalg.rank(linalg.reduce_rows(S.basis, D.basis, D.pivots, self.ell), self.ell) != S.dim:
@@ -604,7 +614,9 @@ class Meataxe:
 
     def _glue(self, ambient, summands: Summands, total: Counter) -> Lattice:
         """The lattice of ambient = S + D from the walked interval [S, M]
-        (the certificate is in `lattice`'s docstring)."""
+        (the certificate is in `lattice`'s docstring).  Each U = (S + U) & D
+        is read off the RREF basis of S + U with no elimination
+        (`Summands.meet_d`)."""
         ell = self.ell
         summand, s = self._certify_split(ambient, summands.S, summands.D)
         nodes = _Nodes()
@@ -613,8 +625,7 @@ class Meataxe:
         self._certify_lattice(interval, ambient, bottom=summands.S.dim)
         lower: dict[int, LatticeNode] = {}
         for node in interval.nodes:
-            basis, piv = linalg.rref(summands.off_summand(node.sub.basis), ell)
-            U = nodes.add(Submodule(ambient, basis, piv), node.factors - Counter({summand: 1}), fresh=True)
+            U = nodes.add(summands.meet_d(node.sub), node.factors - Counter({summand: 1}), fresh=True)
             lower[node.ident] = U
             nodes.edges.append((U.ident, node.ident, summand))
         for a, b, cls_idx in interval.edges:
@@ -658,7 +669,9 @@ class Meataxe:
         r = dim A + rank(B mod A): one of dimension r is A + B, and one below
         both of dimension dim A + dim B - r is their intersection.  A
         containment A < B missing from `below` is refused too, as the only
-        node of dimension r = dim B above B is B itself.
+        node of dimension r = dim B above B is B itself.  As
+        dim A + rank(B mod A) = dim B + rank(A mod B), the rank is taken of
+        whichever basis has fewer rows, reduced modulo the other.
         """
         dims = np.array([n.dim for n in lat.nodes])
         if bottom not in dims or ambient.dim not in dims:
@@ -678,8 +691,9 @@ class Meataxe:
                 if below[i, j] or below[j, i]:
                     continue
                 A, B = lat.nodes[i].sub, lat.nodes[j].sub
-                res = linalg.reduce_rows(B.basis, A.basis, A.pivots, self.ell)
-                r = A.dim + linalg.rank(res, self.ell)
+                big, small = (A, B) if A.dim >= B.dim else (B, A)
+                res = linalg.reduce_rows(small.basis, big.basis, big.pivots, self.ell)
+                r = big.dim + linalg.rank(res, self.ell)
                 meet = A.dim + B.dim - r
                 above, under = below[i] & below[j], below[:, i] & below[:, j]
                 if r not in dims[above] or meet not in dims[under]:

@@ -8,11 +8,15 @@ right action throughout.
 
 Submodules are held as reduced-row-echelon bases with sorted pivots, so two
 submodules are equal iff their arrays are equal.  spin() closes a seed set
-under the generators; every Submodule built here also carries an independent
-closure certificate (apply every generator to every basis row and reduce),
-except those of `eigen_split`, which cuts a module by elimination along an
-operator that it checks to commute with the generators, so that every
-subspace it forms is closed.
+under the generators.  The results of `spin` and `submodule_from_rows` carry
+an independent closure certificate (`Submodule.certify_closed`: apply every
+generator to every basis row and reduce).  A subspace N + span(rows) over a
+submodule N already certified needs it only on the new rows, which
+`certify_closed` takes as an argument (the lattice walk's children).  Two
+kinds carry none, because they are closed by construction: those of
+`eigen_split`, which cuts a module by elimination along an operator that it
+checks to commute with the generators, and `Summands.meet_d`, the image of a
+submodule under the projection 1 - e_S, a polynomial in that operator.
 """
 
 from __future__ import annotations
@@ -84,11 +88,6 @@ class Submodule:
     def key(self) -> bytes:
         return self.basis.tobytes()
 
-    def contains(self, other: "Submodule") -> bool:
-        if other.dim > self.dim:
-            return False
-        return linalg.in_rowspace(other.basis, self.basis, self.pivots, self.action.ell)
-
     def __eq__(self, other) -> bool:
         return (
             self.dim == other.dim
@@ -96,14 +95,19 @@ class Submodule:
             and np.array_equal(self.basis, other.basis)
         )
 
-    def certify_closed(self) -> None:
-        """Raise unless every generator maps the basis into its span (the
-        whole space is closed, so it returns at once)."""
+    def certify_closed(self, rows: np.ndarray | None = None) -> None:
+        """Raise unless every generator maps `rows` (by default the basis)
+        into the span (the whole space is closed, so it returns at once).
+
+        Given rows, the span is taken to be N + span(rows) for a submodule N
+        already certified: N g lies in N for every generator g, so the span
+        is closed iff every generator maps the rows into it."""
         act = self.action
         if self.dim == act.dim:
             return
+        rows = self.basis if rows is None else rows
         for i in range(act.ngens):
-            img = act.act_rows(self.basis, i)
+            img = act.act_rows(rows, i)
             res = linalg.reduce_rows(img, self.basis, self.pivots, act.ell)
             if res.any():
                 raise CertificationError(
@@ -239,6 +243,47 @@ class Summands:
         """rows (1 - e_S): their components in D."""
         ell = self.S.action.ell
         return (rows - linalg.matmul(linalg.matmul(rows, self.proj, ell), self.S.basis, ell)) % ell
+
+    def meet_d(self, W: Submodule) -> Submodule:
+        """W & D, for a submodule W that contains S, read off W's RREF basis
+        with no elimination.
+
+        x e_S = (x proj) S.basis, so the columns of `proj` are functionals
+        f_j whose common kernel is D, and W & D is their common kernel on W.
+        For each f_j in turn, the last row of the basis on which f_j is
+        non-zero is cleared from the rows above it (those below are zero
+        there) and dropped.  The rows above lead left of the dropped row's
+        pivot, and every row is zero at the pivots of the others, so the
+        rows that stay are in RREF on their own pivots.  They lie in W & D,
+        and there are dim W - dim S of them, which is dim W & D, as
+        W = S + (W & D).  So they are the one RREF basis of W & D, the rows
+        `linalg.rref` gives of W (1 - e_S).  A functional that vanishes on
+        every row left refuses W: it cannot contain S.
+
+        The rows are updated in the storage dtype, one pass for each
+        distinct coefficient, so that no entry leaves (-ell, ell).
+        """
+        ell = self.S.action.ell
+        R = W.basis.copy()
+        F = linalg.matmul(R, self.proj, ell).astype(np.int64)  # dim W x dim S
+        keep = np.ones(len(R), dtype=bool)
+        inv = linalg.inv_table(ell)
+        m = R.dtype.type(ell)
+        for j in range(F.shape[1]):
+            live = np.flatnonzero(keep & (F[:, j] != 0))
+            if len(live) == 0:
+                raise CertificationError(f"a dim-{W.dim} submodule does not contain the summand")
+            i, above = live[-1], live[:-1]
+            coef = F[above, j] * inv[F[i, j]] % ell
+            F[above] = (F[above] - coef[:, None] * F[i]) % ell
+            for c in np.unique(coef):
+                sel = above[coef == c]
+                block = R[sel]
+                block -= linalg.asmat(R[i].astype(np.int64) * int(c), ell)
+                block %= m
+                R[sel] = block
+            keep[i] = False
+        return Submodule(W.action, R[keep], W.pivots[keep])
 
 
 @dataclass
@@ -402,33 +447,19 @@ class PermModule:
         v[i] = (int(v[i]) + c) % self.ell
         return v
 
-    def graph_submodule(self, c: int, base: int = 0) -> Submodule:
-        """Submodule generated by the differences v_{c,alpha} - v_{c,beta}."""
+    def graph_seeds(self, c: int, base: int = 0) -> np.ndarray:
+        """Rows v_{c,base} - v_{c,beta} whose spin is the graph submodule
+        U'_c, the span of all differences v_{c,alpha} - v_{c,beta}.
+
+        One beta adjacent to base and one not: their G-orbits cover all
+        pair types, and connectivity of the Delta-graph then spans every
+        difference, so the spin of these seeds is the full difference
+        submodule.
+        """
         v0 = self.v_c(c, base)
-        # One adjacent and one non-adjacent partner; their G-orbits cover all
-        # pair types, and connectivity of the Delta-graph then spans every
-        # difference, so the spin equals the full difference submodule.
         row = self._adj[base]
         betas = [int(np.nonzero(row)[0][0])]
         nonadj = np.nonzero((row == 0) & (np.arange(len(row)) != base))[0]
         if len(nonadj):
             betas.append(int(nonadj[0]))
-        seeds = [(v0 - self.v_c(c, b)) % self.ell for b in betas]
-        return spin(self.ctxP, seeds)
-
-    def distinguished(self) -> tuple[Submodule, Submodule]:
-        """(S, T): zero-coefficient-sum submodule and the all-ones line."""
-        n = self.ctxP.dim
-        ones = linalg.asmat(np.ones((1, n), dtype=np.int64), self.ell)
-        S_basis = linalg.nullspace(ones, self.ell)
-        S = Submodule(self.ctxP, S_basis, _pivots_of(S_basis))
-        T = Submodule(self.ctxP, ones, np.array([0], dtype=np.int64))
-        return S, T
-
-    def q_image(self, sub: Submodule) -> Submodule:
-        rows = linalg.matmul(sub.basis, self._cross, self.ell)
-        return submodule_from_rows(self.ctxP0, rows)
-
-    def r_image(self, sub: Submodule) -> Submodule:
-        rows = linalg.matmul(sub.basis, self._cross.T, self.ell)
-        return submodule_from_rows(self.ctxP, rows)
+        return np.array([(v0 - self.v_c(c, b)) % self.ell for b in betas])

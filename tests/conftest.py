@@ -3,11 +3,12 @@ import functools
 import numpy as np
 import pytest
 
+from rank3mod import linalg
 from rank3mod.analyze import run_analysis
 from rank3mod.fields import GF4_CONJ, GF4_MUL
 from rank3mod.geometry import SpaceSpec, build_space, enumerate_points
 from rank3mod.groups import build_group, induced_perm
-from rank3mod.modules import PermModule
+from rank3mod.modules import PermModule, Submodule, spin
 
 
 def naive_quadratic(space, v):
@@ -52,6 +53,36 @@ def cached_pm(family: str, dim: int, ell: int, seed: int = 0) -> PermModule:
 @functools.cache
 def cached_analysis(family: str, size: int, ell: int, seed: int = 0):
     return run_analysis(family, size, ell, seed=seed)
+
+
+def graph_submodule(pm: PermModule, c: int) -> Submodule:
+    """U'_c, spun from its two seeds."""
+    return spin(pm.ctxP, pm.graph_seeds(c))
+
+
+def zero_sum_and_ones(pm: PermModule) -> tuple[Submodule, Submodule]:
+    """The zero-sum submodule of F_ell[P], with the RREF basis e_i - e_last,
+    and the all-ones line."""
+    n, ell = pm.ctxP.dim, pm.ell
+    S = np.zeros((n - 1, n), dtype=np.int64)
+    S[np.arange(n - 1), np.arange(n - 1)] = 1
+    S[:, -1] = ell - 1
+    ones = np.ones((1, n), dtype=np.int64)
+    return (
+        Submodule(pm.ctxP, linalg.asmat(S, ell), np.arange(n - 1)),
+        Submodule(pm.ctxP, linalg.asmat(ones, ell), np.array([0])),
+    )
+
+
+def contains(A: Submodule, B: Submodule) -> bool:
+    """Whether the submodule A contains B."""
+    return B.dim <= A.dim and linalg.in_rowspace(B.basis, A.basis, A.pivots, A.action.ell)
+
+
+def image_dim(C: np.ndarray, ell: int) -> int:
+    """Dimension of the span of the row differences C_i - C_last: the image
+    of the zero-sum module under x -> x C."""
+    return linalg.rank((C[:-1].astype(np.int64) - C[-1]) % ell, ell)
 
 
 @pytest.fixture

@@ -1,24 +1,29 @@
+import ast
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rank3mod
-from rank3mod import analyze, geometry
+from rank3mod import analyze, geometry, linalg
 from rank3mod.analyze import diagram_iso, run_analysis, verify_result
 from rank3mod.cli import main
 from rank3mod.errors import BudgetExceededError, CertificationError, OutOfScaleError
 from rank3mod.fields import storage_dtype
+from rank3mod.geometry import SpaceSpec, closed_params, quadratic_roots
 from rank3mod.groups import StabilizerChain
-from rank3mod.modules import DenseRep, QuotCtx
+from rank3mod.meataxe import Lattice, LatticeNode
+from rank3mod.modules import DenseRep, ModCtx, QuotCtx, Submodule
 
-from conftest import cached_analysis
+from conftest import cached_analysis, cached_pm
 
 SCHEMA_KEYS = [
     "schema", "input", "points", "params", "roots", "group",
@@ -537,3 +542,141 @@ def test_order_peak_memory_stays_small():
     rc, peak_kib = map(int, out.stdout.split())
     assert rc == 0
     assert peak_kib / 1024 < 96  # MiB; 133 when every request built both incidences
+
+
+# ---------------------------------------------------------------------------
+# the modules-phase and lattice checks, read off their witnesses
+
+
+def _o6_ell5():
+    pm = cached_pm("o+", 6, 5)
+    params = closed_params(SpaceSpec("o+", 6))
+    return pm, params, quadratic_roots(params)
+
+
+def _with_cross(pm, C, perms_P=None, perms_P0=None):
+    """A copy of pm with the cross incidence C, and the given generators."""
+    fake = copy.copy(pm)
+    fake._cross = linalg.asmat(C, pm.ell)
+    if perms_P is not None:
+        fake.ctxP = ModCtx(pm.ell, perms_P, "P")
+        fake.ctxP0 = ModCtx(pm.ell, perms_P0, "P0")
+    return fake
+
+
+def test_graph_operator_checks_refuse_a_degenerate_q_image():
+    pm, params, _roots = _o6_ell5()
+    analyze._graph_operator_checks(pm, params)
+    nP, nP0 = pm._cross.shape
+    # constant incidences are the only generator-invariant degenerate ones
+    for fill in (0, 1):
+        with pytest.raises(CertificationError, match="zero-sum module under Q degenerate"):
+            analyze._graph_operator_checks(_with_cross(pm, np.full((nP, nP0), fill)), params)
+    # with trivial generators, any C = u 1^T + 1 w^T: row differences constant
+    rng = np.random.default_rng(2)
+    u, w = rng.integers(0, 5, size=(nP, 1)), rng.integers(0, 5, size=(1, nP0))
+    ident = [np.arange(nP)] * 2, [np.arange(nP0)] * 2
+    with pytest.raises(CertificationError, match="zero-sum module under Q degenerate"):
+        analyze._graph_operator_checks(_with_cross(pm, u + w, *ident), params)
+    # one entry off that form breaks it, and both images are then non-degenerate
+    C = u + w
+    C[3, 4] += 1
+    analyze._graph_operator_checks(_with_cross(pm, C, *ident), params)
+
+
+def test_graph_operator_checks_refuse_a_degenerate_r_image(monkeypatch):
+    # constant column differences say C = u 1^T + 1 w^T too, so Q's test
+    # refuses every such C first; R's is reached only past a passing Q test
+    pm, params, _roots = _o6_ell5()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        C = rng.integers(0, 5, size=(6, 7))
+        assert analyze._image_in_ones(C, 5) == analyze._image_in_ones(C.T, 5)
+        C = rng.integers(0, 5, size=(6, 1)) + rng.integers(0, 5, size=(1, 7))
+        assert analyze._image_in_ones(C, 5) and analyze._image_in_ones(C.T, 5)
+    real, calls = analyze._image_in_ones, []
+
+    def q_passes(M, ell):
+        calls.append(M.shape)
+        return len(calls) > 1 and real(M, ell)
+
+    monkeypatch.setattr(analyze, "_image_in_ones", q_passes)
+    nP, nP0 = pm._cross.shape
+    with pytest.raises(CertificationError, match="singular zero-sum module under R degenerate"):
+        analyze._graph_operator_checks(_with_cross(pm, np.ones((nP, nP0))), params)
+    assert calls == [(nP, nP0), (nP0, nP)]
+
+
+def _node_of(pm, ident, rows):
+    basis, piv = linalg.rref(rows, pm.ell)
+    return LatticeNode(ident, Submodule(pm.ctxP, basis, piv), Counter())
+
+
+def test_lattice_checks_refuse_a_perp_swapped_for_a_subspace_that_is_not_orthogonal(monkeypatch):
+    # O+6(2), ell = 5: the boolean lattice of 1, 7 and 20; swap the perp of
+    # the dim-7 node for its span with one row replaced by a vector of the
+    # node, so that the product with the node has rank 1 and one random probe
+    # misses it one time in five.  Whichever of the two comes first matches 0.
+    pm, _params, roots = _o6_ell5()
+    lat = cached_analysis("o+", 3, 5).lattice
+    analyze._lattice_checks(pm, lat, roots, 0)
+    (seven,) = [n for n in lat.nodes if n.dim == 7]
+    (perp,) = [n for n in lat.nodes if n.dim == 21]
+    rows = perp.sub.basis.copy()
+    rows[-1] = seven.sub.basis[0]
+    swapped = _node_of(pm, perp.ident, rows)
+    assert swapped.dim == 21 and linalg.matmul(seven.sub.basis, swapped.sub.basis.T, 5).any()
+    tampered = Lattice([swapped if n is perp else n for n in lat.nodes], lat.edges)
+    full = []
+    matmul = linalg.matmul
+
+    def counted(A, B, ell):  # the full product of the two, either way round
+        full.append(A.shape[0] in (7, 21) and A.shape[0] + B.shape[1] == 28)
+        return matmul(A, B, ell)
+
+    monkeypatch.setattr(linalg, "matmul", counted)
+    ran_full = []
+    for seed in range(12):
+        full.clear()
+        with pytest.raises(CertificationError, match="perp of a dim-(7|21) lattice node matched 0 nodes"):
+            analyze._lattice_checks(pm, tampered, roots, seed)
+        ran_full.append(any(full))
+    # the probe alone refused some seeds, the full product the others
+    assert any(ran_full) and not all(ran_full)
+
+
+def test_lattice_checks_refuse_a_node_that_misses_the_graph_seeds():
+    # a line and its perp pass the perp matching; the line is no submodule,
+    # and lacks both seeds of U'_c, or has one of them only
+    pm, _params, roots = _o6_ell5()
+    ones = np.ones((1, 28), dtype=np.int64)
+    rng = np.random.default_rng(4)
+    for line in (rng.integers(0, 5, size=(1, 28)), pm.graph_seeds(roots[0])[:1]):
+        assert not linalg.in_rowspace(ones, *linalg.rref(line, 5), 5)
+        nodes = [
+            _node_of(pm, 0, np.zeros((0, 28), dtype=np.int64)),
+            _node_of(pm, 1, line),
+            _node_of(pm, 2, linalg.nullspace(line, 5)),
+            _node_of(pm, 3, np.eye(28, dtype=np.int64)),
+        ]
+        with pytest.raises(CertificationError, match="lattice node of dim 1 contains no graph submodule"):
+            analyze._lattice_checks(pm, Lattice(nodes, []), roots, 0)
+
+
+def test_every_function_in_src_is_named_elsewhere_in_src():
+    # no function that only tests call: each one defined in the package is
+    # named (called, referenced or imported) somewhere in its code
+    defined, named = [], Counter()
+    for path in sorted(Path(rank3mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Name):
+                named[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                named[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                named[node.name] += 1
+    assert len(defined) > 100
+    assert [name for name in defined if not named[name.split(".")[1]]] == []

@@ -16,9 +16,9 @@ from rank3mod.meataxe import (
     left_kernel,
     transpose_action,
 )
-from rank3mod.modules import DenseRep, eigen_split, spin, sub_rep, sum_sub
+from rank3mod.modules import DenseRep, QuotCtx, eigen_split, spin, sub_rep, sum_sub
 
-from conftest import cached_pm
+from conftest import cached_pm, contains, zero_sum_and_ones
 
 
 def chop_dims(mt, total):
@@ -176,7 +176,7 @@ def test_socle_of_augmentation_oplus3_ell3():
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
-    S, _T = pm.distinguished()
+    S, _T = zero_sum_and_ones(pm)
     rep = sub_rep(S)
     layers = mt.socle_series(rep, mt.lattice(rep))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
@@ -194,7 +194,7 @@ def test_socle_series_u5_ell3_augmentation():
     pm = cached_pm("u", 5, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
-    S, _T = pm.distinguished()
+    S, _T = zero_sum_and_ones(pm)
     rep = sub_rep(S)
     layers = mt.socle_series(rep, mt.lattice(rep))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
@@ -221,7 +221,7 @@ def test_socle_series_refuses_a_lattice_with_a_node_or_an_edge_removed():
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
-    rep = sub_rep(pm.distinguished()[0])
+    rep = sub_rep(zero_sum_and_ones(pm)[0])
     lat = mt.lattice(rep)
     assert len(mt.socle_series(rep, lat)) == 3
     assert len(lat.nodes) == 4 and len(lat.edges) == 3
@@ -256,12 +256,16 @@ def test_certify_lattice_refuses_a_lattice_with_a_node_or_an_edge_removed():
     for edge in lat.edges:
         with pytest.raises(CertificationError):
             mt._certify_lattice(_without(lat, edge=edge), pm.ctxP)
+    # the rank is taken of the smaller basis: in node order the dims are
+    # 0, 20, 7, 1, 27, 21, 8, 28, so in the incomparable pairs (20, 7),
+    # (27, 21) and (21, 8) the smaller node comes second
+    assert [n.dim for n in lat.nodes] == [0, 20, 7, 1, 27, 21, 8, 28]
     # O+6(2), ell = 3: the uniserial X - Z - X zero-sum submodule, where a
     # missing middle node or edge leaves two nested nodes looking incomparable
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
-    rep = sub_rep(pm.distinguished()[0])
+    rep = sub_rep(zero_sum_and_ones(pm)[0])
     lat = mt.lattice(rep)
     assert sorted(n.dim for n in lat.nodes) == [0, 7, 20, 27]
     mt._certify_lattice(lat, rep)
@@ -306,8 +310,8 @@ def test_lattice_uniserial_plus_simple_oplus3_ell7():
     assert sorted(n.dim for n in lat.nodes) == [0, 1, 7, 8, 20, 21, 27, 28]
     # containment chain through dims 1 < 20 < 21 exists (T < U' < U)
     by_dim = {n.dim: n for n in lat.nodes}
-    assert by_dim[20].sub.contains(by_dim[1].sub)
-    assert by_dim[21].sub.contains(by_dim[20].sub)
+    assert contains(by_dim[20].sub, by_dim[1].sub)
+    assert contains(by_dim[21].sub, by_dim[20].sub)
 
 
 def test_lattice_u4_ell3_diamond():
@@ -464,9 +468,9 @@ def test_glued_lattice_equals_the_walk_from_zero(analysis, family, size, ell, se
 def _pencils(lat, split):
     """The diagonals of lat (nodes neither containing S nor inside D) by the
     ident of the node of D each covers."""
-    inside = {n.ident for n in lat.nodes if split.D.contains(n.sub)}
+    inside = {n.ident for n in lat.nodes if contains(split.D, n.sub)}
     diagonal = {
-        n.ident: n for n in lat.nodes if n.ident not in inside and not n.sub.contains(split.S)
+        n.ident: n for n in lat.nodes if n.ident not in inside and not contains(n.sub, split.S)
     }
     out: dict[int, list] = {}
     for a, b, _c in lat.edges:
@@ -480,8 +484,8 @@ def test_glued_u5_ell3_has_two_pencils_and_their_diagonal_edges(analysis):
     res = analysis("u", 5, 3)
     split = _split_of(res)
     assert split.S.dim == 1  # the trivial line
-    assert sum(n.sub.contains(split.S) for n in res.lattice.nodes) == 8
-    assert sum(split.D.contains(n.sub) for n in res.lattice.nodes) == 8
+    assert sum(contains(n.sub, split.S) for n in res.lattice.nodes) == 8
+    assert sum(contains(split.D, n.sub) for n in res.lattice.nodes) == 8
     pencils = _pencils(res.lattice, split)
     assert sorted(map(len, pencils.values())) == [3 - 1, 3 - 1]
     ids = {n.ident for pencil in pencils.values() for n in pencil}
@@ -500,11 +504,52 @@ def test_split_refuses_a_summand_that_is_not_simple_or_not_a_complement():
     mt._certify_split(pm.ctxP, split.S, split.D)
     with pytest.raises(CertificationError, match="not simple"):
         mt._certify_split(pm.ctxP, split.D, split.S)
-    zero_sum, ones = pm.distinguished()
+    zero_sum, ones = zero_sum_and_ones(pm)
     with pytest.raises(CertificationError, match="meet"):
         mt._certify_split(pm.ctxP, ones, zero_sum)
     with pytest.raises(CertificationError, match="do not make 28"):
         mt._certify_split(pm.ctxP, split.S, ones)
+
+
+# the rows whose summand S is not the trivial line
+NONTRIVIAL_SUMMAND_ROWS = [("o+", 3, 7), ("u", 4, 5), ("o-", 4, 17), ("u", 5, 11)]
+
+
+@pytest.mark.parametrize("family,size,ell", TWO_RESIDUE_ROWS)
+def test_meet_d_is_the_rref_of_the_projection(analysis, family, size, ell):
+    # on every walked node W, the interval above S, W & D read off W's RREF
+    # equals the RREF of W (1 - e_S)
+    res = analysis(family, size, ell)
+    split = _split_of(res)
+    assert (split.S.dim > 1) == ((family, size, ell) in NONTRIVIAL_SUMMAND_ROWS)
+    walked = [n for n in res.lattice.nodes if contains(n.sub, split.S)]
+    assert len(walked) >= 2  # S and the whole module at least
+    for node in walked:
+        U = split.meet_d(node.sub)
+        basis, piv = linalg.rref(split.off_summand(node.sub.basis), ell)
+        assert U.basis.dtype == basis.dtype == storage_dtype(ell)
+        assert np.array_equal(U.basis, basis) and np.array_equal(U.pivots, piv)
+    with pytest.raises(CertificationError, match="does not contain the summand"):
+        split.meet_d(split.D)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_walk_refuses_a_child_whose_lifted_rows_are_not_closed(analysis, monkeypatch, split):
+    # U4(2), ell = 3, walked from S and from 0: a lift bent off the
+    # quotient's line makes node + rows not closed
+    res = analysis("u", 4, 3)
+    lift = QuotCtx.lift_rows
+
+    def bent(self, V):
+        out = lift(self, V)
+        out[:, self.nonpivots[-1]] = (out[:, self.nonpivots[-1]] + 1) % self.ell
+        return out
+
+    args = (res.pm.ctxP, res.chop_total, res.split if split else None)
+    res.meataxe.lattice(*args)
+    monkeypatch.setattr(QuotCtx, "lift_rows", bent)
+    with pytest.raises(CertificationError, match="not closed under generator"):
+        res.meataxe.lattice(*args)
 
 
 def test_pencil_check_refuses_a_missing_or_wrong_diagonal(analysis):

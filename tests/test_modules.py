@@ -9,12 +9,13 @@ from rank3mod.geometry import SpaceSpec, closed_params, quadratic_roots
 from rank3mod.modules import (
     DenseRep,
     QuotCtx,
+    Submodule,
     spin,
     submodule_from_rows,
     sum_sub,
 )
 
-from conftest import cached_pm
+from conftest import cached_pm, contains, graph_submodule, image_dim, zero_sum_and_ones
 
 
 def params_of(family, dim):
@@ -42,10 +43,10 @@ def test_apply_T_on_all_ones_and_graph_submodule():
     ones = np.ones(28, dtype=np.int64)
     assert (linalg.matmul(ones[None, :], pm._adj, 5)[0] == (12 % 5) * ones % 5).all()
     # on the graph submodule for root c, T acts as -d
-    U2 = pm.graph_submodule(2)
+    U2 = graph_submodule(pm, 2)
     img = linalg.matmul(U2.basis, pm._adj, 5)
     assert (img % 5 == (4 * U2.basis) % 5).all()  # -d = 4 for d = -4
-    Um4 = pm.graph_submodule(-4)
+    Um4 = graph_submodule(pm, -4)
     img = linalg.matmul(Um4.basis, pm._adj, 5)
     assert (img % 5 == ((-2) * Um4.basis) % 5).all()  # -c = -2
 
@@ -56,9 +57,9 @@ def test_adjacency_eigenvalues_on_graph_submodules(family, dim, ell):
     pm = cached_pm(family, dim, ell)
     p = params_of(family, dim)
     c, d = quadratic_roots(p)
-    Uc = pm.graph_submodule(c)
+    Uc = graph_submodule(pm, c)
     assert (linalg.matmul(Uc.basis, pm._adj, ell) == (-d % ell) * Uc.basis % ell).all()
-    Ud = pm.graph_submodule(d)
+    Ud = graph_submodule(pm, d)
     assert (linalg.matmul(Ud.basis, pm._adj, ell) == (-c % ell) * Ud.basis % ell).all()
 
 
@@ -144,7 +145,7 @@ def test_spin_monotone():
     pm = cached_pm("o+", 6, 3)
     a = spin(pm.ctxP, [pm.v_c(2, 0) - pm.v_c(2, 1)])
     b = spin(pm.ctxP, [pm.v_c(2, 0) - pm.v_c(2, 1), np.ones(28, dtype=np.int64)])
-    assert b.contains(a)
+    assert contains(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +170,8 @@ def test_graph_submodule_dimension_propositions(family, dim, expect, ell):
     if split_value % ell == 0:
         pytest.skip("ell divides the case's special divisor")
     pm = cached_pm(family, dim, ell)
-    assert pm.graph_submodule(c).dim == expect[0]
-    assert pm.graph_submodule(d).dim == expect[1]
+    assert graph_submodule(pm, c).dim == expect[0]
+    assert graph_submodule(pm, d).dim == expect[1]
 
 
 @pytest.mark.parametrize("family,dim,expect", ACCEPT_DIMS)
@@ -182,7 +183,7 @@ def test_nonroot_graph_submodule_is_full_augmentation(family, dim, expect):
         x for x in range(1, ell) if (x * x + (p.r - p.s) * x + (p.s - p.a)) % ell
     )
     pm = cached_pm(family, dim, ell)
-    assert pm.graph_submodule(nonroot).dim == p.v - 1
+    assert graph_submodule(pm, nonroot).dim == p.v - 1
 
 
 # U_c is spun from one v_{c,alpha}: v_{c,alpha} g = v_{c,alpha g} and the
@@ -192,7 +193,7 @@ def test_nonroot_graph_submodule_is_full_augmentation(family, dim, expect):
 def test_u4_ell3_u1_contains_all_ones():
     pm = cached_pm("u", 4, 3)
     U1 = spin(pm.ctxP, [pm.v_c(1, 0)])
-    U1p = pm.graph_submodule(1)
+    U1p = graph_submodule(pm, 1)
     assert U1.dim == 11 and U1p.dim == 10
     ones = np.ones(40, dtype=np.int64)
     assert linalg.in_rowspace(ones, U1.basis, U1.pivots, 3)
@@ -202,7 +203,7 @@ def test_u4_ell3_u1_contains_all_ones():
 def test_oplus_ell3_u2_splits_off_trivial():
     pm = cached_pm("o+", 6, 3)
     U2 = spin(pm.ctxP, [pm.v_c(2, 0)])
-    U2p = pm.graph_submodule(2)
+    U2p = graph_submodule(pm, 2)
     assert U2.dim == U2p.dim + 1
     assert not linalg.in_rowspace(np.ones(28, dtype=np.int64), U2p.basis, U2p.pivots, 3)
 
@@ -223,21 +224,21 @@ def test_nonroot_u_c_is_everything():
 def test_distinguished_sum_behaviour():
     # ell | |P|: T inside S; otherwise direct sum
     pm7 = cached_pm("o+", 6, 7)  # 28 = 0 mod 7
-    S, T = pm7.distinguished()
-    assert S.contains(T)
+    S, T = zero_sum_and_ones(pm7)
+    assert contains(S, T)
     pm5 = cached_pm("o+", 6, 5)
-    S, T = pm5.distinguished()
-    assert not S.contains(T)
+    S, T = zero_sum_and_ones(pm5)
+    assert not contains(S, T)
     assert linalg.rowspace_intersect(S.basis, S.pivots, T.basis, 5)[0].shape[0] == 0
     pm3 = cached_pm("u", 5, 3)  # 176 = 2 mod 3
-    S, T = pm3.distinguished()
+    S, T = zero_sum_and_ones(pm3)
     assert linalg.rowspace_intersect(S.basis, S.pivots, T.basis, 3)[0].shape[0] == 0
     assert sum_sub(S, T).dim == 176
 
 
 def test_perp_properties():
     pm = cached_pm("o+", 6, 5)
-    U2 = pm.graph_submodule(2)
+    U2 = graph_submodule(pm, 2)
     P = submodule_from_rows(pm.ctxP, linalg.nullspace(U2.basis, 5))
     assert P.dim == 28 - U2.dim
     assert submodule_from_rows(pm.ctxP, linalg.nullspace(P.basis, 5)) == U2
@@ -254,6 +255,23 @@ def test_certify_closed_refuses_a_line_that_is_not_invariant():
         submodule_from_rows(pm.ctxP, v)
 
 
+def test_certify_closed_on_named_rows():
+    # N = U'_2 is closed; N + <1> is closed and N + <random> is not, and
+    # testing the new row alone decides it
+    pm = cached_pm("o+", 6, 5)
+    N = graph_submodule(pm, 2)
+    rng = np.random.default_rng(5)
+    for rows, closed in [(np.ones((1, 28), dtype=np.int64), True), (rng.integers(0, 5, size=(1, 28)), False)]:
+        sub = Submodule(pm.ctxP, *linalg.rowspace_sum(N.basis, N.pivots, rows, 5))
+        assert sub.dim == N.dim + 1
+        for check in (lambda: sub.certify_closed(rows), sub.certify_closed):
+            if closed:
+                check()
+            else:
+                with pytest.raises(CertificationError, match="not closed under generator"):
+                    check()
+
+
 def test_spin_to_everything_returns_the_identity_basis():
     # the group is transitive on P, so one point spins to all of F_ell[P]
     pm = cached_pm("o+", 6, 3)
@@ -264,7 +282,7 @@ def test_spin_to_everything_returns_the_identity_basis():
 
 def test_graph_submodules_orthogonal():
     pm = cached_pm("o+", 6, 3)
-    U2p = pm.graph_submodule(2)
+    U2p = graph_submodule(pm, 2)
     U2 = spin(pm.ctxP, [pm.v_c(2, 0)])
     prods = linalg.matmul(U2p.basis, U2.basis.T, 3)
     assert not prods.any()
@@ -272,9 +290,9 @@ def test_graph_submodules_orthogonal():
 
 def test_sum_intersect_of_graph_submodules():
     pm = cached_pm("o+", 6, 5)
-    A = pm.graph_submodule(2)
-    B = pm.graph_submodule(-4)
-    S, _T = pm.distinguished()
+    A = graph_submodule(pm, 2)
+    B = graph_submodule(pm, -4)
+    S, _T = zero_sum_and_ones(pm)
     assert sum_sub(A, B) == S
     assert linalg.rowspace_intersect(A.basis, A.pivots, B.basis, 5)[0].shape[0] == 0
 
@@ -307,20 +325,19 @@ def test_quotient_rejects_uncertified_subspace():
 
 def test_q_r_equivariance_and_images():
     pm = cached_pm("o+", 6, 3)
-    S, T = pm.distinguished()
-    img = pm.q_image(S)
-    assert img.dim > 1  # nonzero and not the all-ones line
+    C = pm._cross
+    assert image_dim(C, 3) > 1  # nonzero and not the all-ones line
     for gi in range(pm.ctxP.ngens):
         e0 = np.zeros(28, dtype=np.int64)
         e0[0] = 1
         lhs = pm.ctxP0.act_rows(linalg.matmul(e0[None, :], pm._cross, 3), gi)[0]
         rhs = linalg.matmul(pm.ctxP.act_rows(e0[None, :], gi), pm._cross, 3)[0]
         assert (lhs == rhs).all()
-    # R side
-    ones0 = np.ones((1, pm.ctxP0.dim), dtype=np.int64)
-    S0 = submodule_from_rows(pm.ctxP0, linalg.nullspace(ones0, 3))
-    imgR = pm.r_image(S0)
-    assert imgR.dim > 1
+    # R side: the zero-sum module of F_ell[P0] spans the column differences
+    assert image_dim(C.T, 3) > 1
+    # the closed forms agree with the images of the spanned modules
+    S, _T = zero_sum_and_ones(pm)
+    assert linalg.rank(linalg.matmul(S.basis, C, 3), 3) == image_dim(C, 3)
 
 
 def test_q_coefficient_sum_is_lambda_count():
