@@ -7,7 +7,7 @@ from a checkout without installing the package:
 
     python scripts/ceiling.py [--seed N]
 
-The run takes about a minute and a half and peaks near 0.35 GiB.
+The run takes about 45 seconds and peaks near 0.35 GiB.
 """
 
 import os

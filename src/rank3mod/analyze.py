@@ -81,7 +81,6 @@ def run_analysis(
     ell: int,
     seed: int = 0,
     max_p: int = DEFAULT_MAX_P,
-    skip_order: bool = False,
 ) -> AnalysisResult:
     t_start = time.monotonic()
     timings: dict[str, int] = {}
@@ -101,7 +100,7 @@ def run_analysis(
     timings["geometry"] = _ms_since(t0)
 
     t0 = time.monotonic()
-    gd = build_group(space, points, seed=seed, certify_order=not skip_order)
+    gd = build_group(space, points, seed=seed)
     pair, chain = generating_pair(gd, points, seed=seed)
     orb = rank_and_orbitals(chain, points)
     if not (orb["transitive"] and orb["rank"] == 3 and orb["orbitals_match"]):
@@ -145,7 +144,7 @@ def run_analysis(
     timings["total"] = int(1000 * (time.monotonic() - t_start))
     report = _build_report(
         family, size, ell, seed, spec, cp, roots, gd, orb, mt, total, layers, lat,
-        label_of, exp, timings, skip_order,
+        label_of, exp, timings,
     )
     return AnalysisResult(report, exp, mt, lat, label_of, pm, total, split)
 
@@ -216,10 +215,13 @@ def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int], seed: 
 
     perp(node) is identified inside the lattice without computing nullspaces:
     a node of complementary dimension orthogonal to the given one IS its perp.
-    A candidate is first tested against one random combination x of the
-    node's rows, drawn from a stream seeded by the request: x C^T != 0, for
-    C the candidate's basis, proves the two not orthogonal, as x lies in the
-    node.  Only the candidates that x cannot rule out get the full product.
+    Orthogonality is symmetric, so each unordered pair of complementary
+    dimensions is tested once, from the node that comes first, and a hit
+    counts for both (once for a node that is its own perp).  A candidate is
+    first tested against one random combination x of the node's rows, drawn
+    from a stream seeded by the request: x C^T != 0, for C the candidate's
+    basis, proves the two not orthogonal, as x lies in the node.  Only the
+    candidates that x cannot rule out get the full product.
 
     Every node is a submodule, so it contains U'_c = spin(seeds) iff it
     contains the seeds (`PermModule.graph_seeds`); no U'_c is spun.
@@ -227,26 +229,33 @@ def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int], seed: 
     v = pm.ctxP.dim
     ell = pm.ell
     rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0x9E]))
-    by_dim: dict[int, list] = {}
-    for node in lat.nodes:
-        by_dim.setdefault(node.dim, []).append(node)
-    for node in lat.nodes:
-        mates = by_dim.get(v - node.dim, [])
+    by_dim: dict[int, list[int]] = {}
+    for i, node in enumerate(lat.nodes):
+        by_dim.setdefault(node.dim, []).append(i)
+    hits = [0] * len(lat.nodes)
+    for i, node in enumerate(lat.nodes):
+        mates = [j for j in by_dim.get(v - node.dim, []) if j >= i]
+        if not mates:
+            continue
         if node.dim == 0 or v - node.dim == 0:
-            hits = len(mates)
+            orthogonal = mates
         else:
             basis = node.sub.basis
             probe = linalg.matmul(rng.integers(0, ell, size=(1, node.dim)), basis, ell)
-            hits = 0
-            for cand in mates:
-                other = cand.sub.basis.T
+            orthogonal = []
+            for j in mates:
+                other = lat.nodes[j].sub.basis.T
                 if linalg.matmul(probe, other, ell).any():
                     continue
                 if not linalg.matmul(basis, other, ell).any():
-                    hits += 1
-        if hits != 1:
+                    orthogonal.append(j)
+        for j in orthogonal:
+            hits[i] += 1
+            hits[j] += j != i
+    for node, count in zip(lat.nodes, hits):
+        if count != 1:
             raise CertificationError(
-                f"perp of a dim-{node.dim} lattice node matched {hits} nodes"
+                f"perp of a dim-{node.dim} lattice node matched {count} nodes"
             )
     seeds = [pm.graph_seeds(roots[0]), pm.graph_seeds(roots[1])]
     ones = np.ones((1, v), dtype=np.int64)
@@ -284,10 +293,8 @@ def _assign_labels(mt: Meataxe, total: Counter, exp: ExpectedStructure) -> dict[
 
 def _build_report(
     family, size, ell, seed, spec, cp, roots, gd, orb, mt, total, layers, lat,
-    label_of, exp, timings, skip_order,
+    label_of, exp, timings,
 ) -> dict:
-    m = spec.dim
-    n = spec.n if family in (OPLUS, OMINUS) else (m // 2 if m % 2 == 0 else (m - 1) // 2)
     factors = []
     for idx, mult in sorted(total.items(), key=lambda t: (mt.classes[t[0]].dim, label_of[t[0]])):
         cls = mt.classes[idx]
@@ -296,7 +303,7 @@ def _build_report(
                 "label": label_of[idx],
                 "dim": cls.dim,
                 "mult": mult,
-                "absIrred": bool(cls.abs_irred),
+                "absIrred": cls.word is not None,
             }
         )
     socle_json = []
@@ -319,12 +326,12 @@ def _build_report(
     verdict = verify_result(lat, layers, total, mt, label_of, exp)
     report = {
         "schema": SCHEMA_VERSION,
-        "input": {"family": family, "m": m, "n": n, "ell": ell, "seed": seed},
+        "input": {"family": family, "m": spec.dim, "n": spec.n, "ell": ell, "seed": seed},
         "points": {"nonsingular": cp.v, "singular": _singular_count(spec)},
         "params": {"v": cp.v, "a": cp.a, "b": cp.b, "r": cp.r, "s": cp.s},
         "roots": [roots[0], roots[1]],
         "group": {
-            "order": "skipped" if skip_order else str(gd.order),
+            "order": str(gd.order),
             "formulaOrder": str(gd.formula_order),
             "rank": orb["rank"],
             "suborbits": orb["suborbits"],
@@ -372,10 +379,6 @@ def verify_result(
     want_factors = Counter({(lab, exp.dims[lab]): m for lab, m in exp.factors.items()})
     if got_factors != want_factors:
         diffs.append(f"factors: computed {sorted(got_factors.items())} expected {sorted(want_factors.items())}")
-
-    if not all(mt.classes[i].abs_irred for i in total):
-        flags.append("ABS_IRRED_UNCERTIFIED")
-        diffs.append("some factor lacks an absolute-irreducibility certificate")
 
     got_socle = [Counter({label_of[i]: t for i, t in lay.items()}) for lay in layers]
     want_socle = exp.socle

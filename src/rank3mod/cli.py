@@ -39,7 +39,7 @@ EXTENDED_INSTANCES = [(UNITARY, 7, 3)]
 OUT_OF_SCALE_INSTANCES = [(UNITARY, 9, 3)]
 
 
-def _add_common(p: argparse.ArgumentParser, ell=False, seed=False, max_p=True, skip_order=False):
+def _add_common(p: argparse.ArgumentParser, ell=False, seed=False, max_p=True):
     """The flags of one command; a command gets only those it reads."""
     p.add_argument("--family", required=True, choices=[OPLUS, OMINUS, UNITARY])
     p.add_argument("--dim", type=int, help="ambient dimension m")
@@ -51,12 +51,12 @@ def _add_common(p: argparse.ArgumentParser, ell=False, seed=False, max_p=True, s
     if max_p:
         p.add_argument("--max-p-size", type=int, default=DEFAULT_MAX_P)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    if skip_order:
-        p.add_argument("--skip-order", action="store_true")
 
 
 def _size_of(args) -> int:
-    """CLI size convention: n for orthogonal, m for unitary."""
+    """CLI size convention: n (--n, or --dim = 2n) for orthogonal, m (--dim) for unitary."""
+    if args.n is not None and args.dim is not None:
+        raise ValueError("give --n or --dim, not both")
     if args.family in (OPLUS, OMINUS):
         if args.n is not None:
             return args.n
@@ -65,11 +65,9 @@ def _size_of(args) -> int:
                 raise ValueError("orthogonal families need an even --dim")
             return args.dim // 2
         raise ValueError("give --n or --dim")
-    if args.dim is not None:
-        return args.dim
-    if args.n is not None:
-        return args.n
-    raise ValueError("give --dim for the unitary family")
+    if args.dim is None:
+        raise ValueError("give --dim for the unitary family (--n is for the orthogonal families)")
+    return args.dim
 
 
 def _check_ell(ell: int):
@@ -125,7 +123,7 @@ def cmd_order(args) -> int:
     spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     space = build_space(spec)
     ps = enumerate_points(space)
-    gd = build_group(space, ps, seed=args.seed, certify_order=True)
+    gd = build_group(space, ps, seed=args.seed)
     match = gd.order == gd.formula_order
     _emit(
         {
@@ -164,10 +162,7 @@ def cmd_expect(args) -> int:
 def _analyze(args) -> bool:
     """Run and print one analysis; returns whether it matches the tables."""
     _check_ell(args.ell)
-    res = run_analysis(
-        args.family, _size_of(args), args.ell,
-        seed=args.seed, max_p=args.max_p_size, skip_order=args.skip_order,
-    )
+    res = run_analysis(args.family, _size_of(args), args.ell, seed=args.seed, max_p=args.max_p_size)
     _emit(res.report, args.format)
     return res.report["verdict"]["match"]
 
@@ -182,9 +177,9 @@ def cmd_verify(args) -> int:
 
 
 def _suite_one(item):
-    family, size, ell, seed, max_p, skip_order = item
+    family, size, ell, seed, max_p = item
     try:
-        res = run_analysis(family, size, ell, seed=seed, max_p=max_p, skip_order=skip_order)
+        res = run_analysis(family, size, ell, seed=seed, max_p=max_p)
         verdict = res.report["verdict"]
         status = "PASS" if verdict["match"] else "FAIL"
         return {
@@ -214,7 +209,7 @@ def cmd_suite(args) -> int:
     instances = list(SUITE_INSTANCES)
     if args.extended:
         instances += EXTENDED_INSTANCES
-    work = [(f, s, e, args.seed, args.max_p_size, args.skip_order) for f, s, e in instances]
+    work = [(f, s, e, args.seed, args.max_p_size) for f, s, e in instances]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_suite_one, work))
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for O(2n,2)+/- and U(m,2), verified against the structure tables.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    analysis = {"ell": True, "seed": True, "skip_order": True}
+    analysis = {"ell": True, "seed": True}
     for name, fn, flags in [
         ("points", cmd_points, {}),
         ("params", cmd_params, {}),
@@ -269,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-p-size", type=int, default=DEFAULT_MAX_P)
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--skip-order", action="store_true")
     p.add_argument("--out", metavar="PATH", help="also write the JSON transcript to PATH")
     p.set_defaults(func=cmd_suite)
     return ap

@@ -561,10 +561,8 @@ class GroupData:
     """Pruned generating set, as isometry matrices, with order data."""
 
     mats: list[np.ndarray]
-    order: int | None
+    order: int
     formula_order: int
-    base_size: int
-    order_certified: bool
 
 
 def formula_order(space: Space) -> int:
@@ -582,17 +580,15 @@ def formula_order(space: Space) -> int:
     return out
 
 
-def build_group(
-    space: Space, points: PointSets, seed: int = 0, certify_order: bool = True
-) -> GroupData:
+def build_group(space: Space, points: PointSets, seed: int = 0) -> GroupData:
     """Grow a generating set until it provably generates the full isometry group.
 
     Candidates already sifting into the chain are skipped, so the returned
     matrices are a small generating subset.  The loop stops when the orbit
     lower bound reaches the formula order (the generated group is contained in
-    the isometry group, so equality of the bound certifies fullness); with
-    certify_order the chain is then Schreier-verified, making the reported
-    order a theorem about the generators alone.
+    the isometry group, so equality of the bound certifies fullness); the
+    chain is then Schreier-verified, making the reported order a theorem
+    about the generators alone.
     """
     target = formula_order(space)
     domain = vector_action_domain(space, points)
@@ -617,15 +613,10 @@ def build_group(
         raise CertificationError(
             f"generator pool exhausted at order >= {lb}, formula order {target}"
         )
-    if certify_order:
-        order = chain.order()
-        if order != target:
-            raise CertificationError(
-                f"verified order {order} disagrees with formula order {target}"
-            )
-    else:
-        order = None
-    return GroupData(mats, order, target, len(chain.levels), certify_order)
+    order = chain.order()
+    if order != target:
+        raise CertificationError(f"verified order {order} disagrees with formula order {target}")
+    return GroupData(mats, order, target)
 
 
 # ---------------------------------------------------------------------------

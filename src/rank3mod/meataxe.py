@@ -179,11 +179,13 @@ def left_kernel(M: np.ndarray, ell: int) -> np.ndarray:
 
 @dataclass
 class FactorClass:
+    """A certified-simple class.  `word` is a (word, eigenvalue) of nullity 1
+    on it, which certifies it absolutely irreducible; `ensure_peaks` makes it
+    a peak word, invertible on every other class."""
+
     rep: DenseRep
     dim: int
-    peak: tuple[Word, int] | None = None  # nullity-1 AND invertible on all other classes
-    n1: tuple[Word, int] | None = None    # nullity-1 on this factor alone
-    abs_irred: bool = False
+    word: tuple[Word, int] | None = None
     trivial: bool = False  # all generators act as the identity
 
     def nullity_of(self, word: Word, lam: int, ell: int) -> int:
@@ -244,18 +246,22 @@ class Meataxe:
         self.classes: list[FactorClass] = []
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
 
-    def register(self, rep: DenseRep) -> int:
+    def register(self, rep: DenseRep, word: tuple[Word, int] | None = None) -> int:
         """Class index of a certified-simple rep: the first class of its
-        dimension that `is_iso_rep` (exact) matches, or else a new class."""
+        dimension that `is_iso_rep` (exact) matches, or else a new class.
+        `word`, of nullity 1 on rep, becomes the class word unless the class
+        has one: nullity is the same on isomorphic modules."""
         dim = rep.dim
         for idx, cls in enumerate(self.classes):
             if cls.dim == dim and self.is_iso_rep(idx, rep):
+                if cls.word is None:
+                    cls.word = word
                 return idx
         trivial = all(
             np.array_equal(rep.gen_matrix(i), np.eye(dim, dtype=np.int64))
             for i in range(rep.ngens)
         )
-        self.classes.append(FactorClass(rep, dim, trivial=trivial))
+        self.classes.append(FactorClass(rep, dim, word, trivial))
         return len(self.classes) - 1
 
     # -- chop ---------------------------------------------------------------
@@ -337,15 +343,9 @@ class Meataxe:
                     if not 0 < U.dim < n:
                         raise CertificationError("transpose-side split produced no submodule")
                     return [sub_rep(U), QuotCtx(action, U)]
-                # simple; certified
-                rep = densify(action)
-                idx = self.register(rep)
-                if len(f) == 2:  # nullity-1 eigenvalue word: endomorphisms are scalar
-                    cls = self.classes[idx]
-                    if cls.peak is None and self._peak_ok(word, int((-f[0]) % self.ell), idx):
-                        cls.peak = (word, int((-f[0]) % self.ell))
-                    cls.abs_irred = True
-                return idx
+                # simple; certified, and a linear f is a nullity-1 word
+                n1 = (word, int((-f[0]) % self.ell)) if len(f) == 2 else None
+                return self.register(densify(action), n1)
         raise BudgetExceededError(
             f"chop: no certificate for a dim-{n} module within {WORD_BUDGET} words"
         )
@@ -362,16 +362,12 @@ class Meataxe:
         injectively, since W meets S + 0 in a proper submodule of W, which is
         zero; so S and T are isomorphic.  Conversely an isomorphism S -> T sends
         k_S to a multiple of k_T, and the spin is its graph, of dimension d.
+        This holds at d = 1 too, where the word is found at once.
         """
         cls = self.classes[idx]
         d = cls.dim
         if d != rep.dim:
             return False
-        if d == 1:
-            return all(
-                np.array_equal(cls.rep.gen_matrix(i), rep.gen_matrix(i))
-                for i in range(self.ngens)
-            )
         word, lam = self._nullity1_word(idx)
         K_T = left_kernel(_shifted(word, rep, lam), self.ell)
         if K_T.shape[0] != 1:
@@ -399,23 +395,19 @@ class Meataxe:
                 if cls.nullity_of(word, lam, self.ell) == 1 and (
                     not separating or self._peak_ok(word, lam, idx)
                 ):
-                    cls.abs_irred = True
                     return word, lam
         return None
 
     def _nullity1_word(self, idx: int) -> tuple[Word, int]:
-        """A (word, eigenvalue) with nullity 1 on class idx (no separation needed)."""
+        """The word of class idx, searched for (no separation needed) when it has none."""
         cls = self.classes[idx]
-        if cls.n1 is not None:
-            return cls.n1
-        if cls.peak is not None:
-            return cls.peak
-        cls.n1 = self._nullity1_search(idx, 0xA7, separating=False)
-        if cls.n1 is None:
-            raise BudgetExceededError(
-                f"no nullity-1 word found for a dim-{cls.dim} factor within {WORD_BUDGET} words"
-            )
-        return cls.n1
+        if cls.word is None:
+            cls.word = self._nullity1_search(idx, 0xA7, separating=False)
+            if cls.word is None:
+                raise BudgetExceededError(
+                    f"no nullity-1 word found for a dim-{cls.dim} factor within {WORD_BUDGET} words"
+                )
+        return cls.word
 
     # -- peak words ---------------------------------------------------------
 
@@ -429,24 +421,23 @@ class Meataxe:
         return True
 
     def ensure_peaks(self) -> None:
-        """Give every class a nullity-1 separating peak word.
+        """Make every class word a peak word: nullity 1 on its class and
+        invertible on every other.
 
-        A class with such a word is absolutely irreducible.  Each class
-        without one searches WORD_BUDGET words of one seeded stream, and a
+        A class keeps its word when it separates the final classes.  Each
+        other class searches WORD_BUDGET words of one seeded stream, and a
         class still without a peak word after that raises
         BudgetExceededError.
         """
-        missing = [i for i, c in enumerate(self.classes) if c.peak is None]
-        # peaks found during chop may fail separation against later classes
+        still = []
         for i, cls in enumerate(self.classes):
-            if cls.peak is not None:
-                word, lam = cls.peak
-                if not self._peak_ok(word, lam, i):
-                    cls.peak = None
-                    missing.append(i)
-        for i in missing:
-            self.classes[i].peak = self._nullity1_search(i, 0x9E, separating=True)
-        still = [i for i in range(len(self.classes)) if self.classes[i].peak is None]
+            if cls.word is not None and self._peak_ok(*cls.word, i):
+                continue
+            found = self._nullity1_search(i, 0x9E, separating=True)
+            if found is None:
+                still.append(i)
+            else:
+                cls.word = found
         if still:
             dims = [self.classes[i].dim for i in still]
             raise BudgetExceededError(
@@ -477,7 +468,7 @@ class Meataxe:
         for idx, cls in enumerate(self.classes):
             if factors is not None and not factors[idx]:
                 continue
-            word, lam = cls.peak
+            word, lam = cls.word
             K = left_kernel(_shifted(word, action, lam), self.ell)
             if K.shape[0] == 0:
                 continue

@@ -269,7 +269,7 @@ def test_criterion_6_property_suites():
 def test_criterion_7_out_of_scope_declaration():
     with criterion("7 out-of-scope declaration", 5.0):
         assert ("u", 9, 3) in OUT_OF_SCALE_INSTANCES
-        entry = _suite_one(("u", 9, 3, 0, 3000, False))
+        entry = _suite_one(("u", 9, 3, 0, 3000))
         assert entry["status"] == "OUT_OF_SCALE"
         assert entry["status"] != "PASS"
         with pytest.raises(OutOfScaleError) as err:

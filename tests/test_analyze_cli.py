@@ -180,12 +180,27 @@ def test_cli_expect(capsys):
 
 
 def test_cli_analyze_skip_order(capsys):
-    rc = main(["analyze", "--family", "o+", "--n", "3", "--ell", "5", "--skip-order"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert out["group"]["order"] == "skipped"
-    assert out["group"]["formulaOrder"] == "40320"
-    assert out["verdict"]["match"]
+    # every report certifies its group order: no command takes --skip-order
+    # (points, params, order and expect: test_cli_refuses_a_flag_the_command_ignores)
+    for argv in (
+        ["analyze", "--family", "o+", "--n", "3", "--ell", "5", "--skip-order"],
+        ["verify", "--family", "o+", "--n", "3", "--ell", "5", "--skip-order"],
+        ["suite", "--skip-order"],
+    ):
+        assert main(argv) == 2
+        assert "unrecognized arguments: --skip-order" in capsys.readouterr().err
+
+
+def test_cli_refuses_n_for_the_unitary_family(capsys):
+    # --n is the orthogonal half-dimension; read as m it would name U_4(2)
+    assert main(["points", "--family", "u", "--n", "4"]) == 2
+    assert "give --dim for the unitary family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["o+", "u"])
+def test_cli_refuses_n_together_with_dim(capsys, family):
+    assert main(["points", "--family", family, "--n", "3", "--dim", "6"]) == 2
+    assert "give --n or --dim, not both" in capsys.readouterr().err
 
 
 def test_cli_out_of_scale_exit(capsys):
@@ -261,10 +276,9 @@ def test_cli_suite_out_writes_transcript_and_forwards_flags(capsys, monkeypatch,
     monkeypatch.setattr(cli, "SUITE_INSTANCES", [("o+", 3, 5), ("u", 4, 3)])
     monkeypatch.setattr(cli, "_suite_one", fake_suite_one)
     out = tmp_path / "suite.json"
-    rc = main(["suite", "--format", "json", "--seed", "4", "--max-p-size", "500",
-               "--skip-order", "--out", str(out)])
+    rc = main(["suite", "--format", "json", "--seed", "4", "--max-p-size", "500", "--out", str(out)])
     assert rc == 0
-    assert seen == [("o+", 3, 5, 4, 500, True), ("u", 4, 3, 4, 500, True)]
+    assert seen == [("o+", 3, 5, 4, 500), ("u", 4, 3, 4, 500)]
     written = json.loads(out.read_text())
     assert written == json.loads(capsys.readouterr().out)
     assert written["allPass"] is True
@@ -469,10 +483,8 @@ def test_cli_refuses_a_flag_the_command_ignores(capsys, argv):
         ["params", "--family", "o+", "--dim", "6", "--max-p-size", "100", "--format", "text"],
         ["order", *O6, "--seed", "7", "--max-p-size", "100", "--format", "text"],
         ["expect", *O6, "--ell", "5", "--format", "text"],
-        ["analyze", *O6, "--ell", "5", "--seed", "1", "--max-p-size", "100", "--skip-order",
-         "--format", "text"],
-        ["verify", *O6, "--ell", "5", "--seed", "1", "--max-p-size", "100", "--skip-order",
-         "--format", "text"],
+        ["analyze", *O6, "--ell", "5", "--seed", "1", "--max-p-size", "100", "--format", "text"],
+        ["verify", *O6, "--ell", "5", "--seed", "1", "--max-p-size", "100", "--format", "text"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -643,6 +655,26 @@ def test_lattice_checks_refuse_a_perp_swapped_for_a_subspace_that_is_not_orthogo
         ran_full.append(any(full))
     # the probe alone refused some seeds, the full product the others
     assert any(ran_full) and not all(ran_full)
+
+
+def test_lattice_checks_count_a_self_perp_node_once():
+    # each pair is tested once: a totally isotropic half-dimensional node is
+    # its own perp and matches 1 node, so the perp matching passes and the
+    # graph-submodule test is the one to refuse it
+    pm, _params, roots = _o6_ell5()
+    half = np.zeros((14, 28), dtype=np.int64)
+    half[np.arange(14), 2 * np.arange(14)] = 1
+    half[np.arange(14), 2 * np.arange(14) + 1] = 2  # 1 + 2 * 2 = 0 mod 5
+    nodes = [
+        _node_of(pm, 0, np.zeros((0, 28), dtype=np.int64)),
+        _node_of(pm, 1, half),
+        _node_of(pm, 2, np.eye(28, dtype=np.int64)),
+    ]
+    with pytest.raises(CertificationError, match="lattice node of dim 14 contains no graph submodule"):
+        analyze._lattice_checks(pm, Lattice(nodes, []), roots, 0)
+    twice = Lattice([*nodes[:2], _node_of(pm, 3, half), nodes[2]], [])
+    with pytest.raises(CertificationError, match="perp of a dim-14 lattice node matched 2 nodes"):
+        analyze._lattice_checks(pm, twice, roots, 0)
 
 
 def test_lattice_checks_refuse_a_node_that_misses_the_graph_seeds():

@@ -103,7 +103,6 @@ def test_certified_orders(family, dim, order):
     _, _, gd = cached_setup(family, dim)
     assert gd.order == order
     assert gd.formula_order == order
-    assert gd.order_certified
 
 
 def test_formula_orders_bigger_instances():

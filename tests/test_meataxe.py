@@ -168,7 +168,43 @@ def test_abs_irred_certificates():
     total = mt.chop(pm.ctxP)
     mt.ensure_peaks()
     for i in total:
-        assert mt.classes[i].abs_irred
+        word, lam = mt.classes[i].word
+        assert mt.classes[i].nullity_of(word, lam, 3) == 1
+
+
+def test_chop_word_becomes_the_class_word_and_a_separating_one_is_kept(monkeypatch):
+    # the linear Norton certificate of the chop hands its word to register;
+    # ensure_peaks keeps each word that separates and searches for no other
+    norton, searched = [], []
+    register, search = Meataxe.register, Meataxe._nullity1_search
+
+    def noted(self, rep, word=None):
+        idx = register(self, rep, word)
+        if word is not None:
+            norton.append((idx, word))
+        return idx
+
+    def counted(self, idx, tag, separating):
+        searched.append((idx, tag))
+        return search(self, idx, tag, separating)
+
+    monkeypatch.setattr(Meataxe, "register", noted)
+    monkeypatch.setattr(Meataxe, "_nullity1_search", counted)
+    pm = cached_pm("o+", 6, 3)
+    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    first = {}
+    for idx, word in norton:
+        first.setdefault(idx, word)
+    assert first and all(mt.classes[idx].word == word for idx, word in first.items())
+    kept = {i: c.word for i, c in enumerate(mt.classes) if c.word and mt._peak_ok(*c.word, i)}
+    assert kept
+    searched.clear()
+    mt.ensure_peaks()
+    assert {idx for idx, _tag in searched}.isdisjoint(kept)
+    assert all(mt.classes[i].word == word for i, word in kept.items())
+    for i, cls in enumerate(mt.classes):
+        assert cls.nullity_of(*cls.word, 3) == 1 and mt._peak_ok(*cls.word, i)
 
 
 def test_socle_of_augmentation_oplus3_ell3():
@@ -344,7 +380,7 @@ def test_nullity1_give_up_names_its_word_budget(monkeypatch):
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
     ten = next(i for i, c in enumerate(mt.classes) if c.dim == 10)
-    mt.classes[ten].peak = mt.classes[ten].n1 = None
+    mt.classes[ten].word = None
     # the first word of the stream has no eigenvalue of nullity 1 on it
     monkeypatch.setattr(meataxe, "WORD_BUDGET", 1)
     with pytest.raises(BudgetExceededError, match="dim-10 factor within 1 words"):
@@ -629,7 +665,7 @@ def _skipped_peak_kernels(monkeypatch):
         if factors is not None:
             for idx, cls in enumerate(self.classes):
                 if not factors[idx]:
-                    word, lam = cls.peak
+                    word, lam = cls.word
                     skipped.append(left(_shifted(word, action, lam), self.ell).shape[0])
         monkeypatch.setattr(meataxe, "left_kernel", counted)
         try:
