@@ -41,8 +41,7 @@ UNITARY = "u"
 
 FAMILIES = (OPLUS, OMINUS, UNITARY)
 
-# checks over every pair of points (brute_params, the adjacency-algebra
-# identity in analyze) run only up to this many points
+# brute_params checks every pair of points only up to this many points
 EXHAUSTIVE_CHECK_MAX_POINTS = 200
 
 
@@ -280,9 +279,10 @@ class Rank3Params:
 def brute_params(ps: PointSets) -> Rank3Params:
     """Parameters by explicit counting on the Delta-graph.
 
-    For v <= EXHAUSTIVE_CHECK_MAX_POINTS the common neighbour counts are
-    validated over every pair, which certifies that the parameters do not
-    depend on the choice of base points.
+    For v <= EXHAUSTIVE_CHECK_MAX_POINTS the graph is checked to have no
+    loop or one-way edge and the common neighbour counts are validated over
+    every pair, which certifies that the parameters do not depend on the
+    choice of base points.
     """
     A = ps.adj
     v = ps.nP
@@ -299,6 +299,8 @@ def brute_params(ps: PointSets) -> Rank3Params:
     r = int((A[0] & A[beta]).sum())
     s = int((A[0] & A[gamma]).sum())
     if v <= EXHAUSTIVE_CHECK_MAX_POINTS:
+        if A.diagonal().any() or not (A == A.T).all():
+            raise ValueError("Delta-graph has a loop or a one-way edge")
         N = (A.astype(np.float64) @ A.astype(np.float64)).astype(np.int64)
         if not (N[A] == r).all():
             raise ValueError("common-neighbour count varies over adjacent pairs")

@@ -6,11 +6,14 @@ The toolbox is the classical one.  Random algebra words (sums of short
 products of generators, drawn from a seeded stream) are probed through the
 annihilator polynomial of a seeded vector (Krylov); irreducible factors of
 that polynomial divide the characteristic polynomial, so kernel vectors of
-f(theta) are split candidates, and Norton's criterion (kernel vector spins to
-everything, transpose-side kernel vector spins to everything, nullity equal
-to deg f) certifies irreducibility.  A nullity-1 eigenvalue word on a simple
-module also certifies absolute irreducibility: any endomorphism preserves the
-kernel line, so it is scalar on a generator.  The same word tests a module T
+f(theta) are split candidates.  Norton's criterion certifies irreducibility
+only at a root lam of the annihilator where theta - lam has nullity 1 (the
+kernel vector spins to everything, and so does a transpose-side kernel
+vector).  That (theta, lam) is a nullity-1 word, and every factor class is
+born with it.  On a simple module it also certifies absolute
+irreducibility: any endomorphism preserves the kernel line, so it is scalar
+on a generator.  A simple module whose endomorphism ring is larger than
+F_ell has no such word, and the chop refuses it.  The same word tests a module T
 for isomorphism with a simple S of dimension d (the standard-basis test): the
 spin of (kernel vector on S, kernel vector on T) in S + T has dimension d
 exactly when S and T are isomorphic.
@@ -157,17 +160,6 @@ def transpose_action(action):
 # annihilator polynomials
 
 
-def _poly_on_matrix(p: np.ndarray, theta: np.ndarray, ell: int) -> np.ndarray:
-    """p(theta) by Horner."""
-    n = theta.shape[0]
-    out = linalg.zeros((n, n), ell)
-    for c in p[::-1]:
-        out = linalg.matmul(out, theta, ell)
-        if c:
-            out[np.arange(n), np.arange(n)] = (out.diagonal() + c) % ell
-    return out
-
-
 def left_kernel(M: np.ndarray, ell: int) -> np.ndarray:
     """{v : v M = 0} as RREF rows."""
     return linalg.nullspace(M.T, ell)
@@ -179,13 +171,14 @@ def left_kernel(M: np.ndarray, ell: int) -> np.ndarray:
 
 @dataclass
 class FactorClass:
-    """A certified-simple class.  `word` is a (word, eigenvalue) of nullity 1
-    on it, which certifies it absolutely irreducible; `ensure_peaks` makes it
-    a peak word, invertible on every other class."""
+    """A certified-simple class, born with its `word`: the (word, eigenvalue)
+    of nullity 1 on it that the chop certified it with, which also makes it
+    absolutely irreducible.  `ensure_peaks` makes it a peak word, invertible
+    on every other class."""
 
     rep: DenseRep
     dim: int
-    word: tuple[Word, int] | None = None
+    word: tuple[Word, int]
     trivial: bool = False  # all generators act as the identity
 
     def nullity_of(self, word: Word, lam: int, ell: int) -> int:
@@ -246,16 +239,13 @@ class Meataxe:
         self.classes: list[FactorClass] = []
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
 
-    def register(self, rep: DenseRep, word: tuple[Word, int] | None = None) -> int:
+    def register(self, rep: DenseRep, word: tuple[Word, int]) -> int:
         """Class index of a certified-simple rep: the first class of its
-        dimension that `is_iso_rep` (exact) matches, or else a new class.
-        `word`, of nullity 1 on rep, becomes the class word unless the class
-        has one: nullity is the same on isomorphic modules."""
+        dimension that `is_iso_rep` (exact) matches, or else a new class with
+        `word`, of nullity 1 on rep, as its word."""
         dim = rep.dim
         for idx, cls in enumerate(self.classes):
             if cls.dim == dim and self.is_iso_rep(idx, rep):
-                if cls.word is None:
-                    cls.word = word
                 return idx
         trivial = all(
             np.array_equal(rep.gen_matrix(i), np.eye(dim, dtype=np.int64))
@@ -295,59 +285,57 @@ class Meataxe:
         return out
 
     def _chop_one(self, action):
-        """Either a class index (certified simple) or a [sub_rep, quot_rep] split."""
-        n = action.dim
+        """Either a class index (certified simple) or a [sub_rep, quot_rep] split.
+
+        Each word theta is probed through the annihilator p of a random v.
+        For every factor f of p, u = v (p / f)(theta) is a kernel vector of
+        f(theta), non-zero as v, v theta, ..., v theta^(deg p - 1) are
+        independent, and its spin is a split candidate.  Norton's certificate is taken only at
+        a root lam of p where theta - lam has nullity 1: its kernel is then
+        <u>, just spun to everything, so a transpose-side kernel vector that
+        spins to everything too proves the module simple, and (theta, lam)
+        is the class's word.  A 1-dimensional piece is simple, with the first
+        word of the stream and its 1 x 1 value as the word.
+        """
+        n, ell = action.dim, self.ell
+        stream = word_stream(self.ngens, ell, self.seed, 0xC4)
         if n == 1:
-            return self.register(densify(action))
-        stream = word_stream(self.ngens, self.ell, self.seed, 0xC4)
+            rep, word = densify(action), next(stream)
+            return self.register(rep, (word, int(word.matrix(rep)[0, 0])))
         for _ in range(WORD_BUDGET):
             word = next(stream)
             theta = word.matrix(action)
-            v = self._rng.integers(0, self.ell, size=n, dtype=np.int64)
+            v = self._rng.integers(0, ell, size=n, dtype=np.int64)
             if not v.any():
                 v[0] = 1
-            p, kry = krylov_annihilator(theta, v, self.ell)
-            # roots of the annihilator give linear factors without a full
-            # factorisation; escalate to the generic route only when rootless
-            factors = [
-                (np.array([(-lam) % self.ell, 1], dtype=np.int64), 1)
-                for lam in range(self.ell)
-                if poly_eval_int(p, lam, self.ell) == 0
-            ]
+            p, kry = krylov_annihilator(theta, v, ell)
+            # roots give linear factors without a full factorisation; the
+            # factors of a rootless p are split candidates only
+            roots = [lam for lam in range(ell) if poly_eval_int(p, lam, ell) == 0]
+            factors = [np.array([(-lam) % ell, 1], dtype=np.int64) for lam in roots]
             if not factors:
-                factors = factor_poly(p, self.ell, seed=self.seed)
-            # split attempts: kernel vectors are free from the Krylov cache
-            for f, _mult in factors:
-                q, rem = poly_divmod(p, f, self.ell)
+                factors = [f for f, _mult in factor_poly(p, ell, seed=self.seed)]
+            for f in factors:
+                q, rem = poly_divmod(p, f, ell)
                 if rem.any():
                     raise CertificationError("annihilator factorisation inconsistent")
-                u = (q @ kry[: len(q)]) % self.ell if len(q) <= len(kry) else None
-                if u is None or not u.any():
-                    continue
-                W = spin(action, [u])
-                if 0 < W.dim < n:
-                    return [sub_rep(W), QuotCtx(action, W)]
-            # Norton certification on a minimal-nullity factor
-            for f, _mult in factors:
-                fM = _poly_on_matrix(f, theta, self.ell)
-                K = left_kernel(fM, self.ell)
-                if K.shape[0] != len(f) - 1:
-                    continue  # nullity != deg f: no certificate from this factor
-                W = spin(action, [K[0]])
+                W = spin(action, [(q @ kry[: len(q)]) % ell])
                 if W.dim < n:
                     return [sub_rep(W), QuotCtx(action, W)]
-                Kt = linalg.nullspace(fM, self.ell)
+            for lam in roots:
+                Kt = linalg.nullspace(linalg.minus_scalar(theta, lam, ell), ell)
+                if Kt.shape[0] != 1:
+                    continue  # the right kernel's dimension is the nullity
                 Wt = spin(transpose_action(action), [Kt[0]])
                 if Wt.dim < n:
-                    U = submodule_from_rows(action, linalg.nullspace(Wt.basis, self.ell))
+                    U = submodule_from_rows(action, linalg.nullspace(Wt.basis, ell))
                     if not 0 < U.dim < n:
                         raise CertificationError("transpose-side split produced no submodule")
                     return [sub_rep(U), QuotCtx(action, U)]
-                # simple; certified, and a linear f is a nullity-1 word
-                n1 = (word, int((-f[0]) % self.ell)) if len(f) == 2 else None
-                return self.register(densify(action), n1)
+                return self.register(densify(action), (word, lam))
         raise BudgetExceededError(
-            f"chop: no certificate for a dim-{n} module within {WORD_BUDGET} words"
+            f"chop: no word within {WORD_BUDGET} splits a dim-{n} module or has an "
+            f"eigenvalue in F_{ell} of nullity 1 on it"
         )
 
     # -- isomorphism testing ----------------------------------------------
@@ -368,7 +356,7 @@ class Meataxe:
         d = cls.dim
         if d != rep.dim:
             return False
-        word, lam = self._nullity1_word(idx)
+        word, lam = cls.word
         K_T = left_kernel(_shifted(word, rep, lam), self.ell)
         if K_T.shape[0] != 1:
             return False
@@ -384,32 +372,20 @@ class Meataxe:
         W = spin(DenseRep(self.ell, mats), [np.concatenate([K_S[0], K_T[0]])], cap_dim=d)
         return W is not None and W.dim == d
 
-    def _nullity1_search(self, idx: int, tag: int, separating: bool) -> tuple[Word, int] | None:
-        """The first (word, eigenvalue) of stream `tag` within WORD_BUDGET words
-        with nullity 1 on class idx, and if separating also a peak word."""
+    # -- peak words ---------------------------------------------------------
+
+    def _nullity1_search(self, idx: int) -> tuple[Word, int] | None:
+        """The first peak word (word, eigenvalue) for class idx within
+        WORD_BUDGET words of the peak stream: nullity 1 on the class and
+        separating."""
         cls = self.classes[idx]
-        stream = word_stream(self.ngens, self.ell, self.seed, tag)
+        stream = word_stream(self.ngens, self.ell, self.seed, 0x9E)
         for _ in range(WORD_BUDGET):
             word = next(stream)
             for lam in range(self.ell):
-                if cls.nullity_of(word, lam, self.ell) == 1 and (
-                    not separating or self._peak_ok(word, lam, idx)
-                ):
+                if cls.nullity_of(word, lam, self.ell) == 1 and self._peak_ok(word, lam, idx):
                     return word, lam
         return None
-
-    def _nullity1_word(self, idx: int) -> tuple[Word, int]:
-        """The word of class idx, searched for (no separation needed) when it has none."""
-        cls = self.classes[idx]
-        if cls.word is None:
-            cls.word = self._nullity1_search(idx, 0xA7, separating=False)
-            if cls.word is None:
-                raise BudgetExceededError(
-                    f"no nullity-1 word found for a dim-{cls.dim} factor within {WORD_BUDGET} words"
-                )
-        return cls.word
-
-    # -- peak words ---------------------------------------------------------
 
     def _peak_ok(self, word: Word, lam: int, idx: int) -> bool:
         """Peak separation: (word - lam) invertible on every other class."""
@@ -431,9 +407,9 @@ class Meataxe:
         """
         still = []
         for i, cls in enumerate(self.classes):
-            if cls.word is not None and self._peak_ok(*cls.word, i):
+            if self._peak_ok(*cls.word, i):
                 continue
-            found = self._nullity1_search(i, 0x9E, separating=True)
+            found = self._nullity1_search(i)
             if found is None:
                 still.append(i)
             else:
@@ -442,7 +418,7 @@ class Meataxe:
             dims = [self.classes[i].dim for i in still]
             raise BudgetExceededError(
                 f"no separating nullity-1 peak words for factors of dims {dims} within "
-                f"{WORD_BUDGET} words each; endomorphism rings may be larger than the prime field"
+                f"{WORD_BUDGET} words each"
             )
 
     # -- socle lines, the lattice and the socle series ------------------------

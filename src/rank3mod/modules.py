@@ -73,9 +73,10 @@ class DenseRep:
         return self.mats[i]
 
 
-@dataclass
+@dataclass(eq=False)
 class Submodule:
-    """G-invariant subspace as a canonical RREF basis."""
+    """G-invariant subspace as a canonical RREF basis; `key` identifies it
+    (no `==`, which would compare arrays)."""
 
     action: object
     basis: np.ndarray
@@ -87,13 +88,6 @@ class Submodule:
 
     def key(self) -> bytes:
         return self.basis.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.pivots, other.pivots)
-            and np.array_equal(self.basis, other.basis)
-        )
 
     def certify_closed(self, rows: np.ndarray | None = None) -> None:
         """Raise unless every generator maps `rows` (by default the basis)
@@ -195,26 +189,16 @@ class QuotCtx(DenseRep):
         if sub.dim:
             P[sub.pivots] = (-sub.basis[:, nonpiv]) % ell
         self._proj = P
-        mats = []
         if isinstance(action, ModCtx):
-            for i in range(action.ngens):
-                mats.append(P[action.perms[i]][nonpiv])
+            mats = [P[action.perms[i]][nonpiv] for i in range(action.ngens)]
         else:
-            for i in range(action.ngens):
-                rows = action.act_rows(_unit_rows(nonpiv, n, ell), i)
-                mats.append(linalg.matmul(rows, P, ell))
+            mats = [linalg.matmul(action.gen_matrix(i)[nonpiv], P, ell) for i in range(action.ngens)]
         super().__init__(ell, mats)
 
     def lift_rows(self, V: np.ndarray) -> np.ndarray:
         out = linalg.zeros((V.shape[0], self.ambient.dim), self.ell)
         out[:, self.nonpivots] = V
         return out
-
-
-def _unit_rows(indices: np.ndarray, n: int, ell: int) -> np.ndarray:
-    out = linalg.zeros((len(indices), n), ell)
-    out[np.arange(len(indices)), indices] = 1
-    return out
 
 
 def sub_rep(sub: Submodule) -> DenseRep:

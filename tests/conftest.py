@@ -79,6 +79,11 @@ def contains(A: Submodule, B: Submodule) -> bool:
     return B.dim <= A.dim and linalg.in_rowspace(B.basis, A.basis, A.pivots, A.action.ell)
 
 
+def same_submodule(A: Submodule, B: Submodule) -> bool:
+    """Whether A and B have the same RREF basis and pivots."""
+    return A.key() == B.key() and np.array_equal(A.pivots, B.pivots)
+
+
 def image_dim(C: np.ndarray, ell: int) -> int:
     """Dimension of the span of the row differences C_i - C_last: the image
     of the zero-sum module under x -> x C."""

@@ -172,6 +172,10 @@ def test_criterion_4_table_rows():
             assert digest == TABLE_ROW_DIGESTS[(family, size, ell)], (family, size, ell)
 
 
+# sha256 of the U_7(2), ell = 3, seed 0 report, as TABLE_ROW_DIGESTS
+U7_DIGEST = "32b4fff480cb6ce8e6652b1ecada169aab983d922737c5509218c247efcb131e"
+
+
 @pytest.mark.extended
 @pytest.mark.skipif(
     os.environ.get("RANK3MOD_EXTENDED") != "1",
@@ -201,6 +205,10 @@ def test_criterion_5_extended_u7():
             [("X", 903)],
         ]
         assert res.report["points"]["nonsingular"] == 2752
+        report = dict(res.report)
+        report.pop("timingsMs")
+        digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+        assert digest == U7_DIGEST
 
 
 def test_criterion_6_property_suites():

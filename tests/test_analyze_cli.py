@@ -15,7 +15,7 @@ import pytest
 import rank3mod
 from rank3mod import analyze, geometry, linalg
 from rank3mod.analyze import diagram_iso, run_analysis, verify_result
-from rank3mod.cli import main
+from rank3mod.cli import SUITE_INSTANCES, main
 from rank3mod.errors import BudgetExceededError, CertificationError, OutOfScaleError
 from rank3mod.fields import storage_dtype
 from rank3mod.geometry import SpaceSpec, closed_params, quadratic_roots
@@ -387,6 +387,35 @@ def test_seed_scan_o6(capsys):
     assert failed == []
 
 
+# sha256 over the 750 `verify` reports of test_seed_scan_below_u6, each
+# without `timingsMs` as indented JSON, in scan order
+SEED_SCAN_BELOW_U6_DIGEST = "a6e5ef2925c67c1005db9f549fdc7c133ec1c192f5c3dfe2e6f3d744c866090f"
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(
+    os.environ.get("RANK3MOD_EXTENDED") != "1",
+    reason="seed scan of the 15 suite rows below U6(2) (750 runs): set RANK3MOD_EXTENDED=1",
+)
+def test_seed_scan_below_u6(capsys):
+    # the 15 suite rows below U6(2) verify and match on seeds 0-49, and
+    # their reports are pinned by one digest
+    digest, failed = hashlib.sha256(), []
+    for family, size, ell in SUITE_INSTANCES:
+        if (family, size) == ("u", 6):
+            continue
+        for seed in range(50):
+            flag = "--dim" if family == "u" else "--n"
+            code = main(["verify", "--family", family, flag, str(size), "--ell", str(ell), "--seed", str(seed)])
+            report = json.loads(capsys.readouterr().out)
+            if code != 0 or not report["verdict"]["match"]:
+                failed.append((family, size, ell, seed, code))
+            report.pop("timingsMs")
+            digest.update(json.dumps(report, indent=2).encode())
+    assert failed == []
+    assert digest.hexdigest() == SEED_SCAN_BELOW_U6_DIGEST
+
+
 def test_module_work_runs_on_the_generating_pair(monkeypatch):
     seen = {}
     build_group, generating_pair = analyze.build_group, analyze.generating_pair
@@ -577,29 +606,29 @@ def _with_cross(pm, C, perms_P=None, perms_P0=None):
 
 
 def test_graph_operator_checks_refuse_a_degenerate_q_image():
-    pm, params, _roots = _o6_ell5()
-    analyze._graph_operator_checks(pm, params)
+    pm, _params, _roots = _o6_ell5()
+    analyze._graph_operator_checks(pm)
     nP, nP0 = pm._cross.shape
     # constant incidences are the only generator-invariant degenerate ones
     for fill in (0, 1):
         with pytest.raises(CertificationError, match="zero-sum module under Q degenerate"):
-            analyze._graph_operator_checks(_with_cross(pm, np.full((nP, nP0), fill)), params)
+            analyze._graph_operator_checks(_with_cross(pm, np.full((nP, nP0), fill)))
     # with trivial generators, any C = u 1^T + 1 w^T: row differences constant
     rng = np.random.default_rng(2)
     u, w = rng.integers(0, 5, size=(nP, 1)), rng.integers(0, 5, size=(1, nP0))
     ident = [np.arange(nP)] * 2, [np.arange(nP0)] * 2
     with pytest.raises(CertificationError, match="zero-sum module under Q degenerate"):
-        analyze._graph_operator_checks(_with_cross(pm, u + w, *ident), params)
+        analyze._graph_operator_checks(_with_cross(pm, u + w, *ident))
     # one entry off that form breaks it, and both images are then non-degenerate
     C = u + w
     C[3, 4] += 1
-    analyze._graph_operator_checks(_with_cross(pm, C, *ident), params)
+    analyze._graph_operator_checks(_with_cross(pm, C, *ident))
 
 
 def test_graph_operator_checks_refuse_a_degenerate_r_image(monkeypatch):
     # constant column differences say C = u 1^T + 1 w^T too, so Q's test
     # refuses every such C first; R's is reached only past a passing Q test
-    pm, params, _roots = _o6_ell5()
+    pm, _params, _roots = _o6_ell5()
     rng = np.random.default_rng(3)
     for _ in range(20):
         C = rng.integers(0, 5, size=(6, 7))
@@ -615,7 +644,7 @@ def test_graph_operator_checks_refuse_a_degenerate_r_image(monkeypatch):
     monkeypatch.setattr(analyze, "_image_in_ones", q_passes)
     nP, nP0 = pm._cross.shape
     with pytest.raises(CertificationError, match="singular zero-sum module under R degenerate"):
-        analyze._graph_operator_checks(_with_cross(pm, np.ones((nP, nP0))), params)
+        analyze._graph_operator_checks(_with_cross(pm, np.ones((nP, nP0))))
     assert calls == [(nP, nP0), (nP0, nP)]
 
 

@@ -4,6 +4,7 @@ The point-count oracles here re-enumerate every vector with a plain Python
 form evaluator, independently of the vectorised production path.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -133,6 +134,34 @@ def test_brute_equals_closed(family, dim):
     spec = SpaceSpec(family, dim)
     ps = enumerate_points(build_space(spec))
     assert brute_params(ps) == closed_params(spec)
+
+
+def _with_adj(ps, A):
+    tampered = copy.copy(ps)
+    tampered.__dict__["adj"] = A  # where the cached property keeps it
+    return tampered
+
+
+def test_brute_params_refuses_a_graph_with_an_edge_removed():
+    ps = enumerate_points(build_space(SpaceSpec(OPLUS, 6)))
+    A = ps.adj.copy()
+    j = int(np.nonzero(A[0])[0][0])
+    A[0, j] = A[j, 0] = False
+    with pytest.raises(ValueError, match="not regular"):
+        brute_params(_with_adj(ps, A))
+
+
+@pytest.mark.parametrize("to", ["loop", "one-way"])
+def test_brute_params_refuses_a_loop_or_a_one_way_edge(to):
+    # one edge at point 0 moved, from its row only, to 0 itself or to a
+    # non-neighbour: every degree stays the same
+    ps = enumerate_points(build_space(SpaceSpec(OPLUS, 6)))
+    A = ps.adj.copy()
+    j = int(np.nonzero(A[0])[0][0])
+    k = 0 if to == "loop" else int(np.nonzero(~A[0])[0][1])
+    A[0, j], A[0, k] = False, True
+    with pytest.raises(ValueError, match="loop or a one-way edge"):
+        brute_params(_with_adj(ps, A))
 
 
 def test_closed_param_examples():

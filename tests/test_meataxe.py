@@ -9,6 +9,7 @@ from rank3mod.cli import SUITE_INSTANCES
 from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.fields import storage_dtype
 from rank3mod.meataxe import (
+    FactorClass,
     Lattice,
     Meataxe,
     _shifted,
@@ -88,15 +89,17 @@ def test_register_maps_an_isomorphic_copy_to_its_class():
     count = len(mt.classes)
     rng = np.random.default_rng(7)
     for idx in range(count):
-        assert mt.register(_conjugated(mt.classes[idx].rep, 3, rng)) == idx
+        # nullity is the same on isomorphic modules, so the class word serves
+        assert mt.register(_conjugated(mt.classes[idx].rep, 3, rng), mt.classes[idx].word) == idx
     assert len(mt.classes) == count
     # the generators of the dim-7 class rotated by one generate the same
-    # matrix algebra, so the rep is simple, but it is not isomorphic
+    # matrix algebra, so the rep is simple, but it is not isomorphic: the
+    # chop certifies it and registers a new class
     seven = next(i for i, c in enumerate(mt.classes) if c.dim == 7)
     rep = mt.classes[seven].rep
     rot = DenseRep(3, [rep.gen_matrix((i + 1) % rep.ngens) for i in range(rep.ngens)])
     assert _hom_dim(rep, rot, 3) == 0
-    assert mt.register(rot) == count
+    assert mt.chop(rot) == Counter({count: 1})
     assert len(mt.classes) == count + 1 and mt.classes[count].dim == 7
 
 
@@ -156,7 +159,7 @@ def test_is_iso_rep_matches_hom_reference(family, dim):
         assert iso_rot == (_hom_dim(rep, rot, ell) > 0)
         if d > 1:
             assert not iso_rot
-            word, lam = mt._nullity1_word(idx)
+            word, lam = mt.classes[idx].word
             spin_decided += left_kernel(_shifted(word, rot, lam), ell).shape[0] == 1
     # at least one negative answer came from the spin, not an early exit
     assert spin_decided >= 1
@@ -172,21 +175,42 @@ def test_abs_irred_certificates():
         assert mt.classes[i].nullity_of(word, lam, 3) == 1
 
 
+@pytest.mark.parametrize("family,dim,ell", [("o+", 6, 3), ("o-", 6, 3), ("o+", 6, 5), ("u", 4, 3)])
+def test_every_class_is_born_with_a_nullity1_word(family, dim, ell):
+    # right after the chop, before ensure_peaks: dim-1 classes included
+    pm = cached_pm(family, dim, ell)
+    mt = Meataxe(ell, pm.ctxP.ngens, seed=0)
+    mt.chop(pm.ctxP)
+    assert any(cls.dim == 1 for cls in mt.classes)
+    for cls in mt.classes:
+        word, lam = cls.word
+        assert cls.nullity_of(word, lam, ell) == 1
+
+
+def test_chop_refuses_a_simple_module_with_a_larger_endomorphism_ring():
+    # g^2 = -1 over F_3: F_3[g] = F_9 acts on F_3^2, simple with End = F_9,
+    # and no word a + b g has an eigenvalue of nullity 1 in F_3
+    rep = DenseRep(3, [np.array([[0, 1], [2, 0]])])
+    mt = Meataxe(3, 1, seed=0)
+    with pytest.raises(BudgetExceededError, match=r"dim-2 module or has an eigenvalue in F_3 of nullity 1"):
+        mt.chop(rep)
+    assert mt.classes == []
+
+
 def test_chop_word_becomes_the_class_word_and_a_separating_one_is_kept(monkeypatch):
-    # the linear Norton certificate of the chop hands its word to register;
+    # the Norton certificate of the chop hands its word to register;
     # ensure_peaks keeps each word that separates and searches for no other
     norton, searched = [], []
     register, search = Meataxe.register, Meataxe._nullity1_search
 
-    def noted(self, rep, word=None):
+    def noted(self, rep, word):
         idx = register(self, rep, word)
-        if word is not None:
-            norton.append((idx, word))
+        norton.append((idx, word))
         return idx
 
-    def counted(self, idx, tag, separating):
-        searched.append((idx, tag))
-        return search(self, idx, tag, separating)
+    def counted(self, idx):
+        searched.append(idx)
+        return search(self, idx)
 
     monkeypatch.setattr(Meataxe, "register", noted)
     monkeypatch.setattr(Meataxe, "_nullity1_search", counted)
@@ -197,11 +221,11 @@ def test_chop_word_becomes_the_class_word_and_a_separating_one_is_kept(monkeypat
     for idx, word in norton:
         first.setdefault(idx, word)
     assert first and all(mt.classes[idx].word == word for idx, word in first.items())
-    kept = {i: c.word for i, c in enumerate(mt.classes) if c.word and mt._peak_ok(*c.word, i)}
+    kept = {i: c.word for i, c in enumerate(mt.classes) if mt._peak_ok(*c.word, i)}
     assert kept
     searched.clear()
     mt.ensure_peaks()
-    assert {idx for idx, _tag in searched}.isdisjoint(kept)
+    assert set(searched).isdisjoint(kept)
     assert all(mt.classes[i].word == word for i, word in kept.items())
     for i, cls in enumerate(mt.classes):
         assert cls.nullity_of(*cls.word, 3) == 1 and mt._peak_ok(*cls.word, i)
@@ -375,16 +399,18 @@ def test_lattice_give_up_names_its_node_budget(monkeypatch):
         mt.lattice(pm.ctxP)
 
 
-def test_nullity1_give_up_names_its_word_budget(monkeypatch):
+def test_nullity1_give_up_names_its_word_budget():
+    # a second copy of the dim-5 class: no word is invertible on one copy
+    # and of nullity 1 on the other, so ensure_peaks searches for both
+    # copies in vain and names them and its budget
     pm = cached_pm("u", 4, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     mt.chop(pm.ctxP)
-    ten = next(i for i, c in enumerate(mt.classes) if c.dim == 10)
-    mt.classes[ten].word = None
-    # the first word of the stream has no eigenvalue of nullity 1 on it
-    monkeypatch.setattr(meataxe, "WORD_BUDGET", 1)
-    with pytest.raises(BudgetExceededError, match="dim-10 factor within 1 words"):
-        mt.is_iso_rep(ten, mt.classes[ten].rep)
+    five = next(c for c in mt.classes if c.dim == 5)
+    mt.classes.append(FactorClass(five.rep, five.dim, five.word))
+    budget = meataxe.WORD_BUDGET
+    with pytest.raises(BudgetExceededError, match=rf"dims \[5, 5\] within {budget} words each$"):
+        mt.ensure_peaks()
 
 
 def test_determinism_same_seed_same_lattice():
