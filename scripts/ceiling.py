@@ -2,12 +2,17 @@
 
 Runs `run_analysis("u", 7, 3, seed=0)` in this fresh interpreter with one
 BLAS thread and prints the phase times of the report (`timingsMs`) and the
-process's peak resident set (`ru_maxrss`), as one JSON object.  It runs
-from a checkout without installing the package:
+process's peak resident set (`ru_maxrss`), as one JSON object.  It also
+splits the lattice phase (`latticeMs`): `Meataxe.ensure_peaks`, the Fitting
+kernels of the peak words (`Meataxe.fitting_kernels`), the walk
+(`Meataxe._walk`) and the glue (`Meataxe._glue`), each timed by a wrapper
+put around it here, exclusive of the others nested in it; what is left of
+the phase (the lattice checks of `analyze`) is `rest`.  It runs from a
+checkout without installing the package:
 
     python scripts/ceiling.py [--seed N]
 
-The run takes about 45 seconds and peaks near 0.35 GiB.
+The run takes about 40 seconds and peaks near 0.35 GiB.
 """
 
 import os
@@ -20,23 +25,60 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rank3mod.analyze import run_analysis  # noqa: E402
+from rank3mod.meataxe import Meataxe  # noqa: E402
+
+LATTICE_SPANS = {
+    "ensure_peaks": "ensure_peaks",
+    "fitting_kernels": "fitting_kernels",
+    "walk": "_walk",
+    "glue": "_glue",
+}
+
+
+def time_lattice_spans() -> dict[str, float]:
+    """Wrap the lattice's spans; returns their exclusive seconds, filled as they run."""
+    spent = dict.fromkeys(LATTICE_SPANS, 0.0)
+    nested: list[float] = []  # seconds of timed spans inside each open span
+
+    def wrap(name, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            nested.append(0.0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inner = nested.pop()
+                dt = time.perf_counter() - t0
+                spent[name] += dt - inner
+                if nested:
+                    nested[-1] += dt
+        return timed
+
+    for name, attr in LATTICE_SPANS.items():
+        setattr(Meataxe, attr, wrap(name, getattr(Meataxe, attr)))
+    return spent
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    spent = time_lattice_spans()
     res = run_analysis("u", 7, 3, seed=args.seed)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    lattice_ms = {name: round(1000 * s) for name, s in spent.items()}
+    lattice_ms["rest"] = res.report["timingsMs"]["lattice"] - sum(lattice_ms.values())
     print(json.dumps({
         "seed": args.seed,
         "match": res.report["verdict"]["match"],
         "timingsMs": res.report["timingsMs"],
+        "latticeMs": lattice_ms,
         "ru_maxrss_MiB": round(rss / 1024, 1),
     }))
     return 0 if res.report["verdict"]["match"] else 1

@@ -27,8 +27,15 @@ factor's dimension (every head constituent of spin(m) is killed by
 theta - lam, hence is the target factor).  Valid candidate lines give the
 simple submodules isomorphic to the factor.  Applied to the quotient by every
 submodule found so far, they give the minimal overmodules, and so, bottom-up,
-the full submodule lattice.  The socle series is then read off the certified
-lattice: soc(M/N) is the sum of the minimal overmodules of N.
+the full submodule lattice.  No kernel is taken on a quotient M/N: every
+submodule N splits along the Fitting decomposition M = K + I of
+theta - lam, so the kernel on M/N is the image of {k in K : k (theta - lam)
+in N}.  K = Ker (theta - lam)^(m j) is taken once per lattice, for m the
+factor's multiplicity and j the step at which the kernel chain of
+theta - lam stops on the factor, and is checked to have dimension m nu, for
+nu the generalised nullity there (`Meataxe.socle_lines`).  The socle series
+is then read off the certified lattice: soc(M/N) is the sum of the minimal
+overmodules of N.
 
 An operator A commuting with the group (the adjacency operator of the
 rank-3 graph) cuts M by elimination alone (`modules.eigen_split`).  Its
@@ -113,10 +120,7 @@ class Word:
                     out[np.arange(n), np.arange(n)] += coeff
                     continue
                 if isinstance(action, ModCtx):
-                    pi = np.arange(n, dtype=np.int64)
-                    for gi in seq:
-                        pi = action.perms[gi][pi]
-                    out[np.arange(n), pi] += coeff
+                    out[np.arange(n), _composite(action, seq)] += coeff
                 else:
                     M = action.gen_matrix(seq[0])
                     for gi in seq[1:]:
@@ -125,6 +129,22 @@ class Word:
             out = linalg.asmat(out, ell)
         cache[self] = out
         return out
+
+    def shifted_t_times(self, ctx: ModCtx, lam: int, Y: np.ndarray) -> np.ndarray:
+        """(theta - lam)^T Y for theta the word on a permutation module, by
+        row gathers: P^T Y = Y[pi^-1] for a term's permutation matrix P,
+        P[i, pi[i]] = 1.  The sum is taken in the narrowest integer type
+        that holds it and reduced once."""
+        ell = ctx.ell
+        bound = (len(self.terms) + 1) * (ell - 1) ** 2
+        acc_dtype = next(dt for dt in (np.int16, np.int32, np.int64) if bound < np.iinfo(dt).max)
+        Y = Y.astype(acc_dtype)
+        acc = Y * ((-lam) % ell)
+        for coeff, seq in self.terms:
+            term = Y[np.argsort(_composite(ctx, seq))] if seq else Y.copy()
+            term *= coeff
+            acc += term
+        return linalg.asmat(acc, ell)
 
 
 def word_stream(ngens: int, ell: int, seed: int, tag: int):
@@ -165,6 +185,33 @@ def left_kernel(M: np.ndarray, ell: int) -> np.ndarray:
     return linalg.nullspace(M.T, ell)
 
 
+def generalised_kernel(word: Word, lam: int, action, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """K = Ker (theta - lam)^e on `action` as RREF rows, and Z = K (theta - lam).
+
+    On a permutation module the power is formed transposed, from the
+    identity by e rounds of row gathers (`Word.shifted_t_times`), with no
+    dense product; on a dense rep by repeated squaring."""
+    ell = action.ell
+    if isinstance(action, ModCtx):
+        n = action.dim
+        Y = linalg.zeros((n, n), ell)
+        Y[np.arange(n), np.arange(n)] = 1
+        for _ in range(e):
+            Y = word.shifted_t_times(action, lam, Y)
+        K = linalg.nullspace(Y, ell)  # {x : x Y^T = 0}, and Y^T = (theta - lam)^e
+        return K, np.ascontiguousarray(word.shifted_t_times(action, lam, K.T).T)
+    A = _shifted(word, action, lam)
+    power, square = None, A
+    while e:
+        if e & 1:
+            power = square if power is None else linalg.matmul(power, square, ell)
+        e >>= 1
+        if e:
+            square = linalg.matmul(square, square, ell)
+    K = left_kernel(power, ell)
+    return K, linalg.matmul(K, A, ell)
+
+
 # ---------------------------------------------------------------------------
 # factor classes
 
@@ -183,6 +230,21 @@ class FactorClass:
 
     def nullity_of(self, word: Word, lam: int, ell: int) -> int:
         return self.dim - linalg.rank(_shifted(word, self.rep, lam), ell)
+
+    def kernel_chain(self, ell: int) -> tuple[int, int]:
+        """(j, nu) for B = theta - lam, the class's word on its rep: the chain
+        Ker B < Ker B^2 < ... stops at step j, and nu = dim Ker B^j is the
+        generalised nullity.  The chain starts at dim Ker B = 1, the word's
+        nullity on its class."""
+        word, lam = self.word
+        B = _shifted(word, self.rep, lam)
+        power, j, nu = B, 1, 1
+        while True:
+            power = linalg.matmul(power, B, ell)
+            nxt = self.dim - linalg.rank(power, ell)
+            if nxt == nu:
+                return j, nu
+            j, nu = j + 1, nxt
 
 
 @dataclass
@@ -423,16 +485,76 @@ class Meataxe:
 
     # -- socle lines, the lattice and the socle series ------------------------
 
+    def fitting_kernels(
+        self, action, total: Counter | None = None, classes=None
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """For each class of `classes` (by default those of `total`, or all
+        classes without it) whose peak word (theta, lam) is singular on
+        `action`: (K, K (theta - lam)), for K the Fitting kernel of
+        theta - lam on `action` (`socle_lines`).  `classes`, when given with
+        `total`, are among those of `total`.
+
+        With `total`, the composition factors of `action`, a class of
+        multiplicity m whose kernel chain on its rep stops at step j with
+        generalised nullity nu (`FactorClass.kernel_chain`) has
+        K = Ker (theta - lam)^(m j), refused unless dim K = m nu.  The
+        generalised nullity adds up along a composition series, and theta -
+        lam is invertible on every other class, so dim K = m nu exactly when
+        `total` is right.  A composition series of `action` cuts K into
+        layers, m of them non-zero, each inside the generalised kernel of a
+        factor of this class, which (theta - lam)^j kills: so the power m j
+        kills K.  nu may exceed 1, as the peak-word search does not ask for
+        it to be 1.  Without `total` the exponent is dim `action`, which
+        always suffices.
+        """
+        if classes is None:
+            classes = range(len(self.classes)) if total is None else total
+        out = {}
+        for idx in sorted(classes):
+            cls = self.classes[idx]
+            if total is None:
+                K, Z = generalised_kernel(*cls.word, action, action.dim)
+            else:
+                j, nu = cls.kernel_chain(self.ell)
+                K, Z = generalised_kernel(*cls.word, action, total[idx] * j)
+                if K.shape[0] != total[idx] * nu:
+                    raise CertificationError(
+                        f"the Fitting kernel of a peak word has dimension {K.shape[0]}, not "
+                        f"{total[idx]} x {nu} for a dim-{cls.dim} class"
+                    )
+            if K.shape[0]:
+                out[idx] = (K, Z)
+        return out
+
     def socle_lines(
-        self, action, factors: Counter | None = None
+        self,
+        action,
+        kernels: dict[int, tuple[np.ndarray, np.ndarray]],
+        factors: Counter | None = None,
     ) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
         """For each class: the simple submodules of `action` it is isomorphic to.
 
-        Returns dict class_idx -> [(seed, line)...], where each line is spun
-        from its seed, a kernel vector of the class's peak word.  Every class
-        must hold its peak word (`lattice` runs `ensure_peaks` once).  A
-        candidate kernel line is valid iff its spin has the class dimension;
-        the count of valid lines must be a projective-space count.
+        `action` is a module M or a quotient M / N of it (a `QuotCtx` with
+        ambient M), and `kernels` are M's `fitting_kernels`.  Returns dict
+        class_idx -> [(seed, line)...], where each line is spun from its
+        seed, a kernel vector of the class's peak word.  Every class must
+        hold its peak word (`lattice` runs `ensure_peaks` once).  A candidate
+        kernel line is valid iff its spin has the class dimension; the count
+        of valid lines must be a projective-space count.
+
+        The kernel of A = theta - lam on M / N is read off the Fitting
+        decomposition M = K + I of A, with A nilpotent on K and invertible
+        on I (Lux, Mueller and Ringe's peak-word condensation, J. Symb.
+        Comput. 17, 1994).  N is theta-stable, so N = (N & K) + (N & I); if
+        x = k + i has x A in N, then i A lies in N & I, on which A is
+        invertible, so i lies in N.  Hence the kernel on M / N is the image
+        of {c K : c Z in N}, for K's rows and Z = K A: C = {c : c Z = 0 mod
+        N} is the left kernel of an (m nu)-row residue, and the kernel is the
+        RREF of C K projected to M / N (`_node_kernel`).  K is
+        Ker (theta - lam)^(m j), checked to have dimension m nu, as
+        `fitting_kernels` explains.  A subspace has one RREF, so these are
+        the rows the left kernel of A on M / N itself would give, with no
+        elimination of M / N and no word matrix on it.
 
         `factors`, when given, are the composition factors of `action`, and
         the kernel of every class absent from them is skipped: it is 0.  A
@@ -441,11 +563,11 @@ class Meataxe:
         `action`, and hence on `action` itself.
         """
         out = {}
-        for idx, cls in enumerate(self.classes):
+        for idx, (K_M, Z) in kernels.items():
             if factors is not None and not factors[idx]:
                 continue
-            word, lam = cls.word
-            K = left_kernel(_shifted(word, action, lam), self.ell)
+            cls = self.classes[idx]
+            K = _node_kernel(action, K_M, Z, self.ell)
             if K.shape[0] == 0:
                 continue
             if K.shape[0] > HOM_MULTIPLICITY_CAP:
@@ -538,6 +660,7 @@ class Meataxe:
         `modules.eigen_split`).  So the child is closed iff every generator
         maps those rows into it, and `certify_closed` tests only them."""
         seeds = {}
+        kernels = self.fitting_kernels(ambient, total, total - factors)  # the classes the walk meets
         head = len(nodes.nodes)
         nodes.add(bottom, factors)
         while head < len(nodes.nodes):
@@ -546,7 +669,7 @@ class Meataxe:
             if node.dim == ambient.dim:
                 continue
             quot = None if node.dim == 0 else QuotCtx(ambient, node.sub)
-            lines_of = self.socle_lines(ambient if quot is None else quot, total - node.factors)
+            lines_of = self.socle_lines(ambient if quot is None else quot, kernels, total - node.factors)
             for cls_idx, lines in lines_of.items():
                 for seed, line in lines:
                     rows = line.basis if quot is None else quot.lift_rows(line.basis)
@@ -562,7 +685,12 @@ class Meataxe:
 
     def _certify_split(self, ambient, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
         """Check that ambient = S + D with S simple.  Returns S's class and a
-        vector s spanning the kernel of the class's peak word on S.
+        vector s spanning the kernel of the class's peak word on S.  Only the
+        classes of dimension dim S are tried: a simple submodule of such a
+        class is all of S, so there is one exactly when S is simple, and then
+        it is the only one, as S's peak word is invertible on every other
+        class.  S has no factor count, so its Fitting kernels take the
+        exponent dim S.
 
         S and D are not checked to be closed again: `modules.eigen_split`
         forms both as row spaces of polynomials in an operator it checks to
@@ -571,7 +699,9 @@ class Meataxe:
             raise CertificationError(f"summands of dims {S.dim} and {D.dim} do not make {ambient.dim}")
         if linalg.rank(linalg.reduce_rows(S.basis, D.basis, D.pivots, self.ell), self.ell) != S.dim:
             raise CertificationError("the summands meet")
-        socle = self.socle_lines(sub_rep(S))
+        rep = sub_rep(S)
+        same_dim = [i for i, cls in enumerate(self.classes) if cls.dim == S.dim]
+        socle = self.socle_lines(rep, self.fitting_kernels(rep, classes=same_dim))
         lines = [pair for found in socle.values() for pair in found]
         if len(lines) != 1 or lines[0][1].dim != S.dim:
             raise CertificationError(f"the dim-{S.dim} summand is not simple")
@@ -714,6 +844,25 @@ class Meataxe:
 
 def densify(action) -> DenseRep:
     return DenseRep(action.ell, [action.gen_matrix(i) for i in range(action.ngens)])
+
+
+def _composite(ctx: ModCtx, seq) -> np.ndarray:
+    """pi with P[i, pi[i]] = 1, for P the product of the generators seq on ctx."""
+    pi = np.arange(ctx.dim, dtype=np.int64)
+    for gi in seq:
+        pi = ctx.perms[gi][pi]
+    return pi
+
+
+def _node_kernel(action, K: np.ndarray, Z: np.ndarray, ell: int) -> np.ndarray:
+    """The kernel of theta - lam on `action`, M or a `QuotCtx` M / N, as RREF
+    rows, from K the Fitting kernel of theta - lam on M and Z = K (theta -
+    lam) (`Meataxe.socle_lines`)."""
+    KZ = np.vstack([K, Z])
+    if isinstance(action, QuotCtx):
+        KZ = action.project_rows(KZ)
+    C = left_kernel(KZ[len(K) :], ell)
+    return linalg.rref(linalg.matmul(C, KZ[: len(K)], ell), ell)[0]
 
 
 def _shifted(word: Word, action, lam: int) -> np.ndarray:

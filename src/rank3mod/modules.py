@@ -200,6 +200,12 @@ class QuotCtx(DenseRep):
         out[:, self.nonpivots] = V
         return out
 
+    def project_rows(self, V: np.ndarray) -> np.ndarray:
+        """Rows of the ambient mapped to the quotient, V P: their residues
+        modulo the submodule, read at the non-pivot columns."""
+        sub = self.sub
+        return linalg.reduce_rows(V, sub.basis, sub.pivots, self.ell)[:, self.nonpivots]
+
 
 def sub_rep(sub: Submodule) -> DenseRep:
     """The Submodule as a module in its own right, in basis coordinates."""

@@ -679,32 +679,38 @@ def test_one_residue_rows_compute_no_eigenspace(analysis, monkeypatch, family, s
     assert bottoms == [1 if three else 0]
 
 
-def _skipped_peak_kernels(monkeypatch):
+def _counted_peak_kernels(monkeypatch):
     """Patch `socle_lines` to compute, for each class absent from the factors
     it is given, the left kernel of the class's peak word on the quotient
-    directly.  Returns the list of their dimensions, and the list of left
-    kernels `socle_lines` itself computes."""
-    skipped, computed = [], []
-    socle_lines, left = Meataxe.socle_lines, meataxe.left_kernel
+    directly, and count the kernels the lattice computes.  Returns the list
+    of the skipped kernels' dimensions, the list of node kernels read off
+    the Fitting kernels (`_node_kernel`), and the list of Fitting kernels
+    (`generalised_kernel`)."""
+    skipped, computed, fitting = [], [], []
+    socle_lines, node_kernel = Meataxe.socle_lines, meataxe._node_kernel
+    generalised = meataxe.generalised_kernel
 
-    def checked(self, action, factors=None):
+    def checked(self, action, kernels, factors=None):
         if factors is not None:
             for idx, cls in enumerate(self.classes):
                 if not factors[idx]:
                     word, lam = cls.word
-                    skipped.append(left(_shifted(word, action, lam), self.ell).shape[0])
-        monkeypatch.setattr(meataxe, "left_kernel", counted)
-        try:
-            return socle_lines(self, action, factors)
-        finally:
-            monkeypatch.setattr(meataxe, "left_kernel", left)
+                    skipped.append(left_kernel(_shifted(word, action, lam), self.ell).shape[0])
+        return socle_lines(self, action, kernels, factors)
 
-    def counted(M, ell):
-        computed.append(M.shape[0])
-        return left(M, ell)
+    def counted_node(action, K, Z, ell):
+        computed.append(action.dim)
+        return node_kernel(action, K, Z, ell)
+
+    def counted_fitting(word, lam, action, e):
+        K, Z = generalised(word, lam, action, e)
+        fitting.append((action.dim, K.shape[0]))
+        return K, Z
 
     monkeypatch.setattr(Meataxe, "socle_lines", checked)
-    return skipped, computed
+    monkeypatch.setattr(meataxe, "_node_kernel", counted_node)
+    monkeypatch.setattr(meataxe, "generalised_kernel", counted_fitting)
+    return skipped, computed, fitting
 
 
 @pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
@@ -712,7 +718,7 @@ def test_the_peak_kernels_the_walk_skips_are_zero(analysis, monkeypatch, family,
     # a class absent from the factors of M/N has a peak word invertible on
     # M/N: at every walked node, its kernel computed directly is 0
     res = analysis(family, size, ell)
-    skipped, _computed = _skipped_peak_kernels(monkeypatch)
+    skipped, _computed, _fitting = _counted_peak_kernels(monkeypatch)
     lat = res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.split)
     assert _shape(lat) == _shape(res.lattice)
     assert skipped and not any(skipped)
@@ -720,11 +726,71 @@ def test_the_peak_kernels_the_walk_skips_are_zero(analysis, monkeypatch, family,
 
 def test_u4_ell3_walk_skips_nine_of_twenty_four_peak_kernels(monkeypatch):
     # 4 classes; the walk over [S, M] has 5 nodes below M, and the split's
-    # check of S takes the 4 kernels on S itself, where nothing is skipped
-    skipped, computed = _skipped_peak_kernels(monkeypatch)
+    # check of the trivial line S would take 4 kernels on S itself.  It
+    # takes a Fitting kernel only of the one class of dimension 1, and the
+    # walk one on M for each of the 3 classes above S (S's class occurs
+    # once).  Each node's kernels are read off those: 9 are skipped by the
+    # factors of M / N, and 3 on S by their dimension
+    skipped, computed, fitting = _counted_peak_kernels(monkeypatch)
     res = run_analysis("u", 4, 3)
     assert len(res.meataxe.classes) == 4
-    assert (len(computed), len(skipped)) == (15, 9)
+    assert (len(computed), len(skipped)) == (12, 9)
+    on_s = [k for dim, k in fitting if dim == 1]
+    on_m = [k for dim, k in fitting if dim == res.pm.ctxP.dim]
+    assert on_s == [1] and len(on_m) == 3 and all(on_m)
+
+
+def _check_node_kernels(res):
+    """At every node N of the lattice, the kernel of each class's peak word on
+    M / N read off the Fitting kernels on M is the left kernel computed
+    directly on the quotient."""
+    mt, ctx, ell = res.meataxe, res.pm.ctxP, res.meataxe.ell
+    kernels = mt.fitting_kernels(ctx, res.chop_total)
+    assert sorted(kernels) == sorted(res.chop_total)
+    for node in res.lattice.nodes:
+        if node.dim == ctx.dim:
+            continue
+        action = ctx if node.dim == 0 else QuotCtx(ctx, node.sub)
+        for idx, (K, Z) in kernels.items():
+            word, lam = mt.classes[idx].word
+            direct = left_kernel(_shifted(word, action, lam), ell)
+            assert np.array_equal(meataxe._node_kernel(action, K, Z, ell), direct)
+    return kernels
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_node_peak_kernels_are_the_left_kernels_on_the_quotient(analysis, family, size, ell):
+    _check_node_kernels(analysis(family, size, ell))
+
+
+def test_fitting_kernels_of_generalised_nullity_above_one(analysis):
+    # U4(2), ell = 3, seed 3: the dim-10 class (twice in M) has a peak word
+    # of generalised nullity 2, and the dim-14 class one of nullity 3
+    res = analysis("u", 4, 3, 3)
+    mt, total = res.meataxe, res.chop_total
+    chains = {mt.classes[i].dim: (mt.classes[i].kernel_chain(3), m) for i, m in total.items()}
+    assert chains[10] == ((2, 2), 2) and chains[14] == ((3, 3), 1)
+    kernels = _check_node_kernels(res)
+    dims = {mt.classes[i].dim: K.shape[0] for i, (K, _Z) in kernels.items()}
+    assert dims[10] == 4 and dims[14] == 3
+    assert res.report["verdict"]["match"]
+
+
+def test_fitting_kernel_of_the_wrong_dimension_is_refused(analysis, monkeypatch):
+    res = analysis("u", 4, 3, 3)
+    mt, ctx, total = res.meataxe, res.pm.ctxP, res.chop_total
+    for idx in total:
+        with pytest.raises(CertificationError, match="Fitting kernel"):
+            mt.lattice(ctx, total + Counter({idx: 1}), res.split)
+    generalised = meataxe.generalised_kernel
+
+    def short(word, lam, action, e):
+        K, Z = generalised(word, lam, action, e)
+        return (K[1:], Z[1:]) if action is ctx else (K, Z)
+
+    monkeypatch.setattr(meataxe, "generalised_kernel", short)
+    with pytest.raises(CertificationError, match="Fitting kernel"):
+        mt.lattice(ctx, total, res.split)
 
 
 # ---------------------------------------------------------------------------
