@@ -90,11 +90,10 @@ LATTICE_LENGTH_BOUND = 8  # composition length above which no lattice is built
 class Word:
     """Sum of scalar multiples of generator products.
 
-    Matrices are cached on the action under the word itself: streams of
-    different seeds reuse the same indices.
+    Matrices are cached on the action under the word's terms, so equal words
+    drawn by different streams share them.
     """
 
-    index: int
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def matrix(self, action) -> np.ndarray:
@@ -155,7 +154,6 @@ def word_stream(ngens: int, ell: int, seed: int, tag: int):
     uniform algebra elements, which the peak-word searches rely on.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, ell, ngens, tag]))
-    index = tag << 24
     while True:
         nterms = int(rng.integers(3, 7))
         terms = []
@@ -166,13 +164,12 @@ def word_stream(ngens: int, ell: int, seed: int, tag: int):
             terms.append((coeff, seq))
         if rng.integers(0, 2):
             terms.append((int(rng.integers(1, ell)), ()))
-        index += 1
-        yield Word(index, tuple(terms))
+        yield Word(tuple(terms))
 
 
 def transpose_action(action):
     if isinstance(action, ModCtx):
-        return ModCtx(action.ell, [np.argsort(p) for p in action.perms], action.tag + "^T")
+        return ModCtx(action.ell, [np.argsort(p) for p in action.perms])
     return DenseRep(action.ell, [action.gen_matrix(i).T for i in range(action.ngens)])
 
 
@@ -302,19 +299,27 @@ class Meataxe:
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
 
     def register(self, rep: DenseRep, word: tuple[Word, int]) -> int:
-        """Class index of a certified-simple rep: the first class of its
-        dimension that `is_iso_rep` (exact) matches, or else a new class with
-        `word`, of nullity 1 on rep, as its word."""
+        """Class index of a certified-simple rep: its class (`_class_of`), or
+        else a new class with `word`, of nullity 1 on rep, as its word."""
+        idx = self._class_of(rep)
+        if idx is not None:
+            return idx
         dim = rep.dim
-        for idx, cls in enumerate(self.classes):
-            if cls.dim == dim and self.is_iso_rep(idx, rep):
-                return idx
         trivial = all(
             np.array_equal(rep.gen_matrix(i), np.eye(dim, dtype=np.int64))
             for i in range(rep.ngens)
         )
         self.classes.append(FactorClass(rep, dim, word, trivial))
         return len(self.classes) - 1
+
+    def _class_of(self, rep: DenseRep) -> int | None:
+        """The first class of rep's dimension that `is_iso_rep` matches, or
+        None.  A match also proves rep simple: `is_iso_rep` is exact for any
+        rep of the class's dimension."""
+        for idx, cls in enumerate(self.classes):
+            if cls.dim == rep.dim and self.is_iso_rep(idx, rep):
+                return idx
+        return None
 
     # -- chop ---------------------------------------------------------------
 
@@ -485,18 +490,14 @@ class Meataxe:
 
     # -- socle lines, the lattice and the socle series ------------------------
 
-    def fitting_kernels(
-        self, action, total: Counter | None = None, classes=None
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """For each class of `classes` (by default those of `total`, or all
-        classes without it) whose peak word (theta, lam) is singular on
-        `action`: (K, K (theta - lam)), for K the Fitting kernel of
-        theta - lam on `action` (`socle_lines`).  `classes`, when given with
-        `total`, are among those of `total`.
+    def fitting_kernels(self, action, total: Counter, classes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """For each class of `classes`, which are among those of `total`, the
+        composition factors of `action`: (K, K (theta - lam)), for
+        (theta, lam) the class's peak word and K the Fitting kernel of
+        theta - lam on `action` (`socle_lines`).
 
-        With `total`, the composition factors of `action`, a class of
-        multiplicity m whose kernel chain on its rep stops at step j with
-        generalised nullity nu (`FactorClass.kernel_chain`) has
+        A class of multiplicity m whose kernel chain on its rep stops at step
+        j with generalised nullity nu (`FactorClass.kernel_chain`) has
         K = Ker (theta - lam)^(m j), refused unless dim K = m nu.  The
         generalised nullity adds up along a composition series, and theta -
         lam is invertible on every other class, so dim K = m nu exactly when
@@ -504,33 +505,23 @@ class Meataxe:
         layers, m of them non-zero, each inside the generalised kernel of a
         factor of this class, which (theta - lam)^j kills: so the power m j
         kills K.  nu may exceed 1, as the peak-word search does not ask for
-        it to be 1.  Without `total` the exponent is dim `action`, which
-        always suffices.
+        it to be 1.
         """
-        if classes is None:
-            classes = range(len(self.classes)) if total is None else total
         out = {}
         for idx in sorted(classes):
             cls = self.classes[idx]
-            if total is None:
-                K, Z = generalised_kernel(*cls.word, action, action.dim)
-            else:
-                j, nu = cls.kernel_chain(self.ell)
-                K, Z = generalised_kernel(*cls.word, action, total[idx] * j)
-                if K.shape[0] != total[idx] * nu:
-                    raise CertificationError(
-                        f"the Fitting kernel of a peak word has dimension {K.shape[0]}, not "
-                        f"{total[idx]} x {nu} for a dim-{cls.dim} class"
-                    )
-            if K.shape[0]:
-                out[idx] = (K, Z)
+            j, nu = cls.kernel_chain(self.ell)
+            K, Z = generalised_kernel(*cls.word, action, total[idx] * j)
+            if K.shape[0] != total[idx] * nu:
+                raise CertificationError(
+                    f"the Fitting kernel of a peak word has dimension {K.shape[0]}, not "
+                    f"{total[idx]} x {nu} for a dim-{cls.dim} class"
+                )
+            out[idx] = (K, Z)
         return out
 
     def socle_lines(
-        self,
-        action,
-        kernels: dict[int, tuple[np.ndarray, np.ndarray]],
-        factors: Counter | None = None,
+        self, action, kernels: dict[int, tuple[np.ndarray, np.ndarray]], factors: Counter
     ) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
         """For each class: the simple submodules of `action` it is isomorphic to.
 
@@ -556,15 +547,15 @@ class Meataxe:
         the rows the left kernel of A on M / N itself would give, with no
         elimination of M / N and no word matrix on it.
 
-        `factors`, when given, are the composition factors of `action`, and
-        the kernel of every class absent from them is skipped: it is 0.  A
-        peak word theta - lam has nullity 0 on every other class
-        (`_peak_ok`), so it is invertible on each composition factor of
-        `action`, and hence on `action` itself.
+        `factors` are the composition factors of `action`, and the kernel of
+        every class absent from them is skipped: it is 0.  A peak word
+        theta - lam has nullity 0 on every other class (`_peak_ok`), so it is
+        invertible on each composition factor of `action`, and hence on
+        `action` itself.
         """
         out = {}
         for idx, (K_M, Z) in kernels.items():
-            if factors is not None and not factors[idx]:
+            if not factors[idx]:
                 continue
             cls = self.classes[idx]
             K = _node_kernel(action, K_M, Z, self.ell)
@@ -604,7 +595,7 @@ class Meataxe:
         checked to be the projection onto S along D (S e_S = S, D e_S = 0);
         both are closed, as row spaces of polynomials in A.  Checked here
         (`_certify_split`): dim S + dim D = dim M, S and D meet in 0, and S
-        is simple (its one simple submodule is S itself).  S has a
+        is simple (the isomorphism test matches it with a class).  S has a
         nullity-1 peak word, so it is absolutely irreducible, End(S) = F_ell.
         So for every submodule W both W & S and its projection to S are 0
         or S, and W is (Goursat's lemma) one of
@@ -685,12 +676,9 @@ class Meataxe:
 
     def _certify_split(self, ambient, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
         """Check that ambient = S + D with S simple.  Returns S's class and a
-        vector s spanning the kernel of the class's peak word on S.  Only the
-        classes of dimension dim S are tried: a simple submodule of such a
-        class is all of S, so there is one exactly when S is simple, and then
-        it is the only one, as S's peak word is invertible on every other
-        class.  S has no factor count, so its Fitting kernels take the
-        exponent dim S.
+        vector s spanning the kernel of the class's peak word on S.  S is
+        simple exactly when the isomorphism test matches it with a class
+        (`_class_of`), and the class's peak word then has nullity 1 on S.
 
         S and D are not checked to be closed again: `modules.eigen_split`
         forms both as row spaces of polynomials in an operator it checks to
@@ -700,14 +688,12 @@ class Meataxe:
         if linalg.rank(linalg.reduce_rows(S.basis, D.basis, D.pivots, self.ell), self.ell) != S.dim:
             raise CertificationError("the summands meet")
         rep = sub_rep(S)
-        same_dim = [i for i, cls in enumerate(self.classes) if cls.dim == S.dim]
-        socle = self.socle_lines(rep, self.fitting_kernels(rep, classes=same_dim))
-        lines = [pair for found in socle.values() for pair in found]
-        if len(lines) != 1 or lines[0][1].dim != S.dim:
+        summand = self._class_of(rep)
+        if summand is None:
             raise CertificationError(f"the dim-{S.dim} summand is not simple")
-        (summand,) = socle
-        seed = lines[0][0]
-        return summand, linalg.matmul(seed[None], S.basis, self.ell)[0]
+        word, lam = self.classes[summand].word
+        (line,) = left_kernel(_shifted(word, rep, lam), self.ell)
+        return summand, linalg.matmul(line[None], S.basis, self.ell)[0]
 
     def _glue(self, ambient, summands: Summands, total: Counter) -> Lattice:
         """The lattice of ambient = S + D from the walked interval [S, M]

@@ -33,12 +33,11 @@ from .geometry import PointSets
 class ModCtx:
     """Permutation module F_ell[Omega]: generators permute coordinates."""
 
-    def __init__(self, ell: int, perms: list[np.ndarray], tag: str):
+    def __init__(self, ell: int, perms: list[np.ndarray]):
         self.ell = ell
         self.perms = [np.asarray(p, dtype=np.int64) for p in perms]
         self.invperms = [np.argsort(p) for p in self.perms]
         self.dim = len(perms[0]) if perms else 0
-        self.tag = tag
 
     @property
     def ngens(self) -> int:
@@ -421,10 +420,9 @@ class PermModule:
     """
 
     def __init__(self, points: PointSets, ell: int, perms_P, perms_P0):
-        self.points = points
         self.ell = ell
-        self.ctxP = ModCtx(ell, perms_P, "P")
-        self.ctxP0 = ModCtx(ell, perms_P0, "P0")
+        self.ctxP = ModCtx(ell, perms_P)
+        self.ctxP0 = ModCtx(ell, perms_P0)
         self._adj = linalg.asmat(points.adj, ell)
         self._cross = linalg.asmat(points.cross, ell)
 

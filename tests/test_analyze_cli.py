@@ -600,8 +600,8 @@ def _with_cross(pm, C, perms_P=None, perms_P0=None):
     fake = copy.copy(pm)
     fake._cross = linalg.asmat(C, pm.ell)
     if perms_P is not None:
-        fake.ctxP = ModCtx(pm.ell, perms_P, "P")
-        fake.ctxP0 = ModCtx(pm.ell, perms_P0, "P0")
+        fake.ctxP = ModCtx(pm.ell, perms_P)
+        fake.ctxP0 = ModCtx(pm.ell, perms_P0)
     return fake
 
 
@@ -741,3 +741,32 @@ def test_every_function_in_src_is_named_elsewhere_in_src():
                 named[node.name] += 1
     assert len(defined) > 100
     assert [name for name in defined if not named[name.split(".")[1]]] == []
+
+
+def test_every_stored_attribute_is_read():
+    # no unread state: each dataclass field and each `self.<name> =` of a
+    # class in the package is loaded as `.<name>` in its code or its tests
+    src = Path(rank3mod.__file__).parent
+    stored, loaded = set(), Counter()
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                stored.update(
+                    f"{cls.name}.{st.target.id}"
+                    for st in cls.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                )
+            stored.update(
+                f"{cls.name}.{node.attr}"
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            )
+    for path in [*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded[node.attr] += 1
+    assert len(stored) > 90
+    assert sorted(name for name in stored if not loaded[name.split(".")[1]]) == []

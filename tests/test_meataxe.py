@@ -573,6 +573,32 @@ def test_split_refuses_a_summand_that_is_not_simple_or_not_a_complement():
         mt._certify_split(pm.ctxP, split.S, ones)
 
 
+@pytest.mark.parametrize("family,size,ell", TWO_RESIDUE_ROWS)
+def test_split_names_the_summand_and_its_peak_kernel_line(analysis, family, size, ell):
+    # s is a non-zero vector of S with leading entry 1, killed by the peak
+    # word of S's class formed on the permutation module itself
+    res = analysis(family, size, ell)
+    split = _split_of(res)
+    mt, ctx = res.meataxe, res.pm.ctxP
+    summand, s = mt._certify_split(ctx, split.S, split.D)
+    assert mt.classes[summand].dim == split.S.dim and res.chop_total[summand] >= 1
+    assert s.any() and s[np.flatnonzero(s)[0]] == 1
+    assert linalg.in_rowspace(s, split.S.basis, split.S.pivots, ell)
+    word, lam = mt.classes[summand].word
+    assert not linalg.matmul(s[None], _shifted(word, ctx, lam), ell).any()
+
+
+def test_split_names_the_trivial_class_among_two_of_dimension_one(analysis):
+    # O-8(2), ell = 3: classes 1 and 3 both have dimension 1, and only the
+    # isomorphism test tells that S, the all-ones line, is class 3
+    res = analysis("o-", 4, 3)
+    mt, split = res.meataxe, _split_of(res)
+    assert [i for i, cls in enumerate(mt.classes) if cls.dim == 1] == [1, 3]
+    summand, s = mt._certify_split(res.pm.ctxP, split.S, split.D)
+    assert summand == 3 and mt.classes[3].trivial and not mt.classes[1].trivial
+    assert np.array_equal(s, np.ones(res.pm.ctxP.dim))
+
+
 # the rows whose summand S is not the trivial line
 NONTRIVIAL_SUMMAND_ROWS = [("o+", 3, 7), ("u", 4, 5), ("o-", 4, 17), ("u", 5, 11)]
 
@@ -690,12 +716,11 @@ def _counted_peak_kernels(monkeypatch):
     socle_lines, node_kernel = Meataxe.socle_lines, meataxe._node_kernel
     generalised = meataxe.generalised_kernel
 
-    def checked(self, action, kernels, factors=None):
-        if factors is not None:
-            for idx, cls in enumerate(self.classes):
-                if not factors[idx]:
-                    word, lam = cls.word
-                    skipped.append(left_kernel(_shifted(word, action, lam), self.ell).shape[0])
+    def checked(self, action, kernels, factors):
+        for idx, cls in enumerate(self.classes):
+            if not factors[idx]:
+                word, lam = cls.word
+                skipped.append(left_kernel(_shifted(word, action, lam), self.ell).shape[0])
         return socle_lines(self, action, kernels, factors)
 
     def counted_node(action, K, Z, ell):
@@ -724,20 +749,20 @@ def test_the_peak_kernels_the_walk_skips_are_zero(analysis, monkeypatch, family,
     assert skipped and not any(skipped)
 
 
-def test_u4_ell3_walk_skips_nine_of_twenty_four_peak_kernels(monkeypatch):
-    # 4 classes; the walk over [S, M] has 5 nodes below M, and the split's
-    # check of the trivial line S would take 4 kernels on S itself.  It
-    # takes a Fitting kernel only of the one class of dimension 1, and the
-    # walk one on M for each of the 3 classes above S (S's class occurs
-    # once).  Each node's kernels are read off those: 9 are skipped by the
-    # factors of M / N, and 3 on S by their dimension
+def test_u4_ell3_walk_skips_nine_of_twenty_peak_kernels(monkeypatch):
+    # 4 classes; the walk over [S, M] has 5 nodes below M, so 20 peak
+    # kernels.  The split names the class of the trivial line S by the
+    # isomorphism test and takes no kernel on S, and the walk takes a
+    # Fitting kernel on M for each of the 3 classes above S (S's class
+    # occurs once).  Each node's kernels are read off those: 11 are
+    # computed and 9 skipped by the factors of M / N
     skipped, computed, fitting = _counted_peak_kernels(monkeypatch)
     res = run_analysis("u", 4, 3)
     assert len(res.meataxe.classes) == 4
-    assert (len(computed), len(skipped)) == (12, 9)
+    assert (len(computed), len(skipped)) == (11, 9)
     on_s = [k for dim, k in fitting if dim == 1]
     on_m = [k for dim, k in fitting if dim == res.pm.ctxP.dim]
-    assert on_s == [1] and len(on_m) == 3 and all(on_m)
+    assert on_s == [] and len(on_m) == 3 and all(on_m)
 
 
 def _check_node_kernels(res):
@@ -745,7 +770,7 @@ def _check_node_kernels(res):
     M / N read off the Fitting kernels on M is the left kernel computed
     directly on the quotient."""
     mt, ctx, ell = res.meataxe, res.pm.ctxP, res.meataxe.ell
-    kernels = mt.fitting_kernels(ctx, res.chop_total)
+    kernels = mt.fitting_kernels(ctx, res.chop_total, classes=res.chop_total)
     assert sorted(kernels) == sorted(res.chop_total)
     for node in res.lattice.nodes:
         if node.dim == ctx.dim:
