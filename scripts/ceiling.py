@@ -7,12 +7,17 @@ splits the lattice phase (`latticeMs`): `Meataxe.ensure_peaks`, the Fitting
 kernels of the peak words (`Meataxe.fitting_kernels`), the walk
 (`Meataxe._walk`) and the glue (`Meataxe._glue`), each timed by a wrapper
 put around it here, exclusive of the others nested in it; what is left of
-the phase (the lattice checks of `analyze`) is `rest`.  It runs from a
-checkout without installing the package:
+the phase (the lattice checks of `analyze`) is `rest`.  `wordMatrixMs` is
+the time spent in `Word.matrix`, timed by a wrapper put around it here
+(outermost calls only, so a word's matrix on a section's module is not
+counted twice); the lattice spans include it.  `reportSha256` is the sha256
+of the report without `timingsMs`, taken as `tests/test_acceptance.py`
+takes it, so one command shows both the time and whether the answer
+changed.  It runs from a checkout without installing the package:
 
     python scripts/ceiling.py [--seed N]
 
-The run takes about 40 seconds and peaks near 0.35 GiB.
+The run takes about 30 seconds and peaks near 0.33 GiB.
 """
 
 import os
@@ -22,6 +27,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
@@ -31,7 +37,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rank3mod.analyze import run_analysis  # noqa: E402
-from rank3mod.meataxe import Meataxe  # noqa: E402
+from rank3mod.meataxe import Meataxe, Word  # noqa: E402
 
 LATTICE_SPANS = {
     "ensure_peaks": "ensure_peaks",
@@ -65,20 +71,45 @@ def time_lattice_spans() -> dict[str, float]:
     return spent
 
 
+def time_word_matrices() -> list[float]:
+    """Wrap `Word.matrix`; returns [seconds] of its outermost calls, filled as they run."""
+    spent = [0.0]
+    depth = [0]
+    matrix = Word.matrix
+
+    def timed(self, action):
+        depth[0] += 1
+        t0 = time.perf_counter()
+        try:
+            return matrix(self, action)
+        finally:
+            depth[0] -= 1
+            if depth[0] == 0:
+                spent[0] += time.perf_counter() - t0
+
+    Word.matrix = timed
+    return spent
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     spent = time_lattice_spans()
+    word_s = time_word_matrices()
     res = run_analysis("u", 7, 3, seed=args.seed)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     lattice_ms = {name: round(1000 * s) for name, s in spent.items()}
     lattice_ms["rest"] = res.report["timingsMs"]["lattice"] - sum(lattice_ms.values())
+    report = {k: v for k, v in res.report.items() if k != "timingsMs"}
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
     print(json.dumps({
         "seed": args.seed,
         "match": res.report["verdict"]["match"],
         "timingsMs": res.report["timingsMs"],
         "latticeMs": lattice_ms,
+        "wordMatrixMs": round(1000 * word_s[0]),
+        "reportSha256": digest,
         "ru_maxrss_MiB": round(rss / 1024, 1),
     }))
     return 0 if res.report["verdict"]["match"] else 1

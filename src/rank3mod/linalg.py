@@ -111,6 +111,13 @@ def asmat(A, ell: int) -> np.ndarray:
     return np.remainder(A, np.int64(ell), out=np.empty(A.shape, dtype=dt), casting="unsafe")
 
 
+def sum_dtype(terms: int, ell: int) -> type:
+    """The narrowest integer dtype, from int16 up, that holds a sum of `terms`
+    products of two residues mod ell."""
+    bound = terms * (ell - 1) ** 2
+    return next(dt for dt in (np.int16, np.int32, np.int64) if bound < np.iinfo(dt).max)
+
+
 def minus_scalar(M: np.ndarray, lam: int, ell: int) -> np.ndarray:
     """M - lam I as a new F_ell matrix."""
     out = asmat(M, ell).copy()

@@ -3,10 +3,11 @@ absolute-irreducibility certification, socles, socle series, and full
 submodule lattices at desk scale.
 
 The toolbox is the classical one.  Random algebra words (sums of short
-products of generators, drawn from a seeded stream) are probed through the
-annihilator polynomial of a seeded vector (Krylov); irreducible factors of
-that polynomial divide the characteristic polynomial, so kernel vectors of
-f(theta) are split candidates.  Norton's criterion certifies irreducibility
+products of generators, drawn from a seeded stream; on a section of the
+permutation module, `modules.Section`, a gather per product term) are
+probed through the annihilator polynomial of a seeded vector (Krylov);
+irreducible factors of that polynomial divide the characteristic
+polynomial, so kernel vectors of f(theta) are split candidates.  Norton's criterion certifies irreducibility
 only at a root lam of the annihilator where theta - lam has nullity 1 (the
 kernel vector spins to everything, and so does a transpose-side kernel
 vector).  That (theta, lam) is a nullity-1 word, and every factor class is
@@ -66,6 +67,7 @@ from .modules import (
     EigenSplit,
     ModCtx,
     QuotCtx,
+    Section,
     Submodule,
     Summands,
     spin,
@@ -91,7 +93,12 @@ class Word:
     """Sum of scalar multiples of generator products.
 
     Matrices are cached on the action under the word's terms, so equal words
-    drawn by different streams share them.
+    drawn by different streams share them; the cache keeps the last four, as
+    a search reads a word's matrix only while it tries that word.  On a
+    permutation module each
+    product term is one permutation, so on a `Section` of one the word is a
+    gather per term and one product with the section's projection
+    (`Section.image`); no generator matrices are multiplied.
     """
 
     terms: tuple[tuple[int, tuple[int, ...]], ...]
@@ -104,14 +111,16 @@ class Word:
         hit = cache.get(self)
         if hit is not None:
             return hit
-        if len(cache) >= 4 and action.dim > 512:
+        if len(cache) >= 4:
             cache.pop(next(iter(cache)))
         n, ell = action.dim, action.ell
-        if isinstance(action, QuotCtx):
-            # the projection is equivariant for the whole group algebra, so
-            # the quotient matrix of the word is lift . ambient-word . project
-            amb = self.matrix(action.ambient)
-            out = linalg.matmul(amb[action.nonpivots], action._proj, ell)
+        if isinstance(action, Section) and not isinstance(action.ctx, ModCtx):
+            out = action.image([(1, self.matrix(action.ctx))])
+        elif isinstance(action, Section):
+            out = action.image([(c, _composite(action.ctx, seq)) for c, seq in self.terms if seq])
+            scalar = sum(c for c, seq in self.terms if not seq)
+            if scalar:
+                out = linalg.minus_scalar(out, -scalar, ell)
         else:
             out = np.zeros((n, n), dtype=np.int64)  # the sum of the terms, reduced once
             for coeff, seq in self.terms:
@@ -135,9 +144,7 @@ class Word:
         P[i, pi[i]] = 1.  The sum is taken in the narrowest integer type
         that holds it and reduced once."""
         ell = ctx.ell
-        bound = (len(self.terms) + 1) * (ell - 1) ** 2
-        acc_dtype = next(dt for dt in (np.int16, np.int32, np.int64) if bound < np.iinfo(dt).max)
-        Y = Y.astype(acc_dtype)
+        Y = Y.astype(linalg.sum_dtype(len(self.terms) + 1, ell))
         acc = Y * ((-lam) % ell)
         for coeff, seq in self.terms:
             term = Y[np.argsort(_composite(ctx, seq))] if seq else Y.copy()
@@ -220,7 +227,7 @@ class FactorClass:
     absolutely irreducible.  `ensure_peaks` makes it a peak word, invertible
     on every other class."""
 
-    rep: DenseRep
+    rep: Section | DenseRep
     dim: int
     word: tuple[Word, int]
     trivial: bool = False  # all generators act as the identity
@@ -298,21 +305,22 @@ class Meataxe:
         self.classes: list[FactorClass] = []
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
 
-    def register(self, rep: DenseRep, word: tuple[Word, int]) -> int:
+    def register(self, rep, word: tuple[Word, int]) -> int:
         """Class index of a certified-simple rep: its class (`_class_of`), or
-        else a new class with `word`, of nullity 1 on rep, as its word."""
+        else a new class with `word`, of nullity 1 on rep, as its word.  A
+        section is kept as a copy without the matrices formed on it so far.
+        A simple module on which the group acts trivially has dimension 1, so
+        no larger rep forms its generator matrices for the test."""
         idx = self._class_of(rep)
         if idx is not None:
             return idx
-        dim = rep.dim
-        trivial = all(
-            np.array_equal(rep.gen_matrix(i), np.eye(dim, dtype=np.int64))
-            for i in range(rep.ngens)
-        )
-        self.classes.append(FactorClass(rep, dim, word, trivial))
+        trivial = rep.dim == 1 and all(rep.gen_matrix(i)[0, 0] == 1 for i in range(rep.ngens))
+        if isinstance(rep, Section):
+            rep = Section(rep.ctx, rep.lift, rep.unit_rows, rep.cols, rep.proj)
+        self.classes.append(FactorClass(rep, rep.dim, word, trivial))
         return len(self.classes) - 1
 
-    def _class_of(self, rep: DenseRep) -> int | None:
+    def _class_of(self, rep) -> int | None:
         """The first class of rep's dimension that `is_iso_rep` matches, or
         None.  A match also proves rep simple: `is_iso_rep` is exact for any
         rep of the class's dimension."""
@@ -367,8 +375,8 @@ class Meataxe:
         n, ell = action.dim, self.ell
         stream = word_stream(self.ngens, ell, self.seed, 0xC4)
         if n == 1:
-            rep, word = densify(action), next(stream)
-            return self.register(rep, (word, int(word.matrix(rep)[0, 0])))
+            word = next(stream)
+            return self.register(action, (word, int(word.matrix(action)[0, 0])))
         for _ in range(WORD_BUDGET):
             word = next(stream)
             theta = word.matrix(action)
@@ -399,7 +407,7 @@ class Meataxe:
                     if not 0 < U.dim < n:
                         raise CertificationError("transpose-side split produced no submodule")
                     return [sub_rep(U), QuotCtx(action, U)]
-                return self.register(densify(action), (word, lam))
+                return self.register(action, (word, lam))
         raise BudgetExceededError(
             f"chop: no word within {WORD_BUDGET} splits a dim-{n} module or has an "
             f"eigenvalue in F_{ell} of nullity 1 on it"
@@ -407,7 +415,7 @@ class Meataxe:
 
     # -- isomorphism testing ----------------------------------------------
 
-    def is_iso_rep(self, idx: int, rep: DenseRep) -> bool:
+    def is_iso_rep(self, idx: int, rep) -> bool:
         """Standard-basis isomorphism test between class idx and rep, as one spin.
 
         With S = the class's rep, d = dim S and (theta, lam) a nullity-1 word
@@ -424,10 +432,10 @@ class Meataxe:
         if d != rep.dim:
             return False
         word, lam = cls.word
-        K_T = left_kernel(_shifted(word, rep, lam), self.ell)
+        K_T = _kernel_on(word, lam, rep)
         if K_T.shape[0] != 1:
             return False
-        K_S = left_kernel(_shifted(word, cls.rep, lam), self.ell)
+        K_S = _kernel_on(word, lam, cls.rep)
         if K_S.shape[0] != 1:
             raise CertificationError("stored nullity-1 word lost nullity 1")
         mats = []
@@ -443,25 +451,31 @@ class Meataxe:
 
     def _nullity1_search(self, idx: int) -> tuple[Word, int] | None:
         """The first peak word (word, eigenvalue) for class idx within
-        WORD_BUDGET words of the peak stream: nullity 1 on the class and
-        separating."""
-        cls = self.classes[idx]
+        WORD_BUDGET words of the peak stream, eigenvalues in increasing
+        order: nullity 1 on the class and 0 on every other.  Each condition
+        is tested on the classes in increasing dimension (`_by_dim`), so
+        most eigenvalues are refuted on the small classes, with no rank and
+        no word matrix on the large ones.  The conditions are pure, so the
+        order does not change which (word, eigenvalue) is found first."""
         stream = word_stream(self.ngens, self.ell, self.seed, 0x9E)
+        order = self._by_dim()
         for _ in range(WORD_BUDGET):
             word = next(stream)
             for lam in range(self.ell):
-                if cls.nullity_of(word, lam, self.ell) == 1 and self._peak_ok(word, lam, idx):
+                if all(self.classes[j].nullity_of(word, lam, self.ell) == int(j == idx) for j in order):
                     return word, lam
         return None
 
     def _peak_ok(self, word: Word, lam: int, idx: int) -> bool:
-        """Peak separation: (word - lam) invertible on every other class."""
-        for j, other in enumerate(self.classes):
-            if j == idx:
-                continue
-            if other.nullity_of(word, lam, self.ell) != 0:
-                return False
-        return True
+        """Peak separation: (word - lam) invertible on every other class,
+        tested on the smallest classes first."""
+        return all(
+            self.classes[j].nullity_of(word, lam, self.ell) == 0 for j in self._by_dim() if j != idx
+        )
+
+    def _by_dim(self) -> list[int]:
+        """The class indices in increasing dimension, ties by index."""
+        return sorted(range(len(self.classes)), key=lambda j: (self.classes[j].dim, j))
 
     def ensure_peaks(self) -> None:
         """Make every class word a peak word: nullity 1 on its class and
@@ -692,7 +706,7 @@ class Meataxe:
         if summand is None:
             raise CertificationError(f"the dim-{S.dim} summand is not simple")
         word, lam = self.classes[summand].word
-        (line,) = left_kernel(_shifted(word, rep, lam), self.ell)
+        (line,) = _kernel_on(word, lam, rep)  # is_iso_rep has taken it as K_T
         return summand, linalg.matmul(line[None], S.basis, self.ell)[0]
 
     def _glue(self, ambient, summands: Summands, total: Counter) -> Lattice:
@@ -828,10 +842,6 @@ class Meataxe:
 # helpers
 
 
-def densify(action) -> DenseRep:
-    return DenseRep(action.ell, [action.gen_matrix(i) for i in range(action.ngens)])
-
-
 def _composite(ctx: ModCtx, seq) -> np.ndarray:
     """pi with P[i, pi[i]] = 1, for P the product of the generators seq on ctx."""
     pi = np.arange(ctx.dim, dtype=np.int64)
@@ -854,6 +864,20 @@ def _node_kernel(action, K: np.ndarray, Z: np.ndarray, ell: int) -> np.ndarray:
 def _shifted(word: Word, action, lam: int) -> np.ndarray:
     """theta - lam I, for theta the matrix of `word` on `action`."""
     return linalg.minus_scalar(word.matrix(action), lam, action.ell)
+
+
+def _kernel_on(word: Word, lam: int, action) -> np.ndarray:
+    """The left kernel of theta - lam on `action` as RREF rows, kept on the
+    action beside the word's matrices, so that each is taken once."""
+    cache = getattr(action, "_kernel_cache", None)
+    if cache is None:
+        cache = {}
+        action._kernel_cache = cache
+    K = cache.get((word, lam))
+    if K is None:
+        K = left_kernel(_shifted(word, action, lam), action.ell)
+        cache[(word, lam)] = K
+    return K
 
 
 def _check_pencil(pencil: list, dim: int, s: np.ndarray, ell: int) -> None:

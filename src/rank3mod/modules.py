@@ -1,10 +1,18 @@
 """Linear algebra of the permutation modules F_ell[P] and F_ell[P0].
 
-A module is described by an action object: either a ModCtx (group generators
-act as coordinate permutations, the ambient permutation module) or a DenseRep
-(generators are dense matrices, used for submodules and quotients).  Vectors
-are rows and matrices are F_ell matrices in `linalg`'s one storage dtype;
-right action throughout.
+A module is described by an action object of one of three kinds:
+  - a ModCtx, the permutation module M itself, whose generators permute
+    coordinates;
+  - a Section W1 / W0 of M, for submodules W0 < W1 (`sub_rep`, `QuotCtx`,
+    and so every chop piece, chop split and factor class).  It keeps a lift
+    of its basis into M and the projection back, so an element of the group
+    algebra of M, a sum of permutations, acts on it by gathers and one
+    product with the projection (`Section.image`).  Its generator matrices
+    are formed only when a spin or the isomorphism test asks for them;
+  - a DenseRep, whose generators are dense matrices (transposes, the
+    isomorphism test's S + T, and modules given by their matrices).
+Vectors are rows and matrices are F_ell matrices in `linalg`'s one storage
+dtype; right action throughout.
 
 Submodules are held as reduced-row-echelon bases with sorted pivots, so two
 submodules are equal iff their arrays are equal.  spin() closes a seed set
@@ -167,17 +175,103 @@ def _pivots_of(R: np.ndarray) -> np.ndarray:
     return (R != 0).argmax(axis=1).astype(np.int64)
 
 
-class QuotCtx(DenseRep):
+class Section:
+    """The section W1 / W0 of a module M (a ModCtx, or a DenseRep), for
+    submodules W0 < W1 of M, in the coordinates that `sub_rep` and `QuotCtx`
+    give it.  Every chop piece, chop split and factor class is one.
+
+    It keeps its link to M.  The rows of `lift` (d x n) are representatives
+    in W1 of its basis vectors, and x in W1 maps back to x[:, cols] proj
+    (proj None: the identity), so lift[:, cols] proj = I.  A quotient of M
+    itself has no `lift`: its representatives are the unit rows at
+    `unit_rows`, and cols is all of M.  An element theta of the group algebra
+    of M acts on the section as lift theta[:, cols] proj (`image`).  The
+    generator matrices are formed from it when first asked for
+    (`gen_matrix`), for a spin or the isomorphism test.
+    """
+
+    def __init__(self, ctx, lift, unit_rows, cols: np.ndarray, proj: np.ndarray | None):
+        self.ctx = ctx
+        self.ell = ctx.ell
+        self.lift = lift
+        self.unit_rows = unit_rows
+        self.cols = cols
+        self.proj = proj
+        self.dim = len(unit_rows) if lift is None else lift.shape[0]
+        self._gens: dict[int, np.ndarray] = {}
+
+    @property
+    def ngens(self) -> int:
+        return self.ctx.ngens
+
+    def act_rows(self, V: np.ndarray, i: int) -> np.ndarray:
+        return linalg.matmul(V, self.gen_matrix(i), self.ell)
+
+    def gen_matrix(self, i: int) -> np.ndarray:
+        g = self._gens.get(i)
+        if g is None:
+            ctx = self.ctx
+            g = self.image([(1, ctx.perms[i] if isinstance(ctx, ModCtx) else ctx.gen_matrix(i))])
+            self._gens[i] = g
+        return g
+
+    def in_module(self, V: np.ndarray) -> np.ndarray:
+        """Rows of the section lifted to M: V lift."""
+        if self.lift is not None:
+            return linalg.matmul(V, self.lift, self.ell)
+        out = linalg.zeros((V.shape[0], self.ctx.dim), self.ell)
+        out[:, self.unit_rows] = V
+        return out
+
+    def image(self, terms) -> np.ndarray:
+        """The matrix of sum c g on the section, over terms (c, g): g is a
+        permutation pi of a ModCtx (its matrix P has P[i, pi[i]] = 1), or a
+        matrix of a DenseRep.
+
+        On a ModCtx, lift P[:, cols] is the column gather of the lift at
+        pi^-1[cols], and for unit rows lift P proj is the row gather of proj
+        at pi[unit_rows]; the gathers are summed in the narrowest integer
+        type that holds the sum, and reduced once before the one product
+        with proj."""
+        ell = self.ell
+        if not isinstance(self.ctx, ModCtx):
+            out = np.zeros((self.dim, self.dim), dtype=np.int64)
+            for c, g in terms:
+                if self.lift is None:
+                    part = g[self.unit_rows]
+                else:
+                    part = linalg.matmul(self.lift, g[:, self.cols], ell)
+                if self.proj is not None:
+                    part = linalg.matmul(part, self.proj, ell)
+                out += np.multiply(c, part, dtype=np.int64)
+            return linalg.asmat(out, ell)
+        acc_dtype = linalg.sum_dtype(len(terms), ell)
+        acc = np.zeros((self.dim, self.dim if self.lift is None else len(self.cols)), dtype=acc_dtype)
+        for c, pi in terms:
+            if self.lift is None:
+                part = self.proj[pi[self.unit_rows]]
+            else:
+                inv = np.empty_like(pi)
+                inv[pi] = np.arange(len(pi))
+                part = self.lift[:, inv[self.cols]]
+            acc += np.multiply(part, c, dtype=acc_dtype)
+        out = linalg.asmat(acc, ell)
+        if self.lift is None or self.proj is None:
+            return out
+        return linalg.matmul(out, self.proj, ell)
+
+
+class QuotCtx(Section):
     """Quotient of an action by a Submodule, coordinatised on non-pivot columns.
 
     The reduce-then-restrict map is the matrix P with unit rows at non-pivot
-    indices and -basis[i, nonpivots] at pivot index i; the quotient action of
-    a generator is then (rows of the generator at non-pivot indices) composed
-    with P, which for a permutation ambient is a pure row gather.
+    indices and -basis[i, nonpivots] at pivot index i.  `lift_rows` and
+    `project_rows` map between the quotient and the action it quotients; as a
+    `Section` of M its representatives are those of the action's coordinates
+    at the non-pivots, and its map back is the action's followed by P.
     """
 
     def __init__(self, action, sub: Submodule):
-        self.ambient = action
         self.sub = sub
         ell = action.ell
         n = action.dim
@@ -187,15 +281,19 @@ class QuotCtx(DenseRep):
         P[nonpiv, np.arange(len(nonpiv))] = 1
         if sub.dim:
             P[sub.pivots] = (-sub.basis[:, nonpiv]) % ell
-        self._proj = P
-        if isinstance(action, ModCtx):
-            mats = [P[action.perms[i]][nonpiv] for i in range(action.ngens)]
-        else:
-            mats = [linalg.matmul(action.gen_matrix(i)[nonpiv], P, ell) for i in range(action.ngens)]
-        super().__init__(ell, mats)
+        if not isinstance(action, Section):
+            super().__init__(action, None, nonpiv, np.arange(n), P)
+            return
+        super().__init__(
+            action.ctx,
+            None if action.lift is None else action.lift[nonpiv],
+            None if action.unit_rows is None else action.unit_rows[nonpiv],
+            action.cols,
+            P if action.proj is None else linalg.matmul(action.proj, P, ell),
+        )
 
     def lift_rows(self, V: np.ndarray) -> np.ndarray:
-        out = linalg.zeros((V.shape[0], self.ambient.dim), self.ell)
+        out = linalg.zeros((V.shape[0], self.sub.action.dim), self.ell)
         out[:, self.nonpivots] = V
         return out
 
@@ -206,14 +304,16 @@ class QuotCtx(DenseRep):
         return linalg.reduce_rows(V, sub.basis, sub.pivots, self.ell)[:, self.nonpivots]
 
 
-def sub_rep(sub: Submodule) -> DenseRep:
-    """The Submodule as a module in its own right, in basis coordinates."""
+def sub_rep(sub: Submodule) -> Section:
+    """The Submodule as a module in its own right, in basis coordinates: the
+    section whose representatives are its basis rows, lifted to M."""
     act = sub.action
-    mats = []
-    for i in range(act.ngens):
-        img = act.act_rows(sub.basis, i)
-        mats.append(img[:, sub.pivots])
-    return DenseRep(act.ell, mats)
+    if not isinstance(act, Section):
+        return Section(act, sub.basis, None, sub.pivots, None)
+    lift = act.in_module(sub.basis)
+    if act.proj is None:
+        return Section(act.ctx, lift, None, act.cols[sub.pivots], None)
+    return Section(act.ctx, lift, None, act.cols, act.proj[:, sub.pivots])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from rank3mod.fields import storage_dtype
 from rank3mod.geometry import SpaceSpec, closed_params, quadratic_roots
 from rank3mod.groups import StabilizerChain
 from rank3mod.meataxe import Lattice, LatticeNode
-from rank3mod.modules import DenseRep, ModCtx, QuotCtx, Submodule
+from rank3mod.modules import DenseRep, ModCtx, QuotCtx, Section, Submodule
 
 from conftest import cached_analysis, cached_pm
 
@@ -92,25 +92,40 @@ def test_maximal_chain_dims_sum():
 @pytest.mark.parametrize("ell,seed", [(3, 0), (131, 1)])
 def test_every_kept_matrix_has_the_storage_dtype(monkeypatch, ell, seed):
     reps = []
-    init = DenseRep.__init__
 
-    def recording_init(self, *args):
-        init(self, *args)
-        reps.append(self)
+    def recording(cls):
+        init = cls.__init__
 
-    # quotients and class representatives too: QuotCtx initialises through DenseRep
-    monkeypatch.setattr(DenseRep, "__init__", recording_init)
+        def recording_init(self, *args):
+            init(self, *args)
+            reps.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+
+    # the chop's pieces and splits, the class representatives and the walk's
+    # quotients are sections (QuotCtx initialises through Section); the
+    # transposes and the isomorphism test's S + T are dense reps
+    recording(Section)
+    recording(DenseRep)
     res = run_analysis("o+", 3, ell, seed=seed)
     assert res.report["verdict"]["match"]
     want = storage_dtype(ell)
-    assert any(isinstance(r, QuotCtx) for r in reps)
+    sections = [r for r in reps if isinstance(r, Section)]
+    assert any(isinstance(r, QuotCtx) for r in sections)
+    assert any(r.lift is None for r in sections) and any(r.lift is not None for r in sections)
+    assert any(r.proj is not None for r in sections) and any(r._gens for r in sections)
+    assert any(not isinstance(r, Section) for r in reps)
     for r in reps:
-        assert all(m.dtype == want for m in r.mats)
-        if isinstance(r, QuotCtx):
-            assert r._proj.dtype == want
+        if isinstance(r, Section):
+            kept = [m for m in (r.lift, r.proj) if m is not None] + list(r._gens.values())
+        else:
+            kept = r.mats
+        assert all(m.dtype == want for m in kept)
     assert all(nd.sub.basis.dtype == want for nd in res.lattice.nodes)
     words = [m for a in [res.pm.ctxP, *reps] for m in getattr(a, "_word_cache", {}).values()]
     assert words and all(m.dtype == want for m in words)
+    kernels = [K for a in reps for K in getattr(a, "_kernel_cache", {}).values()]
+    assert kernels and all(K.dtype == want for K in kernels)
     assert res.pm._adj.dtype == res.pm._cross.dtype == want
 
 

@@ -17,9 +17,19 @@ from rank3mod.meataxe import (
     left_kernel,
     transpose_action,
 )
-from rank3mod.modules import DenseRep, QuotCtx, eigen_split, spin, sub_rep, sum_sub
+from rank3mod.modules import (
+    DenseRep,
+    QuotCtx,
+    Section,
+    Submodule,
+    eigen_split,
+    spin,
+    sub_rep,
+    submodule_from_rows,
+    sum_sub,
+)
 
-from conftest import cached_pm, contains, zero_sum_and_ones
+from conftest import cached_analysis, cached_pm, contains, graph_submodule, zero_sum_and_ones
 
 
 def chop_dims(mt, total):
@@ -883,3 +893,126 @@ def test_kernel_chain_of_a_jordan_operator_gives_the_whole_chop(blocks, pieces):
     assert sorted((piece.dim, mult) for piece, mult in split.pieces) == pieces
     mt, whole = Meataxe(ell, 2, seed=0), Meataxe(ell, 2, seed=0)
     assert chop_dims(mt, mt.chop(rep, split)) == chop_dims(whole, whole.chop(rep)) == [(1, n)]
+
+
+# ---------------------------------------------------------------------------
+# words on sections of F_ell[P], and the peak-word search order
+
+
+def _dense_sub(gens, sub, ell):
+    """The generators on a submodule in basis coordinates, by dense products."""
+    return [(sub.basis.astype(np.int64) @ g)[:, sub.pivots] % ell for g in gens]
+
+
+def _dense_quotient(gens, sub, ell):
+    """The generators on the quotient by a submodule, coordinatised on the
+    non-pivot columns, by dense products with the reduce-then-restrict map."""
+    n = gens[0].shape[0]
+    nonpiv = np.setdiff1d(np.arange(n), sub.pivots)
+    P = np.zeros((n, len(nonpiv)), dtype=np.int64)
+    P[nonpiv, np.arange(len(nonpiv))] = 1
+    P[sub.pivots] = -sub.basis[:, nonpiv].astype(np.int64) % ell
+    return [g[nonpiv] @ P % ell for g in gens]
+
+
+def _dense_word(word, gens, ell):
+    """Sum of the word's terms, each a product of the dense generators."""
+    d = gens[0].shape[0]
+    out = np.zeros((d, d), dtype=np.int64)
+    for coeff, seq in word.terms:
+        M = np.eye(d, dtype=np.int64)
+        for gi in seq:
+            M = M @ gens[gi] % ell
+        out += coeff * M
+    return out % ell
+
+
+def _section_kinds(ell):
+    """(name, section, its generators by dense products) on O+6(2) with its
+    certified generating pair: M's zero-sum submodule S > V = U'_2 (dim 7),
+    and a class rep of the chop."""
+    pm = cached_analysis("o+", 3, ell).pm
+    M = pm.ctxP
+    gens = [M.gen_matrix(i).astype(np.int64) for i in range(M.ngens)]
+    S, _ones = zero_sum_and_ones(pm)
+    V = graph_submodule(pm, 2)
+    assert V.dim == 7 and contains(S, V)
+    on_s = sub_rep(S)
+    V_in_s = Submodule(on_s, *linalg.rref(V.basis[:, S.pivots], ell))
+    quot = QuotCtx(M, V)
+    S_mod_v = submodule_from_rows(quot, quot.project_rows(S.basis))
+    assert S_mod_v.dim == S.dim - V.dim
+    kinds = [
+        ("sub of M", on_s, _dense_sub(gens, S, ell)),
+        ("quotient of M", quot, _dense_quotient(gens, V, ell)),
+        ("quotient of a sub", QuotCtx(on_s, V_in_s), _dense_quotient(_dense_sub(gens, S, ell), V_in_s, ell)),
+        ("sub of a quotient", sub_rep(S_mod_v), _dense_sub(_dense_quotient(gens, V, ell), S_mod_v, ell)),
+    ]
+    mt = Meataxe(ell, M.ngens, seed=0)
+    mt.chop(M)
+    rep = max((c.rep for c in mt.classes), key=lambda r: r.dim)
+    assert isinstance(rep, Section) and rep.dim > 1
+    lift = (
+        np.eye(M.dim, dtype=np.int64)[rep.unit_rows] if rep.lift is None else rep.lift.astype(np.int64)
+    )
+    proj = np.eye(len(rep.cols), dtype=np.int64) if rep.proj is None else rep.proj.astype(np.int64)
+    kinds.append(("chop class rep", rep, [(lift @ g)[:, rep.cols] @ proj % ell for g in gens]))
+    return kinds
+
+
+@pytest.mark.parametrize("ell", [3, 131])
+def test_word_matrix_on_every_section_kind_equals_the_dense_product(ell):
+    # six product terms at the largest coefficient, with and without the
+    # scalar term: at ell = 131 the gathers' sum leaves int16 storage
+    seqs = [(0,), (1, 0), (0, 1, 1), (1,), (0, 0, 1, 0), (1, 1, 0, 1, 0)]
+    full = [(ell - 1, seq) for seq in seqs]
+    words = [meataxe.Word(tuple(full)), meataxe.Word(tuple(full + [(ell - 1, ())]))]
+    stream = meataxe.word_stream(2, ell, 0, 0xC4)
+    words += [next(stream) for _ in range(4)]
+    assert {any(not seq for _c, seq in w.terms) for w in words} == {True, False}
+    want = storage_dtype(ell)
+    for name, section, gens in _section_kinds(ell):
+        assert section.dim == gens[0].shape[0], name
+        for i, g in enumerate(gens):
+            assert np.array_equal(section.gen_matrix(i), g), (name, i)
+        for word in words:
+            got = word.matrix(section)
+            assert got.dtype == want, name
+            assert np.array_equal(got, _dense_word(word, gens, ell)), (name, word)
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_peak_words_are_those_of_the_lambda_by_lambda_search(monkeypatch, family, size, ell):
+    # ensure_peaks refutes each (word, lam) on the smallest class first; the
+    # reference keeps a class's word when it separates and otherwise ranks
+    # lam by lam, the target class first and then the others in index order
+    born = []
+    ensure = Meataxe.ensure_peaks
+
+    def noted(self):
+        born[:] = [cls.word for cls in self.classes]
+        ensure(self)
+
+    monkeypatch.setattr(Meataxe, "ensure_peaks", noted)
+    res = run_analysis(family, size, ell, seed=0)
+    mt = res.meataxe
+    classes = mt.classes
+
+    def nullity(j, word, lam):
+        return classes[j].dim - linalg.rank(_shifted(word, classes[j].rep, lam), ell)
+
+    def separates(word, lam, i):
+        return all(nullity(j, word, lam) == 0 for j in range(len(classes)) if j != i)
+
+    def reference(i):
+        if separates(*born[i], i):
+            return born[i]
+        stream = meataxe.word_stream(mt.ngens, ell, 0, 0x9E)
+        for _ in range(meataxe.WORD_BUDGET):
+            word = next(stream)
+            for lam in range(ell):
+                if nullity(i, word, lam) == 1 and separates(word, lam, i):
+                    return word, lam
+        raise AssertionError(f"no reference peak word for class {i}")
+
+    assert [cls.word for cls in classes] == [reference(i) for i in range(len(classes))]

@@ -314,7 +314,7 @@ def test_quotient_certified_and_dims():
     a = q.act_rows(q.act_rows(v[None, :], 0), 1)[0]
     lifted = q.lift_rows(v[None, :])
     amb = pm.ctxP.act_rows(pm.ctxP.act_rows(lifted, 0), 1)
-    b = linalg.matmul(amb, q._proj, 3)[0]
+    b = linalg.matmul(amb, q.proj, 3)[0]
     assert (a == b).all()
 
 
