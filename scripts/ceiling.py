@@ -10,14 +10,17 @@ put around it here, exclusive of the others nested in it; what is left of
 the phase (the lattice checks of `analyze`) is `rest`.  `wordMatrixMs` is
 the time spent in `Word.matrix`, timed by a wrapper put around it here
 (outermost calls only, so a word's matrix on a section's module is not
-counted twice); the lattice spans include it.  `reportSha256` is the sha256
-of the report without `timingsMs`, taken as `tests/test_acceptance.py`
-takes it, so one command shows both the time and whether the answer
-changed.  It runs from a checkout without installing the package:
+counted twice); the lattice spans include it.  `eliminationMs` is the time
+spent in the row-reduction kernel `linalg._eliminate` (every `rref`, `rank`
+and `nullspace`), timed the same way; the phase times include it.
+`reportSha256` is the sha256 of the report without `timingsMs`, taken as
+`tests/test_acceptance.py` takes it, so one command shows both the time and
+whether the answer changed.  It runs from a checkout without installing the
+package:
 
     python scripts/ceiling.py [--seed N]
 
-The run takes about 30 seconds and peaks near 0.33 GiB.
+The run takes about 25 seconds and peaks near 0.33 GiB.
 """
 
 import os
@@ -36,6 +39,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rank3mod import linalg  # noqa: E402
 from rank3mod.analyze import run_analysis  # noqa: E402
 from rank3mod.meataxe import Meataxe, Word  # noqa: E402
 
@@ -71,23 +75,23 @@ def time_lattice_spans() -> dict[str, float]:
     return spent
 
 
-def time_word_matrices() -> list[float]:
-    """Wrap `Word.matrix`; returns [seconds] of its outermost calls, filled as they run."""
+def time_outermost(owner, attr: str) -> list[float]:
+    """Wrap owner.attr; returns [seconds] of its outermost calls, filled as they run."""
     spent = [0.0]
     depth = [0]
-    matrix = Word.matrix
+    fn = getattr(owner, attr)
 
-    def timed(self, action):
+    def timed(*args, **kwargs):
         depth[0] += 1
         t0 = time.perf_counter()
         try:
-            return matrix(self, action)
+            return fn(*args, **kwargs)
         finally:
             depth[0] -= 1
             if depth[0] == 0:
                 spent[0] += time.perf_counter() - t0
 
-    Word.matrix = timed
+    setattr(owner, attr, timed)
     return spent
 
 
@@ -96,7 +100,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     spent = time_lattice_spans()
-    word_s = time_word_matrices()
+    word_s = time_outermost(Word, "matrix")
+    elim_s = time_outermost(linalg, "_eliminate")
     res = run_analysis("u", 7, 3, seed=args.seed)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     lattice_ms = {name: round(1000 * s) for name, s in spent.items()}
@@ -109,6 +114,7 @@ def main() -> int:
         "timingsMs": res.report["timingsMs"],
         "latticeMs": lattice_ms,
         "wordMatrixMs": round(1000 * word_s[0]),
+        "eliminationMs": round(1000 * elim_s[0]),
         "reportSha256": digest,
         "ru_maxrss_MiB": round(rss / 1024, 1),
     }))

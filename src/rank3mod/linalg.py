@@ -21,17 +21,27 @@ panel alone, which also tracks the k x k transform taking the chosen rows to
 reduced rows; one product applies it to the rest of those rows, and one more
 clears the panel's pivot columns from every other row.
 
-A pivot step on the panel takes its column mod ell, exchanges the first row
-with a nonzero entry into place through one copied row, takes the pivot row
-mod ell, and only then scales it to a unit pivot and subtracts its multiples
-from the other rows.  The order matters: entries are reduced lazily, and the
-bound of `_work_dtype` holds only if every multiple subtracted is c * p with
-both c and p already in 0..ell-1 (scaling an unreduced row overflows int16
-at ell = 17).
+The panel itself is eliminated in rounds (`_panel`), blocked by rows as well:
+pivot by pivot on a block of at most PANEL rows, the first whose residue is
+non-zero, then one product per round clears the block's pivots from the rows
+below it.  A pivot step updates only the block's rows, so its cost does not
+grow with the height of the panel.  The panel returns the order its rows
+ended in, and `_eliminate` moves only the rows of W whose place changed.
+
+A pivot step takes its column mod ell, exchanges the first row with a
+nonzero entry into place through one copied row, takes the pivot row mod
+ell, and only then scales it to a unit pivot and subtracts its multiples
+from the other rows of the block.  The order matters: entries are reduced
+lazily, and the bound of `_work_dtype` holds only if every multiple
+subtracted is c * p with both c and p already in 0..ell-1 (scaling an
+unreduced row overflows int16 at ell = 17).  The rounds' products also
+multiply reduced entries only, at most PANEL terms each.
 
 Bases of subspaces are always kept in reduced row echelon form with sorted
 pivots, so equality of subspaces is equality of arrays.  `rowspace_sum` and
-`rowspace_intersect` merge a further set of rows into such a basis.
+`rowspace_intersect` merge a further set of rows into such a basis, and
+`merge_rref` joins two such bases of subspaces that meet in 0 with no
+elimination, when the second is zero at the first's pivots.
 """
 
 from __future__ import annotations
@@ -79,7 +89,8 @@ def _work_dtype(ell: int) -> type:
     """Integer dtype of the elimination's working copy.
 
     Entries are reduced lazily: between two reductions an entry takes at most
-    PANEL updates x - c * p with 0 <= c, p < ell, so it stays above
+    PANEL updates x - c * p with 0 <= c, p < ell, one per pivot of a block,
+    or one product of at most PANEL such terms, so it stays above
     -PANEL * (ell - 1)^2.
     """
     bound = PANEL * (ell - 1) ** 2 + ell
@@ -118,6 +129,18 @@ def sum_dtype(terms: int, ell: int) -> type:
     return next(dt for dt in (np.int16, np.int32, np.int64) if bound < np.iinfo(dt).max)
 
 
+def clear_column(X: np.ndarray, rows: np.ndarray, i: int, c: int, ell: int) -> np.ndarray:
+    """X[rows] minus the multiples of X[i] that make column c zero, as a new
+    F_ell matrix; X[i, c] must be non-zero.  One pass, in the narrowest
+    dtype that holds x - a * y (`sum_dtype`)."""
+    dt = sum_dtype(2, ell)
+    coef = X[rows, c].astype(dt) * dt(inv_table(ell)[X[i, c]])
+    _reduce(coef, ell)
+    out = X[rows].astype(dt)
+    out -= coef[:, None] * X[i].astype(dt)
+    return _reduce(out, ell).astype(storage_dtype(ell))
+
+
 def minus_scalar(M: np.ndarray, lam: int, ell: int) -> np.ndarray:
     """M - lam I as a new F_ell matrix."""
     out = asmat(M, ell).copy()
@@ -141,61 +164,143 @@ def matmul(A: np.ndarray, B: np.ndarray, ell: int) -> np.ndarray:
     return _reduce(_product(A, B, ell), ell).astype(storage_dtype(ell))
 
 
-def _panel(A: np.ndarray, w: int, ell: int, track: bool, clear_above: bool):
-    """Pivot-at-a-time elimination of the narrow panel A[:, :w], in place.
+def _swap_into(A: np.ndarray, order: np.ndarray, rows: np.ndarray, k: int) -> None:
+    """Bring the rows at the sorted positions `rows` (all >= k) to k, k+1, ...
 
-    Returns (pivot positions, row exchanges).  The exchanges bring the pivot
-    rows to the top in pivot order; afterwards A[:k, :w] are those rows
-    reduced on the panel (unit pivots, cleared from each other when
-    clear_above), and A[k:, :w] is zero.  With `track`, A has w more
-    columns, zero on entry, and A[:k, w:w+k] becomes the transform T: the
-    reduced pivot rows are T times the pivot rows as they were given.
+    Rows already in that range stay; each other one changes places with a
+    row that is in the range but not among `rows`.  `order` moves with A.
+    """
+    top = k + len(rows)
+    out = rows[rows >= top]
+    if len(out):
+        free = np.setdiff1d(np.arange(k, top), rows, assume_unique=True)
+        both = np.concatenate([free, out])
+        swapped = np.concatenate([out, free])
+        A[both] = A[swapped]
+        order[both] = order[swapped]
+
+
+def _pivot_block(B: np.ndarray, order: np.ndarray, w: int, t: int, ell: int, track: bool) -> list[int]:
+    """Pivot-at-a-time elimination of the block B (at most PANEL rows) on
+    its panel B[:, :w], in place; returns the new pivot columns.
+
+    Each pivot is cleared from every other row of the block, so afterwards
+    B's first rows are the pivot rows, in pivot order, and the identity at
+    the new pivot columns; the rest are zero on the panel.  `order` moves
+    with B's rows.  With `track`, the pivot row that becomes the i-th gets a
+    1 in transform column t + i before it is scaled.
 
     Each pivot reduces its column and then its row before scaling the row,
-    so every update x - c * p has 0 <= c, p < ell, the bound `_work_dtype`
-    rests on; the column and row are small or strided, where one remainder
-    by a scalar of the work dtype is the cheapest form.
+    so every update x - c * p has 0 <= c, p < ell, and an entry of B takes
+    at most len(B) <= PANEL of them: the bound `_work_dtype` rests on.  The
+    column and row are small or strided, where one remainder by a scalar of
+    the work dtype is the cheapest form.
     """
-    h = A.shape[0]
-    m = A.dtype.type(ell)
+    b = B.shape[0]
+    m = B.dtype.type(ell)
     inv = _inv_work(ell)
-    piv: list[int] = []
-    swaps: list[tuple[int, int]] = []
-    k = 0
-    # a column that is zero below the pivot rows stays so: skip those
-    for j in np.flatnonzero(A[:, :w].any(axis=0)).tolist():
-        if k == h:
+    new: list[int] = []
+    # a column that is zero on the block stays so: skip those
+    for j in np.flatnonzero(B[:, :w].any(axis=0)).tolist():
+        i = len(new)
+        if i == b:
             break
-        lo = 0 if clear_above else k
-        col = A[lo:, j]
+        col = B[:, j]
         col %= m
-        nz = col[k - lo :].nonzero()[0]
+        nz = col[i:].nonzero()[0]
         if len(nz) == 0:
             continue
-        p = k + int(nz[0])
-        if p != k:
-            row = A[p].copy()
-            A[p] = A[k]
-            A[k] = row
-            swaps.append((k, p))
-        end = w + k + 1 if track else w
+        p = i + int(nz[0])
+        if p != i:
+            row = B[p].copy()
+            B[p] = B[i]
+            B[i] = row
+            order[p], order[i] = order[i], order[p]
+        end = t + i + 1 if track else w
         if track:
-            A[k, w + k] = 1
-        row = A[k, j:end]
+            B[i, t + i] = 1
+        row = B[i, j:end]
         row %= m
         if row[0] != 1:
             row *= inv[row[0]]
             row %= m
-        if clear_above:
-            upd = A[:, j, None] * row
-            upd[k] = 0
-            A[:, j:end] -= upd
+        upd = B[:, j, None] * row
+        upd[i] = 0
+        B[:, j:end] -= upd
+        new.append(j)
+    return new
+
+
+def _panel(A: np.ndarray, w: int, ell: int, track: bool, clear_above: bool):
+    """Elimination of the narrow panel A[:, :w], in place, in rounds.
+
+    Returns (pivot positions, row order): A's row i is now the row order[i]
+    of the input.  A[:k] are the pivot rows, in pivot order, reduced on the
+    panel (unit pivots, cleared from each other when clear_above); what the
+    other rows hold is unspecified.  With `track`, A has w more columns,
+    zero on entry, and A[:k, w:w+k] becomes the transform T: the reduced
+    pivot rows are T times the input rows order[:k].
+
+    Each round moves a block of at most PANEL rows, the first whose panel
+    residue is non-zero, up to the pivot rows found so far, and runs the
+    pivot-at-a-time loop on it alone (`_pivot_block`).  Its pivot rows are
+    then the identity at its new pivot columns, so one product clears those
+    columns from every row below the block, transform columns included (and
+    one more from the earlier pivot rows, when clear_above), and those rows
+    are reduced.  The products multiply reduced entries, at most PANEL terms
+    each, which keeps `_work_dtype`'s bound.  The rounds end when no row
+    has a non-zero residue or every panel column holds a pivot.  A later
+    round may find pivots left of earlier ones, so at the end the pivot rows
+    are put in column order, with T's rows and columns.
+    """
+    h = A.shape[0]
+    order = np.arange(h)
+    piv: list[int] = []
+    k = 0
+    start = 0  # the rows above are pivot rows or zero on the panel
+    rounds = 0
+    while k < w:
+        if h - start <= PANEL:
+            # the last round: the rest, rows of zero residue among them
+            last = True
+            if start > k:
+                _swap_into(A, order, np.arange(start, h), k)
+            b = h - start
         else:
-            A[k + 1 :, j:end] -= A[k + 1 :, j, None] * row
-        piv.append(j)
-        k += 1
-    _reduce(A, ell)
-    return piv, swaps
+            blk = start + np.flatnonzero(A[start:, :w].any(axis=1))
+            if len(blk) == 0:
+                break
+            last = len(blk) <= PANEL
+            blk = blk[:PANEL]
+            _swap_into(A, order, blk, k)
+            b = len(blk)
+        rounds += 1
+        new = _pivot_block(A[k : k + b], order[k : k + b], w, w + k, ell, track)
+        kb = len(new)
+        if kb == 0:  # no row left has a non-zero residue
+            break
+        end = w + k + kb if track else w
+        P = _reduce(A[k : k + kb, :end], ell)
+        others = [A[:k]] if clear_above and k else []
+        if not last and k + kb < w:
+            others.append(A[k + b :])
+        for X in others:
+            X[:, :end] -= _product(X[:, new], P, ell, A.dtype)
+            _reduce(X[:, :end], ell)
+        piv.extend(new)
+        start = k + b
+        k += kb
+        if last:
+            break
+    if rounds > 1:  # one round finds its pivots in column order
+        srt = np.argsort(piv)
+        if (srt != np.arange(k)).any():
+            A[:k] = A[srt]
+            if track:
+                A[:k, w : w + k] = A[:k, w : w + k][:, srt]
+            order[:k] = order[srt]
+            piv = sorted(piv)
+    return piv, order
 
 
 def _eliminate(W: np.ndarray, ell: int, reduced: bool) -> list[int]:
@@ -205,6 +310,13 @@ def _eliminate(W: np.ndarray, ell: int, reduced: bool) -> list[int]:
     first r = len(pivots) rows are the pivot rows in pivot order, and in
     reduced row echelon form when `reduced`.  Without `reduced` only the
     pivots are meaningful: the rows above a panel are left as they are.
+
+    A panel other than the last is copied with its transform columns and
+    eliminated in rounds (`_panel`); its row order is then applied to W by
+    moving only the rows whose place changed, one product applies T to the
+    pivot rows right of the panel, and one more clears the panel's pivot
+    columns from the rows below them.  The last panel is the rest of its
+    rows and is eliminated in place.
     """
     m, n = W.shape
     pivots: list[int] = []
@@ -221,16 +333,15 @@ def _eliminate(W: np.ndarray, ell: int, reduced: bool) -> list[int]:
             # the transform is needed to reach the columns right of the panel
             A = np.zeros((m - r, 2 * w), dtype=W.dtype)
             A[:, :w] = W[r:, c0:c1]
-            piv, swaps = _panel(A, w, ell, True, clear_above=True)
+            piv, order = _panel(A, w, ell, True, clear_above=True)
         k = len(piv)
         if k == 0:
             continue
         cols = [c0 + j for j in piv]
         if c1 < n:
-            for a, b in swaps:  # W's rows from r on are zero left of c0
-                row = W[r + b, c0:].copy()
-                W[r + b, c0:] = W[r + a, c0:]
-                W[r + a, c0:] = row
+            moved = np.flatnonzero(order != np.arange(len(order)))
+            if len(moved):  # W's rows from r on are zero left of c0
+                W[r + moved, c0:] = W[r + order[moved], c0:]
             # pivot rows right of the panel: T times the rows as they were
             right = _reduce(_product(A[:k, w : w + k], W[r : r + k, c1:], ell, W.dtype), ell)
             rest = W[r + k :]
@@ -304,19 +415,29 @@ def rowspace_sum(
     """RREF basis and pivots of rowspace(A) + rowspace(B), for A in RREF with these pivots.
 
     B is reduced against A with one product and only its residues are
-    eliminated; they are zero in A's pivot columns, so clearing their pivot
-    columns from A's rows completes the echelon form.  A's rows and pivots
-    keep their places among the new ones, and A itself is returned when B
-    adds nothing.
+    eliminated; they are zero in A's pivot columns, so `merge_rref`
+    completes the echelon form.  A itself is returned when B adds nothing.
     """
     res = reduce_rows(B, A, pivots, ell)
     res = res[res.any(axis=1)]
     if len(res) == 0:
         return A, pivots
-    new, pn = rref(res, ell)
-    piv = np.concatenate([pivots, pn])
+    return merge_rref(A, pivots, *rref(res, ell), ell)
+
+
+def merge_rref(
+    A: np.ndarray, pa: np.ndarray, B: np.ndarray, pb: np.ndarray, ell: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """RREF basis and pivots of rowspace(A) + rowspace(B), for A and B in RREF
+    with pivots pa and pb and B zero in A's pivot columns.
+
+    No elimination: B's pivot columns are cleared from A's rows with one
+    product, and the rows are interleaved by pivot, so A's rows and pivots
+    keep their places among B's.
+    """
+    piv = np.concatenate([pa, pb])
     order = np.argsort(piv, kind="stable")
-    return np.vstack([reduce_rows(A, new, pn, ell), new])[order], piv[order]
+    return np.vstack([reduce_rows(A, B, pb, ell), B])[order], piv[order]
 
 
 def rowspace_intersect(

@@ -663,7 +663,12 @@ class Meataxe:
         submodule of the node's quotient, and the node was certified closed
         when it was added (the bottom is: 0 trivially, the summand S by
         `modules.eigen_split`).  So the child is closed iff every generator
-        maps those rows into it, and `certify_closed` tests only them."""
+        maps those rows into it, and `certify_closed` tests only them.
+
+        The quotient is coordinatised on the node's non-pivot columns, so
+        the lift of the line's RREF basis is zero at the node's pivots and in
+        RREF on the lifted pivots: the child's basis is the two merged
+        (`linalg.merge_rref`), with no elimination."""
         seeds = {}
         kernels = self.fitting_kernels(ambient, total, total - factors)  # the classes the walk meets
         head = len(nodes.nodes)
@@ -677,8 +682,11 @@ class Meataxe:
             lines_of = self.socle_lines(ambient if quot is None else quot, kernels, total - node.factors)
             for cls_idx, lines in lines_of.items():
                 for seed, line in lines:
-                    rows = line.basis if quot is None else quot.lift_rows(line.basis)
-                    basis, piv = linalg.rowspace_sum(node.sub.basis, node.sub.pivots, rows, self.ell)
+                    if quot is None:
+                        rows, rpiv = line.basis, line.pivots
+                    else:
+                        rows, rpiv = quot.lift_rows(line.basis), quot.nonpivots[line.pivots]
+                    basis, piv = linalg.merge_rref(node.sub.basis, node.sub.pivots, rows, rpiv, self.ell)
                     child = Submodule(ambient, basis, piv)
                     child.certify_closed(rows)
                     upper = nodes.add(child, node.factors + Counter({cls_idx: 1}))

@@ -349,30 +349,22 @@ class Summands:
         `linalg.rref` gives of W (1 - e_S).  A functional that vanishes on
         every row left refuses W: it cannot contain S.
 
-        The rows are updated in the storage dtype, one pass for each
-        distinct coefficient, so that no entry leaves (-ell, ell).
+        The basis and the functionals' values on it are updated together,
+        one pass for each functional (`linalg.clear_column`).
         """
         ell = self.S.action.ell
-        R = W.basis.copy()
-        F = linalg.matmul(R, self.proj, ell).astype(np.int64)  # dim W x dim S
+        n = W.basis.shape[1]
+        # the basis rows, followed by the values of the functionals on them
+        R = np.hstack([W.basis, linalg.matmul(W.basis, self.proj, ell)])
         keep = np.ones(len(R), dtype=bool)
-        inv = linalg.inv_table(ell)
-        m = R.dtype.type(ell)
-        for j in range(F.shape[1]):
-            live = np.flatnonzero(keep & (F[:, j] != 0))
+        for j in range(n, R.shape[1]):
+            live = np.flatnonzero(keep & (R[:, j] != 0))
             if len(live) == 0:
                 raise CertificationError(f"a dim-{W.dim} submodule does not contain the summand")
             i, above = live[-1], live[:-1]
-            coef = F[above, j] * inv[F[i, j]] % ell
-            F[above] = (F[above] - coef[:, None] * F[i]) % ell
-            for c in np.unique(coef):
-                sel = above[coef == c]
-                block = R[sel]
-                block -= linalg.asmat(R[i].astype(np.int64) * int(c), ell)
-                block %= m
-                R[sel] = block
+            R[above] = linalg.clear_column(R, above, i, j, ell)
             keep[i] = False
-        return Submodule(W.action, R[keep], W.pivots[keep])
+        return Submodule(W.action, R[keep, :n], W.pivots[keep])
 
 
 @dataclass

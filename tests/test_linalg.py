@@ -108,7 +108,8 @@ def reference_rref(A, ell):
         A[r] = A[r] * pow(int(A[r, c]), ell - 2, ell) % ell
         coeff = A[:, c].copy()
         coeff[r] = 0
-        A = (A - np.outer(coeff, A[r])) % ell
+        rows = np.flatnonzero(coeff)  # row r is zero left of c
+        A[rows, c:] = (A[rows, c:] - np.outer(coeff[rows], A[r, c:])) % ell
         pivots.append(c)
         r += 1
     return A[:r], pivots
@@ -121,8 +122,7 @@ def reference_nullspace(A, ell):
     N = np.zeros((len(free), n), dtype=np.int64)
     for i, f in enumerate(free):
         N[i, f] = 1
-        for k, p in enumerate(pivots):
-            N[i, p] = -R[k, f] % ell
+        N[i, pivots] = -R[:, f] % ell
     return reference_rref(N, ell)[0]
 
 
@@ -144,6 +144,34 @@ def kernel_cases(width, ell, rng):
     upper = np.triu(rng.integers(0, ell, size=(width, width)))
     upper[np.diag_indices(width)] = rng.integers(1, ell, size=width)
     yield "exchanges", np.vstack([np.zeros((1, width), dtype=np.int64), upper])
+    yield from blocked_cases(width, ell, rng)
+
+
+def blocked_cases(width, ell, rng):
+    """Panels taller than PANEL, eliminated in more than one round of blocks."""
+    P = linalg.PANEL
+    # the first PANEL rows are non-zero, of rank <= PANEL / 2 and zero left
+    # of column `half`; the later rows are not, so a later round finds
+    # pivots left of the first round's
+    half = min(width, P) // 2
+    rk = max(1, min(width - half, P // 2))
+    span = rng.integers(0, ell, size=(rk, width))
+    span[:, :half] = 0
+    span[:, half] = 0
+    span[0, half] = 1
+    coeffs = rng.integers(0, ell, size=(P, rk))
+    coeffs[:, 0] = rng.integers(1, ell, size=P)
+    top = coeffs @ span % ell
+    assert top.any(axis=1).all()
+    yield "late-left", np.vstack([top, rng.integers(0, ell, size=(3 * P + 5, width))])
+    yield "low-rows", np.vstack(
+        [np.zeros((3 * P, width), dtype=np.int64), rng.integers(0, ell, size=(P + 7, width))]
+    )
+    # three blocks of PANEL non-zero multiples of one row each, then the rest
+    lines = rng.integers(0, ell, size=(3, width))
+    lines[np.arange(3), np.arange(3) % width] = 1
+    mults = [np.outer(rng.integers(1, ell, size=P), v) % ell for v in lines]
+    yield "rounds", np.vstack(mults + [rng.integers(0, ell, size=(P // 2, width))])
 
 
 # 23 and 29 are the last ell with an int16 and the first with an int32 work dtype
@@ -166,6 +194,34 @@ def test_kernel_matches_pivot_at_a_time(width, ell):
             assert np.array_equal(linalg.nullspace(A, ell), reference_nullspace(A, ell)), name
         # the transpose crosses the panels in the other direction
         assert linalg.rank(A.T, ell) == len(piv0), name
+        RT0, pivT0 = reference_rref(A.T, ell)
+        RT, pivT = linalg.rref(A.T, ell)
+        assert np.array_equal(RT, RT0) and list(pivT) == pivT0, name
+        if A.shape[0]:
+            assert np.array_equal(linalg.nullspace(A.T, ell), reference_nullspace(A.T, ell)), name
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("ell", [3, 23, 29, 32749])
+def test_the_pivot_loop_sees_at_most_panel_rows(monkeypatch, width, ell):
+    heights = []
+    pivot_block = linalg._pivot_block
+
+    def recorded(B, *args):
+        heights.append(B.shape[0])
+        return pivot_block(B, *args)
+
+    monkeypatch.setattr(linalg, "_pivot_block", recorded)
+    rng = np.random.default_rng(2000 * width + ell)
+    for name, A in blocked_cases(width, ell, rng):
+        heights.clear()
+        R, piv = linalg.rref(A, ell)
+        assert heights and max(heights) <= linalg.PANEL, name
+        if name == "rounds" and width >= 3:
+            # the first panel takes a round for each block of multiples
+            assert len(heights) >= 3, name
+        heights.clear()
+        assert linalg.rank(A, ell) == len(piv) and max(heights) <= linalg.PANEL, name
 
 
 def reference_intersection(A, B, ell):
@@ -217,6 +273,21 @@ def test_every_result_is_one_stored_type(ell):
     assert_stored(Int, ell)
     assert np.array_equal(Int, I0) and list(ipiv) == ipiv0
     assert len(ipiv) == len(piv) + linalg.rank(B, ell) - len(spiv) >= 20
+
+
+@pytest.mark.parametrize("ell", [3, 127, 131, 32749])
+def test_clear_column_matches_int64(ell):
+    # 127 is the last ell whose multiples fit int16, 131 the first in int32
+    rng = np.random.default_rng(ell)
+    X = linalg.asmat(rng.integers(0, ell, size=(12, 40)), ell)
+    X[5, 7] = ell - 1
+    rows = np.array([0, 2, 3, 9, 11])
+    out = linalg.clear_column(X, rows, 5, 7, ell)
+    Y = X.astype(np.int64)
+    coef = Y[rows, 7] * pow(int(Y[5, 7]), ell - 2, ell) % ell
+    assert_stored(out, ell)
+    assert np.array_equal(out, (Y[rows] - coef[:, None] * Y[5]) % ell)
+    assert not out[:, 7].any()
 
 
 def test_full_rank_square_and_identity_block():

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -796,6 +797,34 @@ def _check_node_kernels(res):
 @pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
 def test_node_peak_kernels_are_the_left_kernels_on_the_quotient(analysis, family, size, ell):
     _check_node_kernels(analysis(family, size, ell))
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_walk_children_are_merged_not_eliminated(analysis, monkeypatch, family, size, ell):
+    # each child of the walk is its node plus the lift of an RREF line of the
+    # node's quotient, joined with no elimination: the same basis and pivots
+    # as the sum with the line reduced and eliminated afresh, and as the
+    # RREF of all the rows
+    res = analysis(family, size, ell)
+    merged = []
+    merge_rref = linalg.merge_rref
+
+    def recorded(A, pa, B, pb, ell):
+        out = merge_rref(A, pa, B, pb, ell)
+        if sys._getframe(1).f_code.co_name == "_walk":
+            merged.append((A, pa, B, out))
+        return out
+
+    monkeypatch.setattr(linalg, "merge_rref", recorded)
+    lat = res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.split)
+    assert _shape(lat) == _shape(res.lattice)
+    assert merged
+    for A, pa, B, (basis, piv) in merged:
+        ref, ref_piv = linalg.rowspace_sum(A, pa, B, ell)
+        assert np.array_equal(basis, ref) and np.array_equal(piv, ref_piv)
+        full, full_piv = linalg.rref(np.vstack([A, B]), ell)
+        assert np.array_equal(basis, full) and np.array_equal(piv, full_piv)
+        assert basis.dtype == storage_dtype(ell) and piv.dtype == ref_piv.dtype
 
 
 def test_fitting_kernels_of_generalised_nullity_above_one(analysis):
