@@ -206,12 +206,17 @@ def _print_suite_row(r: dict) -> None:
 
 
 def cmd_suite(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {args.seed}")
     instances = list(SUITE_INSTANCES)
     if args.extended:
         instances += EXTENDED_INSTANCES
     work = [(f, s, e, args.seed, args.max_p_size) for f, s, e in instances]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts all its workers at once: no more than rows
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             results = list(pool.map(_suite_one, work))
     else:
         results = [_suite_one(w) for w in work]

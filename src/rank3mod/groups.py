@@ -683,12 +683,17 @@ def generating_pair(
     """
     target = gd.formula_order // (points.space.q - 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, len(gd.mats), 0x2B]))
+    best = 0
     for _ in range(PAIR_DRAWS):
         pair = [word_perm(points, gd.mats, w) for w in _pair_words(rng, len(gd.mats))]
         chain = _pair_chain([p.on_P for p in pair], target, seed)
         if chain.order_lower_bound() == target:
             return pair, chain
-    raise BudgetExceededError(f"no certified generating pair within {PAIR_DRAWS} draws")
+        best = max(best, chain.order_lower_bound())
+    raise BudgetExceededError(
+        f"no certified generating pair within {PAIR_DRAWS} draws: the largest orbit "
+        f"lower bound reached was {best}, of the target {target}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ absolute-irreducibility certification, socles, socle series, and full
 submodule lattices at desk scale.
 
 The toolbox is the classical one.  Random algebra words (sums of short
-products of generators, drawn from a seeded stream; on a section of the
-permutation module, `modules.Section`, a gather per product term) are
+products of generators, drawn from a seeded stream) act on sections of the
+permutation module, `modules.Section`, by a gather per product term; they are
 probed through the annihilator polynomial of a seeded vector (Krylov);
 irreducible factors of that polynomial divide the characteristic
 polynomial, so kernel vectors of f(theta) are split candidates.  Norton's criterion certifies irreducibility
@@ -92,49 +92,28 @@ LATTICE_LENGTH_BOUND = 8  # composition length above which no lattice is built
 class Word:
     """Sum of scalar multiples of generator products.
 
-    Matrices are cached on the action under the word's terms, so equal words
-    drawn by different streams share them; the cache keeps the last four, as
-    a search reads a word's matrix only while it tries that word.  On a
-    permutation module each
-    product term is one permutation, so on a `Section` of one the word is a
-    gather per term and one product with the section's projection
-    (`Section.image`); no generator matrices are multiplied.
+    A word acts only on a `Section` of a permutation module, where each
+    product term is one permutation: its matrix is a gather per term and one
+    product with the section's projection (`Section.image`), plus the scalar
+    term on the diagonal; no generator matrices are multiplied.  Matrices
+    are cached on the section under the word's terms, so equal words drawn
+    by different streams share them; the cache keeps the last four, as a
+    search reads a word's matrix only while it tries that word.
     """
 
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def matrix(self, action) -> np.ndarray:
-        cache = getattr(action, "_word_cache", None)
-        if cache is None:
-            cache = {}
-            action._word_cache = cache
+    def matrix(self, action: Section) -> np.ndarray:
+        cache = action.word_cache
         hit = cache.get(self)
         if hit is not None:
             return hit
         if len(cache) >= 4:
             cache.pop(next(iter(cache)))
-        n, ell = action.dim, action.ell
-        if isinstance(action, Section) and not isinstance(action.ctx, ModCtx):
-            out = action.image([(1, self.matrix(action.ctx))])
-        elif isinstance(action, Section):
-            out = action.image([(c, _composite(action.ctx, seq)) for c, seq in self.terms if seq])
-            scalar = sum(c for c, seq in self.terms if not seq)
-            if scalar:
-                out = linalg.minus_scalar(out, -scalar, ell)
-        else:
-            out = np.zeros((n, n), dtype=np.int64)  # the sum of the terms, reduced once
-            for coeff, seq in self.terms:
-                if len(seq) == 0:
-                    out[np.arange(n), np.arange(n)] += coeff
-                    continue
-                if isinstance(action, ModCtx):
-                    out[np.arange(n), _composite(action, seq)] += coeff
-                else:
-                    M = action.gen_matrix(seq[0])
-                    for gi in seq[1:]:
-                        M = linalg.matmul(M, action.gen_matrix(gi), ell)
-                    out += np.multiply(coeff, M, dtype=np.int64)  # would wrap in M's dtype
-            out = linalg.asmat(out, ell)
+        out = action.image([(c, _composite(action.ctx, seq)) for c, seq in self.terms if seq])
+        scalar = sum(c for c, seq in self.terms if not seq)
+        if scalar:
+            out = linalg.minus_scalar(out, -scalar, action.ell)
         cache[self] = out
         return out
 
@@ -174,10 +153,9 @@ def word_stream(ngens: int, ell: int, seed: int, tag: int):
         yield Word(tuple(terms))
 
 
-def transpose_action(action):
-    if isinstance(action, ModCtx):
-        return ModCtx(action.ell, [np.argsort(p) for p in action.perms])
-    return DenseRep(action.ell, [action.gen_matrix(i).T for i in range(action.ngens)])
+def transpose_action(section: Section) -> DenseRep:
+    """The dual side of Norton's test: the transposed generator matrices."""
+    return DenseRep(section.ell, [section.gen_matrix(i).T for i in range(section.ngens)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +172,7 @@ def generalised_kernel(word: Word, lam: int, action, e: int) -> tuple[np.ndarray
 
     On a permutation module the power is formed transposed, from the
     identity by e rounds of row gathers (`Word.shifted_t_times`), with no
-    dense product; on a dense rep by repeated squaring."""
+    dense product; on a section by repeated squaring."""
     ell = action.ell
     if isinstance(action, ModCtx):
         n = action.dim
@@ -225,9 +203,9 @@ class FactorClass:
     """A certified-simple class, born with its `word`: the (word, eigenvalue)
     of nullity 1 on it that the chop certified it with, which also makes it
     absolutely irreducible.  `ensure_peaks` makes it a peak word, invertible
-    on every other class."""
+    on every other class.  `rep` is a copy of the section it was registered with."""
 
-    rep: Section | DenseRep
+    rep: Section
     dim: int
     word: tuple[Word, int]
     trivial: bool = False  # all generators act as the identity
@@ -305,18 +283,17 @@ class Meataxe:
         self.classes: list[FactorClass] = []
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0xC0]))
 
-    def register(self, rep, word: tuple[Word, int]) -> int:
+    def register(self, rep: Section, word: tuple[Word, int]) -> int:
         """Class index of a certified-simple rep: its class (`_class_of`), or
-        else a new class with `word`, of nullity 1 on rep, as its word.  A
-        section is kept as a copy without the matrices formed on it so far.
+        else a new class with `word`, of nullity 1 on rep, as its word.  The
+        section is kept as a copy, without the matrices formed on it so far.
         A simple module on which the group acts trivially has dimension 1, so
         no larger rep forms its generator matrices for the test."""
         idx = self._class_of(rep)
         if idx is not None:
             return idx
         trivial = rep.dim == 1 and all(rep.gen_matrix(i)[0, 0] == 1 for i in range(rep.ngens))
-        if isinstance(rep, Section):
-            rep = Section(rep.ctx, rep.lift, rep.unit_rows, rep.cols, rep.proj)
+        rep = Section(rep.ctx, rep.lift, rep.unit_rows, rep.cols, rep.proj)
         self.classes.append(FactorClass(rep, rep.dim, word, trivial))
         return len(self.classes) - 1
 
@@ -334,17 +311,19 @@ class Meataxe:
     def chop(self, action, split: EigenSplit | None = None) -> Counter:
         """Composition factors with multiplicities as Counter{class index}.
 
-        With `split`, an `EigenSplit` of `action` along an operator A that
-        commutes with it, only the split's pieces are chopped, and each
-        factor of a piece counts as often as the piece's multiplicity.  This
-        is exact: A commutes with the generators (`modules.eigen_split`
-        checks this where it builds the split), so Ker B and Im B are
-        submodules for every B = A - mu, and M / Ker B is isomorphic to Im B
-        by rank-nullity.  Unrolled along the chain E > E B > ... of each
-        generalised eigenspace E, the factors of M are those of the pieces
-        Ker(B | E B^j) / Ker(B | E B^(j+1)), each counted j + 1 times, and
-        the pieces' dimensions so counted are checked to add up to dim M.
-        The pieces are built by elimination only, with no random word.
+        Without `split`, `action` is a `Section`, chopped whole.  With
+        `split`, an `EigenSplit` of the permutation module `action` along an
+        operator A that commutes with it, only the split's pieces (sections
+        of it) are chopped, and each factor of a piece counts as often as
+        the piece's multiplicity.  This is exact: A commutes with the
+        generators (`modules.eigen_split` checks this where it builds the
+        split), so Ker B and Im B are submodules for every B = A - mu, and
+        M / Ker B is isomorphic to Im B by rank-nullity.  Unrolled along the
+        chain E > E B > ... of each generalised eigenspace E, the factors of
+        M are those of the pieces Ker(B | E B^j) / Ker(B | E B^(j+1)), each
+        counted j + 1 times, and the pieces' dimensions so counted are
+        checked to add up to dim M.  The pieces are built by elimination
+        only, with no random word.
         """
         out: Counter = Counter()
         stack = [(action, 1)] if split is None else list(split.pieces)
@@ -591,8 +570,9 @@ class Meataxe:
                 out[idx] = lines
         return out
 
-    def lattice(self, ambient, total: Counter | None = None, split: EigenSplit | None = None) -> Lattice:
-        """All submodules, certified.
+    def lattice(self, ambient, total: Counter, split: EigenSplit | None = None) -> Lattice:
+        """All submodules of `ambient`, a ModCtx or a Section, certified;
+        `total` are its composition factors (`chop`).
 
         Without a split, or when the split has no summands (the residues of
         the operator's eigenvalues mod ell are all equal), the lattice is
@@ -633,8 +613,6 @@ class Meataxe:
         otherwise, which is checked.  Glued nodes count against
         LATTICE_NODE_BUDGET.
         """
-        if total is None:
-            total = self.chop(ambient, split)
         length = sum(total.values())
         if length > LATTICE_LENGTH_BOUND:
             raise BudgetExceededError(
@@ -869,22 +847,17 @@ def _node_kernel(action, K: np.ndarray, Z: np.ndarray, ell: int) -> np.ndarray:
     return linalg.rref(linalg.matmul(C, KZ[: len(K)], ell), ell)[0]
 
 
-def _shifted(word: Word, action, lam: int) -> np.ndarray:
-    """theta - lam I, for theta the matrix of `word` on `action`."""
-    return linalg.minus_scalar(word.matrix(action), lam, action.ell)
+def _shifted(word: Word, section: Section, lam: int) -> np.ndarray:
+    """theta - lam I, for theta the matrix of `word` on `section`."""
+    return linalg.minus_scalar(word.matrix(section), lam, section.ell)
 
 
-def _kernel_on(word: Word, lam: int, action) -> np.ndarray:
-    """The left kernel of theta - lam on `action` as RREF rows, kept on the
-    action beside the word's matrices, so that each is taken once."""
-    cache = getattr(action, "_kernel_cache", None)
-    if cache is None:
-        cache = {}
-        action._kernel_cache = cache
-    K = cache.get((word, lam))
+def _kernel_on(word: Word, lam: int, section: Section) -> np.ndarray:
+    """The left kernel of theta - lam on `section` as RREF rows, kept on the
+    section beside the word's matrices, so that each is taken once."""
+    K = section.kernel_cache.get((word, lam))
     if K is None:
-        K = left_kernel(_shifted(word, action, lam), action.ell)
-        cache[(word, lam)] = K
+        K = section.kernel_cache[(word, lam)] = left_kernel(_shifted(word, section, lam), section.ell)
     return K
 
 

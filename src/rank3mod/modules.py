@@ -1,6 +1,6 @@
 """Linear algebra of the permutation modules F_ell[P] and F_ell[P0].
 
-A module is described by an action object of one of three kinds:
+A module is described by an action object of one of two kinds:
   - a ModCtx, the permutation module M itself, whose generators permute
     coordinates;
   - a Section W1 / W0 of M, for submodules W0 < W1 (`sub_rep`, `QuotCtx`,
@@ -8,9 +8,9 @@ A module is described by an action object of one of three kinds:
     of its basis into M and the projection back, so an element of the group
     algebra of M, a sum of permutations, acts on it by gathers and one
     product with the projection (`Section.image`).  Its generator matrices
-    are formed only when a spin or the isomorphism test asks for them;
-  - a DenseRep, whose generators are dense matrices (transposes, the
-    isomorphism test's S + T, and modules given by their matrices).
+    are formed only when a spin or the isomorphism test asks for them.
+Words act on sections alone.  A DenseRep, with dense generator matrices, is
+only spun: Norton's transpose side and the isomorphism test's S + T.
 Vectors are rows and matrices are F_ell matrices in `linalg`'s one storage
 dtype; right action throughout.
 
@@ -55,14 +55,9 @@ class ModCtx:
         # (v g)[k] = v[g^-1 k]
         return V[:, self.invperms[i]]
 
-    def gen_matrix(self, i: int) -> np.ndarray:
-        M = linalg.zeros((self.dim, self.dim), self.ell)
-        M[np.arange(self.dim), self.perms[i]] = 1
-        return M
-
 
 class DenseRep:
-    """Module with dense generator matrices over F_ell (right action)."""
+    """Module with dense generator matrices over F_ell (right action), only spun."""
 
     def __init__(self, ell: int, mats: list[np.ndarray]):
         self.ell = ell
@@ -75,9 +70,6 @@ class DenseRep:
 
     def act_rows(self, V: np.ndarray, i: int) -> np.ndarray:
         return linalg.matmul(V, self.mats[i], self.ell)
-
-    def gen_matrix(self, i: int) -> np.ndarray:
-        return self.mats[i]
 
 
 @dataclass(eq=False)
@@ -176,9 +168,10 @@ def _pivots_of(R: np.ndarray) -> np.ndarray:
 
 
 class Section:
-    """The section W1 / W0 of a module M (a ModCtx, or a DenseRep), for
+    """The section W1 / W0 of the permutation module M (a ModCtx), for
     submodules W0 < W1 of M, in the coordinates that `sub_rep` and `QuotCtx`
-    give it.  Every chop piece, chop split and factor class is one.
+    give it.  Every chop piece, chop split and factor class is one, and it is
+    the one kind of module a word acts on.
 
     It keeps its link to M.  The rows of `lift` (d x n) are representatives
     in W1 of its basis vectors, and x in W1 maps back to x[:, cols] proj
@@ -187,10 +180,11 @@ class Section:
     `unit_rows`, and cols is all of M.  An element theta of the group algebra
     of M acts on the section as lift theta[:, cols] proj (`image`).  The
     generator matrices are formed from it when first asked for
-    (`gen_matrix`), for a spin or the isomorphism test.
+    (`gen_matrix`), for a spin or the isomorphism test.  `word_cache` and
+    `kernel_cache` keep the word matrices and kernels `meataxe` takes on it.
     """
 
-    def __init__(self, ctx, lift, unit_rows, cols: np.ndarray, proj: np.ndarray | None):
+    def __init__(self, ctx: ModCtx, lift, unit_rows, cols: np.ndarray, proj: np.ndarray | None):
         self.ctx = ctx
         self.ell = ctx.ell
         self.lift = lift
@@ -199,6 +193,8 @@ class Section:
         self.proj = proj
         self.dim = len(unit_rows) if lift is None else lift.shape[0]
         self._gens: dict[int, np.ndarray] = {}
+        self.word_cache: dict = {}
+        self.kernel_cache: dict = {}
 
     @property
     def ngens(self) -> int:
@@ -210,9 +206,7 @@ class Section:
     def gen_matrix(self, i: int) -> np.ndarray:
         g = self._gens.get(i)
         if g is None:
-            ctx = self.ctx
-            g = self.image([(1, ctx.perms[i] if isinstance(ctx, ModCtx) else ctx.gen_matrix(i))])
-            self._gens[i] = g
+            g = self._gens[i] = self.image([(1, self.ctx.perms[i])])
         return g
 
     def in_module(self, V: np.ndarray) -> np.ndarray:
@@ -224,27 +218,15 @@ class Section:
         return out
 
     def image(self, terms) -> np.ndarray:
-        """The matrix of sum c g on the section, over terms (c, g): g is a
-        permutation pi of a ModCtx (its matrix P has P[i, pi[i]] = 1), or a
-        matrix of a DenseRep.
+        """The matrix of sum c g on the section, over terms (c, g) with g a
+        permutation pi of M (its matrix P has P[i, pi[i]] = 1).
 
-        On a ModCtx, lift P[:, cols] is the column gather of the lift at
-        pi^-1[cols], and for unit rows lift P proj is the row gather of proj
-        at pi[unit_rows]; the gathers are summed in the narrowest integer
-        type that holds the sum, and reduced once before the one product
-        with proj."""
+        lift P[:, cols] is the column gather of the lift at pi^-1[cols], and
+        for unit rows lift P proj is the row gather of proj at
+        pi[unit_rows]; the gathers are summed in the narrowest integer type
+        that holds the sum, and reduced once before the one product with
+        proj."""
         ell = self.ell
-        if not isinstance(self.ctx, ModCtx):
-            out = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for c, g in terms:
-                if self.lift is None:
-                    part = g[self.unit_rows]
-                else:
-                    part = linalg.matmul(self.lift, g[:, self.cols], ell)
-                if self.proj is not None:
-                    part = linalg.matmul(part, self.proj, ell)
-                out += np.multiply(c, part, dtype=np.int64)
-            return linalg.asmat(out, ell)
         acc_dtype = linalg.sum_dtype(len(terms), ell)
         acc = np.zeros((self.dim, self.dim if self.lift is None else len(self.cols)), dtype=acc_dtype)
         for c, pi in terms:
@@ -377,13 +359,14 @@ class EigenSplit:
     with S its eigenspace and D the other generalised eigenspaces, else None.
     """
 
-    pieces: list[tuple[object, int]]
+    pieces: list[tuple[Section, int]]
     summands: Summands | None
 
 
-def eigen_split(action, operator: np.ndarray, eigenvalues) -> EigenSplit:
-    """The pieces of `action` along an operator A that commutes with it, and
-    its summands S + D (see `EigenSplit`), by elimination alone.
+def eigen_split(ctx: ModCtx, operator: np.ndarray, eigenvalues) -> EigenSplit:
+    """The pieces of the permutation module `ctx` along an operator A that
+    commutes with it, and its summands S + D (see `EigenSplit`), by
+    elimination alone.  Every piece is a `Section` of ctx.
 
     `eigenvalues` are integers e with prod (A - e) = 0, repeated as in that
     product (for the adjacency operator: a, -rho0 and -rho1); the checks
@@ -416,8 +399,8 @@ def eigen_split(action, operator: np.ndarray, eigenvalues) -> EigenSplit:
     C S.basis with C the columns of q(A) / q(lam) at S's pivots; raises
     unless S e_S = S and D e_S = 0.
     """
-    ell = action.ell
-    _check_commutes(action, operator)
+    ell = ctx.ell
+    _check_commutes(ctx, operator)
     residues = [e % ell for e in eigenvalues]
     lam = next((r for r in residues if residues.count(r) == 1), None)
     pieces, others = [], []
@@ -427,15 +410,15 @@ def eigen_split(action, operator: np.ndarray, eigenvalues) -> EigenSplit:
             if e != mu:
                 shifted = linalg.minus_scalar(operator, e, ell)
                 Q = shifted if Q is None else linalg.matmul(Q, shifted, ell)
-        E = whole_submodule(action) if Q is None else Submodule(action, *linalg.rref(Q, ell))
-        pieces += _kernel_pieces(action, E, linalg.minus_scalar(operator, mu, ell))
+        E = whole_submodule(ctx) if Q is None else Submodule(ctx, *linalg.rref(Q, ell))
+        pieces += _kernel_pieces(ctx, E, linalg.minus_scalar(operator, mu, ell))
         if mu == lam:
             S, C = E, Q[:, E.pivots]
         else:
             others.append(E)
-    if sum(piece.dim * mult for piece, mult in pieces) != action.dim:
+    if sum(piece.dim * mult for piece, mult in pieces) != ctx.dim:
         raise CertificationError(
-            f"the operator's generalised eigenspaces do not make up all {action.dim} dimensions"
+            f"the operator's generalised eigenspaces do not make up all {ctx.dim} dimensions"
         )
     if lam is None:
         return EigenSplit(pieces, None)
@@ -453,23 +436,16 @@ def eigen_split(action, operator: np.ndarray, eigenvalues) -> EigenSplit:
     return EigenSplit(pieces, Summands(S, D, proj))
 
 
-def _check_commutes(action, operator: np.ndarray) -> None:
-    """Raise unless the operator commutes with every generator of the action."""
-    ell = action.ell
-    for i in range(action.ngens):
-        if isinstance(action, ModCtx):
-            p = action.perms[i]
-            ok = np.array_equal(operator[np.ix_(p, p)], operator)
-        else:
-            g = action.gen_matrix(i)
-            ok = np.array_equal(linalg.matmul(g, operator, ell), linalg.matmul(operator, g, ell))
-        if not ok:
+def _check_commutes(ctx: ModCtx, operator: np.ndarray) -> None:
+    """Raise unless the operator A commutes with every generator p of ctx: A[p][:, p] = A."""
+    for i, p in enumerate(ctx.perms):
+        if not np.array_equal(operator[np.ix_(p, p)], operator):
             raise CertificationError(f"the operator does not commute with generator {i}")
 
 
-def _kernel_pieces(action, E: Submodule, B: np.ndarray) -> list[tuple[object, int]]:
+def _kernel_pieces(ctx: ModCtx, E: Submodule, B: np.ndarray) -> list[tuple[Section, int]]:
     """(K_j / K_(j+1), j + 1) for K_j = Ker(B | E B^j), the nonzero ones."""
-    ell, n = action.ell, action.dim
+    ell, n = ctx.ell, ctx.dim
     kernels = []
     X, ker = E, None
     while True:
@@ -477,26 +453,26 @@ def _kernel_pieces(action, E: Submodule, B: np.ndarray) -> list[tuple[object, in
         if not Y.any():
             kernels.append(X)
             break
-        XB = Submodule(action, *linalg.rref(Y, ell))
+        XB = Submodule(ctx, *linalg.rref(Y, ell))
         if XB.dim == X.dim:
             raise CertificationError(
                 f"B is invertible on a dim-{X.dim} piece: the eigenvalues are not the operator's"
             )
         if ker is None:
             K = linalg.nullspace(B.T, ell)  # {x : x B = 0}, in RREF
-            ker = Submodule(action, K, _pivots_of(K))
+            ker = Submodule(ctx, K, _pivots_of(K))
         if X.dim - XB.dim == ker.dim:
             kernels.append(ker)
         else:
             meet = linalg.rowspace_intersect(ker.basis, ker.pivots, X.basis, ell)
-            kernels.append(Submodule(action, *meet))
+            kernels.append(Submodule(ctx, *meet))
         X = XB
     pieces = []
     for j, K in enumerate(kernels):
-        below = kernels[j + 1] if j + 1 < len(kernels) else zero_submodule(action)
+        below = kernels[j + 1] if j + 1 < len(kernels) else zero_submodule(ctx)
         if K.dim == below.dim:
             continue
-        rep = action if K.dim == n else sub_rep(K)
+        rep = sub_rep(K)
         if below.dim:
             rep = QuotCtx(rep, Submodule(rep, *linalg.rref(below.basis[:, K.pivots], ell)))
         pieces.append((rep, j + 1))

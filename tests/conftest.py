@@ -8,7 +8,7 @@ from rank3mod.analyze import run_analysis
 from rank3mod.fields import GF4_CONJ, GF4_MUL
 from rank3mod.geometry import SpaceSpec, build_space, enumerate_points
 from rank3mod.groups import build_group, induced_perm
-from rank3mod.modules import PermModule, Submodule, spin
+from rank3mod.modules import ModCtx, PermModule, Section, Submodule, spin, sub_rep, whole_submodule
 
 
 def naive_quadratic(space, v):
@@ -72,6 +72,40 @@ def zero_sum_and_ones(pm: PermModule) -> tuple[Submodule, Submodule]:
         Submodule(pm.ctxP, linalg.asmat(S, ell), np.arange(n - 1)),
         Submodule(pm.ctxP, linalg.asmat(ones, ell), np.array([0])),
     )
+
+
+def whole_section(ctx: ModCtx) -> Section:
+    """The permutation module ctx as a section of itself, so that a chop can
+    take it whole, with no split."""
+    return sub_rep(whole_submodule(ctx))
+
+
+def perm_matrix(p: np.ndarray, ell: int) -> np.ndarray:
+    """The matrix P of the permutation p, P[i, p[i]] = 1."""
+    n = len(p)
+    P = linalg.zeros((n, n), ell)
+    P[np.arange(n), p] = 1
+    return P
+
+
+def conjugated_section(section: Section, C: np.ndarray) -> Section:
+    """The section in the basis whose vectors are the rows of the invertible
+    C in its coordinates: lift C lift and projection proj C^-1, so that its
+    generator matrices are C g C^-1."""
+    ell, d = section.ell, section.dim
+    C = linalg.asmat(C, ell)
+    R, _ = linalg.rref(np.hstack([C, linalg.asmat(np.eye(d, dtype=np.int64), ell)]), ell)
+    Cinv = R[:, d:]
+    proj = Cinv if section.proj is None else linalg.matmul(section.proj, Cinv, ell)
+    return Section(section.ctx, section.in_module(C), None, section.cols, proj)
+
+
+def rotated_section(section: Section) -> Section:
+    """The same section data over the permutation module whose generators
+    are those of section's rotated by one: generator i acts as i + 1 did."""
+    ctx = section.ctx
+    rotated = ModCtx(ctx.ell, ctx.perms[1:] + ctx.perms[:1])
+    return Section(rotated, section.lift, section.unit_rows, section.cols, section.proj)
 
 
 def contains(A: Submodule, B: Submodule) -> bool:

@@ -122,9 +122,9 @@ def test_every_kept_matrix_has_the_storage_dtype(monkeypatch, ell, seed):
             kept = r.mats
         assert all(m.dtype == want for m in kept)
     assert all(nd.sub.basis.dtype == want for nd in res.lattice.nodes)
-    words = [m for a in [res.pm.ctxP, *reps] for m in getattr(a, "_word_cache", {}).values()]
+    words = [m for r in sections for m in r.word_cache.values()]
     assert words and all(m.dtype == want for m in words)
-    kernels = [K for a in reps for K in getattr(a, "_kernel_cache", {}).values()]
+    kernels = [K for r in sections for K in r.kernel_cache.values()]
     assert kernels and all(K.dtype == want for K in kernels)
     assert res.pm._adj.dtype == res.pm._cross.dtype == want
 
@@ -298,6 +298,56 @@ def test_cli_suite_out_writes_transcript_and_forwards_flags(capsys, monkeypatch,
     assert written == json.loads(capsys.readouterr().out)
     assert written["allPass"] is True
     assert [r["status"] for r in written["suite"]] == ["PASS", "PASS", "OUT_OF_SCALE"]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: notes max_workers, maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (1000, 3)])
+def test_cli_suite_pool_has_no_more_workers_than_rows(capsys, monkeypatch, jobs, workers):
+    import rank3mod.cli as cli
+
+    def fake_suite_one(item):
+        family, size, ell = item[:3]
+        return {"family": family, "size": size, "ell": ell, "status": "PASS"}
+
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli, "SUITE_INSTANCES", [("o+", 3, 5), ("u", 4, 3), ("o-", 3, 3)])
+    monkeypatch.setattr(cli, "_suite_one", fake_suite_one)
+    assert main(["suite", "--format", "json", "--jobs", str(jobs)]) == 0
+    assert _InlinePool.sizes == [workers]
+    assert len(json.loads(capsys.readouterr().out)["suite"]) == 4
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3"), ("--seed", "-1")])
+def test_cli_suite_refuses_a_flag_out_of_range(capsys, monkeypatch, flag, value):
+    import rank3mod.cli as cli
+
+    def never(item):
+        raise AssertionError("no row may run")
+
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli, "_suite_one", never)
+    assert main(["suite", flag, value]) == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert _InlinePool.sizes == []
 
 
 @pytest.mark.parametrize("error", [CertificationError, BudgetExceededError])

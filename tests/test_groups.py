@@ -634,6 +634,22 @@ def test_even_transvection_words_are_not_accepted(family, monkeypatch):
         generating_pair(gd, points, seed=0)
 
 
+def test_pair_give_up_names_the_largest_bound_reached(monkeypatch):
+    # every draw stalls, the largest bound in the middle of the draws; the
+    # message names it and the target
+    _, points, gd = cached_setup(OPLUS, 6)
+    draws = groups.PAIR_DRAWS
+    bounds = iter([100 + 7 * i % draws for i in range(draws)])
+
+    def stalled(perms, target, seed=0):
+        return SimpleNamespace(order_lower_bound=lambda b=next(bounds): b)
+
+    monkeypatch.setattr(groups, "_pair_chain", stalled)
+    want = rf"lower bound reached was {100 + draws - 1}, of the target {gd.formula_order}$"
+    with pytest.raises(BudgetExceededError, match=want):
+        generating_pair(gd, points, seed=0)
+
+
 def test_pair_bound_above_the_order_is_refused():
     _, points, gd = cached_setup(OPLUS, 6)
     pair = [p.on_P for p in generating_pair(gd, points, seed=0)[0]]

@@ -19,7 +19,7 @@ from rank3mod.meataxe import (
     transpose_action,
 )
 from rank3mod.modules import (
-    DenseRep,
+    ModCtx,
     QuotCtx,
     Section,
     Submodule,
@@ -28,19 +28,36 @@ from rank3mod.modules import (
     sub_rep,
     submodule_from_rows,
     sum_sub,
+    zero_submodule,
 )
 
-from conftest import cached_analysis, cached_pm, contains, graph_submodule, zero_sum_and_ones
+from conftest import (
+    cached_analysis,
+    cached_pm,
+    conjugated_section,
+    contains,
+    graph_submodule,
+    perm_matrix,
+    rotated_section,
+    whole_section,
+    zero_sum_and_ones,
+)
 
 
 def chop_dims(mt, total):
     return sorted((mt.classes[i].dim, m) for i, m in total.items())
 
 
+def walked_lattice(mt, ambient):
+    """The lattice of ambient walked from 0, after a chop of it with no split."""
+    section = whole_section(ambient) if isinstance(ambient, ModCtx) else ambient
+    return mt.lattice(ambient, mt.chop(section))
+
+
 def test_chop_oplus3_ell3():
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    total = mt.chop(pm.ctxP)
+    total = mt.chop(whole_section(pm.ctxP))
     assert chop_dims(mt, total) == [(1, 1), (7, 2), (13, 1)]
     # the dim-7 factor appears twice but as ONE isomorphism class
     sevens = [i for i in total if mt.classes[i].dim == 7]
@@ -50,21 +67,21 @@ def test_chop_oplus3_ell3():
 def test_chop_oplus3_ell5_semisimple():
     pm = cached_pm("o+", 6, 5)
     mt = Meataxe(5, pm.ctxP.ngens, seed=0)
-    total = mt.chop(pm.ctxP)
+    total = mt.chop(whole_section(pm.ctxP))
     assert chop_dims(mt, total) == [(1, 1), (7, 1), (20, 1)]
 
 
 def test_chop_zero_module():
     pm = cached_pm("o+", 6, 5)
     mt = Meataxe(5, pm.ctxP.ngens, seed=0)
-    zero = DenseRep(5, [np.zeros((0, 0), dtype=np.int64)] * pm.ctxP.ngens)
-    assert mt.chop(zero) == Counter()
+    zero = sub_rep(zero_submodule(pm.ctxP))
+    assert zero.dim == 0 and mt.chop(zero) == Counter()
 
 
 def test_trivial_vs_sign_classes_not_isomorphic():
     pm = cached_pm("o-", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    total = mt.chop(pm.ctxP)
+    total = mt.chop(whole_section(pm.ctxP))
     ones = sorted(i for i in total if mt.classes[i].dim == 1)
     assert len(ones) == 2
     trivial = [i for i in ones if mt.classes[i].trivial]
@@ -78,25 +95,18 @@ def test_is_iso_on_conjugated_rep():
     # the same factor written in a scrambled basis must be recognised
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    total = mt.chop(pm.ctxP)
+    total = mt.chop(whole_section(pm.ctxP))
     seven = next(i for i in total if mt.classes[i].dim == 7)
     rep = mt.classes[seven].rep
-    rng = np.random.default_rng(42)
-    while True:
-        C = rng.integers(0, 3, size=(7, 7)).astype(np.int64)
-        from rank3mod import linalg
-
-        if linalg.rank(C, 3) == 7:
-            break
-    Cinv = _inv_mod(C, 3)
-    conj = DenseRep(3, [(Cinv @ rep.gen_matrix(i) @ C) % 3 for i in range(rep.ngens)])
+    conj = _conjugated(rep, 3, np.random.default_rng(42))
+    assert not np.array_equal(conj.gen_matrix(0), rep.gen_matrix(0))
     assert mt.is_iso_rep(seven, conj)
 
 
 def test_register_maps_an_isomorphic_copy_to_its_class():
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     count = len(mt.classes)
     rng = np.random.default_rng(7)
     for idx in range(count):
@@ -108,30 +118,20 @@ def test_register_maps_an_isomorphic_copy_to_its_class():
     # chop certifies it and registers a new class
     seven = next(i for i, c in enumerate(mt.classes) if c.dim == 7)
     rep = mt.classes[seven].rep
-    rot = DenseRep(3, [rep.gen_matrix((i + 1) % rep.ngens) for i in range(rep.ngens)])
+    rot = rotated_section(rep)
     assert _hom_dim(rep, rot, 3) == 0
     assert mt.chop(rot) == Counter({count: 1})
     assert len(mt.classes) == count + 1 and mt.classes[count].dim == 7
 
 
 def _conjugated(rep, ell, rng):
-    """rep written in a random basis: C^-1 rep(g) C for a random invertible C."""
+    """rep written in a random basis: C rep(g) C^-1 for a random invertible C."""
     d = rep.dim
     while True:
         C = rng.integers(0, ell, size=(d, d)).astype(np.int64)
         if linalg.rank(C, ell) == d:
             break
-    Cinv = _inv_mod(C, ell).astype(np.int64)
-    return DenseRep(ell, [(Cinv @ rep.gen_matrix(i) @ C) % ell for i in range(rep.ngens)])
-
-
-def _inv_mod(A, ell):
-    from rank3mod import linalg
-
-    n = A.shape[0]
-    aug = np.hstack([A % ell, np.eye(n, dtype=np.int64)])
-    R, _ = linalg.rref(aug, ell)
-    return R[:, n:]
+    return conjugated_section(rep, C)
 
 
 def _hom_dim(S, T, ell):
@@ -155,7 +155,7 @@ def test_is_iso_rep_matches_hom_reference(family, dim):
     ell = 3
     pm = cached_pm(family, dim, ell)
     mt = Meataxe(ell, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     rng = np.random.default_rng(dim)
     spin_decided = 0
     for idx, cls in enumerate(mt.classes):
@@ -163,7 +163,7 @@ def test_is_iso_rep_matches_hom_reference(family, dim):
             continue
         rep, d = cls.rep, cls.dim
         conj = _conjugated(rep, ell, rng)
-        rot = DenseRep(ell, [rep.gen_matrix((i + 1) % rep.ngens) for i in range(rep.ngens)])
+        rot = rotated_section(rep)
         assert _hom_dim(rep, conj, ell) == 1
         assert mt.is_iso_rep(idx, conj)
         iso_rot = mt.is_iso_rep(idx, rot)
@@ -179,7 +179,7 @@ def test_is_iso_rep_matches_hom_reference(family, dim):
 def test_abs_irred_certificates():
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    total = mt.chop(pm.ctxP)
+    total = mt.chop(whole_section(pm.ctxP))
     mt.ensure_peaks()
     for i in total:
         word, lam = mt.classes[i].word
@@ -191,7 +191,7 @@ def test_every_class_is_born_with_a_nullity1_word(family, dim, ell):
     # right after the chop, before ensure_peaks: dim-1 classes included
     pm = cached_pm(family, dim, ell)
     mt = Meataxe(ell, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     assert any(cls.dim == 1 for cls in mt.classes)
     for cls in mt.classes:
         word, lam = cls.word
@@ -199,9 +199,14 @@ def test_every_class_is_born_with_a_nullity1_word(family, dim, ell):
 
 
 def test_chop_refuses_a_simple_module_with_a_larger_endomorphism_ring():
-    # g^2 = -1 over F_3: F_3[g] = F_9 acts on F_3^2, simple with End = F_9,
-    # and no word a + b g has an eigenvalue of nullity 1 in F_3
-    rep = DenseRep(3, [np.array([[0, 1], [2, 0]])])
+    # g a 4-cycle: on Ker(g^2 + 1) in F_3^4, g^2 = -1, so F_3[g] = F_9 acts
+    # on F_3^2, simple with End = F_9, and no word a + b g has an
+    # eigenvalue of nullity 1 in F_3
+    ctx = ModCtx(3, [np.array([1, 2, 3, 0])])
+    g = perm_matrix(ctx.perms[0], 3)
+    g2_plus_1 = linalg.matmul(g, g, 3) + np.eye(4, dtype=g.dtype)
+    rep = sub_rep(submodule_from_rows(ctx, left_kernel(g2_plus_1, 3)))
+    assert rep.dim == 2
     mt = Meataxe(3, 1, seed=0)
     with pytest.raises(BudgetExceededError, match=r"dim-2 module or has an eigenvalue in F_3 of nullity 1"):
         mt.chop(rep)
@@ -227,7 +232,7 @@ def test_chop_word_becomes_the_class_word_and_a_separating_one_is_kept(monkeypat
     monkeypatch.setattr(Meataxe, "_nullity1_search", counted)
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     first = {}
     for idx, word in norton:
         first.setdefault(idx, word)
@@ -246,10 +251,10 @@ def test_socle_of_augmentation_oplus3_ell3():
     # the zero-sum submodule is uniserial X - Z - X at ell = 3
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     S, _T = zero_sum_and_ones(pm)
     rep = sub_rep(S)
-    layers = mt.socle_series(rep, mt.lattice(rep))
+    layers = mt.socle_series(rep, walked_lattice(mt, rep))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
     assert dims == [[(7, 1)], [(13, 1)], [(7, 1)]]
     # head-socle symmetry of the self-dual module with simple socle: the top
@@ -264,10 +269,10 @@ def test_socle_series_u5_ell3_augmentation():
     # spec'd example: X - Z - (FF + W) - Z - X
     pm = cached_pm("u", 5, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     S, _T = zero_sum_and_ones(pm)
     rep = sub_rep(S)
-    layers = mt.socle_series(rep, mt.lattice(rep))
+    layers = mt.socle_series(rep, walked_lattice(mt, rep))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
     assert dims == [[(55, 1)], [(10, 1)], [(1, 1), (44, 1)], [(10, 1)], [(55, 1)]]
 
@@ -275,7 +280,7 @@ def test_socle_series_u5_ell3_augmentation():
 def test_socle_of_semisimple_is_everything():
     pm = cached_pm("o+", 6, 5)
     mt = Meataxe(5, pm.ctxP.ngens, seed=0)
-    layers = mt.socle_series(pm.ctxP, mt.lattice(pm.ctxP))
+    layers = mt.socle_series(pm.ctxP, walked_lattice(mt, pm.ctxP))
     assert len(layers) == 1
     assert sum(mt.classes[i].dim * t for i, t in layers[0].items()) == 28
 
@@ -291,9 +296,9 @@ def test_socle_series_refuses_a_lattice_with_a_node_or_an_edge_removed():
     # on the uniserial X - Z - X every node and every edge is on the socle walk
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     rep = sub_rep(zero_sum_and_ones(pm)[0])
-    lat = mt.lattice(rep)
+    lat = walked_lattice(mt, rep)
     assert len(mt.socle_series(rep, lat)) == 3
     assert len(lat.nodes) == 4 and len(lat.edges) == 3
     for node in lat.nodes:
@@ -306,7 +311,7 @@ def test_socle_series_refuses_a_lattice_with_a_node_or_an_edge_removed():
     # it the sum of the zero node's covers is no node
     pm = cached_pm("u", 4, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    lat = mt.lattice(pm.ctxP)
+    lat = walked_lattice(mt, pm.ctxP)
     (first, *_rest) = mt.socle_series(pm.ctxP, lat)
     soc_dim = sum(mt.classes[i].dim * t for i, t in first.items())
     (soc,) = [n for n in lat.nodes if n.dim == soc_dim and n.factors == first]
@@ -318,7 +323,7 @@ def test_certify_lattice_refuses_a_lattice_with_a_node_or_an_edge_removed():
     # O+6(2), ell = 5: the boolean lattice of three simple summands
     pm = cached_pm("o+", 6, 5)
     mt = Meataxe(5, pm.ctxP.ngens, seed=0)
-    lat = mt.lattice(pm.ctxP)
+    lat = walked_lattice(mt, pm.ctxP)
     assert len(lat.nodes) == 8 and len(lat.edges) == 12
     mt._certify_lattice(lat, pm.ctxP)
     for node in lat.nodes:
@@ -335,9 +340,9 @@ def test_certify_lattice_refuses_a_lattice_with_a_node_or_an_edge_removed():
     # missing middle node or edge leaves two nested nodes looking incomparable
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     rep = sub_rep(zero_sum_and_ones(pm)[0])
-    lat = mt.lattice(rep)
+    lat = walked_lattice(mt, rep)
     assert sorted(n.dim for n in lat.nodes) == [0, 7, 20, 27]
     mt._certify_lattice(lat, rep)
     for node in lat.nodes:
@@ -360,14 +365,14 @@ def test_lattice_runs_ensure_peaks_once(monkeypatch):
     monkeypatch.setattr(Meataxe, "ensure_peaks", counted)
     pm = cached_pm("u", 4, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    lat = mt.lattice(pm.ctxP)
+    lat = walked_lattice(mt, pm.ctxP)
     assert len(lat.nodes) == 12 and len(calls) == 1
 
 
 def test_lattice_boolean_for_multiplicity_free_semisimple():
     pm = cached_pm("o+", 6, 5)
     mt = Meataxe(5, pm.ctxP.ngens, seed=0)
-    lat = mt.lattice(pm.ctxP)
+    lat = walked_lattice(mt, pm.ctxP)
     assert len(lat.nodes) == 8
     assert len(lat.edges) == 12
     assert sorted(n.dim for n in lat.nodes) == [0, 1, 7, 8, 20, 21, 27, 28]
@@ -376,7 +381,7 @@ def test_lattice_boolean_for_multiplicity_free_semisimple():
 def test_lattice_uniserial_plus_simple_oplus3_ell7():
     pm = cached_pm("o+", 6, 7)
     mt = Meataxe(7, pm.ctxP.ngens, seed=0)
-    lat = mt.lattice(pm.ctxP)
+    lat = walked_lattice(mt, pm.ctxP)
     assert len(lat.nodes) == 8
     assert sorted(n.dim for n in lat.nodes) == [0, 1, 7, 8, 20, 21, 27, 28]
     # containment chain through dims 1 < 20 < 21 exists (T < U' < U)
@@ -388,7 +393,7 @@ def test_lattice_uniserial_plus_simple_oplus3_ell7():
 def test_lattice_u4_ell3_diamond():
     pm = cached_pm("u", 4, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    lat = mt.lattice(pm.ctxP)
+    lat = walked_lattice(mt, pm.ctxP)
     assert len(lat.nodes) == 12
     assert sorted(n.dim for n in lat.nodes) == [0, 1, 10, 11, 15, 16, 24, 25, 29, 30, 39, 40]
 
@@ -398,7 +403,7 @@ def test_lattice_length_bound(monkeypatch):
     pm = cached_pm("u", 5, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     with pytest.raises(BudgetExceededError, match="LATTICE_LENGTH_BOUND = 3"):
-        mt.lattice(pm.ctxP)
+        walked_lattice(mt, pm.ctxP)
 
 
 def test_lattice_give_up_names_its_node_budget(monkeypatch):
@@ -407,7 +412,7 @@ def test_lattice_give_up_names_its_node_budget(monkeypatch):
     pm = cached_pm("u", 4, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
     with pytest.raises(BudgetExceededError, match=r"node budget exceeded \(5 nodes\)"):
-        mt.lattice(pm.ctxP)
+        walked_lattice(mt, pm.ctxP)
 
 
 def test_nullity1_give_up_names_its_word_budget():
@@ -416,7 +421,7 @@ def test_nullity1_give_up_names_its_word_budget():
     # copies in vain and names them and its budget
     pm = cached_pm("u", 4, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     five = next(c for c in mt.classes if c.dim == 5)
     mt.classes.append(FactorClass(five.rep, five.dim, five.word))
     budget = meataxe.WORD_BUDGET
@@ -428,7 +433,7 @@ def test_determinism_same_seed_same_lattice():
     def run():
         pm = cached_pm("o-", 6, 3)
         mt = Meataxe(3, pm.ctxP.ngens, seed=7)
-        lat = mt.lattice(pm.ctxP)
+        lat = walked_lattice(mt, pm.ctxP)
         return [(n.dim, n.sub.key()) for n in lat.nodes], [
             (a, b) for a, b, _ in lat.edges
         ]
@@ -438,11 +443,11 @@ def test_determinism_same_seed_same_lattice():
 
 def test_transpose_action_roundtrip():
     pm = cached_pm("o+", 6, 3)
-    tr = transpose_action(pm.ctxP)
+    tr = transpose_action(whole_section(pm.ctxP))
     v = np.arange(28, dtype=np.int64) % 3
     for gi in range(pm.ctxP.ngens):
         a = tr.act_rows(v[None, :], gi)[0]
-        M = pm.ctxP.gen_matrix(gi).T
+        M = perm_matrix(pm.ctxP.perms[gi], 3).T
         assert (a == (v @ M) % 3).all()
 
 
@@ -570,7 +575,7 @@ def test_split_refuses_a_summand_that_is_not_simple_or_not_a_complement():
     # 28 points, so the all-ones line lies in the zero-sum submodule
     pm = cached_pm("o+", 6, 7)
     mt = Meataxe(7, pm.ctxP.ngens, seed=0)
-    mt.chop(pm.ctxP)
+    mt.chop(whole_section(pm.ctxP))
     mt.ensure_peaks()
     split = eigen_split(pm.ctxP, pm._adj, (12, -2, 4)).summands
     assert (split.S.dim, split.D.dim) == (7, 21)
@@ -596,7 +601,7 @@ def test_split_names_the_summand_and_its_peak_kernel_line(analysis, family, size
     assert s.any() and s[np.flatnonzero(s)[0]] == 1
     assert linalg.in_rowspace(s, split.S.basis, split.S.pivots, ell)
     word, lam = mt.classes[summand].word
-    assert not linalg.matmul(s[None], _shifted(word, ctx, lam), ell).any()
+    assert not linalg.matmul(s[None], _shifted(word, whole_section(ctx), lam), ell).any()
 
 
 def test_split_names_the_trivial_class_among_two_of_dimension_one(analysis):
@@ -728,10 +733,11 @@ def _counted_peak_kernels(monkeypatch):
     generalised = meataxe.generalised_kernel
 
     def checked(self, action, kernels, factors):
+        section = whole_section(action) if isinstance(action, ModCtx) else action
         for idx, cls in enumerate(self.classes):
             if not factors[idx]:
                 word, lam = cls.word
-                skipped.append(left_kernel(_shifted(word, action, lam), self.ell).shape[0])
+                skipped.append(left_kernel(_shifted(word, section, lam), self.ell).shape[0])
         return socle_lines(self, action, kernels, factors)
 
     def counted_node(action, K, Z, ell):
@@ -786,7 +792,7 @@ def _check_node_kernels(res):
     for node in res.lattice.nodes:
         if node.dim == ctx.dim:
             continue
-        action = ctx if node.dim == 0 else QuotCtx(ctx, node.sub)
+        action = whole_section(ctx) if node.dim == 0 else QuotCtx(ctx, node.sub)
         for idx, (K, Z) in kernels.items():
             word, lam = mt.classes[idx].word
             direct = left_kernel(_shifted(word, action, lam), ell)
@@ -867,7 +873,7 @@ def test_chop_of_the_pieces_equals_the_whole_chop(analysis, family, size, ell, s
     res = analysis(family, size, ell, seed)
     mt, total = res.meataxe, res.chop_total
     whole = Meataxe(ell, res.pm.ctxP.ngens, seed=seed)
-    whole_total = whole.chop(res.pm.ctxP)
+    whole_total = whole.chop(whole_section(res.pm.ctxP))
     assert chop_dims(mt, total) == chop_dims(whole, whole_total)
     partners = set()
     for idx, mult in total.items():
@@ -887,13 +893,11 @@ def test_u6_ell3_pieces_are_the_kernel_quotient_and_the_image(analysis):
 
 def test_split_refuses_an_operator_that_does_not_commute():
     pm = cached_pm("o+", 6, 5)
-    dense = DenseRep(5, [pm.ctxP.gen_matrix(i) for i in range(pm.ctxP.ngens)])
     swapped = pm._adj.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    for action in (pm.ctxP, dense):
-        eigen_split(action, pm._adj, (12, -2, 4))
-        with pytest.raises(CertificationError, match="does not commute"):
-            eigen_split(action, swapped, (12, -2, 4))
+    eigen_split(pm.ctxP, pm._adj, (12, -2, 4))
+    with pytest.raises(CertificationError, match="does not commute"):
+        eigen_split(pm.ctxP, swapped, (12, -2, 4))
 
 
 def test_split_refuses_eigenvalues_that_are_not_the_operators():
@@ -916,12 +920,13 @@ def test_kernel_chain_of_a_jordan_operator_gives_the_whole_chop(blocks, pieces):
         for i in range(start, start + size - 1):
             A[i, i + 1] = 1
         start += size
-    rep = DenseRep(ell, [np.eye(n, dtype=np.int64)] * 2)
-    split = eigen_split(rep, A, (2, 2, 2))
+    ctx = ModCtx(ell, [np.arange(n)] * 2)
+    split = eigen_split(ctx, A, (2, 2, 2))
     assert split.summands is None
     assert sorted((piece.dim, mult) for piece, mult in split.pieces) == pieces
     mt, whole = Meataxe(ell, 2, seed=0), Meataxe(ell, 2, seed=0)
-    assert chop_dims(mt, mt.chop(rep, split)) == chop_dims(whole, whole.chop(rep)) == [(1, n)]
+    total = whole.chop(whole_section(ctx))
+    assert chop_dims(mt, mt.chop(ctx, split)) == chop_dims(whole, total) == [(1, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -958,11 +963,11 @@ def _dense_word(word, gens, ell):
 
 def _section_kinds(ell):
     """(name, section, its generators by dense products) on O+6(2) with its
-    certified generating pair: M's zero-sum submodule S > V = U'_2 (dim 7),
-    and a class rep of the chop."""
+    certified generating pair: M itself, M's zero-sum submodule S > V = U'_2
+    (dim 7), and a class rep of the chop."""
     pm = cached_analysis("o+", 3, ell).pm
     M = pm.ctxP
-    gens = [M.gen_matrix(i).astype(np.int64) for i in range(M.ngens)]
+    gens = [perm_matrix(p, ell).astype(np.int64) for p in M.perms]
     S, _ones = zero_sum_and_ones(pm)
     V = graph_submodule(pm, 2)
     assert V.dim == 7 and contains(S, V)
@@ -972,13 +977,14 @@ def _section_kinds(ell):
     S_mod_v = submodule_from_rows(quot, quot.project_rows(S.basis))
     assert S_mod_v.dim == S.dim - V.dim
     kinds = [
+        ("whole M", whole_section(M), gens),
         ("sub of M", on_s, _dense_sub(gens, S, ell)),
         ("quotient of M", quot, _dense_quotient(gens, V, ell)),
         ("quotient of a sub", QuotCtx(on_s, V_in_s), _dense_quotient(_dense_sub(gens, S, ell), V_in_s, ell)),
         ("sub of a quotient", sub_rep(S_mod_v), _dense_sub(_dense_quotient(gens, V, ell), S_mod_v, ell)),
     ]
     mt = Meataxe(ell, M.ngens, seed=0)
-    mt.chop(M)
+    mt.chop(whole_section(M))
     rep = max((c.rep for c in mt.classes), key=lambda r: r.dim)
     assert isinstance(rep, Section) and rep.dim > 1
     lift = (
