@@ -75,6 +75,12 @@ def _check_ell(ell: int):
         raise ValueError(f"ell must be an odd prime, got {ell}")
 
 
+def _check_seed(seed: int):
+    # numpy's seed sequences refuse a negative seed with a message that does not name the flag
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {seed}")
+
+
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -120,6 +126,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_order(args) -> int:
+    _check_seed(args.seed)
     spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     space = build_space(spec)
     ps = enumerate_points(space)
@@ -162,6 +169,7 @@ def cmd_expect(args) -> int:
 def _analyze(args) -> bool:
     """Run and print one analysis; returns whether it matches the tables."""
     _check_ell(args.ell)
+    _check_seed(args.seed)
     res = run_analysis(args.family, _size_of(args), args.ell, seed=args.seed, max_p=args.max_p_size)
     _emit(res.report, args.format)
     return res.report["verdict"]["match"]
@@ -208,8 +216,7 @@ def _print_suite_row(r: dict) -> None:
 def cmd_suite(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, not {args.seed}")
+    _check_seed(args.seed)
     instances = list(SUITE_INSTANCES)
     if args.extended:
         instances += EXTENDED_INSTANCES

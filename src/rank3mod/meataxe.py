@@ -167,31 +167,18 @@ def left_kernel(M: np.ndarray, ell: int) -> np.ndarray:
     return linalg.nullspace(M.T, ell)
 
 
-def generalised_kernel(word: Word, lam: int, action, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """K = Ker (theta - lam)^e on `action` as RREF rows, and Z = K (theta - lam).
-
-    On a permutation module the power is formed transposed, from the
+def generalised_kernel(word: Word, lam: int, ctx: ModCtx, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """K = Ker (theta - lam)^e on the permutation module `ctx` as RREF rows,
+    and Z = K (theta - lam).  The power is formed transposed, from the
     identity by e rounds of row gathers (`Word.shifted_t_times`), with no
-    dense product; on a section by repeated squaring."""
-    ell = action.ell
-    if isinstance(action, ModCtx):
-        n = action.dim
-        Y = linalg.zeros((n, n), ell)
-        Y[np.arange(n), np.arange(n)] = 1
-        for _ in range(e):
-            Y = word.shifted_t_times(action, lam, Y)
-        K = linalg.nullspace(Y, ell)  # {x : x Y^T = 0}, and Y^T = (theta - lam)^e
-        return K, np.ascontiguousarray(word.shifted_t_times(action, lam, K.T).T)
-    A = _shifted(word, action, lam)
-    power, square = None, A
-    while e:
-        if e & 1:
-            power = square if power is None else linalg.matmul(power, square, ell)
-        e >>= 1
-        if e:
-            square = linalg.matmul(square, square, ell)
-    K = left_kernel(power, ell)
-    return K, linalg.matmul(K, A, ell)
+    dense product."""
+    ell, n = ctx.ell, ctx.dim
+    Y = linalg.zeros((n, n), ell)
+    Y[np.arange(n), np.arange(n)] = 1
+    for _ in range(e):
+        Y = word.shifted_t_times(ctx, lam, Y)
+    K = linalg.nullspace(Y, ell)  # {x : x Y^T = 0}, and Y^T = (theta - lam)^e
+    return K, np.ascontiguousarray(word.shifted_t_times(ctx, lam, K.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +470,20 @@ class Meataxe:
 
     # -- socle lines, the lattice and the socle series ------------------------
 
-    def fitting_kernels(self, action, total: Counter, classes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def fitting_kernels(
+        self, ambient: ModCtx, total: Counter, classes
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """For each class of `classes`, which are among those of `total`, the
-        composition factors of `action`: (K, K (theta - lam)), for
-        (theta, lam) the class's peak word and K the Fitting kernel of
-        theta - lam on `action` (`socle_lines`).
+        composition factors of the permutation module `ambient`:
+        (K, K (theta - lam)), for (theta, lam) the class's peak word and K
+        the Fitting kernel of theta - lam on `ambient` (`socle_lines`).
 
         A class of multiplicity m whose kernel chain on its rep stops at step
         j with generalised nullity nu (`FactorClass.kernel_chain`) has
         K = Ker (theta - lam)^(m j), refused unless dim K = m nu.  The
         generalised nullity adds up along a composition series, and theta -
         lam is invertible on every other class, so dim K = m nu exactly when
-        `total` is right.  A composition series of `action` cuts K into
+        `total` is right.  A composition series of `ambient` cuts K into
         layers, m of them non-zero, each inside the generalised kernel of a
         factor of this class, which (theta - lam)^j kills: so the power m j
         kills K.  nu may exceed 1, as the peak-word search does not ask for
@@ -504,7 +493,7 @@ class Meataxe:
         for idx in sorted(classes):
             cls = self.classes[idx]
             j, nu = cls.kernel_chain(self.ell)
-            K, Z = generalised_kernel(*cls.word, action, total[idx] * j)
+            K, Z = generalised_kernel(*cls.word, ambient, total[idx] * j)
             if K.shape[0] != total[idx] * nu:
                 raise CertificationError(
                     f"the Fitting kernel of a peak word has dimension {K.shape[0]}, not "
@@ -514,12 +503,12 @@ class Meataxe:
         return out
 
     def socle_lines(
-        self, action, kernels: dict[int, tuple[np.ndarray, np.ndarray]], factors: Counter
+        self, action: ModCtx | QuotCtx, kernels: dict[int, tuple[np.ndarray, np.ndarray]], factors: Counter
     ) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
         """For each class: the simple submodules of `action` it is isomorphic to.
 
-        `action` is a module M or a quotient M / N of it (a `QuotCtx` with
-        ambient M), and `kernels` are M's `fitting_kernels`.  Returns dict
+        `action` is the permutation module M or a quotient M / N of it (a
+        `QuotCtx` of M), and `kernels` are M's `fitting_kernels`.  Returns dict
         class_idx -> [(seed, line)...], where each line is spun from its
         seed, a kernel vector of the class's peak word.  Every class must
         hold its peak word (`lattice` runs `ensure_peaks` once).  A candidate
@@ -570,9 +559,11 @@ class Meataxe:
                 out[idx] = lines
         return out
 
-    def lattice(self, ambient, total: Counter, split: EigenSplit | None = None) -> Lattice:
-        """All submodules of `ambient`, a ModCtx or a Section, certified;
-        `total` are its composition factors (`chop`).
+    def lattice(self, ambient: ModCtx, total: Counter, split: EigenSplit | None = None) -> Lattice:
+        """All submodules of the permutation module `ambient`, certified;
+        `total` are its composition factors (`chop`).  The peak words'
+        Fitting kernels are taken on it (`fitting_kernels`), and the walk's
+        quotients of it are only spun and projected.
 
         Without a split, or when the split has no summands (the residues of
         the operator's eigenvalues mod ell are all equal), the lattice is
@@ -628,14 +619,15 @@ class Meataxe:
         return self._glue(ambient, split.summands, total)
 
     def _walk(
-        self, ambient, nodes: _Nodes, bottom: Submodule, factors: Counter, total: Counter, summand=None
+        self, ambient: ModCtx, nodes: _Nodes, bottom: Submodule, factors: Counter, total: Counter, summand=None
     ) -> dict:
-        """Add the interval [bottom, ambient] to `nodes`, bottom-up by minimal
-        overmodules; `factors` and `total` are the composition factors of
-        bottom and of ambient, so those of a node's quotient are
-        total - node.factors.  Returns, for each cover labelled with class
-        `summand`, (lower ident, upper ident) -> a lift to the ambient of the
-        seed of its quotient, the peak-word kernel line.
+        """Add the interval [bottom, ambient] of the permutation module
+        `ambient` to `nodes`, bottom-up by minimal overmodules; `factors` and
+        `total` are the composition factors of bottom and of ambient, so
+        those of a node's quotient are total - node.factors.  Returns, for
+        each cover labelled with class `summand`, (lower ident, upper ident)
+        -> a lift to the ambient of the seed of its quotient, the peak-word
+        kernel line.
 
         A child is node + span(rows), for the rows lifted from a simple
         submodule of the node's quotient, and the node was certified closed
@@ -674,11 +666,12 @@ class Meataxe:
                         seeds[(node.ident, upper.ident)] = lift
         return seeds
 
-    def _certify_split(self, ambient, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
-        """Check that ambient = S + D with S simple.  Returns S's class and a
-        vector s spanning the kernel of the class's peak word on S.  S is
-        simple exactly when the isomorphism test matches it with a class
-        (`_class_of`), and the class's peak word then has nullity 1 on S.
+    def _certify_split(self, ambient: ModCtx, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
+        """Check that the permutation module ambient = S + D with S simple.
+        Returns S's class and a vector s spanning the kernel of the class's
+        peak word on S.  S is simple exactly when the isomorphism test
+        matches it with a class (`_class_of`), and the class's peak word then
+        has nullity 1 on S.
 
         S and D are not checked to be closed again: `modules.eigen_split`
         forms both as row spaces of polynomials in an operator it checks to
@@ -695,11 +688,11 @@ class Meataxe:
         (line,) = _kernel_on(word, lam, rep)  # is_iso_rep has taken it as K_T
         return summand, linalg.matmul(line[None], S.basis, self.ell)[0]
 
-    def _glue(self, ambient, summands: Summands, total: Counter) -> Lattice:
-        """The lattice of ambient = S + D from the walked interval [S, M]
-        (the certificate is in `lattice`'s docstring).  Each U = (S + U) & D
-        is read off the RREF basis of S + U with no elimination
-        (`Summands.meet_d`)."""
+    def _glue(self, ambient: ModCtx, summands: Summands, total: Counter) -> Lattice:
+        """The lattice of the permutation module ambient = S + D from the
+        walked interval [S, M] (the certificate is in `lattice`'s docstring).
+        Each U = (S + U) & D is read off the RREF basis of S + U with no
+        elimination (`Summands.meet_d`)."""
         ell = self.ell
         summand, s = self._certify_split(ambient, summands.S, summands.D)
         nodes = _Nodes()
@@ -742,17 +735,17 @@ class Meataxe:
                     nodes.edges.extend((low.ident, W.ident, covers[(a, b)]) for W in hits)
         return nodes.lattice()
 
-    def _certify_lattice(self, lat: Lattice, ambient, bottom: int = 0) -> None:
+    def _certify_lattice(self, lat: Lattice, ambient: ModCtx, bottom: int = 0) -> None:
         """Closure under sum and intersection, one rank per incomparable pair.
 
-        `lat` is the lattice of `ambient`, or with `bottom` > 0 the interval
-        above a submodule of that dimension.  `below` is the transitive
-        closure of the cover edges, and each edge is a genuine inclusion, so
-        every node above A and B contains A + B, of dimension
-        r = dim A + rank(B mod A): one of dimension r is A + B, and one below
-        both of dimension dim A + dim B - r is their intersection.  A
-        containment A < B missing from `below` is refused too, as the only
-        node of dimension r = dim B above B is B itself.  As
+        `lat` is the lattice of the permutation module `ambient`, or with
+        `bottom` > 0 the interval above a submodule of that dimension.
+        `below` is the transitive closure of the cover edges, and each edge
+        is a genuine inclusion, so every node above A and B contains A + B,
+        of dimension r = dim A + rank(B mod A): one of dimension r is A + B,
+        and one below both of dimension dim A + dim B - r is their
+        intersection.  A containment A < B missing from `below` is refused
+        too, as the only node of dimension r = dim B above B is B itself.  As
         dim A + rank(B mod A) = dim B + rank(A mod B), the rank is taken of
         whichever basis has fewer rows, reduced modulo the other.
         """
@@ -785,8 +778,9 @@ class Meataxe:
                         f"(dims {A.dim},{B.dim} -> {r},{meet})"
                     )
 
-    def socle_series(self, ambient, lat: Lattice) -> list[Counter]:
-        """Ascending socle layers of ambient, as Counters of class indices.
+    def socle_series(self, ambient: ModCtx, lat: Lattice) -> list[Counter]:
+        """Ascending socle layers of the permutation module ambient, as
+        Counters of class indices.
 
         Read off the certified lattice: soc(M/N) is the sum of the minimal
         overmodules of N, which are the covers of N's node.  The walk starts

@@ -8,7 +8,9 @@ A module is described by an action object of one of two kinds:
     of its basis into M and the projection back, so an element of the group
     algebra of M, a sum of permutations, acts on it by gathers and one
     product with the projection (`Section.image`).  Its generator matrices
-    are formed only when a spin or the isomorphism test asks for them.
+    are formed only when a spin or the isomorphism test asks for them.  The
+    one section without a lift is a quotient M / N of M itself, the lattice
+    walk's, which is only spun and projected to.
 Words act on sections alone.  A DenseRep, with dense generator matrices, is
 only spun: Norton's transpose side and the isomorphism test's S + T.
 Vectors are rows and matrices are F_ell matrices in `linalg`'s one storage
@@ -175,8 +177,9 @@ class Section:
 
     It keeps its link to M.  The rows of `lift` (d x n) are representatives
     in W1 of its basis vectors, and x in W1 maps back to x[:, cols] proj
-    (proj None: the identity), so lift[:, cols] proj = I.  A quotient of M
-    itself has no `lift`: its representatives are the unit rows at
+    (proj None: the identity), so lift[:, cols] proj = I.  `lift` is None
+    only for a quotient of M itself, the lattice walk's M / N, which is only
+    spun and projected to: its representatives are the unit rows at
     `unit_rows`, and cols is all of M.  An element theta of the group algebra
     of M acts on the section as lift theta[:, cols] proj (`image`).  The
     generator matrices are formed from it when first asked for
@@ -211,11 +214,7 @@ class Section:
 
     def in_module(self, V: np.ndarray) -> np.ndarray:
         """Rows of the section lifted to M: V lift."""
-        if self.lift is not None:
-            return linalg.matmul(V, self.lift, self.ell)
-        out = linalg.zeros((V.shape[0], self.ctx.dim), self.ell)
-        out[:, self.unit_rows] = V
-        return out
+        return linalg.matmul(V, self.lift, self.ell)
 
     def image(self, terms) -> np.ndarray:
         """The matrix of sum c g on the section, over terms (c, g) with g a
@@ -250,7 +249,9 @@ class QuotCtx(Section):
     indices and -basis[i, nonpivots] at pivot index i.  `lift_rows` and
     `project_rows` map between the quotient and the action it quotients; as a
     `Section` of M its representatives are those of the action's coordinates
-    at the non-pivots, and its map back is the action's followed by P.
+    at the non-pivots, and its map back is the action's followed by P.  The
+    action is M itself (the lattice walk's quotients, with no lift) or a
+    section with a lift (the chop's).
     """
 
     def __init__(self, action, sub: Submodule):
@@ -266,13 +267,8 @@ class QuotCtx(Section):
         if not isinstance(action, Section):
             super().__init__(action, None, nonpiv, np.arange(n), P)
             return
-        super().__init__(
-            action.ctx,
-            None if action.lift is None else action.lift[nonpiv],
-            None if action.unit_rows is None else action.unit_rows[nonpiv],
-            action.cols,
-            P if action.proj is None else linalg.matmul(action.proj, P, ell),
-        )
+        proj = P if action.proj is None else linalg.matmul(action.proj, P, ell)
+        super().__init__(action.ctx, action.lift[nonpiv], None, action.cols, proj)
 
     def lift_rows(self, V: np.ndarray) -> np.ndarray:
         out = linalg.zeros((V.shape[0], self.sub.action.dim), self.ell)

@@ -113,6 +113,11 @@ def test_every_kept_matrix_has_the_storage_dtype(monkeypatch, ell, seed):
     sections = [r for r in reps if isinstance(r, Section)]
     assert any(isinstance(r, QuotCtx) for r in sections)
     assert any(r.lift is None for r in sections) and any(r.lift is not None for r in sections)
+    # a section without a lift is only the walk's quotient of M, spun and
+    # projected to: no word acts on it
+    for r in sections:
+        if r.lift is None:
+            assert isinstance(r, QuotCtx) and r.sub.action is res.pm.ctxP and not r.word_cache
     assert any(r.proj is not None for r in sections) and any(r._gens for r in sections)
     assert any(not isinstance(r, Section) for r in reps)
     for r in reps:
@@ -348,6 +353,26 @@ def test_cli_suite_refuses_a_flag_out_of_range(capsys, monkeypatch, flag, value)
     assert main(["suite", flag, value]) == 2
     assert f"{flag} must be" in capsys.readouterr().err
     assert _InlinePool.sizes == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "o+", "--n", "3", "--ell", "3"],
+        ["verify", "--family", "u", "--dim", "4", "--ell", "5"],
+        ["order", "--family", "o-", "--n", "3"],
+    ],
+)
+def test_cli_refuses_a_negative_seed_by_name(capsys, monkeypatch, argv):
+    import rank3mod.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("no analysis may run")
+
+    monkeypatch.setattr(cli, "run_analysis", never)
+    monkeypatch.setattr(cli, "build_group", never)
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "--seed must be non-negative, not -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [CertificationError, BudgetExceededError])

@@ -48,10 +48,16 @@ def chop_dims(mt, total):
     return sorted((mt.classes[i].dim, m) for i, m in total.items())
 
 
-def walked_lattice(mt, ambient):
-    """The lattice of ambient walked from 0, after a chop of it with no split."""
-    section = whole_section(ambient) if isinstance(ambient, ModCtx) else ambient
-    return mt.lattice(ambient, mt.chop(section))
+def walked_lattice(mt, ctx):
+    """The lattice of the permutation module ctx walked from 0, after a chop
+    of it with no split."""
+    return mt.lattice(ctx, mt.chop(whole_section(ctx)))
+
+
+def cyclic_regular():
+    """F_3 C_3, the regular module of the cyclic group of order 3 over F_3:
+    uniserial, with three trivial layers."""
+    return ModCtx(3, [np.roll(np.arange(3), -1)])
 
 
 def test_chop_oplus3_ell3():
@@ -248,33 +254,29 @@ def test_chop_word_becomes_the_class_word_and_a_separating_one_is_kept(monkeypat
 
 
 def test_socle_of_augmentation_oplus3_ell3():
-    # the zero-sum submodule is uniserial X - Z - X at ell = 3
+    # |P| = 28 is prime to 3, so F_3 P is the zero-sum submodule, uniserial
+    # X - Z - X, plus the trivial line FF
     pm = cached_pm("o+", 6, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(whole_section(pm.ctxP))
-    S, _T = zero_sum_and_ones(pm)
-    rep = sub_rep(S)
-    layers = mt.socle_series(rep, walked_lattice(mt, rep))
+    layers = mt.socle_series(pm.ctxP, walked_lattice(mt, pm.ctxP))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
-    assert dims == [[(7, 1)], [(13, 1)], [(7, 1)]]
-    # head-socle symmetry of the self-dual module with simple socle: the top
-    # layer is the same isomorphism class as the socle
-    assert layers[0] == layers[-1]
+    assert dims == [[(1, 1), (7, 1)], [(13, 1)], [(7, 1)]]
+    # head-socle symmetry of the self-dual zero-sum module with simple
+    # socle: the top layer is the same isomorphism class as the socle's X
     (top_cls,) = layers[-1]
-    (soc_cls,) = layers[0]
+    (soc_cls,) = [i for i in layers[0] if mt.classes[i].dim == 7]
+    assert top_cls == soc_cls
     assert mt.is_iso_rep(top_cls, mt.classes[soc_cls].rep)
 
 
 def test_socle_series_u5_ell3_augmentation():
-    # spec'd example: X - Z - (FF + W) - Z - X
+    # spec'd example: the zero-sum submodule X - Z - (FF + W) - Z - X, and
+    # |P| = 176 is prime to 3, so F_3 P is that plus the trivial line FF
     pm = cached_pm("u", 5, 3)
     mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(whole_section(pm.ctxP))
-    S, _T = zero_sum_and_ones(pm)
-    rep = sub_rep(S)
-    layers = mt.socle_series(rep, walked_lattice(mt, rep))
+    layers = mt.socle_series(pm.ctxP, walked_lattice(mt, pm.ctxP))
     dims = [sorted((mt.classes[i].dim, t) for i, t in lay.items()) for lay in layers]
-    assert dims == [[(55, 1)], [(10, 1)], [(1, 1), (44, 1)], [(10, 1)], [(55, 1)]]
+    assert dims == [[(1, 1), (55, 1)], [(10, 1)], [(1, 1), (44, 1)], [(10, 1)], [(55, 1)]]
 
 
 def test_socle_of_semisimple_is_everything():
@@ -293,20 +295,18 @@ def _without(lat, ident=None, edge=None):
 
 
 def test_socle_series_refuses_a_lattice_with_a_node_or_an_edge_removed():
-    # on the uniserial X - Z - X every node and every edge is on the socle walk
-    pm = cached_pm("o+", 6, 3)
-    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(whole_section(pm.ctxP))
-    rep = sub_rep(zero_sum_and_ones(pm)[0])
-    lat = walked_lattice(mt, rep)
-    assert len(mt.socle_series(rep, lat)) == 3
+    # on the uniserial F_3 C_3 every node and every edge is on the socle walk
+    ctx = cyclic_regular()
+    mt = Meataxe(3, ctx.ngens, seed=0)
+    lat = walked_lattice(mt, ctx)
+    assert len(mt.socle_series(ctx, lat)) == 3
     assert len(lat.nodes) == 4 and len(lat.edges) == 3
     for node in lat.nodes:
         with pytest.raises(CertificationError):
-            mt.socle_series(rep, _without(lat, ident=node.ident))
+            mt.socle_series(ctx, _without(lat, ident=node.ident))
     for edge in lat.edges:
         with pytest.raises(CertificationError):
-            mt.socle_series(rep, _without(lat, edge=edge))
+            mt.socle_series(ctx, _without(lat, edge=edge))
     # on the U4(2) diamond the socle of the whole module is one node; without
     # it the sum of the zero node's covers is no node
     pm = cached_pm("u", 4, 3)
@@ -336,22 +336,20 @@ def test_certify_lattice_refuses_a_lattice_with_a_node_or_an_edge_removed():
     # 0, 20, 7, 1, 27, 21, 8, 28, so in the incomparable pairs (20, 7),
     # (27, 21) and (21, 8) the smaller node comes second
     assert [n.dim for n in lat.nodes] == [0, 20, 7, 1, 27, 21, 8, 28]
-    # O+6(2), ell = 3: the uniserial X - Z - X zero-sum submodule, where a
-    # missing middle node or edge leaves two nested nodes looking incomparable
-    pm = cached_pm("o+", 6, 3)
-    mt = Meataxe(3, pm.ctxP.ngens, seed=0)
-    mt.chop(whole_section(pm.ctxP))
-    rep = sub_rep(zero_sum_and_ones(pm)[0])
-    lat = walked_lattice(mt, rep)
-    assert sorted(n.dim for n in lat.nodes) == [0, 7, 20, 27]
-    mt._certify_lattice(lat, rep)
+    # the uniserial F_3 C_3, where a missing middle node or edge leaves two
+    # nested nodes looking incomparable
+    ctx = cyclic_regular()
+    mt = Meataxe(3, ctx.ngens, seed=0)
+    lat = walked_lattice(mt, ctx)
+    assert sorted(n.dim for n in lat.nodes) == [0, 1, 2, 3]
+    mt._certify_lattice(lat, ctx)
     for node in lat.nodes:
-        if 0 < node.dim < rep.dim:
+        if 0 < node.dim < ctx.dim:
             with pytest.raises(CertificationError):
-                mt._certify_lattice(_without(lat, ident=node.ident), rep)
+                mt._certify_lattice(_without(lat, ident=node.ident), ctx)
     for edge in lat.edges:
         with pytest.raises(CertificationError):
-            mt._certify_lattice(_without(lat, edge=edge), rep)
+            mt._certify_lattice(_without(lat, edge=edge), ctx)
 
 
 def test_lattice_runs_ensure_peaks_once(monkeypatch):
@@ -854,13 +852,49 @@ def test_fitting_kernel_of_the_wrong_dimension_is_refused(analysis, monkeypatch)
             mt.lattice(ctx, total + Counter({idx: 1}), res.split)
     generalised = meataxe.generalised_kernel
 
-    def short(word, lam, action, e):
-        K, Z = generalised(word, lam, action, e)
-        return (K[1:], Z[1:]) if action is ctx else (K, Z)
+    def short(*args):
+        K, Z = generalised(*args)
+        return K[1:], Z[1:]
 
     monkeypatch.setattr(meataxe, "generalised_kernel", short)
     with pytest.raises(CertificationError, match="Fitting kernel"):
         mt.lattice(ctx, total, res.split)
+
+
+def _dense_power(A, e, ell):
+    """A^e by repeated squaring of the dense matrix A."""
+    power, square = None, A
+    while e:
+        if e & 1:
+            power = square if power is None else linalg.matmul(power, square, ell)
+        e >>= 1
+        if e:
+            square = linalg.matmul(square, square, ell)
+    return power
+
+
+@pytest.mark.parametrize(
+    "family,size,ell,seed", [("o+", 3, 3, 0), ("o-", 3, 5, 0), ("u", 4, 7, 0), ("u", 5, 3, 0), ("u", 4, 3, 3)]
+)
+def test_generalised_kernel_is_the_left_kernel_of_the_dense_power(analysis, family, size, ell, seed):
+    # the row gathers on M against the dense (theta - lam)^e on M as a
+    # section of itself, at each class's peak word, for e = 1 and the
+    # exponent m j of `fitting_kernels`; at U4(2), ell = 3, seed 3 the
+    # generalised nullity nu exceeds 1
+    res = analysis(family, size, ell, seed)
+    mt, ctx = res.meataxe, res.pm.ctxP
+    whole, nus = whole_section(ctx), []
+    for idx, mult in res.chop_total.items():
+        word, lam = mt.classes[idx].word
+        j, nu = mt.classes[idx].kernel_chain(ell)
+        nus.append(nu)
+        A = _shifted(word, whole, lam)
+        for e in sorted({1, mult * j}):
+            K, Z = meataxe.generalised_kernel(word, lam, ctx, e)
+            ref = left_kernel(_dense_power(A, e, ell), ell)
+            assert np.array_equal(K, ref) and K.dtype == ref.dtype
+            assert np.array_equal(Z, linalg.matmul(ref, A, ell))
+    assert seed != 3 or max(nus) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +998,7 @@ def _dense_word(word, gens, ell):
 def _section_kinds(ell):
     """(name, section, its generators by dense products) on O+6(2) with its
     certified generating pair: M itself, M's zero-sum submodule S > V = U'_2
-    (dim 7), and a class rep of the chop."""
+    (dim 7), M / V, S / V and a class rep of the chop."""
     pm = cached_analysis("o+", 3, ell).pm
     M = pm.ctxP
     gens = [perm_matrix(p, ell).astype(np.int64) for p in M.perms]
@@ -974,22 +1008,17 @@ def _section_kinds(ell):
     on_s = sub_rep(S)
     V_in_s = Submodule(on_s, *linalg.rref(V.basis[:, S.pivots], ell))
     quot = QuotCtx(M, V)
-    S_mod_v = submodule_from_rows(quot, quot.project_rows(S.basis))
-    assert S_mod_v.dim == S.dim - V.dim
     kinds = [
         ("whole M", whole_section(M), gens),
         ("sub of M", on_s, _dense_sub(gens, S, ell)),
         ("quotient of M", quot, _dense_quotient(gens, V, ell)),
         ("quotient of a sub", QuotCtx(on_s, V_in_s), _dense_quotient(_dense_sub(gens, S, ell), V_in_s, ell)),
-        ("sub of a quotient", sub_rep(S_mod_v), _dense_sub(_dense_quotient(gens, V, ell), S_mod_v, ell)),
     ]
     mt = Meataxe(ell, M.ngens, seed=0)
     mt.chop(whole_section(M))
     rep = max((c.rep for c in mt.classes), key=lambda r: r.dim)
     assert isinstance(rep, Section) and rep.dim > 1
-    lift = (
-        np.eye(M.dim, dtype=np.int64)[rep.unit_rows] if rep.lift is None else rep.lift.astype(np.int64)
-    )
+    lift = rep.lift.astype(np.int64)
     proj = np.eye(len(rep.cols), dtype=np.int64) if rep.proj is None else rep.proj.astype(np.int64)
     kinds.append(("chop class rep", rep, [(lift @ g)[:, rep.cols] @ proj % ell for g in gens]))
     return kinds
