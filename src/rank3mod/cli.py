@@ -81,6 +81,12 @@ def _check_seed(seed: int):
         raise ValueError(f"--seed must be non-negative, not {seed}")
 
 
+def _check_max_p(max_p: int):
+    # a bound below 1 would refuse every geometry as out of desk scale
+    if max_p < 1:
+        raise ValueError(f"--max-p-size must be positive, not {max_p}")
+
+
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -100,6 +106,7 @@ def _emit_text(payload: dict, indent: str = ""):
 
 
 def cmd_points(args) -> int:
+    _check_max_p(args.max_p_size)
     spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     ps = enumerate_points(build_space(spec))
     _emit({"family": args.family, "m": spec.dim, "nonsingular": ps.nP, "singular": ps.nP0}, args.format)
@@ -107,6 +114,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_params(args) -> int:
+    _check_max_p(args.max_p_size)
     spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     cp = closed_params(spec)
     ps = enumerate_points(build_space(spec))
@@ -127,6 +135,7 @@ def cmd_params(args) -> int:
 
 def cmd_order(args) -> int:
     _check_seed(args.seed)
+    _check_max_p(args.max_p_size)
     spec = desk_scale_spec(args.family, _size_of(args), args.max_p_size)
     space = build_space(spec)
     ps = enumerate_points(space)
@@ -170,6 +179,7 @@ def _analyze(args) -> bool:
     """Run and print one analysis; returns whether it matches the tables."""
     _check_ell(args.ell)
     _check_seed(args.seed)
+    _check_max_p(args.max_p_size)
     res = run_analysis(args.family, _size_of(args), args.ell, seed=args.seed, max_p=args.max_p_size)
     _emit(res.report, args.format)
     return res.report["verdict"]["match"]
@@ -217,6 +227,7 @@ def cmd_suite(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     _check_seed(args.seed)
+    _check_max_p(args.max_p_size)
     instances = list(SUITE_INSTANCES)
     if args.extended:
         instances += EXTENDED_INSTANCES

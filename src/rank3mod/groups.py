@@ -22,20 +22,29 @@ image of the base back to the base and applies the inverse generator of
 every edge, so no coset representative is built or inverted.  One routine
 strips many elements at once: each row holds the images of some points
 under one element, and one step of the walk is one gather for all rows.
-The verification checks, at every level, the Schreier generators of all
-strong generators fixing the earlier base points, skipping tree edges
-(whose Schreier generators are the identity by construction).  It strips
-them in blocks of rows (Seress, Permutation Group Algorithms, CUP 2003,
-section 4.2, on stripping many elements by Schreier vectors at once) and
-follows only the images of the base points and of a frame of vectors
-spanning the space: a linear map fixing a spanning set is the identity, so
-this decides whether a residue is trivial.  The first failing Schreier
-generator in (level, orbit point, generator) order is the witness, as in a
-sweep that tries them one by one.
+The verification checks the Schreier generators of the chain's input
+generators (the permutations `add_generator` kept) at level 0, and at every
+deeper level those of all strong generators fixing the earlier base points,
+skipping tree edges (whose Schreier generators are the identity by
+construction).  The inputs generate the same group as the strong
+generators, and Schreier's lemma holds for any generating set and any
+transversal in the group, so level 0 needs no more; there are never more
+inputs than strong generators, since each kept input adds one residue.  The
+sweep strips the Schreier generators in blocks of rows (Seress, Permutation
+Group Algorithms, CUP 2003, section 4.2, on stripping many elements by
+Schreier vectors at once) and follows only the images of the base points
+and of a frame of vectors spanning the space: a residue is a product of
+isometries, so linear, and a linear map fixing a spanning set is the
+identity, so this decides whether a residue is trivial.  The first failing
+Schreier generator in (level, orbit point, generator) order is the witness,
+as in a sweep that tries them one by one.
 
 Candidate generators are built and isometry-checked a block of
-representatives at a time; their images on the domain are found through a
-dense code -> index table.
+representatives at a time.  The chain decides each candidate, and each
+random element of its random rounds, on the same followed points: only an
+element that does not strip to the identity there is formed as a whole
+permutation and sifted, its images on the domain found through a dense
+code -> index table.
 
 The module work runs on two generators (`generating_pair`): two random
 words in the kept generators, certified to generate G on P by a fresh chain
@@ -51,6 +60,7 @@ refine those of the stabiliser G_b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -265,10 +275,6 @@ class _Level:
     def gens(self) -> list[np.ndarray]:
         return list(self.fwd.reshape(-1, self.degree))
 
-    @property
-    def inv_gens(self) -> list[np.ndarray]:
-        return list(self.inv.reshape(-1, self.degree))
-
     def add_gen(self, g: np.ndarray):
         g = np.asarray(g, dtype=np.int64)
         inv = np.empty_like(g)
@@ -343,12 +349,15 @@ class StabilizerChain:
     inverse of every strong generator, so stripping walks the tree and never
     builds or inverts a coset representative.  One routine (`_strip_rows`)
     strips every element: `sift` passes one row of all point images, the
-    verification sweep blocks of rows of base and frame images.
+    verification sweep and the decisions on the frame rows of base and
+    frame images.  The permutations `add_generator` kept are the chain's
+    inputs; they generate its group, and verify() checks level 0 on them.
 
     frame: points that no permutation of the groups held here, other than the
     identity, fixes all of (for permutations induced by linear maps on a set
-    of vectors, vectors spanning the space).  verify() follows only the
-    frame and the base points; by default the frame is every point.
+    of vectors, vectors spanning the space).  verify() and the random rounds
+    follow only the frame and the base points (`_followed`); by default the
+    frame is every point.
 
     schreier_tested: the Schreier generators the last verify() tested, over
     all its passes.
@@ -362,6 +371,8 @@ class StabilizerChain:
         self.schreier_tested = 0
         self._identity = np.arange(degree, dtype=np.int64)
         self.frame = self._identity if frame is None else np.asarray(frame, dtype=np.int64)
+        self._inputs = np.empty(0, dtype=np.int64)  # the kept inputs, one flat table
+        self._points = self._pool = None  # followed points and word letters, until the chain grows
 
     def _is_identity(self, p: np.ndarray) -> bool:
         return bool((p == self._identity).all())
@@ -433,38 +444,78 @@ class StabilizerChain:
 
     def _add_residue(self, res: np.ndarray, level: int):
         self.verified = False
+        self._points = self._pool = None
         if level == len(self.levels):
             moved = np.nonzero(res != self._identity)[0]
             self.levels.append(_Level(int(moved[0]), self.degree))
         self.levels[level].add_gen(res)
 
     def add_generator(self, p: np.ndarray, rounds: int = 8) -> bool:
+        """Sift p; when it is not in the chain's group yet, add its residue,
+        keep p as an input generator and run random rounds."""
         res, level = self.sift(p)
         if self._is_identity(res):
             return False
+        self._inputs = np.concatenate([self._inputs, np.asarray(p, dtype=np.int64)])
         self._add_residue(res, level)
         self._random_rounds(rounds)
         return True
 
-    def _random_element(self) -> np.ndarray:
-        word = self._identity
-        pool = [pair for lev in self.levels for pair in zip(lev.gens, lev.inv_gens)]
-        if not pool:
-            return word.copy()
+    def _followed(self) -> np.ndarray:
+        """The base points, then the frame points that are not base points."""
+        if self._points is None:
+            bases = np.array([lev.base for lev in self.levels], dtype=np.int64)
+            self._points = np.concatenate([bases, self.frame[~np.isin(self.frame, bases)]])
+        return self._points
+
+    def _trivial_on_frame(self, img: np.ndarray) -> np.ndarray:
+        """Whether each element strips to the identity, row r of img holding
+        the images of the `_followed` points under one element of the
+        chain's domain group.  A residue fixing the base points and the
+        frame is the identity, so this is exact; a row stuck at a level
+        keeps a base image outside its orbit, so not the base.  img is
+        overwritten."""
+        img, _ = self._strip_rows(img, range(len(self.levels)))
+        return (img == self._followed()).all(axis=1)
+
+    def _random_word(self) -> list[np.ndarray]:
+        """The letters of a random word: 2 to 6 strong generators or their
+        inverses, each drawn from the pool of all levels' generators."""
+        if self._pool is None:
+            d = self.degree
+            self._pool = [[g for lev in self.levels for g in getattr(lev, side).reshape(-1, d)]
+                          for side in ("inv", "fwd")]
+        inv, fwd = self._pool
+        if not len(fwd):
+            return []
+        letters = []
         for _ in range(int(self.rng.integers(2, 7))):
-            g, g_inv = pool[int(self.rng.integers(0, len(pool)))]
-            word = g[word] if self.rng.integers(2) else g_inv[word]
-        return word
+            i = int(self.rng.integers(0, len(fwd)))
+            letters.append(fwd[i] if self.rng.integers(2) else inv[i])
+        return letters
+
+    @staticmethod
+    def _word_images(letters: list[np.ndarray], points: np.ndarray) -> np.ndarray:
+        """Images of points under the word, its first letter acting first, as a new array."""
+        out = points.copy()
+        for g in letters:
+            out = g[out]
+        return out
 
     def _random_rounds(self, quiet_target: int):
+        """Random words until quiet_target in a row strip to the identity.
+
+        A word is decided on the followed points alone; only a word that
+        does not strip to the identity is formed in full and sifted.
+        """
         quiet = 0
         while quiet < quiet_target:
-            res, level = self.sift(self._random_element())
-            if self._is_identity(res):
+            letters = self._random_word()
+            if self._trivial_on_frame(self._word_images(letters, self._followed())[None])[0]:
                 quiet += 1
             else:
                 quiet = 0
-                self._add_residue(res, level)
+                self._add_residue(*self.sift(self._word_images(letters, self._identity)))
 
     def order_lower_bound(self) -> int:
         out = 1
@@ -475,8 +526,11 @@ class StabilizerChain:
     def verify(self, max_passes: int = 200) -> None:
         """Sims' criterion: every Schreier generator sifts to the identity.
 
-        Witnesses are added and the sweep restarts, so on return the product of
-        the fundamental orbit lengths is the exact order of the generated group.
+        At level 0 these are the Schreier generators of the inputs, below
+        it those of the strong generators (`_find_witness`).  Witnesses are
+        added and the sweep restarts, so on return the product of the
+        fundamental orbit lengths is the exact order of the group the
+        inputs generate.
         """
         self.schreier_tested = 0
         for _ in range(max_passes):
@@ -493,16 +547,23 @@ class StabilizerChain:
     def _find_witness(self):
         """First Schreier generator that does not strip to the identity, sifted.
 
-        Level i is checked against every strong generator that fixes the
-        earlier base points: its own and those of all deeper levels, which
-        generate the stabiliser the level stands for (Sims' criterion needs
-        them all; a level's own generators alone can miss that its orbit or
-        the next stabiliser is too small).  For beta in the orbit and such a
-        generator g, g u_beta is stripped directly: stripping it at level i
-        removes u_{g beta}, so its residue is that of the Schreier generator
-        u_{g beta}^-1 g u_beta.  Tree edges (g the level's own generator on
-        the edge from beta to g beta) are skipped, since there
-        u_{g beta} = g u_beta and the Schreier generator is the identity.
+        Level 0 is checked against the inputs, with no tree edge skipped:
+        they generate the chain's group G, so by Schreier's lemma the
+        Schreier generators of the inputs over level 0's transversal
+        generate the stabiliser of the first base point.  When an input
+        maps the orbit outside itself, the row's base image leaves the
+        orbit, the row sticks and is a witness, so the orbit's closure is
+        checked too.  Level i > 0 is checked against every strong generator
+        that fixes the earlier base points: its own and those of all deeper
+        levels, which generate the stabiliser the level stands for (Sims'
+        criterion needs them all; a level's own generators alone can miss
+        that its orbit or the next stabiliser is too small).  For beta in
+        the orbit and such a generator g, g u_beta is stripped directly:
+        stripping it at level i removes u_{g beta}, so its residue is that
+        of the Schreier generator u_{g beta}^-1 g u_beta.  At levels i > 0,
+        tree edges (g the level's own generator on the edge from beta to
+        g beta) are skipped, since there u_{g beta} = g u_beta and the
+        Schreier generator is the identity.
 
         Only the images of the base points and the frame are followed, which
         decides the identity; at level i the earlier base points, which all
@@ -515,14 +576,15 @@ class StabilizerChain:
         is the witness, sifted as a whole permutation.  schreier_tested
         grows by the rows up to and including it.
         """
-        bases = np.array([lev.base for lev in self.levels], dtype=np.int64)
-        points = np.concatenate([bases, self.frame[~np.isin(self.frame, bases)]])
+        points = self._followed()
         levels, d = len(self.levels), self.degree
         for li, lev in enumerate(self.levels):
             # every element tried here fixes the earlier base points
             followed, slots = points[li:], range(-li, levels - li)
-            own = lev.ngens
-            stack = np.concatenate([low.fwd for low in self.levels[li:]])
+            if li:
+                own, stack = lev.ngens, np.concatenate([low.fwd for low in self.levels[li:]])
+            else:  # the inputs: none of them labels a tree edge
+                own, stack = 0, self._inputs
             ngens = len(stack) // d
             shift = np.arange(ngens, dtype=np.int64) * d
             us = lev.transversals(followed)
@@ -584,11 +646,20 @@ def build_group(space: Space, points: PointSets, seed: int = 0) -> GroupData:
     """Grow a generating set until it provably generates the full isometry group.
 
     Candidates already sifting into the chain are skipped, so the returned
-    matrices are a small generating subset.  The loop stops when the orbit
-    lower bound reaches the formula order (the generated group is contained in
-    the isometry group, so equality of the bound certifies fullness); the
-    chain is then Schreier-verified, making the reported order a theorem
-    about the generators alone.
+    matrices are a small generating subset.  They are decided a block of
+    CANDIDATE_BLOCK at a time on the chain's followed points: one batched
+    product gives the images of the base and frame vectors under every
+    candidate, and `_strip_rows` strips the block.  A residue is linear, so
+    one that fixes the spanning frame is the identity, and the decision is
+    exact.  Only the first candidate that does not strip to the identity is
+    converted to a whole permutation and given to `add_generator`; the rest
+    of the block is decided again under the grown chain.  So the kept
+    matrices, the chain and its random stream are those of sifting every
+    candidate whole.  The loop stops when the orbit lower bound reaches the
+    formula order (the generated group is contained in the isometry group,
+    so equality of the bound certifies fullness); the chain is then
+    Schreier-verified, level 0 on the kept generators themselves, making
+    the reported order a theorem about the generators alone.
     """
     target = formula_order(space)
     domain = vector_action_domain(space, points)
@@ -600,12 +671,27 @@ def build_group(space: Space, points: PointSets, seed: int = 0) -> GroupData:
     def vec_perm(M):
         return code_positions(table, pack_codes(vec_mat(space, domain, M), space.q))
 
-    for M in candidate_generators(space, points):
-        if not chain.add_generator(vec_perm(M)):
-            continue
-        mats.append(M)
-        if chain.order_lower_bound() >= target:
+    def moved(block):
+        """Indices of the matrices of block that do not strip to the
+        identity, decided on the images of the followed points."""
+        pts = chain._followed()
+        img = pack_codes(mat_mul(space, domain[pts], block).reshape(-1, space.dim), space.q)
+        img = code_positions(table, img).reshape(len(block), len(pts))
+        return np.flatnonzero(~chain._trivial_on_frame(img))
+
+    cands = candidate_generators(space, points)
+    while chain.order_lower_bound() < target:
+        block = list(islice(cands, CANDIDATE_BLOCK))
+        if not block:
             break
+        block = np.stack(block)
+        while len(block) and chain.order_lower_bound() < target:
+            first = moved(block)[:1]
+            if not len(first):
+                break
+            M, block = block[first[0]], block[first[0] + 1:]
+            if chain.add_generator(vec_perm(M)):
+                mats.append(M)
     lb = chain.order_lower_bound()
     if lb > target:
         raise CertificationError("generated group exceeds the isometry group order")

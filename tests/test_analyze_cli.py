@@ -375,6 +375,34 @@ def test_cli_refuses_a_negative_seed_by_name(capsys, monkeypatch, argv):
     assert "--seed must be non-negative, not -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["points", "--family", "o+", "--n", "3"],
+        ["params", "--family", "u", "--dim", "4"],
+        ["order", "--family", "o-", "--n", "3"],
+        ["analyze", "--family", "o+", "--n", "3", "--ell", "3"],
+        ["verify", "--family", "u", "--dim", "4", "--ell", "5"],
+        ["suite"],
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_refuses_a_max_p_size_below_one_by_name(capsys, monkeypatch, argv, value):
+    import rank3mod.cli as cli
+
+    called = []
+
+    def never(*args, **kwargs):
+        called.append(args)
+        raise AssertionError("no work may be done")
+
+    for name in ("desk_scale_spec", "enumerate_points", "build_group", "run_analysis", "_suite_one"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(argv + ["--max-p-size", value]) == 2
+    assert f"--max-p-size must be positive, not {value}" in capsys.readouterr().err
+    assert called == []
+
+
 @pytest.mark.parametrize("error", [CertificationError, BudgetExceededError])
 def test_cli_suite_reports_an_erroring_row_and_runs_the_rest(capsys, monkeypatch, tmp_path, error):
     import rank3mod.cli as cli

@@ -19,6 +19,7 @@ from rank3mod.errors import BudgetExceededError, CertificationError
 from rank3mod.fields import GF4_MUL
 from rank3mod.geometry import pack_codes
 from rank3mod.groups import (
+    GroupData,
     StabilizerChain,
     build_group,
     candidate_generators,
@@ -374,27 +375,40 @@ def _reference_strip(chain, img, slots):
         if lev.parent[x] == -1:
             return img, li
         while x != lev.base:
-            img = lev.inv_gens[int(lev.gen_of[x])][img]
+            img = lev.inv.reshape(-1, chain.degree)[int(lev.gen_of[x])][img]
             x = int(lev.parent[x])
     return img, len(chain.levels)
 
 
-def _reference_find_witness(chain):
+def _inputs(chain):
+    return list(chain._inputs.reshape(-1, chain.degree))
+
+
+def _reference_find_witness(chain, strong_at_level_0=False):
     """The per-generator sweep: one strip for each Schreier generator.
 
-    Returns (witness sifted by explicit transversals or None, Schreier
-    generators tested).
+    At level 0 the generators are the chain's inputs, with no tree edge
+    skipped; below (and at level 0 too with strong_at_level_0: Sims'
+    criterion on the strong generators alone) they are the strong
+    generators fixing the earlier base points, skipping the level's own
+    tree edges.  Returns
+    (witness sifted by explicit transversals or None, Schreier generators
+    tested).
     """
     bases = np.array([lev.base for lev in chain.levels], dtype=np.int64)
     points = np.concatenate([bases, chain.frame])
     slots = range(len(chain.levels))
     tested = 0
     for li, lev in enumerate(chain.levels):
-        gens = lev.gens + [g for low in chain.levels[li + 1:] for g in low.gens]
+        own = len(lev.gens) if li or strong_at_level_0 else 0
+        if own:
+            gens = lev.gens + [g for low in chain.levels[li + 1:] for g in low.gens]
+        else:
+            gens = _inputs(chain)
         for beta in lev.orbit.tolist():
             u = lev.transversal(beta, points)
             for gi, g in enumerate(gens):
-                if gi < len(lev.gens):
+                if gi < own:
                     img = int(g[beta])
                     if lev.parent[img] == beta and lev.gen_of[img] == gi:
                         continue
@@ -441,12 +455,131 @@ def test_sweep_tests_every_schreier_generator(family, dim):
         chain.add_generator(p)
     chain.verify()
     chain.verify()  # one pass over a complete chain
-    want = 0
-    for li, lev in enumerate(chain.levels):
+    # level 0: every (orbit point, input) pair; below, every strong generator
+    # fixing the earlier base points, less the tree edges
+    want = len(chain.levels[0].orbit) * len(_inputs(chain))
+    for li, lev in enumerate(chain.levels[1:], 1):
         gens = sum(len(low.gens) for low in chain.levels[li:])
         want += len(lev.orbit) * gens - (len(lev.orbit) - 1)
     assert chain.schreier_tested == want
     assert _reference_find_witness(chain) == (None, want)
+
+
+def _chain_state(chain):
+    """Bases, orbit lengths, strong generators, inputs and random stream of a chain."""
+    return (
+        [lev.base for lev in chain.levels],
+        [len(lev.orbit) for lev in chain.levels],
+        b"".join(lev.fwd.tobytes() for lev in chain.levels),
+        chain._inputs.tobytes(),
+        chain.rng.bit_generator.state,
+    )
+
+
+def _reference_build(space, points, seed):
+    """build_group's candidate loop with every candidate converted in full
+    and handed to add_generator; returns the kept matrices and the chain."""
+    target = formula_order(space)
+    domain = vector_action_domain(space, points)
+    codes = pack_codes(domain, space.q)
+    table = code_table(codes, space.q**space.dim)
+    chain = StabilizerChain(len(domain), seed=seed, frame=spanning_frame(space, codes))
+    mats = []
+    for M in candidate_generators(space, points):
+        img = pack_codes(vec_mat(space, domain, M), space.q)
+        if chain.add_generator(code_positions(table, img)):
+            mats.append(M)
+            if chain.order_lower_bound() >= target:
+                break
+    return mats, chain
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize(
+    "family,dim", [(OPLUS, 6), (OMINUS, 6), (OPLUS, 8), (UNITARY, 4), (UNITARY, 6), (OPLUS, 12)]
+)
+def test_build_group_keeps_what_full_sifts_keep(family, dim, seed, monkeypatch):
+    # candidates decided on the frame in blocks keep the same matrices and
+    # leave the same chain, random stream included, as full sifts of each
+    space, points, _ = cached_setup(family, dim)
+    mats, ref = _reference_build(space, points, seed)
+    seen = []
+    verify = StabilizerChain.verify
+
+    def spy(chain, max_passes=200):
+        seen.append(_chain_state(chain))
+        return verify(chain, max_passes)
+
+    monkeypatch.setattr(StabilizerChain, "verify", spy)
+    gd = build_group(space, points, seed=seed)
+    assert seen == [_chain_state(ref)]
+    assert [M.tobytes() for M in gd.mats] == [M.tobytes() for M in mats]
+    want = GroupData(mats, gd.order, gd.formula_order)
+    (got, _), (pair, _) = generating_pair(gd, points, seed), generating_pair(want, points, seed)
+    for x, y in zip(got, pair):
+        assert x.on_P.tobytes() == y.on_P.tobytes() and x.on_P0.tobytes() == y.on_P0.tobytes()
+
+
+def _reference_order(chain):
+    """The order certified by the sweep that tests every strong generator at level 0."""
+    while (witness := _reference_find_witness(chain, strong_at_level_0=True)[0]) is not None:
+        chain._add_residue(*witness)
+    return chain.order_lower_bound()
+
+
+@pytest.mark.parametrize("family,dim", [(OPLUS, 6), (OMINUS, 6), (UNITARY, 4)])
+def test_order_on_the_inputs_equals_the_all_strong_generator_sweep(family, dim):
+    # chains grown with rounds=0 are incomplete, and the first few kept
+    # matrices generate proper subgroups: verify adds witnesses, and the
+    # level-0 rule on the inputs certifies the order the old rule does
+    full, grown = formula_order(cached_setup(family, dim)[0]), []
+    for seed in (0, 1):
+        for count in (1, 2, 3, 6, None):
+            chain = _rounds0_chain(family, dim, seed, count)
+            before = chain.order_lower_bound()
+            order = chain.order()
+            assert order == _reference_order(_rounds0_chain(family, dim, seed, count))
+            assert order <= full
+            grown.append((before < order, order < full))
+    assert (True, True) in grown and (True, False) in grown
+
+
+def _reference_random_rounds(chain, quiet_target):
+    """Random rounds with every word formed on all points and sifted whole."""
+    quiet, ident = 0, np.arange(chain.degree)
+    while quiet < quiet_target:
+        pool = [pair for lev in chain.levels
+                for pair in zip(lev.gens, lev.inv.reshape(-1, chain.degree))]
+        word = ident
+        if pool:
+            for _ in range(int(chain.rng.integers(2, 7))):
+                g, g_inv = pool[int(chain.rng.integers(0, len(pool)))]
+                word = g[word] if chain.rng.integers(2) else g_inv[word]
+        res, level = chain.sift(word)
+        if (res == ident).all():
+            quiet += 1
+        else:
+            quiet = 0
+            chain._add_residue(res, level)
+
+
+@pytest.mark.parametrize("with_frame", [True, False])
+@pytest.mark.parametrize(
+    "family,dim,count", [(OPLUS, 6, 6), (OMINUS, 8, None), (UNITARY, 4, 3), (UNITARY, 5, 6)]
+)
+def test_random_rounds_on_the_frame_leave_the_chain_of_full_sifts(family, dim, count, with_frame):
+    grew = False
+    for seed in (0, 1, 5):
+        chains = [_rounds0_chain(family, dim, seed, count) for _ in range(2)]
+        if not with_frame:
+            for chain in chains:
+                chain.frame = np.arange(chain.degree)
+        before = _chain_state(chains[0])[:3]
+        chains[0]._random_rounds(8)
+        _reference_random_rounds(chains[1], 8)
+        assert _chain_state(chains[0]) == _chain_state(chains[1])
+        grew |= _chain_state(chains[0])[:3] != before
+    assert grew
 
 
 def test_strip_rows_matches_one_at_a_time_with_stuck_rows():
@@ -456,7 +589,9 @@ def test_strip_rows_matches_one_at_a_time_with_stuck_rows():
     rng = np.random.default_rng(4)
     rows = np.array([rng.permutation(chain.degree) for _ in range(300)])
     mixed = rows.copy()
-    mixed[::3] = [chain._random_element() for _ in range(100)]  # these strip through
+    # random words in the chain's generators strip through
+    ident = np.arange(chain.degree)
+    mixed[::3] = [chain._word_images(chain._random_word(), ident) for _ in range(100)]
     levels = set()
     for block in (mixed, rows):  # every random row sticks, so the walk runs dry
         img, stuck = chain._strip_rows(block.copy(), bases)
