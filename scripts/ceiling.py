@@ -5,12 +5,16 @@ BLAS thread and prints the phase times of the report (`timingsMs`) and the
 process's peak resident set (`ru_maxrss`), as one JSON object.  It also
 splits the group phase (`groupMs`): the candidate loop of `build_group`
 (`candidates`), Sims' verification (`StabilizerChain.verify`) and
-`generating_pair`; and the lattice phase (`latticeMs`):
+`generating_pair`; the chop phase (`chopMs`): the Krylov annihilators
+(`krylov_annihilator`), the split candidates' spins (`Meataxe._split_by`)
+and Norton's transpose side (`Meataxe._norton`); and the lattice phase
+(`latticeMs`):
 `Meataxe.ensure_peaks`, the Fitting kernels of the peak words
 (`Meataxe.fitting_kernels`), the walk (`Meataxe._walk`) and the glue
 (`Meataxe._glue`).  Each span is timed by a wrapper put around it here,
 exclusive of the others nested in it; what is left of a phase (the rank
-and suborbits, or the lattice checks of `analyze`) is `rest`.  `wordMatrixMs` is
+and suborbits, the operator's split and the registration of the chop's
+classes, or the lattice checks of `analyze`) is `rest`.  `wordMatrixMs` is
 the time spent in `Word.matrix`, timed by a wrapper put around it here
 (outermost calls only, so a word's matrix on a section's module is not
 counted twice); the lattice spans include it.  `eliminationMs` is the time
@@ -42,7 +46,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rank3mod import analyze, linalg  # noqa: E402
+from rank3mod import analyze, linalg, meataxe  # noqa: E402
 from rank3mod.analyze import run_analysis  # noqa: E402
 from rank3mod.groups import StabilizerChain  # noqa: E402
 from rank3mod.meataxe import Meataxe, Word  # noqa: E402
@@ -53,6 +57,12 @@ GROUP_SPANS = {
     "candidates": (analyze, "build_group"),
     "verify": (StabilizerChain, "verify"),
     "generating_pair": (analyze, "generating_pair"),
+}
+# the chop calls krylov_annihilator by the name meataxe imported
+CHOP_SPANS = {
+    "krylov": (meataxe, "krylov_annihilator"),
+    "candidate_spins": (Meataxe, "_split_by"),
+    "transpose_side": (Meataxe, "_norton"),
 }
 LATTICE_SPANS = {
     "ensure_peaks": (Meataxe, "ensure_peaks"),
@@ -122,6 +132,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     group_s = time_spans(GROUP_SPANS)
+    chop_s = time_spans(CHOP_SPANS)
     lattice_s = time_spans(LATTICE_SPANS)
     word_s = time_outermost(Word, "matrix")
     elim_s = time_outermost(linalg, "_eliminate")
@@ -135,6 +146,7 @@ def main() -> int:
         "match": res.report["verdict"]["match"],
         "timingsMs": timings,
         "groupMs": phase_ms(group_s, timings["group"]),
+        "chopMs": phase_ms(chop_s, timings["chop"]),
         "latticeMs": phase_ms(lattice_s, timings["lattice"]),
         "wordMatrixMs": round(1000 * word_s[0]),
         "eliminationMs": round(1000 * elim_s[0]),

@@ -506,16 +506,27 @@ class StabilizerChain:
         """Random words until quiet_target in a row strip to the identity.
 
         A word is decided on the followed points alone; only a word that
-        does not strip to the identity is formed in full and sifted.
+        does not strip to the identity is kept.  When the followed points
+        are all points (a chain without a frame, as `_pair_chain`'s), that
+        strip already is the word's sift: the residue at followed[j] is the
+        stripped row's entry j, stuck where the row stuck, so it is kept as
+        it is.  Otherwise the kept word is formed in full and sifted.
         """
         quiet = 0
         while quiet < quiet_target:
             letters = self._random_word()
-            if self._trivial_on_frame(self._word_images(letters, self._followed())[None])[0]:
+            points = self._followed()
+            img, stuck = self._strip_rows(self._word_images(letters, points)[None], range(len(self.levels)))
+            if (img[0] == points).all():  # `_trivial_on_frame`
                 quiet += 1
-            else:
-                quiet = 0
+                continue
+            quiet = 0
+            if len(points) < self.degree:
                 self._add_residue(*self.sift(self._word_images(letters, self._identity)))
+            else:
+                res = np.empty(self.degree, dtype=np.int64)
+                res[points] = img[0]
+                self._add_residue(res, int(stuck[0]))
 
     def order_lower_bound(self) -> int:
         out = 1

@@ -455,28 +455,24 @@ def rowspace_intersect(
 def krylov_annihilator(theta: np.ndarray, v: np.ndarray, ell: int):
     """Least monic p with v p(theta) = 0, plus the Krylov vectors computed.
 
-    The Krylov rows v theta^i are made in growing blocks (PANEL, 2 PANEL, ...)
-    and each block's transpose is put in reduced row echelon form.  Its first
-    non-pivot column d is the first linear dependence, so deg p = d and
-    column d holds the coefficients of v theta^d over the earlier rows.
+    All n + 1 Krylov rows v theta^i, i <= n, are made, and their transpose
+    is put in reduced row echelon form once.  Once v theta^d lies in the
+    span of the earlier rows so does every later one, so the pivots are the
+    columns 0 .. d - 1: deg p = d, and column d holds the coefficients of
+    v theta^d over the earlier rows.  (Eliminating growing prefixes of the
+    rows instead re-eliminates them each time the prefix grows, and the
+    degree is close to n on the chop's pieces.)
     """
     n = theta.shape[0]
     dt = product_dtype(ell, n)
     thetaf = theta.astype(dt)
     kry = zeros((n + 1, n), ell)
     kry[0] = v % ell
-    filled = 1
-    size = PANEL
-    while True:
-        size = min(size, n + 1)
-        for i in range(filled, size):
-            kry[i] = np.remainder(kry[i - 1].astype(dt) @ thetaf, ell)
-        filled = size
-        R, piv = rref(kry[:filled].T, ell)
-        d = len(piv)
-        if d < filled:
-            p = np.zeros(d + 1, dtype=np.int64)
-            p[:d] = (-R[:, d]) % ell
-            p[d] = 1
-            return p, kry[:d]
-        size *= 2
+    for i in range(1, n + 1):
+        kry[i] = np.remainder(kry[i - 1].astype(dt) @ thetaf, ell)
+    R, piv = rref(kry.T, ell)
+    d = len(piv)
+    p = np.zeros(d + 1, dtype=np.int64)
+    p[:d] = (-R[:, d]) % ell
+    p[d] = 1
+    return p, kry[:d]

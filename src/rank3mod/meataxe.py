@@ -7,7 +7,10 @@ products of generators, drawn from a seeded stream) act on sections of the
 permutation module, `modules.Section`, by a gather per product term; they are
 probed through the annihilator polynomial of a seeded vector (Krylov);
 irreducible factors of that polynomial divide the characteristic
-polynomial, so kernel vectors of f(theta) are split candidates.  Norton's criterion certifies irreducibility
+polynomial, so kernel vectors of f(theta) are split candidates.  The
+factors of an annihilator without roots in F_ell are taken only when a
+later word splits the module or the words run out (`Meataxe._chop_one`), so
+a simple module never pays for them.  Norton's criterion certifies irreducibility
 only at a root lam of the annihilator where theta - lam has nullity 1 (the
 kernel vector spins to everything, and so does a transpose-side kernel
 vector).  That (theta, lam) is a nullity-1 word, and every factor class is
@@ -36,7 +39,7 @@ factor's multiplicity and j the step at which the kernel chain of
 theta - lam stops on the factor, and is checked to have dimension m nu, for
 nu the generalised nullity there (`Meataxe.socle_lines`).  The socle series
 is then read off the certified lattice: soc(M/N) is the sum of the minimal
-overmodules of N.
+overmodules of N, merged into N at once.
 
 An operator A commuting with the group (the adjacency operator of the
 rank-3 graph) cuts M by elimination alone (`modules.eigen_split`).  Its
@@ -55,7 +58,7 @@ surjections U' -> S with kernel U (`Meataxe.lattice`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,8 +200,16 @@ class FactorClass:
     word: tuple[Word, int]
     trivial: bool = False  # all generators act as the identity
 
+    nullities: dict = field(default_factory=dict, repr=False, compare=False)  # (word, lam) -> nullity on rep
+
     def nullity_of(self, word: Word, lam: int, ell: int) -> int:
-        return self.dim - linalg.rank(_shifted(word, self.rep, lam), ell)
+        """The nullity of theta - lam on the class, ranked once per (word, lam):
+        every class's peak search replays the same stream."""
+        key = (word, lam)
+        nullity = self.nullities.get(key)
+        if nullity is None:
+            nullity = self.nullities[key] = self.dim - linalg.rank(_shifted(word, self.rep, lam), ell)
+        return nullity
 
     def kernel_chain(self, ell: int) -> tuple[int, int]:
         """(j, nu) for B = theta - lam, the class's word on its rep: the chain
@@ -331,18 +342,33 @@ class Meataxe:
         Each word theta is probed through the annihilator p of a random v.
         For every factor f of p, u = v (p / f)(theta) is a kernel vector of
         f(theta), non-zero as v, v theta, ..., v theta^(deg p - 1) are
-        independent, and its spin is a split candidate.  Norton's certificate is taken only at
-        a root lam of p where theta - lam has nullity 1: its kernel is then
-        <u>, just spun to everything, so a transpose-side kernel vector that
-        spins to everything too proves the module simple, and (theta, lam)
-        is the class's word.  A 1-dimensional piece is simple, with the first
-        word of the stream and its 1 x 1 value as the word.
+        independent, and its spin is a split candidate (`_split_by`).
+        Norton's certificate is taken only at a root lam of p where theta -
+        lam has nullity 1: its kernel is then <u>, just spun to everything,
+        so a transpose-side kernel vector that spins to everything too
+        proves the module simple, and (theta, lam) is the class's word
+        (`_norton`).  A 1-dimensional piece is simple, with the first word
+        of the stream and its 1 x 1 value as the word.
+
+        The factors of a rootless p serve only as split candidates, so they
+        are taken lazily: such a word only records (p, its Krylov rows, the
+        rng state after its v), and the loop moves on; v is drawn for every
+        word all the same.  The pending words are tried, in stream order, only
+        when a later word splits the module or the word budget runs out
+        (`_first_split`).  If one of them splits, its split is returned and
+        the rng is put back to the state recorded after that word, so the
+        result and the stream are those of factoring each rootless p as it
+        is drawn: that loop would have stopped at that word, and nothing
+        done since is kept.  When a later word certifies the module simple, no spin of
+        a non-zero vector is proper, so no pending candidate could have
+        split it, and the word is registered with none of them tried.
         """
         n, ell = action.dim, self.ell
         stream = word_stream(self.ngens, ell, self.seed, 0xC4)
         if n == 1:
             word = next(stream)
             return self.register(action, (word, int(word.matrix(action)[0, 0])))
+        pending, W = [], None
         for _ in range(WORD_BUDGET):
             word = next(stream)
             theta = word.matrix(action)
@@ -350,34 +376,73 @@ class Meataxe:
             if not v.any():
                 v[0] = 1
             p, kry = krylov_annihilator(theta, v, ell)
-            # roots give linear factors without a full factorisation; the
-            # factors of a rootless p are split candidates only
+            # roots give linear factors without a full factorisation
             roots = [lam for lam in range(ell) if poly_eval_int(p, lam, ell) == 0]
-            factors = [np.array([(-lam) % ell, 1], dtype=np.int64) for lam in roots]
-            if not factors:
-                factors = [f for f, _mult in factor_poly(p, ell, seed=self.seed)]
-            for f in factors:
-                q, rem = poly_divmod(p, f, ell)
-                if rem.any():
-                    raise CertificationError("annihilator factorisation inconsistent")
-                W = spin(action, [(q @ kry[: len(q)]) % ell])
-                if W.dim < n:
-                    return [sub_rep(W), QuotCtx(action, W)]
+            if not roots:
+                pending.append((p, kry, self._rng.bit_generator.state))
+                continue
+            W = self._split_by(action, p, kry, [np.array([(-lam) % ell, 1], dtype=np.int64) for lam in roots])
+            if W is not None:
+                break
             for lam in roots:
-                Kt = linalg.nullspace(linalg.minus_scalar(theta, lam, ell), ell)
-                if Kt.shape[0] != 1:
-                    continue  # the right kernel's dimension is the nullity
-                Wt = spin(transpose_action(action), [Kt[0]])
-                if Wt.dim < n:
-                    U = submodule_from_rows(action, linalg.nullspace(Wt.basis, ell))
-                    if not 0 < U.dim < n:
-                        raise CertificationError("transpose-side split produced no submodule")
-                    return [sub_rep(U), QuotCtx(action, U)]
-                return self.register(action, (word, lam))
-        raise BudgetExceededError(
-            f"chop: no word within {WORD_BUDGET} splits a dim-{n} module or has an "
-            f"eigenvalue in F_{ell} of nullity 1 on it"
-        )
+                W = self._norton(action, theta, lam)
+                if W is not None:  # theta - lam has nullity 1
+                    break
+            if W is not None:
+                if not W.dim:
+                    return self.register(action, (word, lam))
+                break
+        W = self._first_split(action, pending, W)
+        if W is None:
+            raise BudgetExceededError(
+                f"chop: no word within {WORD_BUDGET} splits a dim-{n} module or has an "
+                f"eigenvalue in F_{ell} of nullity 1 on it"
+            )
+        return [sub_rep(W), QuotCtx(action, W)]
+
+    def _first_split(self, action, pending: list, W: Submodule | None) -> Submodule | None:
+        """The split of the first pending rootless word whose factors give
+        one, with the rng put back to the state recorded after that word;
+        else W, the split found since (None when the words ran out)."""
+        for p, kry, state in pending:
+            factors = [f for f, _mult in factor_poly(p, self.ell, seed=self.seed)]
+            found = self._split_by(action, p, kry, factors)
+            if found is not None:
+                self._rng.bit_generator.state = state
+                return found
+        return W
+
+    def _split_by(self, action, p: np.ndarray, kry: np.ndarray, factors: list) -> Submodule | None:
+        """The proper submodule spun by the first factor f of p whose
+        candidate u = v (p / f)(theta), formed from the Krylov rows, spins
+        to one, or None."""
+        ell = self.ell
+        for f in factors:
+            q, rem = poly_divmod(p, f, ell)
+            if rem.any():
+                raise CertificationError("annihilator factorisation inconsistent")
+            W = spin(action, [(q @ kry[: len(q)]) % ell])
+            if W.dim < action.dim:
+                return W
+        return None
+
+    def _norton(self, action, theta: np.ndarray, lam: int) -> Submodule | None:
+        """Norton's transpose side at a root lam whose candidate spun to
+        everything: None when theta - lam does not have nullity 1, else the
+        submodule annihilated by the spin of a transpose-side kernel vector.
+        That is 0 exactly when the spin is everything and the module is
+        simple, and a proper split otherwise."""
+        ell, n = self.ell, action.dim
+        Kt = linalg.nullspace(linalg.minus_scalar(theta, lam, ell), ell)
+        if Kt.shape[0] != 1:
+            return None  # the right kernel's dimension is the nullity
+        Wt = spin(transpose_action(action), [Kt[0]])
+        if Wt.dim == n:
+            return zero_submodule(action)
+        U = submodule_from_rows(action, linalg.nullspace(Wt.basis, ell))
+        if not 0 < U.dim < n:
+            raise CertificationError("transpose-side split produced no submodule")
+        return U
 
     # -- isomorphism testing ----------------------------------------------
 
@@ -785,7 +850,10 @@ class Meataxe:
         Read off the certified lattice: soc(M/N) is the sum of the minimal
         overmodules of N, which are the covers of N's node.  The walk starts
         at the zero node and moves to the node of that sum until it reaches
-        the whole module.
+        the whole module.  A cover C > N is N plus C's RREF rows at the
+        pivots outside N's (N's pivots are among C's, and those rows are
+        zero at every other pivot of C), so the sum is N with every cover's
+        such rows merged in once (`linalg.rowspace_sum`).
         """
         bykey = {n.sub.key(): n for n in lat.nodes}
         byident = {n.ident: n for n in lat.nodes}
@@ -804,9 +872,11 @@ class Meataxe:
         layers: list[Counter] = []
         top = node_of(zero_submodule(ambient))
         while top.dim < ambient.dim:
-            soc = top.sub
-            for cover in covers.get(top.ident, []):
-                soc = sum_sub(soc, cover.sub)
+            N = top.sub
+            new = [C.sub.basis[~np.isin(C.sub.pivots, N.pivots)] for C in covers.get(top.ident, [])]
+            soc = N
+            if new:
+                soc = Submodule(ambient, *linalg.rowspace_sum(N.basis, N.pivots, np.vstack(new), self.ell))
             nxt = node_of(soc)
             if nxt is top:
                 raise CertificationError(f"a dim-{top.dim} lattice node has no covers")

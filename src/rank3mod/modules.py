@@ -10,7 +10,9 @@ A module is described by an action object of one of two kinds:
     product with the projection (`Section.image`).  Its generator matrices
     are formed only when a spin or the isomorphism test asks for them.  The
     one section without a lift is a quotient M / N of M itself, the lattice
-    walk's, which is only spun and projected to.
+    walk's, which is only spun and projected to; a generator acts on it by
+    a gather and a product with a block of N's basis (`QuotCtx.act_rows`),
+    and no generator matrix of it is formed.
 Words act on sections alone.  A DenseRep, with dense generator matrices, is
 only spun: Norton's transpose side and the isomorphism test's S + T.
 Vectors are rows and matrices are F_ell matrices in `linalg`'s one storage
@@ -113,11 +115,16 @@ class Submodule:
 def spin(action, seeds, cap_dim: int | None = None) -> Submodule | None:
     """Smallest generator-closed subspace containing the seed vectors.
 
-    Generator images are taken one BFS round at a time, and each generator's
-    images are merged into the basis as one block (`linalg.rowspace_sum`);
-    the rows that block adds are the next round's.  The rounds end when a
+    Generator images are taken one BFS round at a time: the images of the
+    round's block under every generator are stacked and merged into the
+    basis as one block (`linalg.rowspace_sum`), and the basis rows at the
+    pivots that merge adds are the next round's block.  They and the basis
+    before the round span the basis after it, so each round spans what
+    merging one generator's images at a time would.  The rounds end when a
     round adds nothing or the basis spans the whole space.  With cap_dim the
-    spin aborts (returning None) as soon as the dimension exceeds the cap.
+    spin aborts (returning None) as soon as a round's dimension exceeds the
+    cap; the dimensions only grow, so that is exactly when the closure's
+    does.
     """
     ell = action.ell
     basis, pivots = linalg.rref(np.array(list(seeds)).reshape(-1, action.dim), ell)
@@ -125,16 +132,14 @@ def spin(action, seeds, cap_dim: int | None = None) -> Submodule | None:
         return None
     block = basis
     while len(block) and len(pivots) < action.dim:
-        found = []
-        for i in range(action.ngens):
-            basis, merged = linalg.rowspace_sum(basis, pivots, action.act_rows(block, i), ell)
-            new = np.ones(len(merged), dtype=bool)
-            new[np.searchsorted(merged, pivots)] = False  # rows at old pivots were there before
-            found.append(basis[new])
-            pivots = merged
-            if cap_dim is not None and len(pivots) > cap_dim:
-                return None
-        block = np.vstack(found)
+        images = np.vstack([action.act_rows(block, i) for i in range(action.ngens)])
+        basis, merged = linalg.rowspace_sum(basis, pivots, images, ell)
+        new = np.ones(len(merged), dtype=bool)
+        new[np.searchsorted(merged, pivots)] = False  # rows at old pivots were there before
+        block = basis[new]
+        pivots = merged
+        if cap_dim is not None and len(pivots) > cap_dim:
+            return None
     sub = Submodule(action, basis, pivots)
     sub.certify_closed()
     return sub
@@ -183,7 +188,8 @@ class Section:
     `unit_rows`, and cols is all of M.  An element theta of the group algebra
     of M acts on the section as lift theta[:, cols] proj (`image`).  The
     generator matrices are formed from it when first asked for
-    (`gen_matrix`), for a spin or the isomorphism test.  `word_cache` and
+    (`gen_matrix`), for a spin or the isomorphism test; a quotient of M
+    itself forms none, as its spins act by `QuotCtx.act_rows`.  `word_cache` and
     `kernel_cache` keep the word matrices and kernels `meataxe` takes on it.
     """
 
@@ -251,11 +257,14 @@ class QuotCtx(Section):
     `Section` of M its representatives are those of the action's coordinates
     at the non-pivots, and its map back is the action's followed by P.  The
     action is M itself (the lattice walk's quotients, with no lift) or a
-    section with a lift (the chop's).
+    section with a lift (the chop's).  A quotient of M itself acts on rows
+    without a generator matrix (`act_rows`), keeping per generator only the
+    index arrays and the block of N's basis that action reads.
     """
 
     def __init__(self, action, sub: Submodule):
         self.sub = sub
+        self._moves: dict[int, tuple] = {}  # generator -> `_moves_of`, on a quotient of M
         ell = action.ell
         n = action.dim
         nonpiv = np.setdiff1d(np.arange(n), sub.pivots)
@@ -269,6 +278,41 @@ class QuotCtx(Section):
             return
         proj = P if action.proj is None else linalg.matmul(action.proj, P, ell)
         super().__init__(action.ctx, action.lift[nonpiv], None, action.cols, proj)
+
+    def act_rows(self, V: np.ndarray, i: int) -> np.ndarray:
+        """V g on the quotient.  On a quotient M / N of M itself this forms
+        no generator matrix.  For J the non-pivots of N, a row v of the
+        quotient lifts to x with x[J] = v and 0 at N's pivots, and
+        (x g)[c] = x[pi^-1 c] for pi = g's permutation, so x g is a column
+        gather of v that reads 0 from a pivot.  Its residue modulo N at J is
+        (x g)[J] - (x g)[H] B[H][:, J], for B N's basis and H the pivots whose
+        source pi^-1 p is in J (the other pivot columns of x g are 0): a
+        gather and a product of |H| x |J|, not of |J| x |J|."""
+        if self.lift is not None:
+            return super().act_rows(V, i)
+        moves = self._moves.get(i)
+        if moves is None:
+            moves = self._moves[i] = self._moves_of(i)
+        dst, src, hsrc, block = moves
+        out = linalg.zeros((V.shape[0], len(self.nonpivots)), self.ell)
+        out[:, dst] = V[:, src]
+        if not len(hsrc):
+            return out
+        return (out - linalg.matmul(V[:, hsrc], block, self.ell)) % self.ell
+
+    def _moves_of(self, i: int) -> tuple:
+        """For generator i on M / N: the quotient columns `dst` that read a
+        column `src` of v, the columns `hsrc` of v that land on N's pivots
+        H, and B[H][:, J]."""
+        sub, J = self.sub, self.nonpivots
+        pos = np.full(self.ctx.dim, -1, dtype=np.int64)
+        pos[J] = np.arange(len(J))
+        inv = self.ctx.invperms[i]
+        src = pos[inv[J]]
+        dst = np.flatnonzero(src >= 0)
+        hsrc = pos[inv[sub.pivots]]
+        H = np.flatnonzero(hsrc >= 0)
+        return dst, src[dst], hsrc[H], sub.basis[H][:, J]
 
     def lift_rows(self, V: np.ndarray) -> np.ndarray:
         out = linalg.zeros((V.shape[0], self.sub.action.dim), self.ell)

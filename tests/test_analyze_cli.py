@@ -118,6 +118,9 @@ def test_every_kept_matrix_has_the_storage_dtype(monkeypatch, ell, seed):
     for r in sections:
         if r.lift is None:
             assert isinstance(r, QuotCtx) and r.sub.action is res.pm.ctxP and not r.word_cache
+            # and acts by gathers and one small product, with no generator matrix
+            assert not r._gens and all(m[-1].dtype == want for m in r._moves.values())
+    assert any(r._moves for r in sections if r.lift is None)
     assert any(r.proj is not None for r in sections) and any(r._gens for r in sections)
     assert any(not isinstance(r, Section) for r in reps)
     for r in reps:

@@ -582,6 +582,62 @@ def test_random_rounds_on_the_frame_leave_the_chain_of_full_sifts(family, dim, c
     assert grew
 
 
+def _decided_then_sifted_rounds(chain, quiet_target):
+    """Random rounds that decide each word on the followed points and sift a
+    kept word whole: the reference for keeping the decision's strip."""
+    quiet = 0
+    while quiet < quiet_target:
+        letters = chain._random_word()
+        if chain._trivial_on_frame(chain._word_images(letters, chain._followed())[None])[0]:
+            quiet += 1
+        else:
+            quiet = 0
+            chain._add_residue(*chain.sift(chain._word_images(letters, chain._identity)))
+
+
+@pytest.mark.parametrize(
+    "family,dim", [(OPLUS, 6), (OPLUS, 8), (OMINUS, 6), (OMINUS, 8), (UNITARY, 4), (UNITARY, 5)]
+)
+def test_pair_chains_keep_the_deciding_strip_as_the_sift(monkeypatch, family, dim):
+    # a pair chain has no frame, so its followed points are all points and
+    # the strip that decides a word is its sift: no kept word is sifted again
+    kept = 0
+    for seed in (0, 1, 5):
+        _, points, gd = cached_setup(family, dim, seed)
+        sifts, adds = [], []
+        rounds, sift, add = StabilizerChain._random_rounds, StabilizerChain.sift, StabilizerChain._add_residue
+        in_rounds = [False]
+
+        def noted_rounds(chain, quiet_target):
+            in_rounds[0] = True
+            try:
+                rounds(chain, quiet_target)
+            finally:
+                in_rounds[0] = False
+
+        def noted_sift(chain, p):
+            sifts.append(in_rounds[0])
+            return sift(chain, p)
+
+        def noted_add(chain, res, level):
+            adds.append(in_rounds[0])
+            return add(chain, res, level)
+
+        monkeypatch.setattr(StabilizerChain, "_random_rounds", noted_rounds)
+        monkeypatch.setattr(StabilizerChain, "sift", noted_sift)
+        monkeypatch.setattr(StabilizerChain, "_add_residue", noted_add)
+        pair, chain = generating_pair(gd, points, seed=seed)
+        monkeypatch.undo()
+        assert not any(sifts)
+        kept += sum(adds)
+        monkeypatch.setattr(StabilizerChain, "_random_rounds", _decided_then_sifted_rounds)
+        want_pair, want_chain = generating_pair(gd, points, seed=seed)
+        monkeypatch.undo()
+        assert [p.on_P.tobytes() for p in pair] == [p.on_P.tobytes() for p in want_pair]
+        assert _chain_state(chain) == _chain_state(want_chain)
+    assert kept  # the rounds kept words
+
+
 def test_strip_rows_matches_one_at_a_time_with_stuck_rows():
     # an incomplete chain: most random permutations stick at some level
     chain = _rounds0_chain(OMINUS, 6, 0, 6)

@@ -1080,3 +1080,232 @@ def test_peak_words_are_those_of_the_lambda_by_lambda_search(monkeypatch, family
         raise AssertionError(f"no reference peak word for class {i}")
 
     assert [cls.word for cls in classes] == [reference(i) for i in range(len(classes))]
+
+
+# ---------------------------------------------------------------------------
+# the chop's lazy rootless words, the Krylov rows, memoised nullities and the
+# socle series' one merge per layer
+
+
+def _eager_chop_one(mt, action):
+    """`Meataxe._chop_one` with every rootless word's factors spun as soon as
+    it is drawn: the reference the lazy chop must reproduce."""
+    n, ell = action.dim, mt.ell
+    stream = meataxe.word_stream(mt.ngens, ell, mt.seed, 0xC4)
+    if n == 1:
+        word = next(stream)
+        return mt.register(action, (word, int(word.matrix(action)[0, 0])))
+    for _ in range(meataxe.WORD_BUDGET):
+        word = next(stream)
+        theta = word.matrix(action)
+        v = mt._rng.integers(0, ell, size=n, dtype=np.int64)
+        if not v.any():
+            v[0] = 1
+        p, kry = krylov_annihilator(theta, v, ell)
+        roots = [lam for lam in range(ell) if meataxe.poly_eval_int(p, lam, ell) == 0]
+        factors = [np.array([(-lam) % ell, 1], dtype=np.int64) for lam in roots]
+        if not factors:
+            factors = [f for f, _mult in meataxe.factor_poly(p, ell, seed=mt.seed)]
+        for f in factors:
+            q, _rem = meataxe.poly_divmod(p, f, ell)
+            W = spin(action, [(q @ kry[: len(q)]) % ell])
+            if W.dim < n:
+                return [sub_rep(W), QuotCtx(action, W)]
+        for lam in roots:
+            Kt = linalg.nullspace(linalg.minus_scalar(theta, lam, ell), ell)
+            if Kt.shape[0] != 1:
+                continue
+            Wt = spin(transpose_action(action), [Kt[0]])
+            if Wt.dim < n:
+                U = submodule_from_rows(action, linalg.nullspace(Wt.basis, ell))
+                return [sub_rep(U), QuotCtx(action, U)]
+            return mt.register(action, (word, lam))
+    raise BudgetExceededError("eager chop: word budget")
+
+
+def _chop_calls(res, monkeypatch, eager):
+    """The chop of the analysis' pieces, lazy or eager, as one entry per
+    `_chop_one` call: (dim, class index or piece dims, rng state after), and
+    how each call with pending rootless words ended."""
+    calls, ends = [], []
+    lazy = Meataxe._chop_one
+    first_split = Meataxe._first_split
+
+    def recorded(self, action):
+        try:
+            out = _eager_chop_one(self, action) if eager else lazy(self, action)
+        except BudgetExceededError:
+            out = "budget"
+        got = out if isinstance(out, (int, str)) else [part.dim for part in out]
+        calls.append((action.dim, got, self._rng.bit_generator.state))
+        if out == "budget":
+            raise BudgetExceededError("budget")
+        return out
+
+    def noted(self, action, pending, split):
+        out = first_split(self, action, pending, split)
+        if pending:
+            ends.append("budget" if split is None else "pending" if out is not split else "later")
+        return out
+
+    monkeypatch.setattr(Meataxe, "_chop_one", recorded)
+    monkeypatch.setattr(Meataxe, "_first_split", noted)
+    pm = res.pm
+    mt = Meataxe(pm.ell, pm.ctxP.ngens, seed=res.meataxe.seed)
+    try:
+        mt.chop(pm.ctxP, eigen_split(pm.ctxP, pm._adj, _eigenvalues(res)))
+    except BudgetExceededError:
+        pass
+    monkeypatch.undo()
+    return calls, ends
+
+
+@pytest.mark.parametrize(
+    "family,size,ell,seed,budget,want",
+    [
+        # the simple 210-dimensional piece starts with a rootless word
+        ("u", 6, 3, 5, None, set()),
+        # a pending word splits first, and a later word's split wins
+        ("u", 5, 3, 2, None, {"pending", "later"}),
+        ("o-", 3, 3, 5, None, {"pending"}),
+        # the budget runs out with a pending word that splits
+        ("o-", 3, 3, 5, 1, {"budget"}),
+    ],
+)
+def test_lazy_chop_returns_and_leaves_the_rng_as_the_eager_chop(
+    analysis, monkeypatch, family, size, ell, seed, budget, want
+):
+    res = analysis(family, size, ell, seed)
+    if budget is not None:
+        monkeypatch.setattr(meataxe, "WORD_BUDGET", budget)
+    lazy, ends = _chop_calls(res, monkeypatch, eager=False)
+    if budget is not None:
+        monkeypatch.setattr(meataxe, "WORD_BUDGET", budget)
+    eager, _ = _chop_calls(res, monkeypatch, eager=True)
+    assert lazy == eager
+    assert want <= set(ends)
+    if not want:
+        # a rootless word was pending when the piece was certified simple
+        assert any(d == 210 and isinstance(got, int) for d, got, _ in lazy)
+
+
+def test_lazy_chop_factors_no_rootless_annihilator_of_a_simple_piece(analysis, monkeypatch):
+    # U6(2), ell = 3, seed 5: the first word on the simple 210-dimensional
+    # piece is rootless, and the chop certifies the piece with no factor_poly
+    res = analysis("u", 6, 3, 5)
+    degrees = []
+    factor = meataxe.factor_poly
+    monkeypatch.setattr(
+        meataxe, "factor_poly", lambda f, ell, seed=0: degrees.append(len(f) - 1) or factor(f, ell, seed)
+    )
+    registered = []
+    register = Meataxe.register
+    monkeypatch.setattr(
+        Meataxe, "register", lambda self, rep, word: registered.append(rep.dim) or register(self, rep, word)
+    )
+    pm = res.pm
+    mt = Meataxe(pm.ell, pm.ctxP.ngens, seed=5)
+    mt.chop(pm.ctxP, eigen_split(pm.ctxP, pm._adj, _eigenvalues(res)))
+    assert 210 in registered and degrees == []
+
+
+def _doubling_krylov(theta, v, ell):
+    """The annihilator from Krylov blocks of 64, 128, ... rows, each block
+    eliminated afresh: the reference for the one elimination of all rows."""
+    n = theta.shape[0]
+    kry = np.zeros((n + 1, n), dtype=np.int64)
+    kry[0] = v % ell
+    filled, size = 1, 64
+    while True:
+        size = min(size, n + 1)
+        for i in range(filled, size):
+            kry[i] = kry[i - 1] @ theta % ell
+        filled = size
+        R, piv = linalg.rref(kry[:filled].T, ell)
+        d = len(piv)
+        if d < filled:
+            p = np.zeros(d + 1, dtype=np.int64)
+            p[:d] = (-R[:, d].astype(np.int64)) % ell
+            p[d] = 1
+            return p, kry[:d]
+        size *= 2
+
+
+@pytest.mark.parametrize("ell", [3, 17])
+def test_krylov_annihilator_equals_the_doubling_blocks(ell):
+    rng = np.random.default_rng(ell)
+    n = 150
+    cases = [(_block_theta(n, s, ell, rng), s) for s in (1, 64, 65, 130)]
+    cases.append((rng.integers(0, ell, size=(n, n)), n))
+    degrees = []
+    for theta, s in cases:
+        v = np.zeros(n, dtype=np.int64)
+        v[n - s :] = rng.integers(0, ell, size=s)
+        v[n - 1] = 1
+        p, kry = krylov_annihilator(theta, v, ell)
+        want_p, want_kry = _doubling_krylov(theta.astype(np.int64), v, ell)
+        assert np.array_equal(p, want_p) and np.array_equal(kry, want_kry)
+        degrees.append(len(p) - 1)
+    assert min(degrees) < n and max(degrees) == n  # degree < n and degree n
+    zero = np.zeros(n, dtype=np.int64)
+    p, kry = krylov_annihilator(cases[-1][0], zero, ell)
+    want_p, want_kry = _doubling_krylov(cases[-1][0], zero, ell)
+    assert list(p) == list(want_p) == [1] and kry.shape == want_kry.shape == (0, n)
+
+
+@pytest.mark.parametrize("family,size,ell", [("o+", 3, 3), ("u", 4, 3), ("u", 5, 3), ("o-", 4, 3)])
+def test_ensure_peaks_ranks_each_word_and_eigenvalue_once_per_class(monkeypatch, family, size, ell):
+    ranked, asked = [], [0]
+    inside = [False]
+    ensure, shifted, nullity_of = Meataxe.ensure_peaks, meataxe._shifted, FactorClass.nullity_of
+
+    def noted_ensure(self):
+        inside[0] = True
+        try:
+            ensure(self)
+        finally:
+            inside[0] = False
+
+    def noted_shifted(word, section, lam):
+        if inside[0]:
+            ranked.append((word, lam, id(section)))
+        return shifted(word, section, lam)
+
+    def counted(self, word, lam, ell):
+        asked[0] += inside[0]
+        return nullity_of(self, word, lam, ell)
+
+    monkeypatch.setattr(Meataxe, "ensure_peaks", noted_ensure)
+    monkeypatch.setattr(meataxe, "_shifted", noted_shifted)
+    monkeypatch.setattr(FactorClass, "nullity_of", counted)
+    assert run_analysis(family, size, ell, seed=0).report["verdict"]["match"]
+    assert ranked and len(ranked) == len(set(ranked)) <= asked[0]
+
+
+def _socle_series_by_sums(mt, ambient, lat):
+    """The socle layers with N merged with each cover's whole basis in turn."""
+    bykey = {n.sub.key(): n for n in lat.nodes}
+    covers = {}
+    for a, b, _c in lat.edges:
+        covers.setdefault(a, []).append(next(n for n in lat.nodes if n.ident == b))
+    layers, top = [], bykey[zero_submodule(ambient).key()]
+    while top.dim < ambient.dim:
+        soc = top.sub
+        for cover in covers[top.ident]:
+            soc = sum_sub(soc, cover.sub)
+        nxt = bykey[soc.key()]
+        layers.append(nxt.factors - top.factors)
+        top = nxt
+    return layers
+
+
+@pytest.mark.parametrize("family,size,ell", [("o+", 3, 3), ("u", 4, 3), ("u", 5, 3), ("o+", 4, 3), ("u", 4, 5)])
+def test_socle_series_merges_each_layer_once_as_the_cover_sums(analysis, monkeypatch, family, size, ell):
+    res = analysis(family, size, ell)
+    mt, M = res.meataxe, res.pm.ctxP
+    sums = []
+    rowspace_sum = linalg.rowspace_sum
+    monkeypatch.setattr(linalg, "rowspace_sum", lambda *a: sums.append(1) or rowspace_sum(*a))
+    layers = mt.socle_series(M, res.lattice)
+    assert len(sums) == len(layers)
+    assert layers == _socle_series_by_sums(mt, M, res.lattice)

@@ -16,6 +16,7 @@ from rank3mod.modules import (
 )
 
 from conftest import (
+    cached_analysis,
     cached_pm,
     contains,
     graph_submodule,
@@ -407,3 +408,80 @@ def test_blocked_spin_matches_reference_closure(ell):
             assert (capped is None) == (len(piv) > cap)
             if capped is not None:
                 assert same_submodule(capped, sub)
+
+
+def _per_generator_spin(action, seeds, cap_dim=None):
+    """`spin` merging one generator's images at a time, the block of a round
+    being the rows each merge added: the reference for one merge per round."""
+    ell = action.ell
+    basis, pivots = linalg.rref(np.array(list(seeds)).reshape(-1, action.dim), ell)
+    if cap_dim is not None and len(pivots) > cap_dim:
+        return None
+    block = basis
+    while len(block) and len(pivots) < action.dim:
+        found = []
+        for i in range(action.ngens):
+            basis, merged = linalg.rowspace_sum(basis, pivots, action.act_rows(block, i), ell)
+            new = np.ones(len(merged), dtype=bool)
+            new[np.searchsorted(merged, pivots)] = False
+            found.append(basis[new])
+            pivots = merged
+            if cap_dim is not None and len(pivots) > cap_dim:
+                return None
+        block = np.vstack(found)
+    return Submodule(action, basis, pivots)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_spin_merges_once_a_round_as_the_per_generator_merges(monkeypatch, ell):
+    rng = np.random.default_rng(10 + ell)
+    pm = cached_pm("u", 5, ell)
+    M = pm.ctxP
+    seeds = [(pm.v_c(1, 0) - pm.v_c(1, 5)) % ell, rng.integers(0, ell, size=M.dim)]
+    quots = [QuotCtx(M, graph_submodule(pm, 1)), QuotCtx(M, zero_sum_and_ones(pm)[1])]
+    cases = [
+        (M, seeds[:1]),
+        (M, seeds),
+        *[(quot, [rng.integers(0, ell, size=quot.dim)]) for quot in quots],
+        (_block_rep(140, 70, ell, rng, ngens=3), [np.eye(1, 140, 139, dtype=np.int64)[0]]),
+        (_block_rep(140, 70, ell, rng, ngens=3), [rng.integers(0, ell, size=140)]),
+    ]
+    for action, seed_list in cases:
+        want = _per_generator_spin(action, seed_list)
+        merges, acts = [], []
+        rowspace_sum, act_rows = linalg.rowspace_sum, action.act_rows
+        monkeypatch.setattr(linalg, "rowspace_sum", lambda *a: merges.append(1) or rowspace_sum(*a))
+        monkeypatch.setattr(action, "act_rows", lambda V, i: acts.append(i) or act_rows(V, i))
+        got = spin(action, seed_list)
+        monkeypatch.undo()
+        assert np.array_equal(got.basis, want.basis) and np.array_equal(got.pivots, want.pivots)
+        # one merge per round of ngens images, and ngens more for the closure
+        # check, which the whole space skips
+        check = int(got.dim < action.dim)
+        assert len(acts) == action.ngens * (len(merges) + check)
+        d = got.dim
+        for cap in (0, 1, d - 1, d, d + 1):
+            capped = spin(action, seed_list, cap_dim=cap)
+            ref = _per_generator_spin(action, seed_list, cap_dim=cap)
+            assert (capped is None) == (ref is None) == (d > cap)
+            if capped is not None:
+                assert np.array_equal(capped.basis, ref.basis)
+
+
+@pytest.mark.parametrize("family,size,ell", [("o+", 4, 3), ("u", 5, 3)])
+def test_quotient_of_m_acts_as_its_generator_matrices_without_forming_them(family, size, ell):
+    res = cached_analysis(family, size, ell)
+    M = res.pm.ctxP
+    rng = np.random.default_rng(ell)
+    nodes = [n for n in res.lattice.nodes if 0 < n.dim < M.dim]
+    assert len(nodes) > 3
+    for node in nodes:
+        quot = QuotCtx(M, node.sub)
+        V = np.vstack([np.eye(quot.dim, dtype=np.int64)[:3], rng.integers(0, ell, size=(5, quot.dim))])
+        V = linalg.asmat(V, ell)
+        for i in range(M.ngens):
+            got = quot.act_rows(V, i)
+            assert not quot._gens  # no generator matrix is formed
+            assert got.dtype == V.dtype
+            assert np.array_equal(got, linalg.matmul(V, quot.gen_matrix(i), ell))
+            quot._gens.clear()
