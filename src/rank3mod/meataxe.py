@@ -73,10 +73,10 @@ from .modules import (
     Section,
     Submodule,
     Summands,
+    quot_rep,
     spin,
     sub_rep,
     submodule_from_rows,
-    sum_sub,
     zero_submodule,
 )
 from .polys import factor_poly, poly_divmod, poly_eval_int
@@ -291,7 +291,7 @@ class Meataxe:
         if idx is not None:
             return idx
         trivial = rep.dim == 1 and all(rep.gen_matrix(i)[0, 0] == 1 for i in range(rep.ngens))
-        rep = Section(rep.ctx, rep.lift, rep.unit_rows, rep.cols, rep.proj)
+        rep = Section(rep.ctx, rep.lift, rep.cols, rep.proj)
         self.classes.append(FactorClass(rep, rep.dim, word, trivial))
         return len(self.classes) - 1
 
@@ -398,7 +398,7 @@ class Meataxe:
                 f"chop: no word within {WORD_BUDGET} splits a dim-{n} module or has an "
                 f"eigenvalue in F_{ell} of nullity 1 on it"
             )
-        return [sub_rep(W), QuotCtx(action, W)]
+        return [sub_rep(W), quot_rep(W)]
 
     def _first_split(self, action, pending: list, W: Submodule | None) -> Submodule | None:
         """The split of the first pending rootless word whose factors give
@@ -568,17 +568,17 @@ class Meataxe:
         return out
 
     def socle_lines(
-        self, action: ModCtx | QuotCtx, kernels: dict[int, tuple[np.ndarray, np.ndarray]], factors: Counter
+        self, quot: QuotCtx, kernels: dict[int, tuple[np.ndarray, np.ndarray]], factors: Counter
     ) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
-        """For each class: the simple submodules of `action` it is isomorphic to.
+        """For each class: the simple submodules of `quot` it is isomorphic to.
 
-        `action` is the permutation module M or a quotient M / N of it (a
-        `QuotCtx` of M), and `kernels` are M's `fitting_kernels`.  Returns dict
-        class_idx -> [(seed, line)...], where each line is spun from its
-        seed, a kernel vector of the class's peak word.  Every class must
-        hold its peak word (`lattice` runs `ensure_peaks` once).  A candidate
-        kernel line is valid iff its spin has the class dimension; the count
-        of valid lines must be a projective-space count.
+        `quot` is a quotient M / N of the permutation module M (a `QuotCtx`;
+        N = 0 gives M itself), and `kernels` are M's `fitting_kernels`.
+        Returns dict class_idx -> [(seed, line)...], where each line is spun
+        from its seed, a kernel vector of the class's peak word.  Every class
+        must hold its peak word (`lattice` runs `ensure_peaks` once).  A
+        candidate kernel line is valid iff its spin has the class dimension;
+        the count of valid lines must be a projective-space count.
 
         The kernel of A = theta - lam on M / N is read off the Fitting
         decomposition M = K + I of A, with A nilpotent on K and invertible
@@ -594,18 +594,18 @@ class Meataxe:
         the rows the left kernel of A on M / N itself would give, with no
         elimination of M / N and no word matrix on it.
 
-        `factors` are the composition factors of `action`, and the kernel of
+        `factors` are the composition factors of M / N, and the kernel of
         every class absent from them is skipped: it is 0.  A peak word
         theta - lam has nullity 0 on every other class (`_peak_ok`), so it is
-        invertible on each composition factor of `action`, and hence on
-        `action` itself.
+        invertible on each composition factor of M / N, and hence on M / N
+        itself.
         """
         out = {}
         for idx, (K_M, Z) in kernels.items():
             if not factors[idx]:
                 continue
             cls = self.classes[idx]
-            K = _node_kernel(action, K_M, Z, self.ell)
+            K = _node_kernel(quot, K_M, Z, self.ell)
             if K.shape[0] == 0:
                 continue
             if K.shape[0] > HOM_MULTIPLICITY_CAP:
@@ -616,7 +616,7 @@ class Meataxe:
             lines = []
             for coeffs in _projective_reps(K.shape[0], self.ell):
                 seedv = (coeffs @ K) % self.ell
-                W = spin(action, [seedv], cap_dim=cls.dim)
+                W = spin(quot, [seedv], cap_dim=cls.dim)
                 if W is not None and W.dim == cls.dim:
                     lines.append((seedv, W))
             if lines:
@@ -627,8 +627,8 @@ class Meataxe:
     def lattice(self, ambient: ModCtx, total: Counter, split: EigenSplit | None = None) -> Lattice:
         """All submodules of the permutation module `ambient`, certified;
         `total` are its composition factors (`chop`).  The peak words'
-        Fitting kernels are taken on it (`fitting_kernels`), and the walk's
-        quotients of it are only spun and projected.
+        Fitting kernels are taken on it (`fitting_kernels`), and its
+        quotients, the walk's and the glue's, are only spun and projected.
 
         Without a split, or when the split has no summands (the residues of
         the operator's eigenvalues mod ell are all equal), the lattice is
@@ -658,15 +658,16 @@ class Meataxe:
         off the RREF of S + U (`Summands.meet_d`).  The diagonals over a
         walked cover S + U < S + U' labelled with S's class
         are U + spin(x + t s), t = 1 .. ell - 1, where x in U' lifts the
-        peak-word kernel line of U'/U and s spans it on S.  Each is checked
-        to have dimension dim U' and not to contain s, and the ell - 1 of a
-        pencil to be distinct (`_check_pencil`): so each is a graph with
-        kernel U, and they are all of them.  The covers are the walked
-        ones, their images in D, U < S + U, U < graph < S + U', and the
-        covers between graphs over U1 < U1' and U2 < U2', which exist only
-        where U1 < U2 and U1' < U2' are covers; there each graph of the first
-        pencil lies in exactly one of the second when U1' != U2, and in none
-        otherwise, which is checked.  Glued nodes count against
+        peak-word kernel line of U'/U and s spans it on S; each is spun in
+        M / U, capped at dim U' - dim U, and joined to U (`QuotCtx.extend`).
+        Each is checked to have dimension dim U' and not to contain s, and
+        the ell - 1 of a pencil to be distinct (`_check_pencil`): so each is
+        a graph with kernel U, and they are all of them.  The covers are the
+        walked ones, their images in D, U < S + U, U < graph < S + U', and
+        the covers between graphs over U1 < U1' and U2 < U2', which exist
+        only where U1 < U2 and U1' < U2' are covers; there each graph of the
+        first pencil lies in exactly one of the second when U1' != U2, and
+        in none otherwise, which is checked.  Glued nodes count against
         LATTICE_NODE_BUDGET.
         """
         length = sum(total.values())
@@ -694,16 +695,11 @@ class Meataxe:
         -> a lift to the ambient of the seed of its quotient, the peak-word
         kernel line.
 
-        A child is node + span(rows), for the rows lifted from a simple
-        submodule of the node's quotient, and the node was certified closed
-        when it was added (the bottom is: 0 trivially, the summand S by
-        `modules.eigen_split`).  So the child is closed iff every generator
-        maps those rows into it, and `certify_closed` tests only them.
-
-        The quotient is coordinatised on the node's non-pivot columns, so
-        the lift of the line's RREF basis is zero at the node's pivots and in
-        RREF on the lifted pivots: the child's basis is the two merged
-        (`linalg.merge_rref`), with no elimination."""
+        Every node, 0 included, is walked through its quotient M / N
+        (`modules.QuotCtx`), and a child is N plus the lift of a simple
+        submodule of it (`QuotCtx.extend`), certified on the lifted rows
+        alone: N was certified closed when it was added (the bottom is: 0
+        trivially, the summand S by `modules.eigen_split`)."""
         seeds = {}
         kernels = self.fitting_kernels(ambient, total, total - factors)  # the classes the walk meets
         head = len(nodes.nodes)
@@ -713,22 +709,13 @@ class Meataxe:
             head += 1
             if node.dim == ambient.dim:
                 continue
-            quot = None if node.dim == 0 else QuotCtx(ambient, node.sub)
-            lines_of = self.socle_lines(ambient if quot is None else quot, kernels, total - node.factors)
-            for cls_idx, lines in lines_of.items():
+            quot = QuotCtx(ambient, node.sub)
+            for cls_idx, lines in self.socle_lines(quot, kernels, total - node.factors).items():
                 for seed, line in lines:
-                    if quot is None:
-                        rows, rpiv = line.basis, line.pivots
-                    else:
-                        rows, rpiv = quot.lift_rows(line.basis), quot.nonpivots[line.pivots]
-                    basis, piv = linalg.merge_rref(node.sub.basis, node.sub.pivots, rows, rpiv, self.ell)
-                    child = Submodule(ambient, basis, piv)
-                    child.certify_closed(rows)
-                    upper = nodes.add(child, node.factors + Counter({cls_idx: 1}))
+                    upper = nodes.add(quot.extend(line), node.factors + Counter({cls_idx: 1}))
                     nodes.edges.append((node.ident, upper.ident, cls_idx))
                     if cls_idx == summand:
-                        lift = seed[None] if quot is None else quot.lift_rows(seed[None])
-                        seeds[(node.ident, upper.ident)] = lift
+                        seeds[(node.ident, upper.ident)] = quot.lift_rows(seed[None])
         return seeds
 
     def _certify_split(self, ambient: ModCtx, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
@@ -757,7 +744,11 @@ class Meataxe:
         """The lattice of the permutation module ambient = S + D from the
         walked interval [S, M] (the certificate is in `lattice`'s docstring).
         Each U = (S + U) & D is read off the RREF basis of S + U with no
-        elimination (`Summands.meet_d`)."""
+        elimination (`Summands.meet_d`).  U + spin(x + t s) is U plus the
+        lift of the spin of x + t s in M / U, which has dim U fewer
+        dimensions, so a cap of dim U' - dim U on that spin refuses exactly
+        the diagonals that a cap of dim U' would.  Each diagonal is U merged
+        with the lifted rows (`QuotCtx.extend`)."""
         ell = self.ell
         summand, s = self._certify_split(ambient, summands.S, summands.D)
         nodes = _Nodes()
@@ -775,10 +766,11 @@ class Meataxe:
         for (a, b), lift in seeds.items():
             x = summands.off_summand(lift)[0].astype(np.int64)
             seeds_t = (x + np.arange(1, ell)[:, None] * s.astype(np.int64)) % ell  # x + t s
+            quot = QuotCtx(ambient, lower[a].sub)
             pencil = []
-            for v in seeds_t:
-                W = spin(ambient, [v], cap_dim=lower[b].dim)
-                pencil.append(None if W is None else sum_sub(lower[a].sub, W))
+            for v in quot.project_rows(seeds_t):
+                W = spin(quot, [v], cap_dim=lower[b].dim - lower[a].dim)
+                pencil.append(None if W is None else quot.extend(W))
             _check_pencil(pencil, lower[b].dim, s, ell)
             pencil = [nodes.add(W, lower[b].factors, fresh=True) for W in pencil]
             for W in pencil:
@@ -900,13 +892,11 @@ def _composite(ctx: ModCtx, seq) -> np.ndarray:
     return pi
 
 
-def _node_kernel(action, K: np.ndarray, Z: np.ndarray, ell: int) -> np.ndarray:
-    """The kernel of theta - lam on `action`, M or a `QuotCtx` M / N, as RREF
-    rows, from K the Fitting kernel of theta - lam on M and Z = K (theta -
-    lam) (`Meataxe.socle_lines`)."""
-    KZ = np.vstack([K, Z])
-    if isinstance(action, QuotCtx):
-        KZ = action.project_rows(KZ)
+def _node_kernel(quot: QuotCtx, K: np.ndarray, Z: np.ndarray, ell: int) -> np.ndarray:
+    """The kernel of theta - lam on the quotient M / N, as RREF rows, from K
+    the Fitting kernel of theta - lam on M and Z = K (theta - lam)
+    (`Meataxe.socle_lines`)."""
+    KZ = quot.project_rows(np.vstack([K, Z]))
     C = left_kernel(KZ[len(K) :], ell)
     return linalg.rref(linalg.matmul(C, KZ[: len(K)], ell), ell)[0]
 

@@ -1,18 +1,18 @@
 """Linear algebra of the permutation modules F_ell[P] and F_ell[P0].
 
-A module is described by an action object of one of two kinds:
+A module is described by an action object of one of three kinds:
   - a ModCtx, the permutation module M itself, whose generators permute
     coordinates;
-  - a Section W1 / W0 of M, for submodules W0 < W1 (`sub_rep`, `QuotCtx`,
+  - a Section W1 / W0 of M, for submodules W0 < W1 (`sub_rep`, `quot_rep`,
     and so every chop piece, chop split and factor class).  It keeps a lift
     of its basis into M and the projection back, so an element of the group
     algebra of M, a sum of permutations, acts on it by gathers and one
     product with the projection (`Section.image`).  Its generator matrices
-    are formed only when a spin or the isomorphism test asks for them.  The
-    one section without a lift is a quotient M / N of M itself, the lattice
-    walk's, which is only spun and projected to; a generator acts on it by
-    a gather and a product with a block of N's basis (`QuotCtx.act_rows`),
-    and no generator matrix of it is formed.
+    are formed only when a spin or the isomorphism test asks for them;
+  - a QuotCtx, a quotient M / N of M itself (the lattice walk's nodes and
+    the glue's pencils), only spun and projected to.  A generator acts on it
+    by a gather and a product with a block of N's basis, with no generator
+    matrix, and `QuotCtx.extend` lifts a submodule of it to one of M.
 Words act on sections alone.  A DenseRep, with dense generator matrices, is
 only spun: Norton's transpose side and the isomorphism test's S + T.
 Vectors are rows and matrices are F_ell matrices in `linalg`'s one storage
@@ -24,7 +24,7 @@ under the generators.  The results of `spin` and `submodule_from_rows` carry
 an independent closure certificate (`Submodule.certify_closed`: apply every
 generator to every basis row and reduce).  A subspace N + span(rows) over a
 submodule N already certified needs it only on the new rows, which
-`certify_closed` takes as an argument (the lattice walk's children).  Two
+`certify_closed` takes as an argument (`QuotCtx.extend`).  Two
 kinds carry none, because they are closed by construction: those of
 `eigen_split`, which cuts a module by elimination along an operator that it
 checks to commute with the generators, and `Summands.meet_d`, the image of a
@@ -176,31 +176,27 @@ def _pivots_of(R: np.ndarray) -> np.ndarray:
 
 class Section:
     """The section W1 / W0 of the permutation module M (a ModCtx), for
-    submodules W0 < W1 of M, in the coordinates that `sub_rep` and `QuotCtx`
-    give it.  Every chop piece, chop split and factor class is one, and it is
-    the one kind of module a word acts on.
+    submodules W0 < W1 of M, in the coordinates that `sub_rep` and
+    `quot_rep` give it.  Every chop piece, chop split and factor class is
+    one, and it is the one kind of module a word acts on.
 
     It keeps its link to M.  The rows of `lift` (d x n) are representatives
     in W1 of its basis vectors, and x in W1 maps back to x[:, cols] proj
-    (proj None: the identity), so lift[:, cols] proj = I.  `lift` is None
-    only for a quotient of M itself, the lattice walk's M / N, which is only
-    spun and projected to: its representatives are the unit rows at
-    `unit_rows`, and cols is all of M.  An element theta of the group algebra
-    of M acts on the section as lift theta[:, cols] proj (`image`).  The
-    generator matrices are formed from it when first asked for
-    (`gen_matrix`), for a spin or the isomorphism test; a quotient of M
-    itself forms none, as its spins act by `QuotCtx.act_rows`.  `word_cache` and
-    `kernel_cache` keep the word matrices and kernels `meataxe` takes on it.
+    (proj None: the identity), so lift[:, cols] proj = I.  An element theta
+    of the group algebra of M acts on the section as lift theta[:, cols]
+    proj (`image`).  The generator matrices are formed from it when first
+    asked for (`gen_matrix`), for a spin or the isomorphism test.
+    `word_cache` and `kernel_cache` keep the word matrices and kernels
+    `meataxe` takes on it.
     """
 
-    def __init__(self, ctx: ModCtx, lift, unit_rows, cols: np.ndarray, proj: np.ndarray | None):
+    def __init__(self, ctx: ModCtx, lift: np.ndarray, cols: np.ndarray, proj: np.ndarray | None):
         self.ctx = ctx
         self.ell = ctx.ell
         self.lift = lift
-        self.unit_rows = unit_rows
         self.cols = cols
         self.proj = proj
-        self.dim = len(unit_rows) if lift is None else lift.shape[0]
+        self.dim = lift.shape[0]
         self._gens: dict[int, np.ndarray] = {}
         self.word_cache: dict = {}
         self.kernel_cache: dict = {}
@@ -226,84 +222,61 @@ class Section:
         """The matrix of sum c g on the section, over terms (c, g) with g a
         permutation pi of M (its matrix P has P[i, pi[i]] = 1).
 
-        lift P[:, cols] is the column gather of the lift at pi^-1[cols], and
-        for unit rows lift P proj is the row gather of proj at
-        pi[unit_rows]; the gathers are summed in the narrowest integer type
-        that holds the sum, and reduced once before the one product with
-        proj."""
+        lift P[:, cols] is the column gather of the lift at pi^-1[cols]; the
+        gathers are summed in the narrowest integer type that holds the sum,
+        and reduced once before the one product with proj."""
         ell = self.ell
         acc_dtype = linalg.sum_dtype(len(terms), ell)
-        acc = np.zeros((self.dim, self.dim if self.lift is None else len(self.cols)), dtype=acc_dtype)
+        acc = np.zeros((self.dim, len(self.cols)), dtype=acc_dtype)
         for c, pi in terms:
-            if self.lift is None:
-                part = self.proj[pi[self.unit_rows]]
-            else:
-                inv = np.empty_like(pi)
-                inv[pi] = np.arange(len(pi))
-                part = self.lift[:, inv[self.cols]]
-            acc += np.multiply(part, c, dtype=acc_dtype)
+            inv = np.empty_like(pi)
+            inv[pi] = np.arange(len(pi))
+            acc += np.multiply(self.lift[:, inv[self.cols]], c, dtype=acc_dtype)
         out = linalg.asmat(acc, ell)
-        if self.lift is None or self.proj is None:
-            return out
-        return linalg.matmul(out, self.proj, ell)
+        return out if self.proj is None else linalg.matmul(out, self.proj, ell)
 
 
-class QuotCtx(Section):
-    """Quotient of an action by a Submodule, coordinatised on non-pivot columns.
-
-    The reduce-then-restrict map is the matrix P with unit rows at non-pivot
-    indices and -basis[i, nonpivots] at pivot index i.  `lift_rows` and
-    `project_rows` map between the quotient and the action it quotients; as a
-    `Section` of M its representatives are those of the action's coordinates
-    at the non-pivots, and its map back is the action's followed by P.  The
-    action is M itself (the lattice walk's quotients, with no lift) or a
-    section with a lift (the chop's).  A quotient of M itself acts on rows
-    without a generator matrix (`act_rows`), keeping per generator only the
-    index arrays and the block of N's basis that action reads.
+class QuotCtx:
+    """The quotient M / N of the permutation module M (a ModCtx) by a
+    submodule N, coordinatised on N's non-pivot columns J: the lattice
+    walk's node quotients and the glue's pencils, only spun and projected
+    to.  `project_rows` maps rows of M to their residues modulo N read at J,
+    `lift_rows` puts rows of M / N back at J (0 at N's pivots), and `extend`
+    joins N with the lift of a submodule of M / N.  A generator acts with no
+    generator matrix (`act_rows`), keeping only the index arrays and the
+    block of N's basis that it reads (`_moves`).
     """
 
-    def __init__(self, action, sub: Submodule):
+    def __init__(self, action: ModCtx, sub: Submodule):
+        self.ctx = action
+        self.ell, self.ngens = action.ell, action.ngens
         self.sub = sub
-        self._moves: dict[int, tuple] = {}  # generator -> `_moves_of`, on a quotient of M
-        ell = action.ell
-        n = action.dim
-        nonpiv = np.setdiff1d(np.arange(n), sub.pivots)
-        self.nonpivots = nonpiv
-        P = linalg.zeros((n, len(nonpiv)), ell)
-        P[nonpiv, np.arange(len(nonpiv))] = 1
-        if sub.dim:
-            P[sub.pivots] = (-sub.basis[:, nonpiv]) % ell
-        if not isinstance(action, Section):
-            super().__init__(action, None, nonpiv, np.arange(n), P)
-            return
-        proj = P if action.proj is None else linalg.matmul(action.proj, P, ell)
-        super().__init__(action.ctx, action.lift[nonpiv], None, action.cols, proj)
+        self.nonpivots = np.setdiff1d(np.arange(action.dim), sub.pivots)
+        self.dim = len(self.nonpivots)
+        self._moves: dict[int, tuple] = {}  # generator -> `_moves_of`
 
     def act_rows(self, V: np.ndarray, i: int) -> np.ndarray:
-        """V g on the quotient.  On a quotient M / N of M itself this forms
-        no generator matrix.  For J the non-pivots of N, a row v of the
-        quotient lifts to x with x[J] = v and 0 at N's pivots, and
-        (x g)[c] = x[pi^-1 c] for pi = g's permutation, so x g is a column
-        gather of v that reads 0 from a pivot.  Its residue modulo N at J is
-        (x g)[J] - (x g)[H] B[H][:, J], for B N's basis and H the pivots whose
-        source pi^-1 p is in J (the other pivot columns of x g are 0): a
-        gather and a product of |H| x |J|, not of |J| x |J|."""
-        if self.lift is not None:
-            return super().act_rows(V, i)
+        """V g on M / N, with no generator matrix.  For J the non-pivots of
+        N, a row v of the quotient lifts to x with x[J] = v and 0 at N's
+        pivots, and (x g)[c] = x[pi^-1 c] for pi = g's permutation, so x g is
+        a column gather of v that reads 0 from a pivot.  Its residue modulo
+        N at J is (x g)[J] - (x g)[H] B[H][:, J], for B N's basis and H the
+        pivots whose source pi^-1 p is in J (the other pivot columns of x g
+        are 0): a gather and a product of |H| x |J|, not of |J| x |J|."""
         moves = self._moves.get(i)
         if moves is None:
             moves = self._moves[i] = self._moves_of(i)
         dst, src, hsrc, block = moves
-        out = linalg.zeros((V.shape[0], len(self.nonpivots)), self.ell)
+        out = linalg.zeros((V.shape[0], self.dim), self.ell)
         out[:, dst] = V[:, src]
         if not len(hsrc):
             return out
         return (out - linalg.matmul(V[:, hsrc], block, self.ell)) % self.ell
 
     def _moves_of(self, i: int) -> tuple:
-        """For generator i on M / N: the quotient columns `dst` that read a
-        column `src` of v, the columns `hsrc` of v that land on N's pivots
-        H, and B[H][:, J]."""
+        """For generator i: the quotient columns `dst` that read a column
+        `src` of v, the columns `hsrc` of v that land on N's pivots H, and
+        B[H][:, J]."""
         sub, J = self.sub, self.nonpivots
         pos = np.full(self.ctx.dim, -1, dtype=np.int64)
         pos[J] = np.arange(len(J))
@@ -315,15 +288,31 @@ class QuotCtx(Section):
         return dst, src[dst], hsrc[H], sub.basis[H][:, J]
 
     def lift_rows(self, V: np.ndarray) -> np.ndarray:
-        out = linalg.zeros((V.shape[0], self.sub.action.dim), self.ell)
+        out = linalg.zeros((V.shape[0], self.ctx.dim), self.ell)
         out[:, self.nonpivots] = V
         return out
 
     def project_rows(self, V: np.ndarray) -> np.ndarray:
-        """Rows of the ambient mapped to the quotient, V P: their residues
-        modulo the submodule, read at the non-pivot columns."""
+        """Rows of M mapped to the quotient: their residues modulo N, read
+        at the non-pivot columns."""
         sub = self.sub
         return linalg.reduce_rows(V, sub.basis, sub.pivots, self.ell)[:, self.nonpivots]
+
+    def extend(self, line: Submodule) -> Submodule:
+        """N + the lift of `line`, a submodule of M / N, as a certified
+        submodule of M.
+
+        The lift of line's RREF basis is zero at N's pivots and in RREF on
+        the lifted pivots, so the sum's basis is the two merged
+        (`linalg.merge_rref`), with no elimination.  N was certified closed,
+        so the sum is closed iff every generator maps the lifted rows into
+        it, and `certify_closed` tests only them."""
+        rows = self.lift_rows(line.basis)
+        sub = self.sub
+        basis, piv = linalg.merge_rref(sub.basis, sub.pivots, rows, self.nonpivots[line.pivots], self.ell)
+        out = Submodule(self.ctx, basis, piv)
+        out.certify_closed(rows)
+        return out
 
 
 def sub_rep(sub: Submodule) -> Section:
@@ -331,11 +320,27 @@ def sub_rep(sub: Submodule) -> Section:
     section whose representatives are its basis rows, lifted to M."""
     act = sub.action
     if not isinstance(act, Section):
-        return Section(act, sub.basis, None, sub.pivots, None)
+        return Section(act, sub.basis, sub.pivots, None)
     lift = act.in_module(sub.basis)
     if act.proj is None:
-        return Section(act.ctx, lift, None, act.cols[sub.pivots], None)
-    return Section(act.ctx, lift, None, act.cols, act.proj[:, sub.pivots])
+        return Section(act.ctx, lift, act.cols[sub.pivots], None)
+    return Section(act.ctx, lift, act.cols, act.proj[:, sub.pivots])
+
+
+def quot_rep(sub: Submodule) -> Section:
+    """The quotient of a section by its Submodule `sub`, coordinatised on
+    sub's non-pivot columns J, as a section of M: the sibling of `sub_rep`.
+    The reduce-then-restrict map onto it is P, with unit rows at J and
+    -basis[i, J] at pivot i, so its lift is the section's at J and its
+    projection is the section's followed by P."""
+    act, ell = sub.action, sub.action.ell
+    nonpiv = np.setdiff1d(np.arange(act.dim), sub.pivots)
+    P = linalg.zeros((act.dim, len(nonpiv)), ell)
+    P[nonpiv, np.arange(len(nonpiv))] = 1
+    if sub.dim:
+        P[sub.pivots] = (-sub.basis[:, nonpiv]) % ell
+    proj = P if act.proj is None else linalg.matmul(act.proj, P, ell)
+    return Section(act.ctx, act.lift[nonpiv], act.cols, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +519,7 @@ def _kernel_pieces(ctx: ModCtx, E: Submodule, B: np.ndarray) -> list[tuple[Secti
             continue
         rep = sub_rep(K)
         if below.dim:
-            rep = QuotCtx(rep, Submodule(rep, *linalg.rref(below.basis[:, K.pivots], ell)))
+            rep = quot_rep(Submodule(rep, *linalg.rref(below.basis[:, K.pivots], ell)))
         pieces.append((rep, j + 1))
     return pieces
 

@@ -8,7 +8,7 @@ from rank3mod.analyze import run_analysis
 from rank3mod.fields import GF4_CONJ, GF4_MUL
 from rank3mod.geometry import SpaceSpec, build_space, enumerate_points
 from rank3mod.groups import build_group, induced_perm
-from rank3mod.modules import ModCtx, PermModule, Section, Submodule, spin, sub_rep, whole_submodule
+from rank3mod.modules import ModCtx, PermModule, Section, Submodule, quot_rep, spin, sub_rep, whole_submodule
 
 
 def naive_quadratic(space, v):
@@ -80,6 +80,14 @@ def whole_section(ctx: ModCtx) -> Section:
     return sub_rep(whole_submodule(ctx))
 
 
+def quotient_section(sub: Submodule) -> Section:
+    """M / N, for N = sub a submodule of the permutation module M, as a
+    section of M with a lift (`quot_rep` of N in the whole section), on the
+    coordinates of `QuotCtx(M, N)`: a reference a word acts on."""
+    whole = whole_section(sub.action)
+    return quot_rep(Submodule(whole, sub.basis, sub.pivots))
+
+
 def perm_matrix(p: np.ndarray, ell: int) -> np.ndarray:
     """The matrix P of the permutation p, P[i, p[i]] = 1."""
     n = len(p)
@@ -97,7 +105,7 @@ def conjugated_section(section: Section, C: np.ndarray) -> Section:
     R, _ = linalg.rref(np.hstack([C, linalg.asmat(np.eye(d, dtype=np.int64), ell)]), ell)
     Cinv = R[:, d:]
     proj = Cinv if section.proj is None else linalg.matmul(section.proj, Cinv, ell)
-    return Section(section.ctx, section.in_module(C), None, section.cols, proj)
+    return Section(section.ctx, section.in_module(C), section.cols, proj)
 
 
 def rotated_section(section: Section) -> Section:
@@ -105,7 +113,7 @@ def rotated_section(section: Section) -> Section:
     are those of section's rotated by one: generator i acts as i + 1 did."""
     ctx = section.ctx
     rotated = ModCtx(ctx.ell, ctx.perms[1:] + ctx.perms[:1])
-    return Section(rotated, section.lift, section.unit_rows, section.cols, section.proj)
+    return Section(rotated, section.lift, section.cols, section.proj)
 
 
 def contains(A: Submodule, B: Submodule) -> bool:

@@ -102,30 +102,36 @@ def test_every_kept_matrix_has_the_storage_dtype(monkeypatch, ell, seed):
 
         monkeypatch.setattr(cls, "__init__", recording_init)
 
-    # the chop's pieces and splits, the class representatives and the walk's
-    # quotients are sections (QuotCtx initialises through Section); the
-    # transposes and the isomorphism test's S + T are dense reps
+    # the chop's pieces and splits and the class representatives are
+    # sections, each with a lift; the walk's and the glue's quotients of M
+    # are `QuotCtx`, only spun and projected to; the transposes and the
+    # isomorphism test's S + T are dense reps
     recording(Section)
+    recording(QuotCtx)
     recording(DenseRep)
     res = run_analysis("o+", 3, ell, seed=seed)
     assert res.report["verdict"]["match"]
     want = storage_dtype(ell)
+    n = res.pm.ctxP.dim
     sections = [r for r in reps if isinstance(r, Section)]
-    assert any(isinstance(r, QuotCtx) for r in sections)
-    assert any(r.lift is None for r in sections) and any(r.lift is not None for r in sections)
-    # a section without a lift is only the walk's quotient of M, spun and
-    # projected to: no word acts on it
-    for r in sections:
-        if r.lift is None:
-            assert isinstance(r, QuotCtx) and r.sub.action is res.pm.ctxP and not r.word_cache
-            # and acts by gathers and one small product, with no generator matrix
-            assert not r._gens and all(m[-1].dtype == want for m in r._moves.values())
-    assert any(r._moves for r in sections if r.lift is None)
-    assert any(r.proj is not None for r in sections) and any(r._gens for r in sections)
-    assert any(not isinstance(r, Section) for r in reps)
+    quots = [r for r in reps if isinstance(r, QuotCtx)]
+    assert sections and quots and any(isinstance(r, DenseRep) for r in reps)
+    assert all(isinstance(r.lift, np.ndarray) for r in sections)
+    assert any(r._gens for r in sections)
+    # a section with a projection is a chop quotient: at ell = 131 every
+    # piece of the split is simple, and the chop makes none
+    assert any(r.proj is not None for r in sections) == (ell == 3)
+    # a quotient of M keeps no matrix but its `_moves` blocks, none with n rows:
+    # it acts by gathers and one small product, with no generator matrix
+    assert all(q.ctx is res.pm.ctxP for q in quots) and any(q._moves for q in quots)
+    for q in quots:
+        assert not [m for m in vars(q).values() if isinstance(m, np.ndarray) and m.ndim == 2]
+        assert all(moves[-1].shape[0] < n for moves in q._moves.values())
     for r in reps:
         if isinstance(r, Section):
             kept = [m for m in (r.lift, r.proj) if m is not None] + list(r._gens.values())
+        elif isinstance(r, QuotCtx):
+            kept = [moves[-1] for moves in r._moves.values()]
         else:
             kept = r.mats
         assert all(m.dtype == want for m in kept)
@@ -356,6 +362,18 @@ def test_cli_suite_refuses_a_flag_out_of_range(capsys, monkeypatch, flag, value)
     assert main(["suite", flag, value]) == 2
     assert f"{flag} must be" in capsys.readouterr().err
     assert _InlinePool.sizes == []
+
+
+def test_ceiling_script_refuses_a_negative_seed_by_name():
+    # exit 2 with the flag named, before the U7(2) run starts: no traceback
+    # from numpy's seed sequence and no JSON line
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ceiling.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--seed", "-1"], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 2
+    assert "--seed must be non-negative, not -1" in out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
 
 
 @pytest.mark.parametrize(

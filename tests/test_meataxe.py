@@ -24,6 +24,7 @@ from rank3mod.modules import (
     Section,
     Submodule,
     eigen_split,
+    quot_rep,
     spin,
     sub_rep,
     submodule_from_rows,
@@ -38,6 +39,7 @@ from conftest import (
     contains,
     graph_submodule,
     perm_matrix,
+    quotient_section,
     rotated_section,
     whole_section,
     zero_sum_and_ones,
@@ -673,6 +675,87 @@ def test_pencil_check_refuses_a_missing_or_wrong_diagonal(analysis):
         meataxe._check_pencil([pencil[0], pencil[0]], dim, s, 3)
 
 
+def _glue_pencils(mt, ctx, total, split, monkeypatch):
+    """The lattice glued from `split`, and each pencil `_glue` checks with
+    its walked cover U < U' of D, its seed lift x and s: the walk's returned
+    seeds give the covers in the order `_glue` spins them."""
+    walked, checked = [], []
+    walk, check = Meataxe._walk, meataxe._check_pencil
+
+    def recorded_walk(self, ambient, nodes, *args):
+        seeds = walk(self, ambient, nodes, *args)
+        walked.append((nodes, seeds))
+        return seeds
+
+    def recorded_check(pencil, dim, s, ell):
+        checked.append((pencil, s))
+        check(pencil, dim, s, ell)
+
+    monkeypatch.setattr(Meataxe, "_walk", recorded_walk)
+    monkeypatch.setattr(meataxe, "_check_pencil", recorded_check)
+    lat = mt.lattice(ctx, total, split)
+    monkeypatch.undo()
+    ((nodes, seeds),) = walked
+    assert len(seeds) == len(checked)
+    D = split.summands
+    return lat, [
+        (D.meet_d(nodes.nodes[a].sub), D.meet_d(nodes.nodes[b].sub), D.off_summand(lift)[0], pencil, s)
+        for ((a, b), lift), (pencil, s) in zip(seeds.items(), checked)
+    ]
+
+
+def _check_glued(ctx, pencils, rng) -> int:
+    """Each diagonal U + <x + t s>, spun in M / U and joined to U, has the
+    basis and pivots of the spin of x + t s in M, capped at dim U', summed
+    with U.  A random vector's spin in M / U, capped at dim U' - dim U, is
+    None exactly when U + its spin in M passes dim U', and the pencil with
+    it is refused.  Returns how many of those spins were None."""
+    ell, refused = ctx.ell, 0
+    for U, U1, x, pencil, s in pencils:
+        assert len(pencil) == ell - 1
+        for t, W in enumerate(pencil, start=1):
+            v = (x.astype(np.int64) + t * s.astype(np.int64)) % ell
+            ref = sum_sub(U, spin(ctx, [v], cap_dim=U1.dim))
+            assert W.basis.dtype == ref.basis.dtype
+            assert np.array_equal(W.basis, ref.basis) and np.array_equal(W.pivots, ref.pivots)
+        meataxe._check_pencil(pencil, U1.dim, s, ell)
+        quot = QuotCtx(ctx, U)
+        off = rng.integers(0, ell, size=ctx.dim)
+        spun = spin(quot, quot.project_rows(off[None]), cap_dim=U1.dim - U.dim)
+        assert (spun is None) == (sum_sub(U, spin(ctx, [off])).dim > U1.dim)
+        if spun is None:
+            refused += 1
+            with pytest.raises(CertificationError, match="lacks a diagonal"):
+                meataxe._check_pencil([spun, *pencil[1:]], U1.dim, s, ell)
+    return refused
+
+
+@pytest.mark.parametrize(
+    "family,size,ell,seed", [(*row, 0) for row in TWO_RESIDUE_ROWS] + [("o+", 3, 131, 1)]
+)
+def test_glued_diagonals_are_the_sums_with_the_spins_in_m(analysis, monkeypatch, family, size, ell, seed):
+    # every row with summands; only U5(2), ell = 3 has pencils, and its
+    # random vectors spin past the covers, so the refusal is shown there
+    res = analysis(family, size, ell, seed)
+    lat, pencils = _glue_pencils(res.meataxe, res.pm.ctxP, res.chop_total, res.split, monkeypatch)
+    assert _shape(lat) == _shape(res.lattice)
+    assert len(pencils) == len(_pencils(res.lattice, _split_of(res)))
+    refused = _check_glued(res.pm.ctxP, pencils, np.random.default_rng(ell))
+    assert (len(pencils), refused) == ((2, 2) if (family, size, ell) == ("u", 5, 3) else (0, 0))
+
+
+def test_glued_diagonals_of_the_trivial_plane_at_ell_131(monkeypatch):
+    # F_131^2 with two trivial generators, split by diag(1, 0): S and D are
+    # trivial lines, and the one pencil, over 0 < D, has all 130 other lines
+    ell = 131
+    ctx = ModCtx(ell, [np.arange(2)] * 2)
+    split = eigen_split(ctx, np.diag([1, 0]), (1, 0, 0))
+    mt = Meataxe(ell, 2, seed=1)
+    lat, pencils = _glue_pencils(mt, ctx, mt.chop(ctx, split), split, monkeypatch)
+    assert len(lat.nodes) == ell + 3 and len(pencils) == 1
+    assert _check_glued(ctx, pencils, np.random.default_rng(ell)) == 0
+
+
 def test_glued_nodes_count_against_the_node_budget(analysis, monkeypatch):
     # U5(2), ell = 3: 8 walked nodes, their 8 images in D and 4 diagonals
     res = analysis("u", 5, 3)
@@ -730,17 +813,17 @@ def _counted_peak_kernels(monkeypatch):
     socle_lines, node_kernel = Meataxe.socle_lines, meataxe._node_kernel
     generalised = meataxe.generalised_kernel
 
-    def checked(self, action, kernels, factors):
-        section = whole_section(action) if isinstance(action, ModCtx) else action
+    def checked(self, quot, kernels, factors):
+        section = quotient_section(quot.sub)
         for idx, cls in enumerate(self.classes):
             if not factors[idx]:
                 word, lam = cls.word
                 skipped.append(left_kernel(_shifted(word, section, lam), self.ell).shape[0])
-        return socle_lines(self, action, kernels, factors)
+        return socle_lines(self, quot, kernels, factors)
 
-    def counted_node(action, K, Z, ell):
-        computed.append(action.dim)
-        return node_kernel(action, K, Z, ell)
+    def counted_node(quot, K, Z, ell):
+        computed.append(quot.dim)
+        return node_kernel(quot, K, Z, ell)
 
     def counted_fitting(word, lam, action, e):
         K, Z = generalised(word, lam, action, e)
@@ -790,11 +873,11 @@ def _check_node_kernels(res):
     for node in res.lattice.nodes:
         if node.dim == ctx.dim:
             continue
-        action = whole_section(ctx) if node.dim == 0 else QuotCtx(ctx, node.sub)
+        quot, section = QuotCtx(ctx, node.sub), quotient_section(node.sub)
         for idx, (K, Z) in kernels.items():
             word, lam = mt.classes[idx].word
-            direct = left_kernel(_shifted(word, action, lam), ell)
-            assert np.array_equal(meataxe._node_kernel(action, K, Z, ell), direct)
+            direct = left_kernel(_shifted(word, section, lam), ell)
+            assert np.array_equal(meataxe._node_kernel(quot, K, Z, ell), direct)
     return kernels
 
 
@@ -805,17 +888,18 @@ def test_node_peak_kernels_are_the_left_kernels_on_the_quotient(analysis, family
 
 @pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
 def test_walk_children_are_merged_not_eliminated(analysis, monkeypatch, family, size, ell):
-    # each child of the walk is its node plus the lift of an RREF line of the
-    # node's quotient, joined with no elimination: the same basis and pivots
-    # as the sum with the line reduced and eliminated afresh, and as the
-    # RREF of all the rows
+    # each child of the walk, and each glued diagonal, is its node plus the
+    # lift of an RREF submodule of the node's quotient, joined with no
+    # elimination (`QuotCtx.extend`): the same basis and pivots as the sum
+    # with the lift reduced and eliminated afresh, and as the RREF of all
+    # the rows
     res = analysis(family, size, ell)
     merged = []
     merge_rref = linalg.merge_rref
 
     def recorded(A, pa, B, pb, ell):
         out = merge_rref(A, pa, B, pb, ell)
-        if sys._getframe(1).f_code.co_name == "_walk":
+        if sys._getframe(1).f_code.co_name == "extend":
             merged.append((A, pa, B, out))
         return out
 
@@ -998,7 +1082,8 @@ def _dense_word(word, gens, ell):
 def _section_kinds(ell):
     """(name, section, its generators by dense products) on O+6(2) with its
     certified generating pair: M itself, M's zero-sum submodule S > V = U'_2
-    (dim 7), M / V, S / V and a class rep of the chop."""
+    (dim 7), S / V and a class rep of the chop.  M / V is no section: it is
+    only spun and projected to (`QuotCtx`), and no word acts on it."""
     pm = cached_analysis("o+", 3, ell).pm
     M = pm.ctxP
     gens = [perm_matrix(p, ell).astype(np.int64) for p in M.perms]
@@ -1007,12 +1092,10 @@ def _section_kinds(ell):
     assert V.dim == 7 and contains(S, V)
     on_s = sub_rep(S)
     V_in_s = Submodule(on_s, *linalg.rref(V.basis[:, S.pivots], ell))
-    quot = QuotCtx(M, V)
     kinds = [
         ("whole M", whole_section(M), gens),
         ("sub of M", on_s, _dense_sub(gens, S, ell)),
-        ("quotient of M", quot, _dense_quotient(gens, V, ell)),
-        ("quotient of a sub", QuotCtx(on_s, V_in_s), _dense_quotient(_dense_sub(gens, S, ell), V_in_s, ell)),
+        ("quotient of a sub", quot_rep(V_in_s), _dense_quotient(_dense_sub(gens, S, ell), V_in_s, ell)),
     ]
     mt = Meataxe(ell, M.ngens, seed=0)
     mt.chop(whole_section(M))
@@ -1110,7 +1193,7 @@ def _eager_chop_one(mt, action):
             q, _rem = meataxe.poly_divmod(p, f, ell)
             W = spin(action, [(q @ kry[: len(q)]) % ell])
             if W.dim < n:
-                return [sub_rep(W), QuotCtx(action, W)]
+                return [sub_rep(W), quot_rep(W)]
         for lam in roots:
             Kt = linalg.nullspace(linalg.minus_scalar(theta, lam, ell), ell)
             if Kt.shape[0] != 1:
@@ -1118,7 +1201,7 @@ def _eager_chop_one(mt, action):
             Wt = spin(transpose_action(action), [Kt[0]])
             if Wt.dim < n:
                 U = submodule_from_rows(action, linalg.nullspace(Wt.basis, ell))
-                return [sub_rep(U), QuotCtx(action, U)]
+                return [sub_rep(U), quot_rep(U)]
             return mt.register(action, (word, lam))
     raise BudgetExceededError("eager chop: word budget")
 

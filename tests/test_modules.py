@@ -21,6 +21,7 @@ from conftest import (
     contains,
     graph_submodule,
     image_dim,
+    quotient_section,
     same_submodule,
     zero_sum_and_ones,
 )
@@ -315,7 +316,7 @@ def test_quotient_certified_and_dims():
     a = q.act_rows(q.act_rows(v[None, :], 0), 1)[0]
     lifted = q.lift_rows(v[None, :])
     amb = pm.ctxP.act_rows(pm.ctxP.act_rows(lifted, 0), 1)
-    b = linalg.matmul(amb, q.proj, 3)[0]
+    b = q.project_rows(amb)[0]
     assert (a == b).all()
 
 
@@ -470,18 +471,23 @@ def test_spin_merges_once_a_round_as_the_per_generator_merges(monkeypatch, ell):
 
 @pytest.mark.parametrize("family,size,ell", [("o+", 4, 3), ("u", 5, 3)])
 def test_quotient_of_m_acts_as_its_generator_matrices_without_forming_them(family, size, ell):
+    # against the generator matrices of M / N as a section with a lift, and
+    # against lifting to M, permuting and projecting back
     res = cached_analysis(family, size, ell)
     M = res.pm.ctxP
     rng = np.random.default_rng(ell)
-    nodes = [n for n in res.lattice.nodes if 0 < n.dim < M.dim]
-    assert len(nodes) > 3
+    nodes = [n for n in res.lattice.nodes if n.dim < M.dim]
+    assert len(nodes) > 3 and any(n.dim == 0 for n in nodes)
     for node in nodes:
-        quot = QuotCtx(M, node.sub)
+        quot, ref = QuotCtx(M, node.sub), quotient_section(node.sub)
         V = np.vstack([np.eye(quot.dim, dtype=np.int64)[:3], rng.integers(0, ell, size=(5, quot.dim))])
         V = linalg.asmat(V, ell)
         for i in range(M.ngens):
             got = quot.act_rows(V, i)
-            assert not quot._gens  # no generator matrix is formed
             assert got.dtype == V.dtype
-            assert np.array_equal(got, linalg.matmul(V, quot.gen_matrix(i), ell))
-            quot._gens.clear()
+            assert np.array_equal(got, linalg.matmul(V, ref.gen_matrix(i), ell))
+            assert np.array_equal(got, quot.project_rows(M.act_rows(quot.lift_rows(V), i)))
+        # no generator matrix is formed: the only matrices kept are the
+        # blocks of N's basis the gathers read
+        assert not [m for m in vars(quot).values() if isinstance(m, np.ndarray) and m.ndim == 2]
+        assert all(moves[-1].shape[1] == quot.dim for moves in quot._moves.values())
