@@ -1,9 +1,11 @@
-"""Time and memory of the desk-scale ceiling: U7(2) (|P| = 2752) at ell = 3.
+"""Time and memory of one verify run, by default U7(2) (|P| = 2752) at ell = 3.
 
-Runs `run_analysis("u", 7, 3, seed=0)` in this fresh interpreter with one
-BLAS thread and prints the phase times of the report (`timingsMs`) and the
-process's peak resident set (`ru_maxrss`), as one JSON object.  It also
-splits the group phase (`groupMs`): the candidate loop of `build_group`
+Runs `run_analysis(family, size, ell, seed)` in this fresh interpreter with
+one BLAS thread, by default on the desk-scale ceiling, `run_analysis("u", 7,
+3, seed=0)`, with `max_p` the instance's |P|, so that no size is refused as
+out of desk scale.  It prints the phase times of the report (`timingsMs`)
+and the process's peak resident set (`ru_maxrss`), as one JSON object.  It
+also splits the group phase (`groupMs`): the candidate loop of `build_group`
 (`candidates`), Sims' verification (`StabilizerChain.verify`) and
 `generating_pair`; the chop phase (`chopMs`): the Krylov annihilators
 (`krylov_annihilator`), the split candidates' spins (`Meataxe._split_by`)
@@ -25,10 +27,11 @@ and `nullspace`), timed the same way; the phase times include it.
 whether the answer changed.  It runs from a checkout without installing the
 package:
 
-    python scripts/ceiling.py [--seed N]
+    python scripts/ceiling.py [--family F (--n N | --dim M)] [--ell L] [--seed S]
 
-The run takes 14-16 seconds and peaks near 317 MiB (one BLAS thread on a
-2-core host).
+The instance's flags are those of `rank3mod verify`.  The U7(2) run takes
+14-20 seconds, as the host's load allows, and peaks near 319 MiB (one BLAS
+thread on a 2-core host).
 """
 
 import os
@@ -48,7 +51,9 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rank3mod import analyze, linalg, meataxe  # noqa: E402
-from rank3mod.analyze import run_analysis  # noqa: E402
+from rank3mod.analyze import canon_size, run_analysis  # noqa: E402
+from rank3mod.cli import _check_ell, _size_of  # noqa: E402
+from rank3mod.geometry import OMINUS, OPLUS, UNITARY, closed_params  # noqa: E402
 from rank3mod.groups import StabilizerChain  # noqa: E402
 from rank3mod.meataxe import Meataxe, Word  # noqa: E402
 
@@ -130,16 +135,28 @@ def time_outermost(owner, attr: str) -> list[float]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--family", choices=[OPLUS, OMINUS, UNITARY], default=UNITARY)
+    parser.add_argument("--dim", type=int, help="ambient dimension m (7 for the default family)")
+    parser.add_argument("--n", type=int, help="half-dimension n (orthogonal families)")
+    parser.add_argument("--ell", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.seed < 0:  # numpy's seed sequences would refuse it deep in the group phase
         parser.error(f"--seed must be non-negative, not {args.seed}")
+    if args.family == UNITARY and args.dim is None and args.n is None:
+        args.dim = 7
+    try:
+        size = _size_of(args)
+        _check_ell(args.ell)
+    except ValueError as exc:
+        parser.error(str(exc))
     group_s = time_spans(GROUP_SPANS)
     chop_s = time_spans(CHOP_SPANS)
     lattice_s = time_spans(LATTICE_SPANS)
     word_s = time_outermost(Word, "matrix")
     elim_s = time_outermost(linalg, "_eliminate")
-    res = run_analysis("u", 7, 3, seed=args.seed)
+    max_p = closed_params(canon_size(args.family, size)).v
+    res = run_analysis(args.family, size, args.ell, seed=args.seed, max_p=max_p)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     timings = res.report["timingsMs"]
     report = {k: v for k, v in res.report.items() if k != "timingsMs"}

@@ -201,8 +201,7 @@ def _image_in_ones(M: np.ndarray, ell: int) -> bool:
     """Whether the row differences M_i - M_last of an F_ell matrix are all
     constant: the rows of (M - M[:, :1]) mod ell are then all equal.  The
     difference stays in (-ell, ell), so it is taken in M's own dtype."""
-    D = M - M[:, :1]
-    D %= D.dtype.type(ell)
+    D = linalg.mod_in_place(M - M[:, :1], ell)
     return bool((D == D[-1]).all())
 
 

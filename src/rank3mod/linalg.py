@@ -13,6 +13,16 @@ Narrow integers wrap silently, so arithmetic on F_ell matrices outside this
 module must stay inside (-ell, ell), as a difference of two of them does, or
 widen first.
 
+Every reduction mod ell of a matrix takes one path, `_reduce`, which forms
+the remainder by a floor division by a scalar of the matrix's own dtype:
+numpy does that many times faster than it takes a remainder.  `asmat` and
+`_work_copy` reduce a copy of their input in its own dtype, widened only
+where that cannot hold ell, and cast it; `mod_in_place` reduces a temporary
+that its caller owns, in place, and casts it to the storage dtype.  No other
+module takes the remainder of an array itself (a test scans for it).  Only
+single rows and columns, the pivot loop's and the Krylov vectors, take the
+remainder directly, the cheaper form for a short or strided array.
+
 Row reduction is one kernel, `_eliminate`: Gaussian elimination that reveals
 the rank profile one panel of PANEL columns at a time, as in FFLAS-FFPACK
 (Dumas, Giorgi, Pernet, ACM TOMS 35, 2008) and Jeannerod, Pernet, Storjohann
@@ -38,10 +48,12 @@ unreduced row overflows int16 at ell = 17).  The rounds' products also
 multiply reduced entries only, at most PANEL terms each.
 
 Bases of subspaces are always kept in reduced row echelon form with sorted
-pivots, so equality of subspaces is equality of arrays.  `rowspace_sum` and
-`rowspace_intersect` merge a further set of rows into such a basis, and
-`merge_rref` joins two such bases of subspaces that meet in 0 with no
-elimination, when the second is zero at the first's pivots.
+pivots, so equality of subspaces is equality of arrays.  `nullspace` reads
+that form of a kernel off one elimination, of the matrix with its columns
+reversed.  `rowspace_sum` and `rowspace_intersect` merge a further set of
+rows into such a basis, and `merge_rref` joins two such bases of subspaces
+that meet in 0 with no elimination, when the second is zero at the first's
+pivots.
 """
 
 from __future__ import annotations
@@ -68,11 +80,17 @@ def inv_table(ell: int) -> np.ndarray:
 
 
 def _reduce(X: np.ndarray, ell: int) -> np.ndarray:
-    """X mod ell, in place, with the modulus a scalar of X's own dtype.
+    """X mod ell, in place, with the modulus a scalar of X's own dtype, which
+    must hold ell: the one reduction of an F_ell matrix.
 
-    numpy floor-divides a contiguous integer array by a scalar several times
-    faster than it takes the remainder, so large arrays form the remainder as
-    X - ell * (X // ell); small ones save the two extra passes.
+    numpy floor-divides a contiguous integer array by a scalar many times
+    faster than it takes the remainder (at ell = 3 on one Xeon core: 0.10 ms
+    against 3.3 ms for int8 672 x 693; `asmat` of int16 672 x 672 0.35 ms
+    against 5.3 ms for np.remainder by an int64), so large arrays form the
+    remainder as X - ell * (X // ell); small ones save the two extra passes.
+    The product and the difference may wrap around in a narrow dtype, but
+    they are exact modulo its 2^k, and the remainder lies in 0..ell-1, so it
+    comes out exact.
     """
     m = X.dtype.type(ell)
     if X.size <= 1024:
@@ -114,12 +132,32 @@ def zeros(shape, ell: int) -> np.ndarray:
 
 
 def asmat(A, ell: int) -> np.ndarray:
-    """A as an F_ell matrix: A itself when it has the storage dtype, else A mod ell in it."""
+    """A as an F_ell matrix: A itself when it has the storage dtype, else A
+    mod ell in it (`_residues`), and A is left as it was."""
     A = np.asarray(A)
     dt = storage_dtype(ell)
     if A.dtype == dt:
         return A
-    return np.remainder(A, np.int64(ell), out=np.empty(A.shape, dtype=dt), casting="unsafe")
+    if A.dtype == bool:
+        return A.astype(dt)
+    return mod_in_place(_residues(A, ell), ell)
+
+
+def mod_in_place(X: np.ndarray, ell: int) -> np.ndarray:
+    """X mod ell as an F_ell matrix, for an integer array X that the caller
+    owns: X itself is reduced in place (`_reduce`), and then cast to the
+    storage dtype, with no copy when it has it already."""
+    return _reduce(X, ell).astype(storage_dtype(ell), copy=False)
+
+
+def _residues(A: np.ndarray, ell: int) -> np.ndarray:
+    """A mod ell as a new array, in A's own dtype or, where that is an
+    integer dtype that cannot hold ell (int8 or uint8 at a larger ell), in
+    the storage dtype, which can."""
+    dt = A.dtype
+    if dt.kind in "iu" and np.iinfo(dt).max < ell:
+        dt = np.promote_types(dt, storage_dtype(ell))
+    return _reduce(A.astype(dt), ell)
 
 
 def sum_dtype(terms: int, ell: int) -> type:
@@ -138,14 +176,14 @@ def clear_column(X: np.ndarray, rows: np.ndarray, i: int, c: int, ell: int) -> n
     _reduce(coef, ell)
     out = X[rows].astype(dt)
     out -= coef[:, None] * X[i].astype(dt)
-    return _reduce(out, ell).astype(storage_dtype(ell))
+    return mod_in_place(out, ell)
 
 
 def minus_scalar(M: np.ndarray, lam: int, ell: int) -> np.ndarray:
     """M - lam I as a new F_ell matrix."""
     out = asmat(M, ell).copy()
     n = M.shape[0]
-    out[np.arange(n), np.arange(n)] = (out.diagonal() - lam % ell) % ell
+    out[np.arange(n), np.arange(n)] = _reduce(out.diagonal() - lam % ell, ell)
     return out
 
 
@@ -161,7 +199,7 @@ def _product(A: np.ndarray, B: np.ndarray, ell: int, dtype=None) -> np.ndarray:
 
 
 def matmul(A: np.ndarray, B: np.ndarray, ell: int) -> np.ndarray:
-    return _reduce(_product(A, B, ell), ell).astype(storage_dtype(ell))
+    return mod_in_place(_product(A, B, ell), ell)
 
 
 def _swap_into(A: np.ndarray, order: np.ndarray, rows: np.ndarray, k: int) -> None:
@@ -360,14 +398,14 @@ def _eliminate(W: np.ndarray, ell: int, reduced: bool) -> list[int]:
 
 
 def _work_copy(A, ell: int) -> np.ndarray:
+    """A mod ell as a new C-ordered array of the work dtype (rows contiguous,
+    also for a transpose or a column-reversed view)."""
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    if A.dtype == storage_dtype(ell):  # reduced already; rows contiguous, also for a transpose
+    if A.dtype == storage_dtype(ell) or A.dtype == bool:  # reduced already
         return A.astype(_work_dtype(ell), order="C")
-    W = np.empty(A.shape, dtype=_work_dtype(ell))
-    np.remainder(A, np.int64(ell), out=W, casting="unsafe")
-    return W
+    return _residues(A, ell).astype(_work_dtype(ell), order="C", copy=False)
 
 
 def rref(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,19 +420,27 @@ def rank(A: np.ndarray, ell: int) -> int:
 
 
 def nullspace(A: np.ndarray, ell: int) -> np.ndarray:
-    """RREF basis of {x : x A^T = 0}, i.e. right kernel of A as row vectors."""
+    """RREF basis of {x : x A^T = 0}, i.e. right kernel of A as row vectors,
+    with one elimination: of A with its columns reversed.
+
+    Column j of A is column j' = n - 1 - j of the reversed matrix A', whose
+    RREF R' gives one kernel vector x' per free column f': 1 at f', 0 at the
+    other free columns and -R'[i, f'] at the pivot p'_i of row i.  R'[i, f']
+    is zero unless p'_i < f', so back in A's column order the vector has its
+    leading 1 at its own free column f = n - 1 - f', zeros at every other
+    free column, and its other entries at pivot columns right of f.  Taken
+    in increasing f, these vectors are therefore already in reduced row
+    echelon form, with the free columns as pivots: the one RREF basis of the
+    kernel, which the RREF of A would only give after a second elimination.
+    """
     A = np.asarray(A)
     n = A.shape[1]
-    R, piv = rref(A, ell)
-    free = np.setdiff1d(np.arange(n), piv)
+    R, rpiv = rref(A[:, ::-1], ell)
+    free = np.setdiff1d(np.arange(n), n - 1 - rpiv)
     N = zeros((len(free), n), ell)
-    if len(free) == 0:
-        return N
     N[np.arange(len(free)), free] = 1
-    # x_piv = -R[:, free]^T for each free column unit vector
-    if R.shape[0]:
-        N[:, piv] = (-R[:, free].T) % ell
-    return rref(N, ell)[0]
+    N[:, n - 1 - rpiv] = _reduce(-R[:, n - 1 - free].T, ell)
+    return N
 
 
 def reduce_rows(V: np.ndarray, basis: np.ndarray, pivots: np.ndarray, ell: int) -> np.ndarray:

@@ -132,7 +132,7 @@ class Word:
             term = Y[np.argsort(_composite(ctx, seq))] if seq else Y.copy()
             term *= coeff
             acc += term
-        return linalg.asmat(acc, ell)
+        return linalg.mod_in_place(acc, ell)
 
 
 def word_stream(ngens: int, ell: int, seed: int, tag: int):
@@ -765,7 +765,8 @@ class Meataxe:
         pencils = {}
         for (a, b), lift in seeds.items():
             x = summands.off_summand(lift)[0].astype(np.int64)
-            seeds_t = (x + np.arange(1, ell)[:, None] * s.astype(np.int64)) % ell  # x + t s
+            # x + t s for t = 1 .. ell - 1
+            seeds_t = linalg.mod_in_place(x + np.arange(1, ell)[:, None] * s.astype(np.int64), ell)
             quot = QuotCtx(ambient, lower[a].sub)
             pencil = []
             for v in quot.project_rows(seeds_t):

@@ -161,7 +161,7 @@ def zero_submodule(action) -> Submodule:
 def whole_submodule(action) -> Submodule:
     """The whole module, with the identity as its basis."""
     n = action.dim
-    return Submodule(action, linalg.asmat(np.eye(n, dtype=np.int64), action.ell), np.arange(n))
+    return Submodule(action, linalg.asmat(np.eye(n, dtype=bool), action.ell), np.arange(n))
 
 
 def sum_sub(A: Submodule, B: Submodule) -> Submodule:
@@ -232,7 +232,7 @@ class Section:
             inv = np.empty_like(pi)
             inv[pi] = np.arange(len(pi))
             acc += np.multiply(self.lift[:, inv[self.cols]], c, dtype=acc_dtype)
-        out = linalg.asmat(acc, ell)
+        out = linalg.mod_in_place(acc, ell)
         return out if self.proj is None else linalg.matmul(out, self.proj, ell)
 
 
@@ -271,7 +271,8 @@ class QuotCtx:
         out[:, dst] = V[:, src]
         if not len(hsrc):
             return out
-        return (out - linalg.matmul(V[:, hsrc], block, self.ell)) % self.ell
+        out -= linalg.matmul(V[:, hsrc], block, self.ell)
+        return linalg.mod_in_place(out, self.ell)
 
     def _moves_of(self, i: int) -> tuple:
         """For generator i: the quotient columns `dst` that read a column
@@ -338,7 +339,7 @@ def quot_rep(sub: Submodule) -> Section:
     P = linalg.zeros((act.dim, len(nonpiv)), ell)
     P[nonpiv, np.arange(len(nonpiv))] = 1
     if sub.dim:
-        P[sub.pivots] = (-sub.basis[:, nonpiv]) % ell
+        P[sub.pivots] = linalg.mod_in_place(-sub.basis[:, nonpiv], ell)
     proj = P if act.proj is None else linalg.matmul(act.proj, P, ell)
     return Section(act.ctx, act.lift[nonpiv], act.cols, proj)
 
@@ -358,7 +359,8 @@ class Summands:
     def off_summand(self, rows: np.ndarray) -> np.ndarray:
         """rows (1 - e_S): their components in D."""
         ell = self.S.action.ell
-        return (rows - linalg.matmul(linalg.matmul(rows, self.proj, ell), self.S.basis, ell)) % ell
+        in_s = linalg.matmul(linalg.matmul(rows, self.proj, ell), self.S.basis, ell)
+        return linalg.mod_in_place(rows - in_s, ell)
 
     def meet_d(self, W: Submodule) -> Submodule:
         """W & D, for a submodule W that contains S, read off W's RREF basis
@@ -472,7 +474,7 @@ def eigen_split(ctx: ModCtx, operator: np.ndarray, eigenvalues) -> EigenSplit:
     for e in residues:
         if e != lam:
             q_lam = q_lam * (lam - e) % ell
-    proj = linalg.asmat(C.astype(np.int64) * pow(q_lam, -1, ell), ell)
+    proj = linalg.mod_in_place(C.astype(np.int64) * pow(q_lam, -1, ell), ell)
     if not (
         np.array_equal(linalg.matmul(S.basis, proj, ell), np.eye(S.dim))
         and not linalg.matmul(D.basis, proj, ell).any()

@@ -376,6 +376,24 @@ def test_ceiling_script_refuses_a_negative_seed_by_name():
     assert "Traceback" not in out.stderr and out.stdout == ""
 
 
+def test_ceiling_script_measures_any_instance():
+    # the same JSON object as for U7(2), for O+6(2) at ell = 5 (|P| = 28)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ceiling.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--family", "o+", "--n", "3", "--ell", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert list(got) == [
+        "seed", "match", "timingsMs", "groupMs", "chopMs", "latticeMs",
+        "wordMatrixMs", "eliminationMs", "reportSha256", "ru_maxrss_MiB",
+    ]
+    assert got["seed"] == 0 and got["match"] is True
+    report = {k: v for k, v in cached_analysis("o+", 3, 5).report.items() if k != "timingsMs"}
+    assert got["reportSha256"] == hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -486,6 +504,9 @@ PINNED_REPORTS = [
      "20089ab5f8a51f42a9f53e7ff0b8373eed5f1b2a7c6e3a2f6cb6674538eb6dbf"),
     (["--family", "o+", "--n", "3", "--ell", "131", "--seed", "1"],
      "d44335faadf1f7bf9070dbce703fa225b7ea555a00b7644d52dd0d245992bca1"),
+    # int16 storage with an int64 work dtype and float64 products
+    (["--family", "o+", "--n", "3", "--ell", "32749"],
+     "e65141de80873ea090c9edc82623cac1fcf3aee86337f2f9bb4225cbff44c71a"),
 ]
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,3 +315,133 @@ def test_inexact_fields_are_refused():
         linalg.rref(A, ell)
     with pytest.raises(ValueError):
         linalg.rank(A, ell)
+
+
+# ---------------------------------------------------------------------------
+# one reduction path, and each nullspace in one elimination
+
+REDUCTION_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.bool_]
+REDUCTION_ELLS = [3, 5, 127, 131, 32749]
+
+
+def residues_int64(A, ell):
+    """A mod ell by an int64 remainder: the reference for `asmat` and `_work_copy`."""
+    return np.remainder(np.asarray(A).astype(np.int64), np.int64(ell))
+
+
+def extreme_matrix(dtype, ell, rows, cols, seed):
+    """Entries over all of dtype's range, with its extremes and the values
+    around 0, ell and -ell among them."""
+    rng = np.random.default_rng(seed)
+    if dtype is np.bool_:
+        return rng.integers(0, 2, size=(rows, cols)).astype(bool)
+    info = np.iinfo(dtype)
+    A = rng.integers(info.min, info.max, size=(rows, cols), dtype=dtype, endpoint=True)
+    specials = [info.min, info.min + 1, info.max - 1, info.max, -1, 0, 1, ell - 1, ell, ell + 1, -ell, -ell - 1]
+    specials = np.array([v for v in specials if info.min <= v <= info.max], dtype=dtype)
+    flat = A.reshape(-1)
+    flat[: min(len(flat), len(specials))] = specials[: len(flat)]
+    return A
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(REDUCTION_DTYPES),
+    st.sampled_from(REDUCTION_ELLS),
+    # up to 48 x 48: sizes on both sides of _reduce's 1024-entry switch
+    st.integers(1, 48),
+    st.integers(1, 48),
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+)
+def test_asmat_and_work_copy_match_the_int64_remainder(dtype, ell, rows, cols, seed, transpose):
+    A = extreme_matrix(dtype, ell, rows, cols, seed)
+    stored = np.dtype(dtype) == storage_dtype(ell)
+    if stored:  # a matrix of the storage dtype is taken to be reduced
+        A = residues_int64(A, ell).astype(dtype)
+    if transpose:
+        A = A.T
+    before = A.copy()
+    want = residues_int64(A, ell)
+    M = linalg.asmat(A, ell)
+    assert M.dtype == storage_dtype(ell) and (M is A) == stored
+    assert np.array_equal(M, want)
+    W = linalg._work_copy(A, ell)
+    assert W.dtype == linalg._work_dtype(ell) and W.flags.c_contiguous
+    assert np.array_equal(W, want)
+    assert A.dtype == before.dtype and np.array_equal(A, before)
+
+
+def two_elimination_nullspace(A, ell):
+    """The kernel as `nullspace` built it before: one vector per free column
+    of rref(A), and their RREF by a second elimination."""
+    A = np.asarray(A)
+    n = A.shape[1]
+    R, piv = linalg.rref(A, ell)
+    free = np.setdiff1d(np.arange(n), piv)
+    N = linalg.zeros((len(free), n), ell)
+    if len(free) == 0:
+        return N
+    N[np.arange(len(free)), free] = 1
+    if R.shape[0]:
+        N[:, piv] = (-R[:, free].T) % ell
+    return linalg.rref(N, ell)[0]
+
+
+def nullspace_cases(ell, seed):
+    rng = np.random.default_rng(seed)
+    yield "zero", np.zeros((5, 7), dtype=np.int64)
+    while True:
+        A = rng.integers(0, ell, size=(6, 6))
+        if linalg.rank(A, ell) == 6:
+            break
+    yield "full-rank", A
+    yield "full-row-rank", np.hstack([np.eye(4, dtype=np.int64), rng.integers(0, ell, size=(4, 3))])
+    yield "one-row", rng.integers(0, ell, size=(1, 9))
+    yield "one-column", rng.integers(0, ell, size=(9, 1))
+    yield "zero-column", np.zeros((3, 1), dtype=np.int64)
+    rk = 4
+    low = rng.integers(0, ell, size=(80, rk)) @ rng.integers(0, ell, size=(rk, 150)) % ell
+    low[:, ::9] = 0
+    yield "rank-deficient", low
+    yield "rank-deficient-stored", linalg.asmat(low, ell).T
+    yield "random", rng.integers(-(2**40), 2**40, size=(70, 130))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 127, 131, 32749])
+def test_nullspace_is_the_two_elimination_kernel_in_one(monkeypatch, ell):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    for name, A in nullspace_cases(ell, ell):
+        want = two_elimination_nullspace(A, ell)
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        calls.clear()
+        N = linalg.nullspace(A, ell)
+        assert len(calls) == 1, name
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        assert N.dtype == storage_dtype(ell), name
+        assert np.array_equal(N, want), name
+        assert np.array_equal(N, reference_nullspace(A, ell)), name
+
+
+def test_no_remainder_outside_linalg():
+    # every reduction of an F_ell array goes through `linalg`'s floor-divide
+    # path: no np.remainder call and no `%=` anywhere else in the package
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+                found.append(f"{path.name}:{node.lineno} %=")
+            elif isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in ("remainder", "mod", "fmod"):
+                    found.append(f"{path.name}:{node.lineno} {name}()")
+    assert found == []
