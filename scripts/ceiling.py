@@ -12,11 +12,13 @@ also splits the group phase (`groupMs`): the candidate loop of `build_group`
 and Norton's transpose side (`Meataxe._norton`); and the lattice phase
 (`latticeMs`):
 `Meataxe.ensure_peaks`, the Fitting kernels of the peak words
-(`Meataxe.fitting_kernels`), the walk (`Meataxe._walk`) and the glue
-(`Meataxe._glue`).  Each span is timed by a wrapper put around it here,
-exclusive of the others nested in it; what is left of a phase (the rank
-and suborbits, the operator's split and the registration of the chop's
-classes, or the lattice checks of `analyze`) is `rest`.  `wordMatrixMs` is
+(`Meataxe.fitting_kernels`), the walk (`Meataxe._walk`), the glue
+(`Meataxe._glue`), the certificate of closure under sum and intersection
+(`Meataxe._certify_lattice`, `certify`) and the perp and graph-submodule
+checks of `analyze` (`analyze._lattice_checks`, `checks`).  Each span is
+timed by a wrapper put around it here, exclusive of the others nested in
+it; what is left of a phase (the rank and suborbits, or the operator's
+split and the registration of the chop's classes) is `rest`.  `wordMatrixMs` is
 the time spent in `Word.matrix`, timed by a wrapper put around it here
 (outermost calls only, so a word's matrix on a section's module is not
 counted twice); the lattice spans include it.  `eliminationMs` is the time
@@ -30,8 +32,8 @@ package:
     python scripts/ceiling.py [--family F (--n N | --dim M)] [--ell L] [--seed S]
 
 The instance's flags are those of `rank3mod verify`.  The U7(2) run takes
-14-20 seconds, as the host's load allows, and peaks near 319 MiB (one BLAS
-thread on a 2-core host).
+13-16 seconds, as the host's load allows, and peaks at 320-330 MiB, as the
+heap's layout falls (one BLAS thread on a 2-core host).
 """
 
 import os
@@ -70,11 +72,14 @@ CHOP_SPANS = {
     "candidate_spins": (Meataxe, "_split_by"),
     "transpose_side": (Meataxe, "_norton"),
 }
+# analyze calls _lattice_checks by its module-level name, so it is wrapped there
 LATTICE_SPANS = {
     "ensure_peaks": (Meataxe, "ensure_peaks"),
     "fitting_kernels": (Meataxe, "fitting_kernels"),
     "walk": (Meataxe, "_walk"),
     "glue": (Meataxe, "_glue"),
+    "certify": (Meataxe, "_certify_lattice"),
+    "checks": (analyze, "_lattice_checks"),
 }
 
 

@@ -38,7 +38,7 @@ from .geometry import (
     root_pattern,
 )
 from .groups import build_group, generating_pair, rank_and_orbitals
-from .meataxe import Lattice, Meataxe
+from .meataxe import Lattice, LatticeNode, Meataxe
 from .modules import EigenSplit, PermModule, eigen_split
 
 SCHEMA_VERSION = 1
@@ -128,7 +128,7 @@ def run_analysis(
 
     t0 = time.monotonic()
     lat = mt.lattice(pm.ctxP, total=total, split=split)
-    _lattice_checks(pm, lat, roots, seed)
+    _lattice_checks(pm, lat, roots)
     timings["lattice"] = _ms_since(t0)
 
     t0 = time.monotonic()
@@ -205,7 +205,7 @@ def _image_in_ones(M: np.ndarray, ell: int) -> bool:
     return bool((D == D[-1]).all())
 
 
-def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int], seed: int) -> None:
+def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int]) -> None:
     """Self-duality (perp is an anti-automorphism of the lattice) and
     graph-submodule minimality over all nodes.
 
@@ -213,39 +213,27 @@ def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int], seed: 
     a node of complementary dimension orthogonal to the given one IS its perp.
     Orthogonality is symmetric, so each unordered pair of complementary
     dimensions is tested once, from the node that comes first, and a hit
-    counts for both (once for a node that is its own perp).  A candidate is
-    first tested against one random combination x of the node's rows, drawn
-    from a stream seeded by the request: x C^T != 0, for C the candidate's
-    basis, proves the two not orthogonal, as x lies in the node.  Only the
-    candidates that x cannot rule out get the full product.
+    counts for both (once for a node that is its own perp).  The form is
+    G-invariant, so the perp of a submodule Y is a submodule, and X lies in
+    it iff the rows that generate X do (`LatticeNode.gens`): X and Y are
+    orthogonal iff gens(X) basis(Y)^T = 0.  Both that product and
+    gens(Y) basis(X)^T are tested, so the test stays exact for a node that
+    is not a submodule but carries its whole basis as its gens.
 
     Every node is a submodule, so it contains U'_c = spin(seeds) iff it
     contains the seeds (`PermModule.graph_seeds`); no U'_c is spun.
     """
     v = pm.ctxP.dim
     ell = pm.ell
-    rng = np.random.default_rng(np.random.SeedSequence([seed, ell, 0x9E]))
     by_dim: dict[int, list[int]] = {}
     for i, node in enumerate(lat.nodes):
         by_dim.setdefault(node.dim, []).append(i)
     hits = [0] * len(lat.nodes)
     for i, node in enumerate(lat.nodes):
         mates = [j for j in by_dim.get(v - node.dim, []) if j >= i]
-        if not mates:
-            continue
-        if node.dim == 0 or v - node.dim == 0:
-            orthogonal = mates
-        else:
-            basis = node.sub.basis
-            probe = linalg.matmul(rng.integers(0, ell, size=(1, node.dim)), basis, ell)
-            orthogonal = []
-            for j in mates:
-                other = lat.nodes[j].sub.basis.T
-                if linalg.matmul(probe, other, ell).any():
-                    continue
-                if not linalg.matmul(basis, other, ell).any():
-                    orthogonal.append(j)
-        for j in orthogonal:
+        if node.dim and v - node.dim:
+            mates = [j for j in mates if _orthogonal(node, lat.nodes[j], ell)]
+        for j in mates:
             hits[i] += 1
             hits[j] += j != i
     for node, count in zip(lat.nodes, hits):
@@ -265,6 +253,17 @@ def _lattice_checks(pm: PermModule, lat: Lattice, roots: tuple[int, int], seed: 
             raise CertificationError(
                 f"lattice node of dim {node.dim} contains no graph submodule"
             )
+
+
+def _orthogonal(X: LatticeNode, Y: LatticeNode, ell: int) -> bool:
+    """Whether gens(X) basis(Y)^T and gens(Y) basis(X)^T are both 0.  Each
+    is taken transposed, so that the basis is read in its own row order,
+    and the smaller basis first: most pairs are refuted by that product."""
+    small, big = (X, Y) if X.dim <= Y.dim else (Y, X)
+    return not (
+        linalg.matmul(small.sub.basis, big.gens.T, ell).any()
+        or linalg.matmul(big.sub.basis, small.gens.T, ell).any()
+    )
 
 
 # ---------------------------------------------------------------------------

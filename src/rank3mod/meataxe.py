@@ -31,7 +31,13 @@ factor's dimension (every head constituent of spin(m) is killed by
 theta - lam, hence is the target factor).  Valid candidate lines give the
 simple submodules isomorphic to the factor.  Applied to the quotient by every
 submodule found so far, they give the minimal overmodules, and so, bottom-up,
-the full submodule lattice.  No kernel is taken on a quotient M/N: every
+the full submodule lattice.  Where the peak kernel on M/N is one line, M/N
+has at most one simple submodule of that class, and when a parent P of N
+has a cover C != N of that class, C not in N, it is (N + C)/N: the cover is
+joined as the sum of two certified submodules, with no spin.  The lattice's
+closure under sum and intersection is certified pair by pair on the rows
+a node adds over the largest node below both (`Meataxe._certify_lattice`).
+No kernel is taken on a quotient M/N: every
 submodule N splits along the Fitting decomposition M = K + I of
 theta - lam, so the kernel on M/N is the image of {k in K : k (theta - lam)
 in N}.  K = Ker (theta - lam)^(m j) is taken once per lattice, for m the
@@ -229,9 +235,18 @@ class FactorClass:
 
 @dataclass
 class LatticeNode:
+    """A submodule of the lattice, its composition factors, and `gens`:
+    rows of M that generate it as a module.  The walk's bottom 0 has none
+    and its bottom S one row of S; a child, spun or joined, has its
+    parent's gens and the lift of its seed, which spins to the child modulo
+    the parent; a glued U = (S + U)(1 - e_S) has the gens of S + U times
+    1 - e_S, a module map; and a diagonal U + spin(x + t s) has U's gens
+    and x + t s.  `analyze._lattice_checks` tests orthogonality on them."""
+
     ident: int
     sub: Submodule
     factors: Counter
+    gens: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -252,15 +267,16 @@ class _Nodes:
         self.nodes: list[LatticeNode] = []
         self.edges: list[tuple[int, int, int]] = []
 
-    def add(self, sub: Submodule, factors: Counter, fresh: bool = False) -> LatticeNode:
-        """The node of `sub`, added unless present; a `fresh` node must not be."""
+    def add(self, sub: Submodule, factors: Counter, gens: np.ndarray, fresh: bool = False) -> LatticeNode:
+        """The node of `sub`, added with `gens` unless present (then it
+        keeps the gens it was added with); a `fresh` node must not be."""
         key = sub.key()
         node = self.bykey.get(key)
         if node is not None:
             if fresh or node.factors != factors:
                 raise CertificationError(f"a dim-{sub.dim} submodule was reached twice")
             return node
-        node = LatticeNode(len(self.nodes), sub, factors)
+        node = LatticeNode(len(self.nodes), sub, factors, gens)
         self.bykey[key] = node
         self.nodes.append(node)
         if len(self.nodes) > LATTICE_NODE_BUDGET:
@@ -568,17 +584,34 @@ class Meataxe:
         return out
 
     def socle_lines(
-        self, quot: QuotCtx, kernels: dict[int, tuple[np.ndarray, np.ndarray]], factors: Counter
+        self,
+        quot: QuotCtx,
+        kernels: dict[int, tuple[np.ndarray, np.ndarray]],
+        factors: Counter,
+        joins: dict[int, list[tuple[Submodule, Submodule]]],
     ) -> dict[int, list[tuple[np.ndarray, Submodule]]]:
-        """For each class: the simple submodules of `quot` it is isomorphic to.
+        """For each class: the covers C of N in M with C / N isomorphic to
+        it, that is N plus the lift of each simple submodule of M / N of
+        that class.
 
         `quot` is a quotient M / N of the permutation module M (a `QuotCtx`;
         N = 0 gives M itself), and `kernels` are M's `fitting_kernels`.
-        Returns dict class_idx -> [(seed, line)...], where each line is spun
-        from its seed, a kernel vector of the class's peak word.  Every class
-        must hold its peak word (`lattice` runs `ensure_peaks` once).  A
-        candidate kernel line is valid iff its spin has the class dimension;
-        the count of valid lines must be a projective-space count.
+        Returns dict class_idx -> [(seed, cover)...], where each seed is a
+        kernel vector of the class's peak word on M / N whose spin is the
+        cover's simple submodule.  Every class must hold its peak word
+        (`lattice` runs `ensure_peaks` once).  A candidate kernel line is
+        valid iff its spin has the class dimension; the count of valid lines
+        must be a projective-space count.  A spun line is joined to N by
+        `QuotCtx.extend`, which certifies the lifted rows closed.
+
+        `joins` gives, for a class S, pairs (P, C) of covers P < N and
+        P < C != N walked so far, with C / P isomorphic to S.  When the
+        peak kernel of S on M / N is one line, M / N has at most one simple
+        submodule of class S, as each contains a kernel vector.  If C does
+        not lie in N, then C & N = P (C / P is simple), so (N + C) / N is
+        isomorphic to C / P: N + C is that cover, with no spin, and no
+        closure check, as the sum of two certified submodules (`_join`).
+        The seed is the kernel line all the same.
 
         The kernel of A = theta - lam on M / N is read off the Fitting
         decomposition M = K + I of A, with A nilpotent on K and invertible
@@ -613,12 +646,16 @@ class Meataxe:
                     f"homogeneous multiplicity {K.shape[0]} exceeds the cap "
                     f"{HOM_MULTIPLICITY_CAP} for factor dim {cls.dim}"
                 )
+            cover = _join(quot, joins.get(idx, []), cls.dim, self.ell) if K.shape[0] == 1 else None
+            if cover is not None:
+                out[idx] = [(K[0], cover)]
+                continue
             lines = []
             for coeffs in _projective_reps(K.shape[0], self.ell):
                 seedv = (coeffs @ K) % self.ell
                 W = spin(quot, [seedv], cap_dim=cls.dim)
                 if W is not None and W.dim == cls.dim:
-                    lines.append((seedv, W))
+                    lines.append((seedv, quot.extend(W)))
             if lines:
                 _projective_dim(len(lines), self.ell)
                 out[idx] = lines
@@ -678,44 +715,67 @@ class Meataxe:
         self.ensure_peaks()  # the classes are final: no node of the walk registers one
         if split is None or split.summands is None:
             nodes = _Nodes()
-            self._walk(ambient, nodes, zero_submodule(ambient), Counter(), total)
+            bottom = zero_submodule(ambient)
+            self._walk(ambient, nodes, bottom, bottom.basis, Counter(), total)
             lat = nodes.lattice()
             self._certify_lattice(lat, ambient)
             return lat
         return self._glue(ambient, split.summands, total)
 
     def _walk(
-        self, ambient: ModCtx, nodes: _Nodes, bottom: Submodule, factors: Counter, total: Counter, summand=None
+        self,
+        ambient: ModCtx,
+        nodes: _Nodes,
+        bottom: Submodule,
+        gens: np.ndarray,
+        factors: Counter,
+        total: Counter,
+        summand=None,
     ) -> dict:
         """Add the interval [bottom, ambient] of the permutation module
-        `ambient` to `nodes`, bottom-up by minimal overmodules; `factors` and
-        `total` are the composition factors of bottom and of ambient, so
-        those of a node's quotient are total - node.factors.  Returns, for
-        each cover labelled with class `summand`, (lower ident, upper ident)
-        -> a lift to the ambient of the seed of its quotient, the peak-word
-        kernel line.
+        `ambient` to `nodes`, bottom-up by minimal overmodules; `gens`
+        generate the bottom, and `factors` and `total` are the composition
+        factors of bottom and of ambient, so those of a node's quotient are
+        total - node.factors.  Returns, for each cover labelled with class
+        `summand`, (lower ident, upper ident) -> a lift to the ambient of the
+        seed of its quotient, the peak-word kernel line.
 
         Every node, 0 included, is walked through its quotient M / N
-        (`modules.QuotCtx`), and a child is N plus the lift of a simple
-        submodule of it (`QuotCtx.extend`), certified on the lifted rows
-        alone: N was certified closed when it was added (the bottom is: 0
-        trivially, the summand S by `modules.eigen_split`)."""
+        (`modules.QuotCtx`), and its covers are found by `socle_lines`.  A
+        cover is spun as N plus the lift of a simple submodule of M / N
+        (`QuotCtx.extend`), certified on the lifted rows alone: N was
+        certified closed when it was added (the bottom is: 0 trivially, the
+        summand S by `modules.eigen_split`).  Or, where the class's peak
+        kernel on M / N is one line, it is joined: N + C for a cover C != N
+        of a parent P of N walked so far with the same class, C not in N.
+        The nodes are walked in the order they are added, and each node's
+        covers are added in `socle_lines`' order, joined or spun."""
         seeds = {}
         kernels = self.fitting_kernels(ambient, total, total - factors)  # the classes the walk meets
         head = len(nodes.nodes)
-        nodes.add(bottom, factors)
+        nodes.add(bottom, factors, gens)
+        parents: dict[int, list[LatticeNode]] = {}
+        covers: dict[int, list[tuple[LatticeNode, int]]] = {}
         while head < len(nodes.nodes):
             node = nodes.nodes[head]
             head += 1
             if node.dim == ambient.dim:
                 continue
+            joins: dict[int, list[tuple[Submodule, Submodule]]] = {}
+            for P in parents.get(node.ident, []):
+                for C, cls_idx in covers[P.ident]:
+                    if C is not node:
+                        joins.setdefault(cls_idx, []).append((P.sub, C.sub))
             quot = QuotCtx(ambient, node.sub)
-            for cls_idx, lines in self.socle_lines(quot, kernels, total - node.factors).items():
-                for seed, line in lines:
-                    upper = nodes.add(quot.extend(line), node.factors + Counter({cls_idx: 1}))
+            for cls_idx, found in self.socle_lines(quot, kernels, total - node.factors, joins).items():
+                for seed, cover in found:
+                    lift = quot.lift_rows(seed[None])
+                    upper = nodes.add(cover, node.factors + Counter({cls_idx: 1}), np.vstack([node.gens, lift]))
                     nodes.edges.append((node.ident, upper.ident, cls_idx))
+                    parents.setdefault(upper.ident, []).append(node)
+                    covers.setdefault(node.ident, []).append((upper, cls_idx))
                     if cls_idx == summand:
-                        seeds[(node.ident, upper.ident)] = quot.lift_rows(seed[None])
+                        seeds[(node.ident, upper.ident)] = lift
         return seeds
 
     def _certify_split(self, ambient: ModCtx, S: Submodule, D: Submodule) -> tuple[int, np.ndarray]:
@@ -752,12 +812,14 @@ class Meataxe:
         ell = self.ell
         summand, s = self._certify_split(ambient, summands.S, summands.D)
         nodes = _Nodes()
-        seeds = self._walk(ambient, nodes, summands.S, Counter({summand: 1}), total, summand)
+        S = summands.S
+        seeds = self._walk(ambient, nodes, S, S.basis[:1], Counter({summand: 1}), total, summand)
         interval = nodes.lattice()
-        self._certify_lattice(interval, ambient, bottom=summands.S.dim)
+        self._certify_lattice(interval, ambient, bottom=S.dim)
         lower: dict[int, LatticeNode] = {}
         for node in interval.nodes:
-            U = nodes.add(summands.meet_d(node.sub), node.factors - Counter({summand: 1}), fresh=True)
+            gens = summands.off_summand(node.gens)
+            U = nodes.add(summands.meet_d(node.sub), node.factors - Counter({summand: 1}), gens, fresh=True)
             lower[node.ident] = U
             nodes.edges.append((U.ident, node.ident, summand))
         for a, b, cls_idx in interval.edges:
@@ -773,7 +835,10 @@ class Meataxe:
                 W = spin(quot, [v], cap_dim=lower[b].dim - lower[a].dim)
                 pencil.append(None if W is None else quot.extend(W))
             _check_pencil(pencil, lower[b].dim, s, ell)
-            pencil = [nodes.add(W, lower[b].factors, fresh=True) for W in pencil]
+            pencil = [
+                nodes.add(W, lower[b].factors, np.vstack([lower[a].gens, v[None]]), fresh=True)
+                for W, v in zip(pencil, seeds_t)
+            ]
             for W in pencil:
                 nodes.edges.append((lower[a].ident, W.ident, summand))
                 nodes.edges.append((W.ident, b, summand))
@@ -803,9 +868,12 @@ class Meataxe:
         of dimension r = dim A + rank(B mod A): one of dimension r is A + B,
         and one below both of dimension dim A + dim B - r is their
         intersection.  A containment A < B missing from `below` is refused
-        too, as the only node of dimension r = dim B above B is B itself.  As
-        dim A + rank(B mod A) = dim B + rank(A mod B), the rank is taken of
-        whichever basis has fewer rows, reduced modulo the other.
+        too, as the only node of dimension r = dim B above B is B itself.
+
+        The rank is taken on the rows a node adds over D, the largest node
+        below both (`_sum_dim`), or over 0 when no node is below both (an
+        edge out of the bottom is missing, and the pair is refused, as no
+        node can be their intersection).
         """
         dims = np.array([n.dim for n in lat.nodes])
         if bottom not in dims or ambient.dim not in dims:
@@ -825,11 +893,11 @@ class Meataxe:
                 if below[i, j] or below[j, i]:
                     continue
                 A, B = lat.nodes[i].sub, lat.nodes[j].sub
-                big, small = (A, B) if A.dim >= B.dim else (B, A)
-                res = linalg.reduce_rows(small.basis, big.basis, big.pivots, self.ell)
-                r = big.dim + linalg.rank(res, self.ell)
-                meet = A.dim + B.dim - r
                 above, under = below[i] & below[j], below[:, i] & below[:, j]
+                common = np.flatnonzero(under)
+                D = lat.nodes[common[dims[common].argmax()]].sub if len(common) else None
+                r = _sum_dim(A, B, D, self.ell)
+                meet = A.dim + B.dim - r
                 if r not in dims[above] or meet not in dims[under]:
                     raise CertificationError(
                         "lattice not closed under sum/intersection "
@@ -866,7 +934,7 @@ class Meataxe:
         top = node_of(zero_submodule(ambient))
         while top.dim < ambient.dim:
             N = top.sub
-            new = [C.sub.basis[~np.isin(C.sub.pivots, N.pivots)] for C in covers.get(top.ident, [])]
+            new = [_added_rows(C.sub, N) for C in covers.get(top.ident, [])]
             soc = N
             if new:
                 soc = Submodule(ambient, *linalg.rowspace_sum(N.basis, N.pivots, np.vstack(new), self.ell))
@@ -900,6 +968,45 @@ def _node_kernel(quot: QuotCtx, K: np.ndarray, Z: np.ndarray, ell: int) -> np.nd
     KZ = quot.project_rows(np.vstack([K, Z]))
     C = left_kernel(KZ[len(K) :], ell)
     return linalg.rref(linalg.matmul(C, KZ[: len(K)], ell), ell)[0]
+
+
+def _added_rows(C: Submodule, P: Submodule | None) -> np.ndarray:
+    """C's RREF rows at the pivots outside P's, for a submodule P of C (None:
+    0).  P's pivots are among C's, and these rows are zero at every other
+    pivot of C, so they are independent modulo P, and C is P plus them."""
+    return C.basis if P is None else C.basis[~np.isin(C.pivots, P.pivots)]
+
+
+def _sum_dim(A: Submodule, B: Submodule, D: Submodule | None, ell: int) -> int:
+    """dim (A + B), for submodules A and B over a common submodule D (None:
+    0).  As D lies in both, rank(B mod A) is the rank of the rows B adds over
+    D reduced modulo A, and dim A + rank(B mod A) = dim B + rank(A mod B):
+    so the rows of the side that adds fewer, the smaller, are reduced
+    modulo the other."""
+    big, small = (A, B) if A.dim >= B.dim else (B, A)
+    res = linalg.reduce_rows(_added_rows(small, D), big.basis, big.pivots, ell)
+    return big.dim + linalg.rank(res, ell)
+
+
+def _join(quot: QuotCtx, pairs: list, d: int, ell: int) -> Submodule | None:
+    """N + C for the first pair (P, C) of `pairs` with C not in N, for
+    N = quot.sub and covers P < N and P < C with C / P simple of dimension
+    d; None when every C lies in N.  One row of C outside P decides, as
+    C & N is P or C.  Otherwise the rows C adds over P, projected
+    to M / N, must have rank d, as (N + C) / N is isomorphic to C / P, and
+    their RREF is lifted and merged into N (`linalg.merge_rref`), as
+    `QuotCtx.extend` merges a spun line."""
+    N = quot.sub
+    for P, C in pairs:
+        res = quot.project_rows(_added_rows(C, P))
+        if not res[0].any():
+            continue
+        rows, piv = linalg.rref(res, ell)
+        if len(piv) != d:
+            raise CertificationError(f"a joined cover adds {len(piv)} dimensions, not {d}")
+        basis, pivots = linalg.merge_rref(N.basis, N.pivots, quot.lift_rows(rows), quot.nonpivots[piv], ell)
+        return Submodule(quot.ctx, basis, pivots)
+    return None
 
 
 def _shifted(word: Word, section: Section, lam: int) -> np.ndarray:

@@ -390,6 +390,10 @@ def test_ceiling_script_measures_any_instance():
         "wordMatrixMs", "eliminationMs", "reportSha256", "ru_maxrss_MiB",
     ]
     assert got["seed"] == 0 and got["match"] is True
+    assert list(got["latticeMs"]) == [
+        "ensure_peaks", "fitting_kernels", "walk", "glue", "certify", "checks", "rest",
+    ]
+    assert all(ms >= 0 for ms in got["latticeMs"].values())
     report = {k: v for k, v in cached_analysis("o+", 3, 5).report.items() if k != "timingsMs"}
     assert got["reportSha256"] == hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
 
@@ -809,41 +813,50 @@ def test_graph_operator_checks_refuse_a_degenerate_r_image(monkeypatch):
 
 
 def _node_of(pm, ident, rows):
+    """A hand-built node, which need not be a submodule, carrying its whole
+    basis as its gens."""
     basis, piv = linalg.rref(rows, pm.ell)
-    return LatticeNode(ident, Submodule(pm.ctxP, basis, piv), Counter())
+    return LatticeNode(ident, Submodule(pm.ctxP, basis, piv), Counter(), basis)
 
 
-def test_lattice_checks_refuse_a_perp_swapped_for_a_subspace_that_is_not_orthogonal(monkeypatch):
+def test_lattice_checks_refuse_a_perp_swapped_for_a_subspace_that_is_not_orthogonal():
     # O+6(2), ell = 5: the boolean lattice of 1, 7 and 20; swap the perp of
-    # the dim-7 node for its span with one row replaced by a vector of the
-    # node, so that the product with the node has rank 1 and one random probe
-    # misses it one time in five.  Whichever of the two comes first matches 0.
+    # the dim-7 node for its span with one row replaced by a random non-zero
+    # vector of the node, one for each of 12 seeds, so that the product with
+    # the node has rank 1.  The swapped node is no submodule, and the
+    # products with its gens, its whole basis, find it.  Whichever of the
+    # two comes first matches 0.
     pm, _params, roots = _o6_ell5()
     lat = cached_analysis("o+", 3, 5).lattice
-    analyze._lattice_checks(pm, lat, roots, 0)
+    analyze._lattice_checks(pm, lat, roots)
     (seven,) = [n for n in lat.nodes if n.dim == 7]
     (perp,) = [n for n in lat.nodes if n.dim == 21]
-    rows = perp.sub.basis.copy()
-    rows[-1] = seven.sub.basis[0]
-    swapped = _node_of(pm, perp.ident, rows)
-    assert swapped.dim == 21 and linalg.matmul(seven.sub.basis, swapped.sub.basis.T, 5).any()
-    tampered = Lattice([swapped if n is perp else n for n in lat.nodes], lat.edges)
-    full = []
-    matmul = linalg.matmul
-
-    def counted(A, B, ell):  # the full product of the two, either way round
-        full.append(A.shape[0] in (7, 21) and A.shape[0] + B.shape[1] == 28)
-        return matmul(A, B, ell)
-
-    monkeypatch.setattr(linalg, "matmul", counted)
-    ran_full = []
+    refused = set()
     for seed in range(12):
-        full.clear()
+        coeffs = np.random.default_rng(seed).integers(0, 5, size=(1, 7))
+        coeffs[0, seed % 7] = 1 + seed % 4  # a non-zero combination
+        rows = perp.sub.basis.copy()
+        rows[-1] = linalg.matmul(coeffs, seven.sub.basis, 5)[0]
+        swapped = _node_of(pm, perp.ident, rows)
+        assert swapped.dim == 21 and linalg.matmul(seven.sub.basis, swapped.sub.basis.T, 5).any()
+        tampered = Lattice([swapped if n is perp else n for n in lat.nodes], lat.edges)
         with pytest.raises(CertificationError, match="perp of a dim-(7|21) lattice node matched 0 nodes"):
-            analyze._lattice_checks(pm, tampered, roots, seed)
-        ran_full.append(any(full))
-    # the probe alone refused some seeds, the full product the others
-    assert any(ran_full) and not all(ran_full)
+            analyze._lattice_checks(pm, tampered, roots)
+        refused.add(rows[-1].tobytes())
+    # all 12 seeds refuse, each with its own swapped row
+    assert len(refused) == 12
+    # the smaller side swapped: the dim-7 node for its span with one row
+    # replaced by a vector orthogonal to the perp's gens but not to the perp,
+    # so that only the product with the swapped node's gens refuses it
+    outside = linalg.nullspace(perp.gens, 5)
+    w = next(x for x in outside if linalg.matmul(x[None], perp.sub.basis.T, 5).any())
+    rows = seven.sub.basis.copy()
+    rows[-1] = w
+    swapped = _node_of(pm, seven.ident, rows)
+    assert swapped.dim == 7 and not linalg.matmul(swapped.sub.basis, perp.gens.T, 5).any()
+    tampered = Lattice([swapped if n is seven else n for n in lat.nodes], lat.edges)
+    with pytest.raises(CertificationError, match="perp of a dim-(7|21) lattice node matched 0 nodes"):
+        analyze._lattice_checks(pm, tampered, roots)
 
 
 def test_lattice_checks_count_a_self_perp_node_once():
@@ -860,10 +873,10 @@ def test_lattice_checks_count_a_self_perp_node_once():
         _node_of(pm, 2, np.eye(28, dtype=np.int64)),
     ]
     with pytest.raises(CertificationError, match="lattice node of dim 14 contains no graph submodule"):
-        analyze._lattice_checks(pm, Lattice(nodes, []), roots, 0)
+        analyze._lattice_checks(pm, Lattice(nodes, []), roots)
     twice = Lattice([*nodes[:2], _node_of(pm, 3, half), nodes[2]], [])
     with pytest.raises(CertificationError, match="perp of a dim-14 lattice node matched 2 nodes"):
-        analyze._lattice_checks(pm, twice, roots, 0)
+        analyze._lattice_checks(pm, twice, roots)
 
 
 def test_lattice_checks_refuse_a_node_that_misses_the_graph_seeds():
@@ -881,7 +894,7 @@ def test_lattice_checks_refuse_a_node_that_misses_the_graph_seeds():
             _node_of(pm, 3, np.eye(28, dtype=np.int64)),
         ]
         with pytest.raises(CertificationError, match="lattice node of dim 1 contains no graph submodule"):
-            analyze._lattice_checks(pm, Lattice(nodes, []), roots, 0)
+            analyze._lattice_checks(pm, Lattice(nodes, []), roots)
 
 
 def test_every_function_in_src_is_named_elsewhere_in_src():

@@ -813,13 +813,13 @@ def _counted_peak_kernels(monkeypatch):
     socle_lines, node_kernel = Meataxe.socle_lines, meataxe._node_kernel
     generalised = meataxe.generalised_kernel
 
-    def checked(self, quot, kernels, factors):
+    def checked(self, quot, kernels, factors, joins):
         section = quotient_section(quot.sub)
         for idx, cls in enumerate(self.classes):
             if not factors[idx]:
                 word, lam = cls.word
                 skipped.append(left_kernel(_shifted(word, section, lam), self.ell).shape[0])
-        return socle_lines(self, quot, kernels, factors)
+        return socle_lines(self, quot, kernels, factors, joins)
 
     def counted_node(quot, K, Z, ell):
         computed.append(quot.dim)
@@ -1392,3 +1392,172 @@ def test_socle_series_merges_each_layer_once_as_the_cover_sums(analysis, monkeyp
     layers = mt.socle_series(M, res.lattice)
     assert len(sums) == len(layers)
     assert layers == _socle_series_by_sums(mt, M, res.lattice)
+
+
+# ---------------------------------------------------------------------------
+# the lattice certified on the rows each node adds, covers joined instead of
+# spun, and the nodes' module generators
+
+
+def _whole_basis_sum_dim(A, B, _D, ell):
+    """dim (A + B) from the smaller whole basis reduced modulo the other:
+    the reference for the rank on the rows a node adds over D."""
+    big, small = (A, B) if A.dim >= B.dim else (B, A)
+    return big.dim + linalg.rank(linalg.reduce_rows(small.basis, big.basis, big.pivots, ell), ell)
+
+
+def _refuses(mt, lat, ctx) -> bool:
+    try:
+        mt._certify_lattice(lat, ctx)
+    except CertificationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_rank_on_added_rows_is_the_whole_basis_rank_on_every_incomparable_pair(
+    analysis, monkeypatch, family, size, ell
+):
+    # the glued lattices are certified whole here, not only their walked
+    # intervals; D is a node below both of the pair, the largest one
+    res = analysis(family, size, ell)
+    lat, ctx = res.lattice, res.pm.ctxP
+    pairs = []
+    sum_dim = meataxe._sum_dim
+
+    def recorded(A, B, D, ell):
+        r = sum_dim(A, B, D, ell)
+        pairs.append((A, B, D, r))
+        return r
+
+    monkeypatch.setattr(meataxe, "_sum_dim", recorded)
+    res.meataxe._certify_lattice(lat, ctx)
+    subs = [n.sub for n in lat.nodes]
+    nested = sum(contains(A, B) or contains(B, A) for i, A in enumerate(subs) for B in subs[i + 1 :])
+    assert len(pairs) == len(subs) * (len(subs) - 1) // 2 - nested
+    for A, B, D, r in pairs:
+        assert D is not None and contains(A, D) and contains(B, D)
+        below = [n.dim for n in subs if contains(A, n) and contains(B, n)]
+        assert D.dim == max(below)
+        assert r == _whole_basis_sum_dim(A, B, D, ell)
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_certify_lattice_refuses_a_removal_as_on_the_whole_bases(analysis, monkeypatch, family, size, ell):
+    # every lattice with a node or an edge removed is refused exactly when
+    # the certificate on whole bases refuses it, and raises nothing else; a
+    # removed edge out of the bottom leaves pairs with no common lower node
+    res = analysis(family, size, ell)
+    mt, lat, ctx = res.meataxe, res.lattice, res.pm.ctxP
+    bottom = next(n.ident for n in lat.nodes if n.dim == 0)
+    cases = [_without(lat, ident=n.ident) for n in lat.nodes]
+    cases += [_without(lat, edge=edge) for edge in lat.edges]
+    out_of_bottom = [False] * len(lat.nodes) + [a == bottom for a, _b, _c in lat.edges]
+    no_common = []
+    sum_dim = meataxe._sum_dim
+
+    def noted(A, B, D, ell):
+        no_common.append(D is None)
+        return sum_dim(A, B, D, ell)
+
+    monkeypatch.setattr(meataxe, "_sum_dim", noted)
+    got = [_refuses(mt, case, ctx) for case in cases]
+    assert not _refuses(mt, lat, ctx)
+    assert any(no_common)
+    monkeypatch.setattr(meataxe, "_sum_dim", _whole_basis_sum_dim)
+    assert got == [_refuses(mt, case, ctx) for case in cases]
+    # every lattice with an edge out of the bottom removed is refused
+    assert any(out_of_bottom)
+    assert all(refused for refused, flag in zip(got, out_of_bottom) if flag)
+
+
+def _without_joins(monkeypatch):
+    """Make every cover of the walk spun: no pair is joined."""
+    monkeypatch.setattr(meataxe, "_join", lambda quot, pairs, d, ell: None)
+
+
+def _nodes_in_order(lat):
+    return [(n.ident, n.sub.key(), n.sub.pivots.tobytes(), n.factors, n.gens.tobytes()) for n in lat.nodes]
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_walk_with_joins_is_the_walk_that_spins_every_line(analysis, monkeypatch, family, size, ell):
+    # the same nodes in the same order, with the same generators, and the
+    # same edges, glued lattices included
+    res = analysis(family, size, ell)
+    _without_joins(monkeypatch)
+    spun = res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.split)
+    assert _nodes_in_order(spun) == _nodes_in_order(res.lattice)
+    assert spun.edges == res.lattice.edges
+
+
+def _walk_counts(res, monkeypatch):
+    """The lattice of the analysis walked again, with the covers it joins
+    and the spins it takes on quotients of M."""
+    joined, spins = [], []
+    join, spin_ = meataxe._join, meataxe.spin
+
+    def noted_join(quot, pairs, d, ell):
+        out = join(quot, pairs, d, ell)
+        joined.append(out is not None)
+        return out
+
+    def noted_spin(action, seeds, cap_dim=None):
+        spins.append(isinstance(action, QuotCtx))
+        return spin_(action, seeds, cap_dim)
+
+    monkeypatch.setattr(meataxe, "_join", noted_join)
+    monkeypatch.setattr(meataxe, "spin", noted_spin)
+    res.meataxe.lattice(res.pm.ctxP, res.chop_total, res.split)
+    monkeypatch.undo()
+    return sum(joined), sum(spins)
+
+
+def test_u6_ell3_seed5_walk_joins_ten_covers_and_spins_twenty_one(analysis, monkeypatch):
+    # the u6-dense request: 31 spins on quotients when every line is spun
+    res = analysis("u", 6, 3, 5)
+    assert res.split.summands is None and len(res.lattice.nodes) == 12
+    assert _walk_counts(res, monkeypatch) == (10, 21)
+    _without_joins(monkeypatch)
+    assert _walk_counts(res, monkeypatch) == (0, 31)
+
+
+@pytest.mark.parametrize("family,size,ell", SUITE_INSTANCES)
+def test_every_node_is_spun_by_its_gens(analysis, family, size, ell):
+    res = analysis(family, size, ell)
+    ctx = res.pm.ctxP
+    for node in res.lattice.nodes:
+        assert node.gens.shape[1] == ctx.dim and len(node.gens) <= sum(res.chop_total.values()) + 1
+        if node.dim == 0:
+            assert not node.gens.any()
+            continue
+        W = spin(ctx, node.gens)
+        assert W.key() == node.sub.key() and np.array_equal(W.pivots, node.sub.pivots)
+
+
+def test_join_skips_a_cover_inside_the_node_and_refuses_a_wrong_dimension(analysis):
+    # U6(2), ell = 3, seed 5, walked from 0: at each node N over a parent P,
+    # a cover C != N of P joins to N + C, the node of the cover read off the
+    # lattice, and N itself, a cover of P inside N, is skipped
+    res = analysis("u", 6, 3, 5)
+    lat, ctx = res.lattice, res.pm.ctxP
+    byident = {n.ident: n for n in lat.nodes}
+    bykey = {n.sub.key(): n for n in lat.nodes}
+    joined = 0
+    for p, n, _c in lat.edges:
+        P, N = byident[p], byident[n]
+        if N.dim == ctx.dim:
+            continue
+        quot = QuotCtx(ctx, N.sub)
+        for q, c, cls_idx in lat.edges:
+            if q != p or c == n:
+                continue
+            C, d = byident[c], res.meataxe.classes[cls_idx].dim
+            assert meataxe._join(quot, [(P.sub, N.sub)], d, 3) is None
+            W = meataxe._join(quot, [(P.sub, N.sub), (P.sub, C.sub)], d, 3)
+            assert W.dim == N.dim + d and bykey[W.key()].factors == N.factors + Counter({cls_idx: 1})
+            assert np.array_equal(W.pivots, bykey[W.key()].sub.pivots)
+            with pytest.raises(CertificationError, match=f"adds {d} dimensions, not {d + 1}"):
+                meataxe._join(quot, [(P.sub, C.sub)], d + 1, 3)
+            joined += 1
+    assert joined >= 10
